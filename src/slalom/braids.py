@@ -135,6 +135,10 @@ def braid_to_strands(b: BraidWord, samples_per_crossing: int = 32) -> StrandPath
         raise ValueError("samples_per_crossing must be >= 16")
     if not is_pure(b):
         raise PurityError(f"braid {format_braid(b)!r} is not pure: permutation {permutation(b)}")
+    # the half-turn factors (rotation, radius scale) depend only on the sign and the sample
+    ts = [j / samples_per_crossing for j in range(1, samples_per_crossing + 1)]
+    scales = [(_HALF_GAP - (_HALF_GAP - _TURN_RADIUS_MIN) * math.sin(math.pi * t)) / _HALF_GAP for t in ts]
+    turns = {sign: [(cmath.exp(1j * sign * math.pi * t), r) for t, r in zip(ts, scales)] for sign in (1, -1)}
     slot = [0, 1, 2]  # strand -> slot
     paths: list[list[complex]] = [[complex(_SLOTS[s])] for s in slot]
     for letter in b.letters:
@@ -142,14 +146,10 @@ def braid_to_strands(b: BraidWord, samples_per_crossing: int = 32) -> StrandPath
         moving = [s for s in range(3) if slot[s] in (i, i + 1)]
         static = next(s for s in range(3) if s not in moving)
         center = complex((_SLOTS[i] + _SLOTS[i + 1]) / 2)
-        start = {s: complex(_SLOTS[slot[s]]) for s in moving}
-        for j in range(1, samples_per_crossing + 1):
-            t = j / samples_per_crossing
-            radius = _HALF_GAP - (_HALF_GAP - _TURN_RADIUS_MIN) * math.sin(math.pi * t)
-            rot = cmath.exp(1j * letter.sign * math.pi * t)
-            for s in moving:
-                paths[s].append(center + (start[s] - center) * rot * (radius / _HALF_GAP))
-            paths[static].append(paths[static][-1])
+        for s in moving:
+            arm = complex(_SLOTS[slot[s]]) - center
+            paths[s].extend(center + arm * rot * r for rot, r in turns[letter.sign])
+        paths[static].extend([paths[static][-1]] * samples_per_crossing)
         slot[moving[0]], slot[moving[1]] = slot[moving[1]], slot[moving[0]]
     return StrandPaths(tuple(tuple(p) for p in paths))
 

@@ -116,9 +116,6 @@ def _cmd_lift(args) -> int:
     cfg = args.config_obj
     w = parse_word(args.word)
     curve = word_to_curve(w, cfg.samples_per_turn)
-    if curve.is_constant:
-        result = {"word": format_word(w), "lift_endpoint": "-0.5i", "pieces": []}
-        return _emit(args, result, args.word)
     lifted = lift_path(curve, BASE_LIFT_POINT, cfg.lift_tolerance)
     pieces = slalom_decompose(lifted).pieces
     if args.svg:
@@ -144,8 +141,6 @@ def _cmd_braid(args) -> int:
     w = curve_to_word(curve)
     rep = bounds_report(w, bc, cfg.bound_constants)
     if args.svg:
-        if curve.is_constant:
-            raise ValueError("cannot render SVG for a trivial cross-ratio curve")
         lifted = lift_path(curve, BASE_LIFT_POINT, cfg.lift_tolerance)
         pieces = slalom_decompose(lifted).pieces
         with open(args.svg, "w") as fh:

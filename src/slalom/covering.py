@@ -2,10 +2,10 @@
 
 The covering map is f1 o f2 with f2(z) = (e^{pi z} - 1)/(e^{pi z} + 1) and
 f1(w) = (w + 1/w)/2, a covering from C \\ iZ onto C \\ {-1, 1}.  Loops based
-at 0 lift from -i/2; the lift's excursions into the open half-planes,
-read off by their imaginary-axis crossing components, recover the word:
-a left excursion moving up n components contributes a1^n, a right excursion
-moving down n components contributes a2^n.
+at 0 lift from -i/2; the lift's excursions into the half-planes are its
+slalom pieces (a left piece moving up n components carries a1^n, a right
+piece moving down n carries a2^n).  The word of a loop is read without
+lifting, from its crossings of the rays (-inf, -1] and [1, inf).
 """
 
 from __future__ import annotations
@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from slalom.words import FreeWord, Generator, Term, reduce as reduce_word
+from slalom.words import FreeWord, Generator, reduce as reduce_word
 
 PUNCTURES = (-1.0, 1.0)
-BASE_LIFT_POINT = -0.5j
+BASE_LIFT_POINT = complex(0.0, -0.5)
 
 _PUNCTURE_TOL = 1e-9
 _FIBER_TOL = 1e-8
@@ -213,20 +213,20 @@ def _component(im: float) -> int:
     return k
 
 
-def _excursions(lifted: PolyPath) -> list[tuple[HalfPlane, int, int]]:
-    """Split a cover-plane path at its imaginary-axis crossings.
+def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
+    """Elementary pieces of a lift, split at its imaginary-axis crossings.
 
-    Returns (half_plane, start_component, end_component) per maximal
-    closed-half-plane excursion.  Samples exactly on the axis inherit the
-    surrounding sign, so tangential touches do not split an excursion.
+    One piece per maximal closed-half-plane excursion, labeled with its
+    half-plane and endpoint components.  Samples exactly on the axis inherit
+    the surrounding sign, so tangential touches do not split an excursion.
     """
     pts = lifted.points
     if len(pts) < 2:
-        return []
+        return SlalomDecomposition(())
     for z in (pts[0], pts[-1]):
         if abs(z.real) > _CROSSING_TOL:
             raise LiftError(f"path endpoint {z} is not on the imaginary axis")
-    pieces: list[tuple[HalfPlane, int, int]] = []
+    pieces: list[ElementaryPiece] = []
     cur_sign = 0
     cur_start = _component(pts[0].imag)
     for a, b in zip(pts, pts[1:]):
@@ -241,34 +241,46 @@ def _excursions(lifted: PolyPath) -> list[tuple[HalfPlane, int, int]]:
         # sign change: linear interpolation for the crossing ordinate
         t = a.real / (a.real - b.real)
         comp = _component(a.imag + t * (b.imag - a.imag))
-        pieces.append((HalfPlane.LEFT if cur_sign < 0 else HalfPlane.RIGHT, cur_start, comp))
+        pieces.append(ElementaryPiece(HalfPlane.LEFT if cur_sign < 0 else HalfPlane.RIGHT, cur_start, comp))
         cur_start = comp
         cur_sign = sb
     if cur_sign != 0:
         pieces.append(
-            (HalfPlane.LEFT if cur_sign < 0 else HalfPlane.RIGHT, cur_start, _component(pts[-1].imag))
+            ElementaryPiece(HalfPlane.LEFT if cur_sign < 0 else HalfPlane.RIGHT, cur_start, _component(pts[-1].imag))
         )
-    return pieces
+    return SlalomDecomposition(tuple(pieces))
 
 
-def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
-    """Elementary pieces of a lift, labeled with half-plane and endpoint components."""
-    return SlalomDecomposition(tuple(ElementaryPiece(h, s, e) for h, s, e in _excursions(lifted)))
+def _ray(x: float) -> int:
+    """-1 on (-inf, -1), 1 on (1, inf), 0 on (-1, 1); raises within tolerance of a puncture."""
+    if abs(abs(x) - 1) < _PUNCTURE_TOL:
+        raise ValueError(f"path meets the real axis at {x}, within tolerance of a puncture")
+    return (x > 1) - (x < -1)
 
 
-def curve_to_word(path: PolyPath, tol: float = 1e-6) -> FreeWord:
-    """Recover the word of a loop based at 0 by reading its lift's excursions."""
+def curve_to_word(path: PolyPath) -> FreeWord:
+    """Word of a loop based at 0: its freely reduced sequence of ray crossings.
+
+    The plane cut along (-inf, -1] and [1, inf) is simply connected (the
+    cutting-sequence method).  Crossing the left ray downward reads a1, the
+    right ray upward a2, the reverse crossings their inverses.  A sample on
+    the real axis locates the crossing through it; touching a ray reads nothing.
+    """
     if abs(path.start) > _FIBER_TOL or abs(path.end) > _FIBER_TOL:
         raise ValueError("curve_to_word expects a loop based at 0")
-    if path.is_constant:
-        return FreeWord()
-    lifted = lift_path(path, BASE_LIFT_POINT, tol)
     raw: list[tuple[Generator, int]] = []
-    for half, start, end in _excursions(lifted):
-        if start == end:
+    prev = axis_x = None  # the last sample off the real axis; the last on-axis real part after it
+    for z in path.points:
+        if z.imag == 0:
+            # a run of on-axis samples must not pass a puncture between them
+            if axis_x is not None and _ray(axis_x) != _ray(z.real):
+                raise ValueError(f"path runs along the real axis through a puncture near {z.real}")
+            axis_x = z.real
             continue
-        if half is HalfPlane.LEFT:
-            raw.append((Generator.A1, end - start))
-        else:
-            raw.append((Generator.A2, start - end))
+        if prev is not None and (z.imag > 0) != (prev.imag > 0):
+            x = axis_x if axis_x is not None else prev.real + prev.imag / (prev.imag - z.imag) * (z.real - prev.real)
+            ray = _ray(x)
+            if ray:
+                raw.append((Generator.A1 if ray < 0 else Generator.A2, ray if z.imag > 0 else -ray))
+        prev, axis_x = z, None
     return reduce_word(raw)

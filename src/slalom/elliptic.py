@@ -14,7 +14,8 @@ zeta = i t keeps both boundary integrals real:
     horizontal     b =     int_M^{M+1} dt / sqrt((t^2 - M^2)((M+1)^2 - t^2))
 
 and lambda(R^M) = a/b.  The closed form evaluates both as complete elliptic
-integrals through the AGM, with modulus k = M/(M+1); the quadrature route
+integrals through the AGM, with modulus k = M/(M+1) and complement
+k' = sqrt(2M+1)/(M+1), each passed to the AGM exactly; the quadrature route
 integrates the arcs directly after trigonometric substitutions that remove
 the inverse-square-root endpoint singularities.  The two routes are kept
 independent and must agree to 1e-8.
@@ -26,8 +27,6 @@ import enum
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-from scipy.integrate import quad
 
 _AGM_RTOL = 1e-15
 _QUAD_TOL = 1e-13
@@ -76,13 +75,8 @@ def complete_k(k: float) -> float:
     return math.pi / (2 * agm(1.0, math.sqrt((1 - k) * (1 + k))))
 
 
-def _sides_closed(m: float) -> tuple[float, float]:
-    k = m / (m + 1)
-    kp = math.sqrt(2 * m + 1) / (m + 1)
-    return 2 * complete_k(k) / (m + 1), complete_k(kp) / (m + 1)
-
-
 def _sides_quadrature(m: float) -> tuple[float, float]:
+    from scipy.integrate import quad  # imported here: it costs more than the rest of slalom
     # t = m sin(theta) on the vertical arc, t^2 = m^2 cos^2 + (m+1)^2 sin^2 on
     # the horizontal one; both integrands are smooth on [0, pi/2].
     va, va_err = quad(
@@ -105,10 +99,11 @@ def rect_extremal_length(m_param: float, method: ModulusMethod = ModulusMethod.C
     if m_param == 0:
         return QuadModulus(0.0, 0.0, math.inf, method)
     if method is ModulusMethod.CLOSED_FORM:
-        a, b = _sides_closed(m_param)
+        # 2 K(k) / K(k') by DLMF 19.8.5, each complement passed exactly: no 1 - k^2 cancellation
+        lam = 2 * agm(1.0, m_param / (m_param + 1)) / agm(1.0, math.sqrt(2 * m_param + 1) / (m_param + 1))
     else:
         a, b = _sides_quadrature(m_param)
-    lam = a / b
+        lam = a / b
     return QuadModulus(m_param, lam, 1 / lam, method)
 
 

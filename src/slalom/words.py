@@ -69,9 +69,6 @@ class FreeWord:
         return format_word(self)
 
 
-IDENTITY = FreeWord()
-
-
 def reduce(raw: Iterable[tuple[Generator, int] | Term]) -> FreeWord:
     """Merge adjacent equal-generator terms and drop zero exponents, to a fixed point."""
     stack: list[list] = []

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import strategies as st
 
 from slalom.braids import BraidWord, parse_braid
-from slalom.words import FreeWord, Generator, Term, parse_word
+from slalom.covering import BASE_LIFT_POINT, HalfPlane, PolyPath, lift_path, slalom_decompose
+from slalom.words import FreeWord, Generator, Term, parse_word, reduce
 
 FIGURE2_TEXT = "a2^-1 a1^2 a2^-3 a1^-1 a2^-1 a1^-1 a2 a1^-1"
 
@@ -12,6 +13,23 @@ FIGURE2_TEXT = "a2^-1 a1^2 a2^-3 a1^-1 a2^-1 a1^-1 a2 a1^-1"
 @pytest.fixture
 def figure2_word() -> FreeWord:
     return parse_word(FIGURE2_TEXT)
+
+
+def lift_read_word(path: PolyPath) -> FreeWord:
+    """Oracle for ``curve_to_word``: the word of a loop at 0 read from the slalom pieces of its lift.
+
+    A left piece moving up n components carries a1^n, a right piece moving
+    down n components carries a2^n.
+    """
+    if path.is_constant:
+        return FreeWord()
+    raw = []
+    for p in slalom_decompose(lift_path(path, BASE_LIFT_POINT)).pieces:
+        if p.half_plane is HalfPlane.LEFT:
+            raw.append((Generator.A1, p.end_component - p.start_component))
+        else:
+            raw.append((Generator.A2, p.start_component - p.end_component))
+    return reduce(raw)
 
 
 def random_reduced_word(rng: random.Random, max_terms: int, max_exp: int = 4) -> FreeWord:

@@ -6,8 +6,8 @@ import time
 
 import pytest
 
-from conftest import FIGURE2_TEXT, random_pure_braid, random_reduced_word, random_word_max_letters
-from slalom.braids import BraidWord, cstar, full_twist, parse_braid
+from conftest import FIGURE2_TEXT, lift_read_word, random_pure_braid, random_reduced_word, random_word_max_letters
+from slalom.braids import BraidWord, braid_to_strands, cross_ratio_curve, cstar, full_twist, parse_braid
 from slalom.covering import curve_to_word, lift_path, standard_loop, word_to_curve, BASE_LIFT_POINT, cover_map
 from slalom.elliptic import ModulusMethod, rect_extremal_length, verify_log_bounds
 from slalom.syllables import (
@@ -133,22 +133,29 @@ def test_criterion_5_word_curve_round_trip():
         rng = random.Random(2024)
         for _ in range(100):
             w = random_word_max_letters(rng, 12)
-            coarse = curve_to_word(word_to_curve(w, 64))
-            fine = curve_to_word(word_to_curve(w, 128))
-            assert coarse == w and fine == w
+            for samples in (64, 128):
+                curve = word_to_curve(w, samples)
+                assert curve_to_word(curve) == w and lift_read_word(curve) == w
+
+
+def checked_cstar(b: BraidWord) -> FreeWord:
+    """cstar, asserted equal to the word read from the lift of the same curve."""
+    w = cstar(b)
+    assert w == lift_read_word(cross_ratio_curve(braid_to_strands(b))), b
+    return w
 
 
 def test_criterion_6_braid_correspondence():
     with Criterion(6, "braid correspondence", 120.0):
-        assert cstar(full_twist()).is_identity
+        assert checked_cstar(full_twist()).is_identity
         rng = random.Random(4096)
         for _ in range(50):
             b = random_pure_braid(rng, 10)
-            assert cstar(b * full_twist()) == cstar(b)
+            assert checked_cstar(b * full_twist()) == checked_cstar(b)
         for _ in range(200):
             b1 = random_pure_braid(rng, 6)
             b2 = random_pure_braid(rng, 6)
-            assert cstar(b1 * b2) == concat(cstar(b1), cstar(b2))
+            assert checked_cstar(b1 * b2) == concat(checked_cstar(b1), checked_cstar(b2))
         w = cstar(parse_braid("s1^2"))
         assert len(w.terms) == 1
         assert w.terms[0].gen is Generator.A1 and abs(w.terms[0].exponent) == 1

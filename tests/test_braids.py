@@ -1,8 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_pure_braid
+from conftest import PURE_GENERATORS, lift_read_word, random_pure_braid
 from slalom.braids import (
     BraidGenerator,
     BraidLetter,
@@ -158,6 +160,16 @@ class TestCstar:
             b1 = random_pure_braid(rng, 6)
             b2 = random_pure_braid(rng, 6)
             assert cstar(b1 * b2) == concat(cstar(b1), cstar(b2))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(PURE_GENERATORS), st.booleans()), max_size=8), st.booleans())
+    def test_matches_lift_oracle(self, factors, twisted):
+        b = BraidWord()
+        for g, inverted in factors:
+            b = b * (g.inverse() if inverted else g)
+        if twisted:
+            b = b * full_twist()
+        assert cstar(b) == lift_read_word(cross_ratio_curve(braid_to_strands(b)))
 
     def test_purity_gate(self):
         with pytest.raises(PurityError):

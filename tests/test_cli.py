@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import slalom
 from slalom.cli import main
 from slalom.config import Config, load_config
 
@@ -97,6 +102,16 @@ class TestLiftCommand:
         content = svg.read_text()
         assert content.startswith("<svg") and "<polyline" in content
 
+    @pytest.mark.parametrize("word, endpoint", [("", {"re": 0.0, "im": -0.5}), ("a1", {"re": 0.0, "im": 0.5})])
+    def test_lift_endpoint_is_a_point(self, capsys, tmp_path, word, endpoint):
+        svg = tmp_path / "lift.svg"
+        code, out, _ = run_cli(capsys, "lift", word, "--svg", str(svg))
+        assert code == 0
+        got = json.loads(out)["result"]["lift_endpoint"]
+        assert set(got) == {"re", "im"}
+        assert (got["re"], got["im"]) == (pytest.approx(endpoint["re"], abs=1e-6), pytest.approx(endpoint["im"], abs=1e-6))
+        assert svg.read_text().startswith("<svg")
+
     def test_braid_with_svg(self, capsys, tmp_path):
         svg = tmp_path / "braid.svg"
         code, out, _ = run_cli(capsys, "braid", "s1^2", "--svg", str(svg))
@@ -114,6 +129,14 @@ class TestRoundtripCommand:
 
 
 class TestInterfaceContract:
+    def test_import_does_not_load_scipy(self):
+        # scipy is imported by the quadrature route alone; it would dominate every CLI call
+        src = str(Path(slalom.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        code = "import sys, slalom, slalom.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert proc.stdout.strip() == "[]"
+
     def test_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "lambda", "a1^2 a2^-3")
         _, out2, _ = run_cli(capsys, "lambda", "a1^2 a2^-3")

@@ -3,8 +3,10 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import FIGURE2_TEXT, random_word_max_letters
+from conftest import FIGURE2_TEXT, lift_read_word, random_word_max_letters, reduced_words
 from slalom.covering import (
     BASE_LIFT_POINT,
     HalfPlane,
@@ -196,6 +198,60 @@ class TestCurveToWord:
         path = make_path([0.5 + 0j, 0.5 + 1j, 0.5 + 0j], Plane.PUNCTURED)
         with pytest.raises(ValueError):
             curve_to_word(path)
+
+
+def loop(*points: complex):
+    """Polygonal loop based at 0 through ``points``."""
+    return make_path([0j, *points, 0j], Plane.PUNCTURED)
+
+
+class TestRayReader:
+    @settings(max_examples=40, deadline=None)
+    @given(reduced_words(max_terms=6, max_exp=3), st.sampled_from((16, 64, 128)))
+    def test_matches_lift_oracle(self, w, samples):
+        curve = word_to_curve(w, samples)
+        assert curve_to_word(curve) == lift_read_word(curve) == w
+
+    @pytest.mark.parametrize("points, expected", [
+        ((-2 + 1j, -2 - 1j), "a1"),     # left ray, downward
+        ((-2 - 1j, -2 + 1j), "a1^-1"),  # left ray, upward
+        ((2 - 1j, 2 + 1j), "a2"),       # right ray, upward
+        ((2 + 1j, 2 - 1j), "a2^-1"),    # right ray, downward
+    ])
+    def test_crossing_signs(self, points, expected):
+        path = loop(*points)
+        assert curve_to_word(path) == parse_word(expected) == lift_read_word(path)
+
+    def test_middle_crossings_read_nothing(self):
+        assert curve_to_word(loop(0.5 + 1j, -0.5 - 1j, 0.5 + 1j)).is_identity
+
+    @pytest.mark.parametrize("points, expected", [
+        ((-2 + 1j, -2 + 0j, -2 - 1j), "a1"),
+        ((2 - 1j, 3 + 0j, 2 + 1j), "a2"),
+        ((-2 + 1j, -2 + 0j, -3 + 0j, -2 - 1j), "a1"),
+        ((-1.2 + 1j, -1.5 + 0j, 0.5 - 1j), "a1"),  # the chord past the sample meets (-1, 1)
+    ])
+    def test_sample_on_ray_passed_through(self, points, expected):
+        path = loop(*points)
+        assert curve_to_word(path) == parse_word(expected) == lift_read_word(path)
+
+    @pytest.mark.parametrize("points", [
+        (-2 + 1j, -2 + 0j, -3 + 1j),
+        (2 - 1j, 2 + 0j, 3 - 1j),
+        (-0.5 + 1j, -0.5 + 0j, 0.5 + 1j),
+    ])
+    def test_sample_on_axis_touched_and_left(self, points):
+        path = loop(*points)
+        assert curve_to_word(path).is_identity and lift_read_word(path).is_identity
+
+    @pytest.mark.parametrize("x", [-1.0, 1.0, -1 + 1e-10, 1 - 1e-10, 1 + 5e-10])
+    def test_crossing_at_puncture_raises(self, x):
+        with pytest.raises(ValueError, match="puncture"):
+            curve_to_word(loop(x + 1j, x - 1j))
+
+    def test_axis_run_through_puncture_raises(self):
+        with pytest.raises(ValueError, match="puncture"):
+            curve_to_word(loop(-0.5 + 1j, -0.5 + 0j, -1.5 + 0j, -1.5 - 1j))
 
 
 class TestSlalomDecompose:

@@ -89,6 +89,18 @@ class TestRectExtremalLength:
         q = rect_extremal_length(m, QUAD).extremal_length
         assert abs(c - q) < 1e-8
 
+    def test_closed_form_mpmath_oracle_full_range(self):
+        # lambda = 2 K(k) / K(k'), k = M/(M+1), at 80 digits (1 - k^2 needs 60 at M = 1e-30);
+        # mpmath's ellipk takes the parameter k^2
+        for j in range(61):
+            m = 10.0 ** (-30 + j)
+            with mpmath.workdps(80):
+                big_m = mpmath.mpf(m)
+                k2 = (big_m / (big_m + 1)) ** 2
+                expected = 2 * mpmath.ellipk(k2) / mpmath.ellipk(1 - k2)
+                rel = abs(rect_extremal_length(m).extremal_length - expected) / expected
+            assert rel < 2e-15, f"M={m}: relative error {float(rel)}"
+
     def test_monotone(self):
         assert (rect_extremal_length(2.0).extremal_length
                 > rect_extremal_length(1.0).extremal_length)
