@@ -24,7 +24,6 @@ from slalom.elliptic import (
     ModulusMethod,
     QuadModulus,
     agm,
-    complete_k,
     elementary_slalom_bounds,
     rect_extremal_length,
     verify_log_bounds,

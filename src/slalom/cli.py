@@ -10,17 +10,17 @@ import sys
 
 from slalom import __version__
 from slalom.braids import PurityError, braid_to_strands, cross_ratio_curve, parse_braid
-from slalom.config import Config, config_from_values, load_config
+from slalom.config import load_config
 from slalom.covering import (
+    BASE_LIFT_POINT,
     LiftError,
     curve_to_word,
     lift_path,
     slalom_decompose,
     word_to_curve,
-    BASE_LIFT_POINT,
 )
 from slalom.elliptic import ModulusMethod, rect_extremal_length, verify_log_bounds
-from slalom.syllables import BoundaryCondition, bounds_report, decompose, lambda_invariant
+from slalom.syllables import BoundConstants, BoundaryCondition, decompose, lambda_bounds, lambda_invariant
 from slalom.svg import render_lift_scene
 from slalom.words import FreeWord, Generator, Term, format_word, parse_word
 
@@ -32,7 +32,23 @@ def _syllable_table(w: FreeWord) -> list[dict]:
     ]
 
 
+def _bounds_report(w: FreeWord, bc: BoundaryCondition, k: BoundConstants) -> dict:
+    """JSON-ready report of ``lambda_bounds`` for one boundary condition."""
+    b = lambda_bounds(w, bc, k)
+    return {
+        "word": format_word(w),
+        "boundary": bc.value,
+        "syllables": _syllable_table(w),
+        "lambda": b.lambda_value,
+        "lower": b.lower,
+        "upper": b.upper,
+        "exceptional": b.exceptional,
+    }
+
+
 def _emit(args, result: dict, input_echo) -> int:
+    if getattr(args, "svg", None):
+        result["svg"] = args.svg
     doc = {
         "tool": "slalom",
         "version": __version__,
@@ -50,17 +66,16 @@ def _cmd_lambda(args) -> int:
     w = parse_word(args.word)
     if args.boundary:
         bc = BoundaryCondition(args.boundary)
-        return _emit(args, bounds_report(w, bc, args.config_obj.bound_constants), args.word)
-    lam = lambda_invariant(w)
+        return _emit(args, _bounds_report(w, bc, args.config_obj.bound_constants), args.word)
     result = {
         "word": format_word(w),
-        "lambda": lam,
+        "lambda": lambda_invariant(w),
         "syllables": _syllable_table(w),
     }
     for bc in BoundaryCondition:
-        rep = bounds_report(w, bc, args.config_obj.bound_constants)
-        result[f"exceptional_{bc.value}"] = rep["exceptional"]
-        result[f"bounds_{bc.value}"] = {"lower": rep["lower"], "upper": rep["upper"]}
+        b = lambda_bounds(w, bc, args.config_obj.bound_constants)
+        result[f"exceptional_{bc.value}"] = b.exceptional
+        result[f"bounds_{bc.value}"] = {"lower": b.lower, "upper": b.upper}
     return _emit(args, result, args.word)
 
 
@@ -112,51 +127,36 @@ def _piece_table(pieces) -> list[dict]:
     ]
 
 
-def _cmd_lift(args) -> int:
+def _lift(args, curve):
+    """The lift of ``curve`` from the base point and its slalom pieces, drawn to ``--svg`` when given."""
     cfg = args.config_obj
-    w = parse_word(args.word)
-    curve = word_to_curve(w, cfg.samples_per_turn)
     lifted = lift_path(curve, BASE_LIFT_POINT, cfg.lift_tolerance)
     pieces = slalom_decompose(lifted).pieces
     if args.svg:
         with open(args.svg, "w") as fh:
             fh.write(render_lift_scene(lifted, pieces, curve=curve, scale=cfg.svg_scale))
+    return lifted, pieces
+
+
+def _cmd_lift(args) -> int:
+    w = parse_word(args.word)
+    lifted, pieces = _lift(args, word_to_curve(w, args.config_obj.samples_per_turn))
     end = lifted.end
     result = {
         "word": format_word(w),
         "lift_endpoint": {"re": end.real, "im": end.imag},
         "pieces": _piece_table(pieces),
     }
-    if args.svg:
-        result["svg"] = args.svg
     return _emit(args, result, args.word)
 
 
 def _cmd_braid(args) -> int:
-    cfg = args.config_obj
-    b = parse_braid(args.braidword)
-    bc = BoundaryCondition(args.boundary)
-    strands = braid_to_strands(b)
-    curve = cross_ratio_curve(strands)
-    w = curve_to_word(curve)
-    rep = bounds_report(w, bc, cfg.bound_constants)
+    curve = cross_ratio_curve(braid_to_strands(parse_braid(args.braidword)))
+    rep = _bounds_report(curve_to_word(curve), BoundaryCondition(args.boundary), args.config_obj.bound_constants)
+    del rep["boundary"]
     if args.svg:
-        lifted = lift_path(curve, BASE_LIFT_POINT, cfg.lift_tolerance)
-        pieces = slalom_decompose(lifted).pieces
-        with open(args.svg, "w") as fh:
-            fh.write(render_lift_scene(lifted, pieces, curve=curve, scale=cfg.svg_scale))
-    result = {
-        "braid": args.braidword,
-        "word": rep["word"],
-        "syllables": rep["syllables"],
-        "lambda": rep["lambda"],
-        "lower": rep["lower"],
-        "upper": rep["upper"],
-        "exceptional": rep["exceptional"],
-    }
-    if args.svg:
-        result["svg"] = args.svg
-    return _emit(args, result, args.braidword)
+        _lift(args, curve)
+    return _emit(args, {"braid": args.braidword, **rep}, args.braidword)
 
 
 def random_reduced_word(rng: random.Random, max_letters: int) -> FreeWord:

@@ -1,9 +1,8 @@
 """Runtime configuration: key = value files, environment override, defaults."""
 
-from __future__ import annotations
-
+import dataclasses
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from slalom.syllables import BoundConstants
 
@@ -12,7 +11,10 @@ ENV_VAR = "SLALOM_CONFIG"
 
 @dataclass(frozen=True)
 class Config:
-    bound_constants: BoundConstants = field(default_factory=BoundConstants)
+    """The configuration keys, in the order the CLI echoes them; each field's type casts its file value."""
+
+    c_minus: float = BoundConstants.c_minus
+    c_plus: float = BoundConstants.c_plus
     samples_per_turn: int = 128
     lift_tolerance: float = 1e-6
     svg_scale: float = 40.0
@@ -22,30 +24,21 @@ class Config:
             raise ValueError("samples_per_turn must be >= 16")
         if self.lift_tolerance <= 0 or self.svg_scale <= 0:
             raise ValueError("lift_tolerance and svg_scale must be positive")
+        object.__setattr__(self, "_bound_constants", BoundConstants(self.c_minus, self.c_plus))
+
+    @property
+    def bound_constants(self) -> BoundConstants:
+        return self._bound_constants
 
     def as_dict(self) -> dict:
-        return {
-            "c_minus": self.bound_constants.c_minus,
-            "c_plus": self.bound_constants.c_plus,
-            "samples_per_turn": self.samples_per_turn,
-            "lift_tolerance": self.lift_tolerance,
-            "svg_scale": self.svg_scale,
-        }
-
-
-_FIELDS = {
-    "c_minus": float,
-    "c_plus": float,
-    "samples_per_turn": int,
-    "lift_tolerance": float,
-    "svg_scale": float,
-}
+        return dataclasses.asdict(self)
 
 
 def load_config(path: str | None = None) -> Config:
     """Defaults, overridden by the file at ``path`` or at $SLALOM_CONFIG."""
     if path is None:
         path = os.environ.get(ENV_VAR)
+    casts = {f.name: f.type for f in dataclasses.fields(Config)}
     values: dict = {}
     if path:
         with open(path) as fh:
@@ -57,21 +50,7 @@ def load_config(path: str | None = None) -> Config:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, val = line.partition("=")
                 key = key.strip()
-                if key not in _FIELDS:
+                if key not in casts:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = _FIELDS[key](val.strip())
-    return config_from_values(values)
-
-
-def config_from_values(values: dict) -> Config:
-    base = Config()
-    bc = BoundConstants(
-        values.get("c_minus", base.bound_constants.c_minus),
-        values.get("c_plus", base.bound_constants.c_plus),
-    )
-    return Config(
-        bound_constants=bc,
-        samples_per_turn=values.get("samples_per_turn", base.samples_per_turn),
-        lift_tolerance=values.get("lift_tolerance", base.lift_tolerance),
-        svg_scale=values.get("svg_scale", base.svg_scale),
-    )
+                values[key] = casts[key](val.strip())
+    return Config(**values)

@@ -22,6 +22,8 @@ PUNCTURES = (-1.0, 1.0)
 BASE_LIFT_POINT = complex(0.0, -0.5)
 
 _PUNCTURE_TOL = 1e-9
+_NEWTON_TOL = 1e-9  # lift residual |f(z) - u|; the lift_tolerance key can only tighten it
+_AXIS_TOL = 10 * _NEWTON_TOL  # lifts of 0 lie within _NEWTON_TOL / |f'| <= _NEWTON_TOL / pi of iR
 _FIBER_TOL = 1e-8
 _CROSSING_TOL = 1e-6
 _STEP_SAFETY = 0.25
@@ -154,7 +156,7 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     pts = _refine(path.points)
     z = start
     lift = [z]
-    newton_tol = min(tol, 1e-9)
+    newton_tol = min(tol, _NEWTON_TOL)
     for prev, target in zip(pts, pts[1:]):
         z = z + (target - prev) / cover_derivative(z)
         converged = False
@@ -230,9 +232,8 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
     cur_sign = 0
     cur_start = _component(pts[0].imag)
     for a, b in zip(pts, pts[1:]):
-        # samples within Newton tolerance of the axis (tangential touches of
-        # lifted base points) must not register as crossings
-        sb = 0 if abs(b.real) <= 1e-8 else (1 if b.real > 0 else -1)
+        # tangential touches of lifted base points must not register as crossings
+        sb = 0 if abs(b.real) <= _AXIS_TOL else (1 if b.real > 0 else -1)
         if sb == 0 or sb == cur_sign:
             continue
         if cur_sign == 0:

@@ -123,26 +123,3 @@ def lambda_bounds(w: FreeWord, bc: BoundaryCondition, k: BoundConstants = BoundC
     if classify_exceptional(w, bc) is WordClass.EXCEPTIONAL:
         return LambdaBounds(lam, 0.0, 0.0, True)
     return LambdaBounds(lam, k.c_minus * lam, k.c_plus * lam, False)
-
-
-def bounds_report(w: FreeWord, bc: BoundaryCondition, k: BoundConstants = BoundConstants()) -> dict:
-    """JSON-ready report for ``lambda_bounds``."""
-    from slalom.words import format_word
-
-    b = lambda_bounds(w, bc, k)
-    return {
-        "word": format_word(w),
-        "boundary": bc.value,
-        "syllables": [
-            {
-                "kind": s.kind.value,
-                "terms": format_word(FreeWord(s.terms)),
-                "degree": s.degree,
-            }
-            for s in decompose(w).syllables
-        ],
-        "lambda": b.lambda_value,
-        "lower": b.lower,
-        "upper": b.upper,
-        "exceptional": b.exceptional,
-    }

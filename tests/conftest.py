@@ -32,24 +32,11 @@ def lift_read_word(path: PolyPath) -> FreeWord:
     return reduce(raw)
 
 
-def random_reduced_word(rng: random.Random, max_terms: int, max_exp: int = 4) -> FreeWord:
+def random_word_max_terms(rng: random.Random, max_terms: int, max_exp: int = 4) -> FreeWord:
     terms = []
     gen = rng.choice(list(Generator))
     for _ in range(rng.randint(0, max_terms)):
         terms.append(Term(gen, rng.choice((1, -1)) * rng.randint(1, max_exp)))
-        gen = Generator.A2 if gen is Generator.A1 else Generator.A1
-    return FreeWord(tuple(terms))
-
-
-def random_word_max_letters(rng: random.Random, max_letters: int) -> FreeWord:
-    """Random reduced word with letter length (sum |exp|) <= max_letters."""
-    terms = []
-    budget = rng.randint(0, max_letters)
-    gen = rng.choice(list(Generator))
-    while budget > 0:
-        e = rng.randint(1, min(3, budget)) * rng.choice((1, -1))
-        terms.append(Term(gen, e))
-        budget -= abs(e)
         gen = Generator.A2 if gen is Generator.A1 else Generator.A1
     return FreeWord(tuple(terms))
 

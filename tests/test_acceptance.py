@@ -6,8 +6,9 @@ import time
 
 import pytest
 
-from conftest import FIGURE2_TEXT, lift_read_word, random_pure_braid, random_reduced_word, random_word_max_letters
+from conftest import FIGURE2_TEXT, lift_read_word, random_pure_braid, random_word_max_terms
 from slalom.braids import BraidWord, braid_to_strands, cross_ratio_curve, cstar, full_twist, parse_braid
+from slalom.cli import random_reduced_word
 from slalom.covering import curve_to_word, lift_path, standard_loop, word_to_curve, BASE_LIFT_POINT, cover_map
 from slalom.elliptic import ModulusMethod, rect_extremal_length, verify_log_bounds
 from slalom.syllables import (
@@ -78,7 +79,7 @@ def test_criterion_2_exceptional_cases():
         rng = random.Random(101)
         checked = 0
         while checked < 500:
-            w = random_reduced_word(rng, 12)
+            w = random_word_max_terms(rng, 12)
             exps = [t.exponent for t in w.terms]
             if len(w.terms) > 1 and not (all(e == 1 for e in exps) or all(e == -1 for e in exps)):
                 assert not lambda_bounds(w, TR).exceptional
@@ -132,7 +133,7 @@ def test_criterion_5_word_curve_round_trip():
     with Criterion(5, "word/curve round trip at two refinements", 60.0):
         rng = random.Random(2024)
         for _ in range(100):
-            w = random_word_max_letters(rng, 12)
+            w = random_reduced_word(rng, 12)
             for samples in (64, 128):
                 curve = word_to_curve(w, samples)
                 assert curve_to_word(curve) == w and lift_read_word(curve) == w

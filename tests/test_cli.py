@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +12,11 @@ import pytest
 import slalom
 from slalom.cli import main
 from slalom.config import Config, load_config
+
+README_COMMANDS = [
+    line for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    if line.startswith("slalom ")
+]
 
 
 def run_cli(capsys, *argv):
@@ -48,6 +55,16 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(samples_per_turn=4)
 
+    def test_all_keys_round_trip(self, tmp_path):
+        values = {"c_minus": 0.25, "c_plus": 4.0, "samples_per_turn": 32, "lift_tolerance": 1e-10, "svg_scale": 12.5}
+        p = tmp_path / "cfg"
+        p.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+        assert load_config(str(p)).as_dict() == values
+
+    def test_echo_lists_the_fields(self, capsys):
+        _, out, _ = run_cli(capsys, "syllables", "a1")
+        assert list(json.loads(out)["config"]) == [f.name for f in dataclasses.fields(Config)]
+
 
 class TestLambdaCommand:
     def test_single_power(self, capsys):
@@ -64,6 +81,7 @@ class TestLambdaCommand:
         doc = json.loads(out)
         assert set(doc["result"]) == {
             "word", "boundary", "syllables", "lambda", "lower", "upper", "exceptional"}
+        assert doc["result"]["boundary"] == "pb"
 
 
 class TestSyllablesCommand:
@@ -83,6 +101,13 @@ class TestNumericCommands:
         doc = json.loads(out)
         assert set(doc["result"]) == {"M", "extremal_length", "conformal_module", "method"}
         assert doc["result"]["extremal_length"] == pytest.approx(1.5634019226961113, abs=1e-8)
+
+    @pytest.mark.parametrize("m", ["nan", "inf", "1e308"])
+    def test_rectangle_module_rejects_unusable_m(self, capsys, m):
+        code, out, err = run_cli(capsys, "rectangle-module", "--M", m)
+        assert code == 1
+        assert out == ""
+        assert "error" in err
 
     def test_verify_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "verify-bounds", "--from", "0.5", "--to", "100", "--samples", "5")
@@ -136,6 +161,13 @@ class TestInterfaceContract:
         code = "import sys, slalom, slalom.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("line", README_COMMANDS, ids=[f"{i}-{line.split()[1]}" for i, line in enumerate(README_COMMANDS)])
+    def test_readme_example(self, capsys, tmp_path, monkeypatch, line):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(capsys, *shlex.split(line, comments=True)[1:])
+        assert code == 0
+        assert json.loads(out)["tool"] == "slalom"
 
     def test_determinism(self, capsys):
         _, out1, _ = run_cli(capsys, "lambda", "a1^2 a2^-3")

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIGURE2_TEXT, lift_read_word, random_word_max_letters, reduced_words
+from conftest import FIGURE2_TEXT, lift_read_word, reduced_words
+from slalom.cli import random_reduced_word
 from slalom.covering import (
     BASE_LIFT_POINT,
     HalfPlane,
@@ -116,7 +117,7 @@ class TestLiftPath:
     def test_loop_lift_ends_in_fiber(self):
         rng = random.Random(11)
         for _ in range(5):
-            w = random_word_max_letters(rng, 6)
+            w = random_reduced_word(rng, 6)
             curve = word_to_curve(w, 64)
             if curve.is_constant:
                 continue
@@ -176,14 +177,14 @@ class TestCurveToWord:
     def test_round_trip_random(self):
         rng = random.Random(13)
         for _ in range(25):
-            w = random_word_max_letters(rng, 12)
+            w = random_reduced_word(rng, 12)
             assert curve_to_word(word_to_curve(w, 64)) == w
 
     def test_homomorphism(self):
         rng = random.Random(17)
         for _ in range(10):
-            u = random_word_max_letters(rng, 5)
-            v = random_word_max_letters(rng, 5)
+            u = random_reduced_word(rng, 5)
+            v = random_reduced_word(rng, 5)
             cu, cv = word_to_curve(u, 64), word_to_curve(v, 64)
             joined = make_path(cu.points + cv.points[1:], Plane.PUNCTURED)
             assert curve_to_word(joined) == concat(u, v)
@@ -191,7 +192,7 @@ class TestCurveToWord:
     def test_refinement_stability(self):
         rng = random.Random(19)
         for _ in range(10):
-            w = random_word_max_letters(rng, 8)
+            w = random_reduced_word(rng, 8)
             assert curve_to_word(word_to_curve(w, 64)) == curve_to_word(word_to_curve(w, 128))
 
     def test_rejects_non_based_loop(self):

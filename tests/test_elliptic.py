@@ -3,12 +3,10 @@ import random
 
 import mpmath
 import pytest
-from scipy.integrate import quad
 
 from slalom.elliptic import (
     ModulusMethod,
     agm,
-    complete_k,
     elementary_slalom_bounds,
     rect_extremal_length,
     verify_log_bounds,
@@ -49,26 +47,6 @@ class TestAgm:
             agm(1.0, -2.0)
 
 
-class TestCompleteK:
-    def test_k0(self):
-        assert complete_k(0.0) == pytest.approx(math.pi / 2, abs=1e-15)
-
-    def test_quadrature_oracle(self):
-        k = 1 / math.sqrt(2)
-        expected, _ = quad(lambda th: 1 / math.sqrt(1 - (k * math.sin(th)) ** 2),
-                           0, math.pi / 2, epsabs=1e-14, epsrel=1e-14)
-        assert complete_k(k) == pytest.approx(expected, abs=1e-12)
-
-    def test_strictly_increasing(self):
-        assert complete_k(0.9) > complete_k(0.5) > complete_k(0.0)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            complete_k(1.0)
-        with pytest.raises(ValueError):
-            complete_k(-0.1)
-
-
 class TestRectExtremalLength:
     def test_degenerate(self):
         qm = rect_extremal_length(0.0)
@@ -78,6 +56,12 @@ class TestRectExtremalLength:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             rect_extremal_length(-1.0)
+
+    @pytest.mark.parametrize("m", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("method", [CLOSED, QUAD])
+    def test_non_finite_rejected(self, m, method):
+        with pytest.raises(ValueError):
+            rect_extremal_length(m, method)
 
     def test_pinned_value_at_m1(self):
         assert rect_extremal_length(1.0, CLOSED).extremal_length == pytest.approx(RECT_M1, abs=1e-9)
@@ -100,6 +84,22 @@ class TestRectExtremalLength:
                 expected = 2 * mpmath.ellipk(k2) / mpmath.ellipk(1 - k2)
                 rel = abs(rect_extremal_length(m).extremal_length - expected) / expected
             assert rel < 2e-15, f"M={m}: relative error {float(rel)}"
+
+    @pytest.mark.filterwarnings("error")
+    def test_quadrature_mpmath_oracle_full_range(self):
+        # the quadrature route either meets 1e-8 or raises, without warnings; it must not raise on [1e-12, 1e8]
+        for j in range(241):
+            m = 10.0 ** (-12 + j / 10)
+            with mpmath.workdps(30):
+                big_m = mpmath.mpf(m)
+                k2 = (big_m / (big_m + 1)) ** 2
+                expected = float(2 * mpmath.ellipk(k2) / mpmath.ellipk(1 - k2))
+            try:
+                got = rect_extremal_length(m, QUAD).extremal_length
+            except ArithmeticError:
+                assert m > 1e8, f"quadrature raised at M={m}"
+                continue
+            assert got == pytest.approx(expected, rel=1e-8), f"M={m}"
 
     def test_monotone(self):
         assert (rect_extremal_length(2.0).extremal_length

@@ -4,14 +4,13 @@ import random
 import pytest
 from hypothesis import given
 
-from conftest import random_reduced_word, reduced_words
+from conftest import random_word_max_terms, reduced_words
 from slalom.syllables import (
     BoundaryCondition,
     BoundConstants,
     SyllableDecomposition,
     SyllableKind,
     WordClass,
-    bounds_report,
     classify_exceptional,
     decompose,
     lambda_bounds,
@@ -79,7 +78,7 @@ class TestDecompose:
     def test_partition_property_random(self):
         rng = random.Random(20240817)
         for _ in range(1000):
-            check_partition(decompose(random_reduced_word(rng, 30)))
+            check_partition(decompose(random_word_max_terms(rng, 30)))
 
 
 class TestLambda:
@@ -107,7 +106,7 @@ class TestLambda:
         rng = random.Random(7)
         slack = math.log(2) + 1e-12
         for _ in range(2000):
-            u, v = random_reduced_word(rng, 10), random_reduced_word(rng, 10)
+            u, v = random_word_max_terms(rng, 10), random_word_max_terms(rng, 10)
             assert lambda_invariant(concat(u, v)) <= lambda_invariant(u) + lambda_invariant(v) + slack
 
 
@@ -150,9 +149,3 @@ class TestBounds:
             BoundConstants(1.0, 0.5)
         with pytest.raises(ValueError):
             BoundConstants(0.0, 1.0)
-
-    def test_report_shape(self, figure2_word):
-        rep = bounds_report(figure2_word, PB)
-        assert set(rep) == {"word", "boundary", "syllables", "lambda", "lower", "upper", "exceptional"}
-        assert rep["boundary"] == "pb"
-        assert [s["degree"] for s in rep["syllables"]] == [1, 2, 3, 3, 1, 1]
