@@ -34,7 +34,6 @@ from slalom.covering import (
     Plane,
     PolyPath,
     SlalomDecomposition,
-    cover_derivative,
     cover_map,
     curve_to_word,
     lift_path,

@@ -17,20 +17,19 @@ import re
 from dataclasses import dataclass
 from slalom.covering import Plane, PolyPath, curve_to_word, make_path
 from slalom.syllables import BoundaryCondition, BoundConstants, LambdaBounds, lambda_bounds
-from slalom.words import FreeWord
+from slalom.words import FreeWord, WordSyntaxError, scan_tokens
 
 _SLOTS = (-1.0, 0.0, 1.0)
 _HALF_GAP = 0.5          # half the distance between adjacent slots
 _TURN_RADIUS_MIN = 0.35  # pair radius at mid-turn, keeps strands apart
 _MIN_SEPARATION = 0.2
+MAX_BRAID_LETTERS = 10**4  # parse_braid's budget, checked before a power is expanded
 
 _BRAID_TOKEN_RE = re.compile(r"(s[12])(?:\^([+-]?\d+))?$")
 
 
-class BraidSyntaxError(ValueError):
-    def __init__(self, message: str, column: int):
-        super().__init__(f"{message} (column {column})")
-        self.column = column
+class BraidSyntaxError(WordSyntaxError):
+    """Malformed braid text; ``column`` is the 1-based position of the offender."""
 
 
 class PurityError(ValueError):
@@ -84,17 +83,12 @@ class StrandPaths:
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Tokens ``s1``/``s2`` with optional ``^<int>``, expanded to unit letters."""
+    """Tokens ``s1``/``s2`` with optional ``^<int>``, expanded to at most ``MAX_BRAID_LETTERS`` unit letters."""
     letters: list[BraidLetter] = []
-    for m in re.finditer(r"\S+", text):
-        tok, col = m.group(0), m.start() + 1
-        tm = _BRAID_TOKEN_RE.match(tok)
-        if tm is None:
-            raise BraidSyntaxError(f"bad token {tok!r}", col)
-        gen = BraidGenerator(tm.group(1))
-        exp = 1 if tm.group(2) is None else int(tm.group(2))
-        sign = 1 if exp > 0 else -1
-        letters.extend(BraidLetter(gen, sign) for _ in range(abs(exp)))
+    for name, exp, col in scan_tokens(text, _BRAID_TOKEN_RE, BraidSyntaxError):
+        if len(letters) + abs(exp) > MAX_BRAID_LETTERS:
+            raise ValueError(f"braid exceeds {MAX_BRAID_LETTERS} letters at column {col}")
+        letters.extend([BraidLetter(BraidGenerator(name), 1 if exp > 0 else -1)] * abs(exp))
     return BraidWord(tuple(letters))
 
 

@@ -24,6 +24,8 @@ from slalom.syllables import BoundConstants, BoundaryCondition, decompose, lambd
 from slalom.svg import render_lift_scene
 from slalom.words import FreeWord, Generator, Term, format_word, parse_word
 
+MAX_SWEEP_SAMPLES = 10**5  # verify-bounds' budget of M values
+
 
 def _syllable_table(w: FreeWord) -> list[dict]:
     return [
@@ -57,8 +59,8 @@ def _emit(args, result: dict, input_echo) -> int:
         "result": result,
         "config": args.config_obj.as_dict(),
     }
-    json.dump(doc, sys.stdout, indent=2)
-    sys.stdout.write("\n")
+    # NaN and infinities are not JSON; refuse them before anything is written
+    sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     return 0
 
 
@@ -102,8 +104,8 @@ def _cmd_rectangle_module(args) -> int:
 
 
 def _cmd_verify_bounds(args) -> int:
-    if args.samples < 1:
-        raise ValueError("--samples must be >= 1")
+    if not 1 <= args.samples <= MAX_SWEEP_SAMPLES:
+        raise ValueError(f"--samples must be in [1, {MAX_SWEEP_SAMPLES}]")
     lo, hi = math.log(args.frm), math.log(args.to)
     ms = [math.exp(lo + (hi - lo) * j / max(args.samples - 1, 1)) for j in range(args.samples)]
     rep = verify_log_bounds(ms)

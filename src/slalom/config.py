@@ -1,6 +1,7 @@
 """Runtime configuration: key = value files, environment override, defaults."""
 
 import dataclasses
+import math
 import os
 from dataclasses import dataclass
 
@@ -22,8 +23,8 @@ class Config:
     def __post_init__(self):
         if self.samples_per_turn < 16:
             raise ValueError("samples_per_turn must be >= 16")
-        if self.lift_tolerance <= 0 or self.svg_scale <= 0:
-            raise ValueError("lift_tolerance and svg_scale must be positive")
+        if not (0 < self.lift_tolerance < math.inf and 0 < self.svg_scale < math.inf):
+            raise ValueError("lift_tolerance and svg_scale must be positive and finite")
         object.__setattr__(self, "_bound_constants", BoundConstants(self.c_minus, self.c_plus))
 
     @property

@@ -1,11 +1,12 @@
 """The logarithmic covering of the twice-punctured plane and path lifting.
 
 The covering map is f1 o f2 with f2(z) = (e^{pi z} - 1)/(e^{pi z} + 1) and
-f1(w) = (w + 1/w)/2, a covering from C \\ iZ onto C \\ {-1, 1}.  Loops based
-at 0 lift from -i/2; the lift's excursions into the half-planes are its
-slalom pieces (a left piece moving up n components carries a1^n, a right
-piece moving down n carries a2^n).  The word of a loop is read without
-lifting, from its crossings of the rays (-inf, -1] and [1, inf).
+f1(w) = (w + 1/w)/2, a covering from C \\ iZ onto C \\ {-1, 1}; paths lift
+through its explicit inverse.  Loops based at 0 lift from -i/2; the lift's
+excursions into the half-planes are its slalom pieces (a left piece moving up
+n components carries a1^n, a right piece moving down n carries a2^n).  The
+word of a loop is read without lifting, from its crossings of the rays
+(-inf, -1] and [1, inf).
 """
 
 from __future__ import annotations
@@ -16,23 +17,22 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from slalom.words import FreeWord, Generator, reduce as reduce_word
+from slalom.words import FreeWord, Generator, Term, reduce as reduce_word
 
 PUNCTURES = (-1.0, 1.0)
 BASE_LIFT_POINT = complex(0.0, -0.5)
 
 _PUNCTURE_TOL = 1e-9
-_NEWTON_TOL = 1e-9  # lift residual |f(z) - u|; the lift_tolerance key can only tighten it
-_AXIS_TOL = 10 * _NEWTON_TOL  # lifts of 0 lie within _NEWTON_TOL / |f'| <= _NEWTON_TOL / pi of iR
+_AXIS_TOL = 1e-8  # lifts of 0 lie on iR up to rounding; samples this close count as on the axis
 _FIBER_TOL = 1e-8
 _CROSSING_TOL = 1e-6
 _STEP_SAFETY = 0.25
 _MAX_SUBDIVISION = 4096
-_NEWTON_MAX_ITER = 50
+MAX_CURVE_POINTS = 10**6  # word_to_curve's budget, checked before any point is built
 
 
 class LiftError(RuntimeError):
-    """Lifting failed: start off fiber, refinement limit, or Newton divergence."""
+    """Lifting failed: start off fiber, refinement limit, or a lifted point's residual above the tolerance."""
 
 
 class Plane(enum.Enum):
@@ -117,14 +117,6 @@ def cover_map(z: complex) -> complex:
     return 0.5 * (w + 1 / w)
 
 
-def cover_derivative(z: complex) -> complex:
-    """d/dz of the covering map; equals -pi / sinh^2(pi z), never zero."""
-    if not _off_lattice(z):
-        raise ValueError(f"{z} is within tolerance of iZ")
-    s = cmath.sinh(cmath.pi * z)
-    return -cmath.pi / (s * s)
-
-
 def _dist_to_punctures(z: complex) -> float:
     return min(abs(z - p) for p in PUNCTURES)
 
@@ -146,28 +138,25 @@ def _refine(points: Sequence[complex]) -> list[complex]:
 def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     """Lift of ``path`` through the covering with initial point ``start``.
 
-    Predictor step through the derivative plus Newton correction at every
-    sample; the input is refined where it approaches a puncture.
+    Each sample u of the input, refined near the punctures, lifts to the root
+    w = u +- sqrt(u^2 - 1) nearest the previous w, then to the branch of
+    z = Log((1 + w)/(1 - w))/pi + 2ik nearest the previous z.  Raises
+    ``LiftError`` when a lifted point z has |f(z) - u| > tol.
     """
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("lift_path expects a path in the punctured plane")
     if abs(cover_map(start) - path.start) > _FIBER_TOL:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
-    pts = _refine(path.points)
     z = start
+    w = cmath.tanh(cmath.pi * z / 2)
     lift = [z]
-    newton_tol = min(tol, _NEWTON_TOL)
-    for prev, target in zip(pts, pts[1:]):
-        z = z + (target - prev) / cover_derivative(z)
-        converged = False
-        for _ in range(_NEWTON_MAX_ITER):
-            err = cover_map(z) - target
-            if abs(err) < newton_tol:
-                converged = True
-                break
-            z = z - err / cover_derivative(z)
-        if not converged:
-            raise LiftError(f"Newton correction failed near image point {target}")
+    for u in _refine(path.points)[1:]:
+        r = cmath.sqrt((u - 1) * (u + 1))
+        w = u + r if abs(u + r - w) <= abs(u - r - w) else u - r
+        v = cmath.log((1 + w) / (1 - w)) / cmath.pi
+        z = v + 2j * round((z - v).imag / 2)
+        if not abs(cover_map(z) - u) <= tol:  # written so that a NaN residual fails too
+            raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
         lift.append(z)
     return make_path(lift, Plane.COVER)
 
@@ -179,32 +168,28 @@ def standard_loop(g: Generator, n: int, samples_per_turn: int = 128) -> PolyPath
     surrounds +1 counterclockwise inside the closed right half-plane.
     Negative n traverses the reversed loop |n| times.
     """
-    if n == 0:
-        raise ValueError("n must be nonzero")
-    if samples_per_turn < 16:
-        raise ValueError("samples_per_turn must be >= 16")
-    center, phase = (-1.0, 0.0) if g is Generator.A1 else (1.0, math.pi)
-    sign = 1 if n > 0 else -1
-    pts: list[complex] = []
-    for rep in range(abs(n)):
-        start = 0 if rep == 0 else 1
-        for j in range(start, samples_per_turn + 1):
-            t = sign * 2 * math.pi * j / samples_per_turn
-            pts.append(center + cmath.exp(1j * (phase + t)))
-    # the base-point touches are exact zeros by construction up to rounding
-    pts[0] = 0j
-    pts[-1] = 0j
-    return make_path(pts, Plane.PUNCTURED)
+    return word_to_curve(FreeWord((Term(g, n),)), samples_per_turn)
 
 
 def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
-    """Concatenation of standard loops for each term; identity gives a constant path."""
-    if w.is_identity:
-        return PolyPath((0j,), Plane.PUNCTURED)
-    pts: list[complex] = []
+    """Concatenation of the standard loops of the terms, of at most ``MAX_CURVE_POINTS`` points.
+
+    The identity gives a constant path.
+    """
+    if samples_per_turn < 16:
+        raise ValueError("samples_per_turn must be >= 16")
+    if w.letter_length() * samples_per_turn > MAX_CURVE_POINTS:
+        raise ValueError(f"word curve exceeds {MAX_CURVE_POINTS} points; use fewer letters or samples")
+    pts = [0j]
     for term in w.terms:
-        loop = standard_loop(term.gen, term.exponent, samples_per_turn)
-        pts.extend(loop.points if not pts else loop.points[1:])
+        center, phase = (-1.0, 0.0) if term.gen is Generator.A1 else (1.0, math.pi)
+        sign = 1 if term.exponent > 0 else -1
+        turn = [
+            center + cmath.exp(1j * (phase + sign * 2 * math.pi * j / samples_per_turn))
+            for j in range(1, samples_per_turn + 1)
+        ]
+        pts.extend(turn * abs(term.exponent))
+        pts[-1] = 0j  # each term ends at the base point up to rounding; make it exact
     return make_path(pts, Plane.PUNCTURED)
 
 

@@ -71,8 +71,8 @@ class BoundConstants:
     c_plus: float = 10.0
 
     def __post_init__(self):
-        if not (0 < self.c_minus <= self.c_plus):
-            raise ValueError("need 0 < c_minus <= c_plus")
+        if not (0 < self.c_minus <= self.c_plus < math.inf):
+            raise ValueError("need 0 < c_minus <= c_plus, both finite")
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import enum
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator
 
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
@@ -87,21 +87,26 @@ def reduce(raw: Iterable[tuple[Generator, int] | Term]) -> FreeWord:
     return FreeWord(tuple(Term(g, e) for g, e in stack))
 
 
-def parse_word(text: str) -> FreeWord:
-    """Parse whitespace-separated tokens ``a1``/``a2`` with optional ``^<int>``."""
-    raw: list[tuple[Generator, int]] = []
+def scan_tokens(text: str, token_re: re.Pattern, error=WordSyntaxError) -> Iterator[tuple[str, int, int]]:
+    """Yield (name, exponent, column) for each whitespace-separated token of ``text``.
+
+    ``token_re`` matches a token with the name as group 1 and the exponent as
+    group 2; a token it rejects, or an exponent outside 64 bits, raises ``error``.
+    """
     for m in re.finditer(r"\S+", text):
-        tok = m.group(0)
-        col = m.start() + 1
-        tm = _TOKEN_RE.match(tok)
+        tok, col = m.group(0), m.start() + 1
+        tm = token_re.match(tok)
         if tm is None:
-            raise WordSyntaxError(f"bad token {tok!r}", col)
-        gen = Generator(tm.group(1))
+            raise error(f"bad token {tok!r}", col)
         exp = 1 if tm.group(2) is None else int(tm.group(2))
         if not (_INT64_MIN <= exp <= _INT64_MAX):
-            raise WordSyntaxError(f"exponent out of range in {tok!r}", col)
-        raw.append((gen, exp))
-    return reduce(raw)
+            raise error(f"exponent out of range in {tok!r}", col)
+        yield tm.group(1), exp, col
+
+
+def parse_word(text: str) -> FreeWord:
+    """Parse whitespace-separated tokens ``a1``/``a2`` with optional ``^<int>``."""
+    return reduce((Generator(name), exp) for name, exp, _ in scan_tokens(text, _TOKEN_RE))
 
 
 def concat(u: FreeWord, v: FreeWord) -> FreeWord:

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import PURE_GENERATORS, lift_read_word, random_pure_braid
 from slalom.braids import (
+    MAX_BRAID_LETTERS,
     BraidGenerator,
     BraidLetter,
     BraidSyntaxError,
@@ -23,7 +24,7 @@ from slalom.braids import (
     permutation,
 )
 from slalom.syllables import BoundaryCondition
-from slalom.words import concat, parse_word
+from slalom.words import WordSyntaxError, concat, parse_word
 
 # orientation convention pinned by tracing: sigma1^2 maps to a1 (not a1^-1)
 SIGMA1_SQUARED_IMAGE = "a1"
@@ -56,6 +57,17 @@ class TestParse:
     def test_format_round_trip(self):
         b = parse_braid("s1 s2^-1 s1^2")
         assert parse_braid(format_braid(b)) == b
+
+    def test_exponent_out_of_range(self):
+        with pytest.raises(BraidSyntaxError) as exc:
+            parse_braid(f"s1 s2^{2**70}")
+        assert exc.value.column == 4 and isinstance(exc.value, WordSyntaxError)
+
+    def test_letter_budget(self):
+        assert len(parse_braid(f"s1^{MAX_BRAID_LETTERS // 2} s2^-{MAX_BRAID_LETTERS // 2}").letters) == MAX_BRAID_LETTERS
+        for text in (f"s1^{MAX_BRAID_LETTERS + 1}", f"s1^{MAX_BRAID_LETTERS} s2", "s1^1000000000"):
+            with pytest.raises(ValueError, match="exceeds"):
+                parse_braid(text)
 
 
 class TestPermutation:

@@ -5,13 +5,16 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import slalom
-from slalom.cli import main
+from slalom.braids import MAX_BRAID_LETTERS
+from slalom.cli import MAX_SWEEP_SAMPLES, main
 from slalom.config import Config, load_config
+from slalom.covering import MAX_CURVE_POINTS
 
 README_COMMANDS = [
     line for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
@@ -64,6 +67,26 @@ class TestConfig:
     def test_echo_lists_the_fields(self, capsys):
         _, out, _ = run_cli(capsys, "syllables", "a1")
         assert list(json.loads(out)["config"]) == [f.name for f in dataclasses.fields(Config)]
+
+    @pytest.mark.parametrize("line, argv", [
+        ("lift_tolerance = nan", ("lift", "a1")),
+        ("svg_scale = nan", ("lift", "a1", "--svg", "lift.svg")),
+        ("c_plus = inf", ("lambda", "a1", "--boundary", "tr")),
+    ])
+    def test_non_finite_values(self, capsys, tmp_path, monkeypatch, line, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").write_text(line + "\n")
+        code, out, err = run_cli(capsys, "--config", "cfg", *argv)
+        assert (code, out) == (1, "")
+        assert "finite" in err
+        assert not (tmp_path / "lift.svg").exists()
+
+    def test_lift_tolerance_governs(self, capsys, tmp_path):
+        p = tmp_path / "cfg"
+        p.write_text("lift_tolerance = 1e-15\n")
+        code, out, err = run_cli(capsys, "--config", str(p), "lift", "a1")
+        assert (code, out) == (1, "")
+        assert "misses" in err
 
 
 class TestLambdaCommand:
@@ -185,6 +208,12 @@ class TestInterfaceContract:
         assert out == ""
         assert "error" in err
 
+    def test_non_finite_result_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr("slalom.cli.lambda_invariant", lambda w: math.nan)
+        code, out, err = run_cli(capsys, "syllables", "a1")
+        assert (code, out) == (1, "")
+        assert "JSON" in err
+
     def test_non_pure_braid_diagnostic(self, capsys):
         code, _, err = run_cli(capsys, "braid", "s1")
         assert code == 1
@@ -197,3 +226,28 @@ class TestInterfaceContract:
         doc = json.loads(out)
         assert doc["config"]["c_plus"] == 3.0
         assert doc["result"]["upper"] == pytest.approx(3.0 * doc["result"]["lambda"], rel=1e-12)
+
+
+class TestBudgets:
+    @pytest.mark.parametrize("argv", [
+        ("lift", f"a1^{MAX_CURVE_POINTS // 128 + 1}"),
+        ("lift", "a1^1000000000"),
+        ("braid", f"s1^{MAX_BRAID_LETTERS + 2}"),
+        ("braid", "s1^1000000000"),
+        ("verify-bounds", "--from", "1", "--to", "2", "--samples", str(MAX_SWEEP_SAMPLES + 1)),
+        ("verify-bounds", "--from", "1", "--to", "2", "--samples", "1000000000"),
+    ])
+    def test_rejected_before_allocation(self, capsys, argv):
+        tracemalloc.start()
+        try:
+            code = main(list(argv))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, capsys.readouterr().out) == (1, "")
+        assert peak < 2**20
+
+    def test_lambda_builds_no_curve(self, capsys):
+        code, out, _ = run_cli(capsys, "lambda", "a1^100000000")
+        assert code == 0
+        assert json.loads(out)["result"]["word"] == "a1^100000000"

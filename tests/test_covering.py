@@ -6,15 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIGURE2_TEXT, lift_read_word, reduced_words
+from conftest import FIGURE2_TEXT, PURE_GENERATORS, lift_read_word, reduced_words
+from slalom.braids import BraidWord, braid_to_strands, cross_ratio_curve
 from slalom.cli import random_reduced_word
 from slalom.covering import (
     BASE_LIFT_POINT,
     HalfPlane,
+    MAX_CURVE_POINTS,
     LiftError,
     Plane,
     PolyPath,
-    cover_derivative,
+    _refine,
     cover_map,
     curve_to_word,
     lift_path,
@@ -60,25 +62,6 @@ class TestCoverMap:
         for z in (0j, 1j, -3j, 1e-12 + 2j):
             with pytest.raises(ValueError):
                 cover_map(z)
-
-
-class TestCoverDerivative:
-    def test_finite_difference_oracle(self):
-        z = -0.5j + 0.3
-        h = 1e-6
-        fd = (cover_map(z + h) - cover_map(z - h)) / (2 * h)
-        d = cover_derivative(z)
-        assert abs(d - fd) / abs(d) < 1e-6
-
-    def test_periodicity(self):
-        z = 0.7 + 0.25j
-        assert cover_derivative(z + 2j) == pytest.approx(cover_derivative(z), abs=1e-9)
-
-    def test_nonvanishing_random(self):
-        rng = random.Random(7)
-        for _ in range(100):
-            z = complex(rng.uniform(-3, 3), rng.uniform(0.05, 0.95) + rng.randint(-2, 2))
-            assert abs(cover_derivative(z)) > 0
 
 
 class TestLiftPath:
@@ -129,6 +112,32 @@ class TestLiftPath:
         with pytest.raises(LiftError):
             lift_path(standard_loop(Generator.A1, 1, 64), 0.5 + 0.5j)
 
+    @staticmethod
+    def assert_exact_continuous_lift(curve):
+        lift = lift_path(curve, BASE_LIFT_POINT, tol=1e-12)
+        refined = _refine(curve.points)
+        assert len(lift.points) == len(refined)
+        assert all(abs(cover_map(z) - u) <= 1e-12 for z, u in zip(lift.points, refined))
+        # another point of the fiber z + iZ is at least 1 away, so the lift keeps one branch
+        assert all(abs(b - a) < 0.5 for a, b in zip(lift.points, lift.points[1:]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(reduced_words(max_terms=6, max_exp=3), st.sampled_from((16, 64, 128)))
+    def test_word_curve_lift_is_exact_and_continuous(self, w, samples):
+        self.assert_exact_continuous_lift(word_to_curve(w, samples))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(PURE_GENERATORS), st.booleans()), max_size=6))
+    def test_braid_curve_lift_is_exact_and_continuous(self, factors):
+        b = BraidWord()
+        for g, inverted in factors:
+            b = b * (g.inverse() if inverted else g)
+        self.assert_exact_continuous_lift(cross_ratio_curve(braid_to_strands(b)))
+
+    def test_tolerance_governs(self):
+        with pytest.raises(LiftError, match="misses"):
+            lift_path(standard_loop(Generator.A1, 1, 64), BASE_LIFT_POINT, tol=1e-15)
+
 
 class TestStandardLoop:
     def test_alpha1_geometry(self):
@@ -164,6 +173,15 @@ class TestWordToCurve:
         curve = word_to_curve(parse_word("a1 a2^-1"), 64)
         assert winding_number(curve.points, -1) == pytest.approx(1, abs=1e-9)
         assert winding_number(curve.points, 1) == pytest.approx(-1, abs=1e-9)
+
+    @pytest.mark.parametrize("text, samples", [
+        ("a1", MAX_CURVE_POINTS + 1),
+        (f"a1^{MAX_CURVE_POINTS // 16 - 1} a2^2", 16),
+        ("a1^1000000000", 128),
+    ])
+    def test_point_budget(self, text, samples):
+        with pytest.raises(ValueError, match="exceeds"):
+            word_to_curve(parse_word(text), samples)
 
 
 class TestCurveToWord:
