@@ -24,7 +24,6 @@ from slalom.elliptic import (
     ModulusMethod,
     QuadModulus,
     agm,
-    elementary_slalom_bounds,
     rect_extremal_length,
     verify_log_bounds,
 )
@@ -38,7 +37,6 @@ from slalom.covering import (
     curve_to_word,
     lift_path,
     slalom_decompose,
-    standard_loop,
     word_to_curve,
 )
 from slalom.braids import (

@@ -15,14 +15,13 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from slalom.covering import Plane, PolyPath, curve_to_word, make_path
+from slalom.covering import Plane, PolyPath, curve_to_word
 from slalom.syllables import BoundaryCondition, BoundConstants, LambdaBounds, lambda_bounds
 from slalom.words import FreeWord, WordSyntaxError, scan_tokens
 
 _SLOTS = (-1.0, 0.0, 1.0)
 _HALF_GAP = 0.5          # half the distance between adjacent slots
 _TURN_RADIUS_MIN = 0.35  # pair radius at mid-turn, keeps strands apart
-_MIN_SEPARATION = 0.2
 MAX_BRAID_LETTERS = 10**4  # parse_braid's budget, checked before a power is expanded
 
 _BRAID_TOKEN_RE = re.compile(r"(s[12])(?:\^([+-]?\d+))?$")
@@ -67,7 +66,7 @@ class BraidWord:
 
 @dataclass(frozen=True)
 class StrandPaths:
-    """Three strand trajectories over a common parameter grid."""
+    """Three strand trajectories over a common parameter grid; ``cross_ratio_curve`` rejects colliding strands."""
 
     strands: tuple[tuple[complex, ...], tuple[complex, ...], tuple[complex, ...]]
 
@@ -75,11 +74,6 @@ class StrandPaths:
         n = len(self.strands[0])
         if any(len(s) != n for s in self.strands):
             raise ValueError("strands must share a parameter grid")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                for a, b in zip(self.strands[i], self.strands[j]):
-                    if abs(a - b) < _MIN_SEPARATION:
-                        raise ValueError("strands violate the separation tolerance")
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -156,20 +150,15 @@ def cross_ratio_curve(s: StrandPaths) -> PolyPath:
         den = c - a
         if abs(den) < 1e-9:
             raise ValueError("degenerate configuration: strands 1 and 3 collide")
-        pts.append(2 * (b - a) / den - 1)
-    return make_path(pts, Plane.PUNCTURED)
+        pts.append(2 * (b - a) / den - 1)  # strand 2 meeting strand 1 or 3 gives -1 or 1, which PolyPath rejects
+    return PolyPath(tuple(pts), Plane.PUNCTURED)
 
 
-def cstar(b: BraidWord, samples_per_crossing: int = 32) -> FreeWord:
+def cstar(b: BraidWord) -> FreeWord:
     """The induced word of a pure braid; kernel is generated by the full twist."""
-    return curve_to_word(cross_ratio_curve(braid_to_strands(b, samples_per_crossing)))
+    return curve_to_word(cross_ratio_curve(braid_to_strands(b)))
 
 
-def braid_invariant(
-    b: BraidWord,
-    bc: BoundaryCondition,
-    k: BoundConstants = BoundConstants(),
-    samples_per_crossing: int = 32,
-) -> LambdaBounds:
+def braid_invariant(b: BraidWord, bc: BoundaryCondition, k: BoundConstants = BoundConstants()) -> LambdaBounds:
     """Lambda bounds of the induced word; a conformal invariant of the braid."""
-    return lambda_bounds(cstar(b, samples_per_crossing), bc, k)
+    return lambda_bounds(cstar(b), bc, k)

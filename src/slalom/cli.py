@@ -13,6 +13,7 @@ from slalom.braids import PurityError, braid_to_strands, cross_ratio_curve, pars
 from slalom.config import load_config
 from slalom.covering import (
     BASE_LIFT_POINT,
+    MAX_CURVE_POINTS,
     LiftError,
     curve_to_word,
     lift_path,
@@ -25,6 +26,7 @@ from slalom.svg import render_lift_scene
 from slalom.words import FreeWord, Generator, Term, format_word, parse_word
 
 MAX_SWEEP_SAMPLES = 10**5  # verify-bounds' budget of M values
+MAX_ROUNDTRIP_WORDS = 10**5  # roundtrip's budget of --count
 
 
 def _syllable_table(w: FreeWord) -> list[dict]:
@@ -32,6 +34,10 @@ def _syllable_table(w: FreeWord) -> list[dict]:
         {"kind": s.kind.value, "terms": format_word(FreeWord(s.terms)), "degree": s.degree}
         for s in decompose(w).syllables
     ]
+
+
+def _word_report(w: FreeWord) -> dict:
+    return {"word": format_word(w), "syllables": _syllable_table(w), "lambda": lambda_invariant(w)}
 
 
 def _bounds_report(w: FreeWord, bc: BoundaryCondition, k: BoundConstants) -> dict:
@@ -69,11 +75,7 @@ def _cmd_lambda(args) -> int:
     if args.boundary:
         bc = BoundaryCondition(args.boundary)
         return _emit(args, _bounds_report(w, bc, args.config_obj.bound_constants), args.word)
-    result = {
-        "word": format_word(w),
-        "lambda": lambda_invariant(w),
-        "syllables": _syllable_table(w),
-    }
+    result = _word_report(w)
     for bc in BoundaryCondition:
         b = lambda_bounds(w, bc, args.config_obj.bound_constants)
         result[f"exceptional_{bc.value}"] = b.exceptional
@@ -82,13 +84,7 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_syllables(args) -> int:
-    w = parse_word(args.word)
-    result = {
-        "word": format_word(w),
-        "syllables": _syllable_table(w),
-        "lambda": lambda_invariant(w),
-    }
-    return _emit(args, result, args.word)
+    return _emit(args, _word_report(parse_word(args.word)), args.word)
 
 
 def _cmd_rectangle_module(args) -> int:
@@ -136,7 +132,7 @@ def _lift(args, curve):
     pieces = slalom_decompose(lifted).pieces
     if args.svg:
         with open(args.svg, "w") as fh:
-            fh.write(render_lift_scene(lifted, pieces, curve=curve, scale=cfg.svg_scale))
+            fh.write(render_lift_scene(lifted, pieces, curve, cfg.svg_scale))
     return lifted, pieces
 
 
@@ -176,6 +172,10 @@ def random_reduced_word(rng: random.Random, max_letters: int) -> FreeWord:
 
 def _cmd_roundtrip(args) -> int:
     cfg = args.config_obj
+    if not 1 <= args.count <= MAX_ROUNDTRIP_WORDS:
+        raise ValueError(f"--count must be in [1, {MAX_ROUNDTRIP_WORDS}]")
+    if not 0 <= args.maxlen * cfg.samples_per_turn <= MAX_CURVE_POINTS:  # samples_per_turn >= 16, so maxlen >= 0
+        raise ValueError(f"--maxlen must be >= 0, and --maxlen x samples_per_turn <= {MAX_CURVE_POINTS}")
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.count):

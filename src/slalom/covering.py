@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from slalom.words import FreeWord, Generator, Term, reduce as reduce_word
+from slalom.words import FreeWord, Generator, reduce as reduce_word
 
 PUNCTURES = (-1.0, 1.0)
 BASE_LIFT_POINT = complex(0.0, -0.5)
@@ -84,15 +84,6 @@ class PolyPath:
         return self.points[-1]
 
 
-def make_path(points: Sequence[complex], plane: Plane) -> PolyPath:
-    """Build a PolyPath, collapsing consecutive duplicate points."""
-    pts: list[complex] = []
-    for z in points:
-        if not pts or z != pts[-1]:
-            pts.append(z)
-    return PolyPath(tuple(pts), plane)
-
-
 @dataclass(frozen=True)
 class ElementaryPiece:
     half_plane: HalfPlane
@@ -124,14 +115,16 @@ def _dist_to_punctures(z: complex) -> float:
 def _refine(points: Sequence[complex]) -> list[complex]:
     """Subdivide segments whose image step is large relative to puncture distance."""
     out = [points[0]]
+    da = _dist_to_punctures(points[0])
     for a, b in zip(points, points[1:]):
-        step = abs(b - a)
-        limit = _STEP_SAFETY * min(_dist_to_punctures(a), _dist_to_punctures(b))
-        n = max(1, math.ceil(step / limit)) if limit > 0 else _MAX_SUBDIVISION + 1
+        db = _dist_to_punctures(b)
+        limit = _STEP_SAFETY * min(da, db)
+        n = max(1, math.ceil(abs(b - a) / limit)) if limit > 0 else _MAX_SUBDIVISION + 1
         if n > _MAX_SUBDIVISION:
             raise LiftError(f"refinement limit exceeded near {a} -> {b}")
         for j in range(1, n + 1):
             out.append(a + (b - a) * j / n)
+        da = db
     return out
 
 
@@ -158,23 +151,17 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
         if not abs(cover_map(z) - u) <= tol:  # written so that a NaN residual fails too
             raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
         lift.append(z)
-    return make_path(lift, Plane.COVER)
-
-
-def standard_loop(g: Generator, n: int, samples_per_turn: int = 128) -> PolyPath:
-    """Standard representative of a_j^n: unit circle about the puncture, based at 0.
-
-    a1 surrounds -1 counterclockwise inside the closed left half-plane; a2
-    surrounds +1 counterclockwise inside the closed right half-plane.
-    Negative n traverses the reversed loop |n| times.
-    """
-    return word_to_curve(FreeWord((Term(g, n),)), samples_per_turn)
+    return PolyPath(tuple(lift), Plane.COVER)
 
 
 def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
     """Concatenation of the standard loops of the terms, of at most ``MAX_CURVE_POINTS`` points.
 
-    The identity gives a constant path.
+    The standard loop of a_j^n is the unit circle about the puncture, based
+    at 0 and sampled ``samples_per_turn`` times per turn: a1 surrounds -1
+    counterclockwise inside the closed left half-plane, a2 surrounds +1
+    counterclockwise inside the closed right half-plane, and a negative n
+    traverses the reversed circle |n| times.  The identity gives a constant path.
     """
     if samples_per_turn < 16:
         raise ValueError("samples_per_turn must be >= 16")
@@ -190,7 +177,7 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
         ]
         pts.extend(turn * abs(term.exponent))
         pts[-1] = 0j  # each term ends at the base point up to rounding; make it exact
-    return make_path(pts, Plane.PUNCTURED)
+    return PolyPath(tuple(pts), Plane.PUNCTURED)
 
 
 def _component(im: float) -> int:

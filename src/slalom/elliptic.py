@@ -55,13 +55,6 @@ class BoundCheckReport:
     ratio_max: float
 
 
-@dataclass(frozen=True)
-class SlalomBounds:
-    m_param: float
-    rect_upper: float
-    log_term: float
-
-
 def agm(a: float, b: float) -> float:
     """Arithmetic-geometric mean of two positive reals."""
     if a <= 0 or b <= 0:
@@ -106,19 +99,12 @@ def rect_extremal_length(m_param: float, method: ModulusMethod = ModulusMethod.C
     return QuadModulus(m_param, lam, 1 / lam, method)
 
 
-def verify_log_bounds(m_values: Sequence[float], method: ModulusMethod = ModulusMethod.CLOSED_FORM) -> BoundCheckReport:
-    """Extrema of lambda(R^M) / log(1+M) over the sample set, M >= 1/2."""
+def verify_log_bounds(m_values: Sequence[float]) -> BoundCheckReport:
+    """Extrema of lambda(R^M) / log(1+M) by the closed form over the sample set, M >= 1/2."""
     if not m_values:
         raise ValueError("empty sample list")
     if any(m < 0.5 for m in m_values):
         raise ValueError("log-bound check requires M >= 1/2")
-    ratios = [rect_extremal_length(m, method).extremal_length / math.log1p(m) for m in m_values]
+    ratios = [rect_extremal_length(m).extremal_length / math.log1p(m) for m in m_values]
     return BoundCheckReport(tuple(m_values), min(ratios), max(ratios))
 
-
-def elementary_slalom_bounds(k: int, l: int) -> SlalomBounds:
-    """Bracket data for an elementary slalom curve between components k and l."""
-    if abs(k - l) <= 1:
-        raise ValueError("elementary slalom bounds need |k - l| >= 2")
-    m = (abs(k - l) - 1) / 2
-    return SlalomBounds(m, rect_extremal_length(m).extremal_length, math.log1p(m))

@@ -7,6 +7,8 @@ from typing import Sequence
 
 from slalom.covering import ElementaryPiece, PolyPath
 
+_PAD = 1.0  # margin around the drawing, in math units
+
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}"
@@ -15,9 +17,8 @@ def _fmt(x: float) -> str:
 class SvgScene:
     """Accumulates shapes in math coordinates; y points up, 1 unit = scale px."""
 
-    def __init__(self, scale: float = 40.0, pad: float = 1.0):
+    def __init__(self, scale: float):
         self.scale = scale
-        self.pad = pad
         self.elements: list[str] = []
         self._xs: list[float] = [0.0]
         self._ys: list[float] = [0.0]
@@ -56,8 +57,8 @@ class SvgScene:
         )
 
     def render(self) -> str:
-        x0, x1 = min(self._xs) - self.pad, max(self._xs) + self.pad
-        y0, y1 = min(self._ys) - self.pad, max(self._ys) + self.pad
+        x0, x1 = min(self._xs) - _PAD, max(self._xs) + _PAD
+        y0, y1 = min(self._ys) - _PAD, max(self._ys) + _PAD
         w, h = (x1 - x0) * self.scale, (y1 - y0) * self.scale
         body = "\n".join(self.elements)
         return (
@@ -67,27 +68,18 @@ class SvgScene:
         )
 
 
-def render_lift_scene(
-    lifted: PolyPath,
-    pieces: Sequence[ElementaryPiece] = (),
-    curve: PolyPath | None = None,
-    scale: float = 40.0,
-) -> str:
-    """Lifted slalom curve with the imaginary axis, lattice dots, piece labels.
-
-    When ``curve`` is given, the downstairs curve is drawn in a second color.
-    """
-    scene = SvgScene(scale=scale)
+def render_lift_scene(lifted: PolyPath, pieces: Sequence[ElementaryPiece], curve: PolyPath, scale: float) -> str:
+    """Lifted slalom curve with the imaginary axis, lattice dots and piece labels, and ``curve`` in a second color."""
+    scene = SvgScene(scale)
     ims = [z.imag for z in lifted.points]
     lo, hi = math.floor(min(ims)) - 1, math.ceil(max(ims)) + 1
     scene.line(complex(0, lo), complex(0, hi))
     for k in range(lo, hi + 1):
         scene.dot(complex(0, k))
     scene.polyline(lifted.points)
-    if curve is not None:
-        scene.polyline(curve.points, color="#2e8b57")
-        scene.dot(-1 + 0j, color="#555555")
-        scene.dot(1 + 0j, color="#555555")
+    scene.polyline(curve.points, color="#2e8b57")
+    scene.dot(-1 + 0j, color="#555555")
+    scene.dot(1 + 0j, color="#555555")
     for idx, piece in enumerate(pieces):
         mid = (piece.start_component + piece.end_component + 1) / 2
         x = -0.6 if piece.half_plane.value == "left" else 0.3

@@ -3,7 +3,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from slalom.braids import BraidWord, parse_braid
+from slalom.braids import BraidWord, full_twist, parse_braid
 from slalom.covering import BASE_LIFT_POINT, HalfPlane, PolyPath, lift_path, slalom_decompose
 from slalom.words import FreeWord, Generator, Term, parse_word, reduce
 
@@ -71,3 +71,12 @@ def reduced_words(draw, max_terms: int = 20, max_exp: int = 5) -> FreeWord:
         terms.append(Term(gen, exp))
         gen = Generator.A2 if gen is Generator.A1 else Generator.A1
     return FreeWord(tuple(terms))
+
+
+@st.composite
+def pure_braids(draw, max_factors: int = 8) -> BraidWord:
+    """Products of up to ``max_factors`` pure generators or their inverses, with or without the full twist."""
+    b = BraidWord()
+    for g, inverted in draw(st.lists(st.tuples(st.sampled_from(PURE_GENERATORS), st.booleans()), max_size=max_factors)):
+        b = b * (g.inverse() if inverted else g)
+    return b * full_twist() if draw(st.booleans()) else b

@@ -9,7 +9,7 @@ import pytest
 from conftest import FIGURE2_TEXT, lift_read_word, random_pure_braid, random_word_max_terms
 from slalom.braids import BraidWord, braid_to_strands, cross_ratio_curve, cstar, full_twist, parse_braid
 from slalom.cli import random_reduced_word
-from slalom.covering import curve_to_word, lift_path, standard_loop, word_to_curve, BASE_LIFT_POINT, cover_map
+from slalom.covering import curve_to_word, lift_path, word_to_curve, BASE_LIFT_POINT, cover_map
 from slalom.elliptic import ModulusMethod, rect_extremal_length, verify_log_bounds
 from slalom.syllables import (
     BoundaryCondition,
@@ -109,8 +109,8 @@ def test_criterion_3_elliptic_oracles():
 
 def test_criterion_4_lift_endpoints():
     with Criterion(4, "covering lift endpoints and deck invariance", 5.0):
-        a1 = standard_loop(Generator.A1, 1, 128)
-        a2 = standard_loop(Generator.A2, 1, 128)
+        a1 = word_to_curve(parse_word("a1"), 128)
+        a2 = word_to_curve(parse_word("a2"), 128)
         l1 = lift_path(a1, BASE_LIFT_POINT)
         l2 = lift_path(a2, BASE_LIFT_POINT)
         assert abs(l1.end - 0.5j) < 1e-6

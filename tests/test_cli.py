@@ -12,7 +12,7 @@ import pytest
 
 import slalom
 from slalom.braids import MAX_BRAID_LETTERS
-from slalom.cli import MAX_SWEEP_SAMPLES, main
+from slalom.cli import MAX_ROUNDTRIP_WORDS, MAX_SWEEP_SAMPLES, main
 from slalom.config import Config, load_config
 from slalom.covering import MAX_CURVE_POINTS
 
@@ -236,6 +236,13 @@ class TestBudgets:
         ("braid", "s1^1000000000"),
         ("verify-bounds", "--from", "1", "--to", "2", "--samples", str(MAX_SWEEP_SAMPLES + 1)),
         ("verify-bounds", "--from", "1", "--to", "2", "--samples", "1000000000"),
+        ("roundtrip", "--count", "0", "--maxlen", "3"),
+        ("roundtrip", "--count", str(MAX_ROUNDTRIP_WORDS + 1), "--maxlen", "3"),
+        ("roundtrip", "--count", "-5", "--maxlen", "3"),
+        ("roundtrip", "--count", "1000000000", "--maxlen", "3"),
+        ("roundtrip", "--count", "1", "--maxlen", "-1"),
+        ("roundtrip", "--count", "1", "--maxlen", str(MAX_CURVE_POINTS // 128 + 1)),
+        ("roundtrip", "--count", "1", "--maxlen", "1000000000"),
     ])
     def test_rejected_before_allocation(self, capsys, argv):
         tracemalloc.start()

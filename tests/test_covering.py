@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIGURE2_TEXT, PURE_GENERATORS, lift_read_word, reduced_words
-from slalom.braids import BraidWord, braid_to_strands, cross_ratio_curve
+from conftest import FIGURE2_TEXT, lift_read_word, pure_braids, reduced_words
+from slalom.braids import braid_to_strands, cross_ratio_curve
 from slalom.cli import random_reduced_word
 from slalom.covering import (
     BASE_LIFT_POINT,
@@ -20,12 +20,10 @@ from slalom.covering import (
     cover_map,
     curve_to_word,
     lift_path,
-    make_path,
     slalom_decompose,
-    standard_loop,
     word_to_curve,
 )
-from slalom.words import FreeWord, Generator, concat, parse_word
+from slalom.words import FreeWord, Generator, Term, concat, parse_word
 
 
 def winding_number(points, center: complex) -> float:
@@ -66,11 +64,11 @@ class TestCoverMap:
 
 class TestLiftPath:
     def test_alpha1_endpoint(self):
-        lift = lift_path(standard_loop(Generator.A1, 1, 64), BASE_LIFT_POINT)
+        lift = lift_path(word_to_curve(parse_word("a1"), 64), BASE_LIFT_POINT)
         assert abs(lift.end - 0.5j) < 1e-6
 
     def test_alpha2_endpoint(self):
-        lift = lift_path(standard_loop(Generator.A2, 1, 64), BASE_LIFT_POINT)
+        lift = lift_path(word_to_curve(parse_word("a2"), 64), BASE_LIFT_POINT)
         assert abs(lift.end - (-1.5j)) < 1e-6
 
     def test_constant_path(self):
@@ -110,7 +108,7 @@ class TestLiftPath:
 
     def test_start_not_in_fiber(self):
         with pytest.raises(LiftError):
-            lift_path(standard_loop(Generator.A1, 1, 64), 0.5 + 0.5j)
+            lift_path(word_to_curve(parse_word("a1"), 64), 0.5 + 0.5j)
 
     @staticmethod
     def assert_exact_continuous_lift(curve):
@@ -127,39 +125,60 @@ class TestLiftPath:
         self.assert_exact_continuous_lift(word_to_curve(w, samples))
 
     @settings(max_examples=20, deadline=None)
-    @given(st.lists(st.tuples(st.sampled_from(PURE_GENERATORS), st.booleans()), max_size=6))
-    def test_braid_curve_lift_is_exact_and_continuous(self, factors):
-        b = BraidWord()
-        for g, inverted in factors:
-            b = b * (g.inverse() if inverted else g)
+    @given(pure_braids(max_factors=6))
+    def test_braid_curve_lift_is_exact_and_continuous(self, b):
         self.assert_exact_continuous_lift(cross_ratio_curve(braid_to_strands(b)))
 
     def test_tolerance_governs(self):
         with pytest.raises(LiftError, match="misses"):
-            lift_path(standard_loop(Generator.A1, 1, 64), BASE_LIFT_POINT, tol=1e-15)
+            lift_path(word_to_curve(parse_word("a1"), 64), BASE_LIFT_POINT, tol=1e-15)
+
+
+class TestPolyPath:
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="at least one point"):
+            PolyPath((), Plane.PUNCTURED)
+
+    @pytest.mark.parametrize("z", [-1 + 0j, 1 + 0j, -1 + 9e-10, 1 - 9e-10j, 1 + 6e-10 + 6e-10j])
+    def test_rejects_point_near_puncture(self, z):
+        with pytest.raises(ValueError, match="excluded set of punctured"):
+            PolyPath((0j, z), Plane.PUNCTURED)
+
+    @pytest.mark.parametrize("z", [0j, 2j, -3j, 9e-10 + 1j, 1j - 9e-10j, -6e-10 + (2 + 6e-10) * 1j])
+    def test_rejects_point_near_lattice(self, z):
+        with pytest.raises(ValueError, match="excluded set of cover"):
+            PolyPath((0.5 - 0.5j, z), Plane.COVER)
+
+    def test_accepts_points_just_outside_tolerance(self):
+        assert len(PolyPath((0j, 1 + 2e-9, -1 - 2e-9j), Plane.PUNCTURED).points) == 3
+        assert len(PolyPath((2e-9 + 1j, 1j + 2e-9j), Plane.COVER).points) == 2
+
+    def test_rejects_zero_length_segment(self):
+        with pytest.raises(ValueError, match="zero-length"):
+            PolyPath((0j, 0.5j, 0.5j, 0j), Plane.PUNCTURED)
 
 
 class TestStandardLoop:
     def test_alpha1_geometry(self):
-        loop = standard_loop(Generator.A1, 1, 64)
+        loop = word_to_curve(parse_word("a1"), 64)
         assert len(loop.points) == 65
         assert all(z.real <= 1e-12 for z in loop.points)
         assert loop.start == 0 and loop.end == 0
 
     def test_alpha2_clockwise(self):
-        loop = standard_loop(Generator.A2, -1, 64)
+        loop = word_to_curve(parse_word("a2^-1"), 64)
         assert winding_number(loop.points, 1) == pytest.approx(-1, abs=1e-9)
 
     def test_windings(self):
-        loop = standard_loop(Generator.A1, 1, 64)
+        loop = word_to_curve(parse_word("a1"), 64)
         assert winding_number(loop.points, -1) == pytest.approx(1, abs=1e-9)
         assert winding_number(loop.points, 1) == pytest.approx(0, abs=1e-9)
 
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
-            standard_loop(Generator.A1, 0)
+            word_to_curve(FreeWord((Term(Generator.A1, 0),)))
         with pytest.raises(ValueError):
-            standard_loop(Generator.A1, 1, 8)
+            word_to_curve(parse_word("a1"), 8)
 
 
 class TestWordToCurve:
@@ -167,7 +186,8 @@ class TestWordToCurve:
         assert word_to_curve(FreeWord()).is_constant
 
     def test_single_generator(self):
-        assert word_to_curve(parse_word("a1"), 64).points == standard_loop(Generator.A1, 1, 64).points
+        circle = [-1 + cmath.exp(2j * math.pi * j / 64) for j in range(1, 64)]
+        assert word_to_curve(parse_word("a1"), 64).points == (0j, *circle, 0j)
 
     def test_winding_additivity(self):
         curve = word_to_curve(parse_word("a1 a2^-1"), 64)
@@ -204,7 +224,7 @@ class TestCurveToWord:
             u = random_reduced_word(rng, 5)
             v = random_reduced_word(rng, 5)
             cu, cv = word_to_curve(u, 64), word_to_curve(v, 64)
-            joined = make_path(cu.points + cv.points[1:], Plane.PUNCTURED)
+            joined = PolyPath(cu.points + cv.points[1:], Plane.PUNCTURED)
             assert curve_to_word(joined) == concat(u, v)
 
     def test_refinement_stability(self):
@@ -214,14 +234,14 @@ class TestCurveToWord:
             assert curve_to_word(word_to_curve(w, 64)) == curve_to_word(word_to_curve(w, 128))
 
     def test_rejects_non_based_loop(self):
-        path = make_path([0.5 + 0j, 0.5 + 1j, 0.5 + 0j], Plane.PUNCTURED)
+        path = PolyPath((0.5 + 0j, 0.5 + 1j, 0.5 + 0j), Plane.PUNCTURED)
         with pytest.raises(ValueError):
             curve_to_word(path)
 
 
 def loop(*points: complex):
     """Polygonal loop based at 0 through ``points``."""
-    return make_path([0j, *points, 0j], Plane.PUNCTURED)
+    return PolyPath((0j, *points, 0j), Plane.PUNCTURED)
 
 
 class TestRayReader:

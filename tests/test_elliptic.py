@@ -3,11 +3,12 @@ import random
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from slalom.elliptic import (
     ModulusMethod,
     agm,
-    elementary_slalom_bounds,
     rect_extremal_length,
     verify_log_bounds,
 )
@@ -72,6 +73,13 @@ class TestRectExtremalLength:
         c = rect_extremal_length(m, CLOSED).extremal_length
         q = rect_extremal_length(m, QUAD).extremal_length
         assert abs(c - q) < 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-12, 8))
+    def test_routes_agree_log_uniform(self, log10_m):
+        m = 10.0**log10_m
+        closed = rect_extremal_length(m, CLOSED).extremal_length
+        assert rect_extremal_length(m, QUAD).extremal_length == pytest.approx(closed, rel=1e-8)
 
     def test_closed_form_mpmath_oracle_full_range(self):
         # lambda = 2 K(k) / K(k'), k = M/(M+1), at 80 digits (1 - k^2 needs 60 at M = 1e-30);
@@ -143,23 +151,3 @@ class TestVerifyLogBounds:
         with pytest.raises(ValueError):
             verify_log_bounds([0.4])
 
-
-class TestElementarySlalomBounds:
-    def test_adjacent_components_two_apart(self):
-        rec = elementary_slalom_bounds(0, 2)
-        assert rec.m_param == pytest.approx(0.5)
-        assert rec.log_term == pytest.approx(math.log(1.5), abs=1e-15)
-
-    def test_depends_only_on_gap(self):
-        assert elementary_slalom_bounds(0, 3) == elementary_slalom_bounds(3, 0)
-
-    def test_gap_eleven(self):
-        rec = elementary_slalom_bounds(0, 11)
-        assert rec.m_param == pytest.approx(5.0)
-        # empirical bracket from the log-bound sweep, pinned at build time
-        assert 0.3 * math.log(6) <= rec.rect_upper <= 5 * math.log(6)
-
-    def test_rejects_trivial_gap(self):
-        for k, l in [(0, 0), (0, 1), (2, 1)]:
-            with pytest.raises(ValueError):
-                elementary_slalom_bounds(k, l)
