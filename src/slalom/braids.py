@@ -1,11 +1,11 @@
-"""Pure 3-braids, geometric strand synthesis, and the cross-ratio correspondence.
+"""Pure 3-braids, their induced words in the free group, and the strand picture.
 
-A braid word in sigma1, sigma2 is traced as three strand motions starting
-at the base configuration (-1, 0, 1); each letter performs a half-turn of
-the two strands at the affected slots.  The cross-ratio curve
-2 (g2 - g1)/(g3 - g1) - 1 lands in the twice-punctured plane, and reading
-its word through the covering yields the induced homomorphism onto the
-free group, whose kernel is generated by the full twist (s1 s2 s1)^2.
+``cstar`` rewrites a pure braid into the free group on a1, a2 letter by
+letter through a Reidemeister-Schreier table for P3 inside B3 (Birman 1974);
+its kernel is generated by the full twist (s1 s2 s1)^2.  The picture traces
+three strands from (-1, 0, 1), each letter a half-turn of the pair at its
+slots, and maps them to the cross-ratio curve 2 (g2 - g1)/(g3 - g1) - 1,
+whose word, read through the covering, is the tests' oracle for the table.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from slalom.covering import Plane, PolyPath, curve_to_word
+from slalom.covering import Plane, PolyPath
 from slalom.syllables import BoundaryCondition, BoundConstants, LambdaBounds, lambda_bounds
-from slalom.words import FreeWord, WordSyntaxError, scan_tokens
+from slalom.words import FreeWord, Generator, WordSyntaxError, reduce, scan_tokens
 
 _SLOTS = (-1.0, 0.0, 1.0)
 _HALF_GAP = 0.5          # half the distance between adjacent slots
@@ -154,9 +154,51 @@ def cross_ratio_curve(s: StrandPaths) -> PolyPath:
     return PolyPath(tuple(pts), Plane.PUNCTURED)
 
 
+_A1, _A2 = Generator.A1, Generator.A2
+_ID = (0, 1, 2)
+# (state, generator, sign) -> (next state, image of rep(state) x rep(next)^-1), states as
+# ``permutation`` returns them, rep over the transversal 1, s1, s2, s1 s2, s2 s1, s1 s2 s1.
+# Keyed by the generator's ``_value_``: hashing the enum member, or ``.value``, more than doubles the walk.
+_SCHREIER = {
+    (_ID, "s1", 1): ((1, 0, 2), ()),
+    (_ID, "s1", -1): ((1, 0, 2), ((_A1, -1),)),
+    (_ID, "s2", 1): ((0, 2, 1), ()),
+    (_ID, "s2", -1): ((0, 2, 1), ((_A2, -1),)),
+    ((0, 2, 1), "s1", 1): ((1, 2, 0), ()),
+    ((0, 2, 1), "s1", -1): ((1, 2, 0), ((_A2, 1), (_A1, 1))),
+    ((0, 2, 1), "s2", 1): (_ID, ((_A2, 1),)),
+    ((0, 2, 1), "s2", -1): (_ID, ()),
+    ((1, 0, 2), "s1", 1): (_ID, ((_A1, 1),)),
+    ((1, 0, 2), "s1", -1): (_ID, ()),
+    ((1, 0, 2), "s2", 1): ((2, 0, 1), ()),
+    ((1, 0, 2), "s2", -1): ((2, 0, 1), ((_A1, 1), (_A2, 1))),
+    ((1, 2, 0), "s1", 1): ((0, 2, 1), ((_A1, -1), (_A2, -1))),
+    ((1, 2, 0), "s1", -1): ((0, 2, 1), ()),
+    ((1, 2, 0), "s2", 1): ((2, 1, 0), ()),
+    ((1, 2, 0), "s2", -1): ((2, 1, 0), ((_A1, -1),)),
+    ((2, 0, 1), "s1", 1): ((2, 1, 0), ()),
+    ((2, 0, 1), "s1", -1): ((2, 1, 0), ((_A2, -1),)),
+    ((2, 0, 1), "s2", 1): ((1, 0, 2), ((_A2, -1), (_A1, -1))),
+    ((2, 0, 1), "s2", -1): ((1, 0, 2), ()),
+    ((2, 1, 0), "s1", 1): ((2, 0, 1), ((_A2, 1),)),
+    ((2, 1, 0), "s1", -1): ((2, 0, 1), ()),
+    ((2, 1, 0), "s2", 1): ((1, 2, 0), ((_A1, 1),)),
+    ((2, 1, 0), "s2", -1): ((1, 2, 0), ()),
+}
+
+
 def cstar(b: BraidWord) -> FreeWord:
-    """The induced word of a pure braid; kernel is generated by the full twist."""
-    return curve_to_word(cross_ratio_curve(braid_to_strands(b)))
+    """The induced word of a pure braid, the reduced product of the images along its ``_SCHREIER`` walk.
+
+    The word read from the strand picture, ``cross_ratio_curve(braid_to_strands(b))``, is the tests' oracle.
+    """
+    state, raw = _ID, []
+    for letter in b.letters:
+        state, image = _SCHREIER[state, letter.gen._value_, letter.sign]
+        raw.extend(image)
+    if state != _ID:
+        raise PurityError(f"braid {format_braid(b)!r} is not pure: permutation {state}")
+    return reduce(raw)
 
 
 def braid_invariant(b: BraidWord, bc: BoundaryCondition, k: BoundConstants = BoundConstants()) -> LambdaBounds:

@@ -9,7 +9,7 @@ import random
 import sys
 
 from slalom import __version__
-from slalom.braids import PurityError, braid_to_strands, cross_ratio_curve, parse_braid
+from slalom.braids import PurityError, braid_to_strands, cross_ratio_curve, cstar, parse_braid
 from slalom.config import load_config
 from slalom.covering import (
     BASE_LIFT_POINT,
@@ -27,6 +27,7 @@ from slalom.words import FreeWord, Generator, Term, format_word, parse_word
 
 MAX_SWEEP_SAMPLES = 10**5  # verify-bounds' budget of M values
 MAX_ROUNDTRIP_WORDS = 10**5  # roundtrip's budget of --count
+MAX_ROUNDTRIP_POINTS = 10**7  # roundtrip's budget of curve points over all its words, which bounds its run time
 
 
 def _syllable_table(w: FreeWord) -> list[dict]:
@@ -149,11 +150,11 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_braid(args) -> int:
-    curve = cross_ratio_curve(braid_to_strands(parse_braid(args.braidword)))
-    rep = _bounds_report(curve_to_word(curve), BoundaryCondition(args.boundary), args.config_obj.bound_constants)
+    b = parse_braid(args.braidword)
+    rep = _bounds_report(cstar(b), BoundaryCondition(args.boundary), args.config_obj.bound_constants)
     del rep["boundary"]
     if args.svg:
-        _lift(args, curve)
+        _lift(args, cross_ratio_curve(braid_to_strands(b)))
     return _emit(args, {"braid": args.braidword, **rep}, args.braidword)
 
 
@@ -176,6 +177,8 @@ def _cmd_roundtrip(args) -> int:
         raise ValueError(f"--count must be in [1, {MAX_ROUNDTRIP_WORDS}]")
     if not 0 <= args.maxlen * cfg.samples_per_turn <= MAX_CURVE_POINTS:  # samples_per_turn >= 16, so maxlen >= 0
         raise ValueError(f"--maxlen must be >= 0, and --maxlen x samples_per_turn <= {MAX_CURVE_POINTS}")
+    if args.count * args.maxlen * cfg.samples_per_turn > MAX_ROUNDTRIP_POINTS:
+        raise ValueError(f"--count x --maxlen x samples_per_turn must be <= {MAX_ROUNDTRIP_POINTS}")
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.count):

@@ -3,8 +3,8 @@ import random
 import pytest
 from hypothesis import strategies as st
 
-from slalom.braids import BraidWord, full_twist, parse_braid
-from slalom.covering import BASE_LIFT_POINT, HalfPlane, PolyPath, lift_path, slalom_decompose
+from slalom.braids import BraidWord, braid_to_strands, cross_ratio_curve, full_twist, parse_braid
+from slalom.covering import BASE_LIFT_POINT, HalfPlane, PolyPath, curve_to_word, lift_path, slalom_decompose
 from slalom.words import FreeWord, Generator, Term, parse_word, reduce
 
 FIGURE2_TEXT = "a2^-1 a1^2 a2^-3 a1^-1 a2^-1 a1^-1 a2 a1^-1"
@@ -30,6 +30,11 @@ def lift_read_word(path: PolyPath) -> FreeWord:
         else:
             raw.append((Generator.A2, p.start_component - p.end_component))
     return reduce(raw)
+
+
+def numeric_cstar(b: BraidWord) -> FreeWord:
+    """Oracle for ``cstar``: the word read from the ray crossings of the braid's cross-ratio curve."""
+    return curve_to_word(cross_ratio_curve(braid_to_strands(b)))
 
 
 def random_word_max_terms(rng: random.Random, max_terms: int, max_exp: int = 4) -> FreeWord:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lift_read_word, pure_braids, random_pure_braid
+from conftest import lift_read_word, numeric_cstar, pure_braids, random_pure_braid
 from slalom.braids import (
     MAX_BRAID_LETTERS,
     BraidGenerator,
@@ -13,6 +13,7 @@ from slalom.braids import (
     BraidWord,
     PurityError,
     StrandPaths,
+    _SCHREIER,
     braid_invariant,
     braid_to_strands,
     cross_ratio_curve,
@@ -24,7 +25,11 @@ from slalom.braids import (
     permutation,
 )
 from slalom.syllables import BoundaryCondition
-from slalom.words import WordSyntaxError, concat, parse_word
+from slalom.words import Term, WordSyntaxError, concat, parse_word
+
+# the coset representatives of the Reidemeister-Schreier table
+TRANSVERSAL = ("", "s1", "s2", "s1 s2", "s2 s1", "s1 s2 s1")
+UNIT_LETTERS = tuple(BraidLetter(g, sign) for g in BraidGenerator for sign in (1, -1))
 
 # orientation convention pinned by tracing: sigma1^2 maps to a1 (not a1^-1)
 SIGMA1_SQUARED_IMAGE = "a1"
@@ -195,8 +200,30 @@ class TestCstar:
         assert cstar(b) == lift_read_word(cross_ratio_curve(braid_to_strands(b)))
 
     def test_purity_gate(self):
-        with pytest.raises(PurityError):
+        with pytest.raises(PurityError, match=r"^braid 's1 s2' is not pure: permutation \(2, 0, 1\)$"):
             cstar(parse_braid("s1 s2"))
+
+    def test_schreier_table_rederived(self):
+        # every entry is (permutation(rep(p) x), numeric image of rep(p) x rep(next)^-1)
+        reps = {permutation(parse_braid(t)): parse_braid(t) for t in TRANSVERSAL}
+        assert len(reps) == 6
+        expected = {}
+        for p, rep in reps.items():
+            for letter in UNIT_LETTERS:
+                x = BraidWord((letter,))
+                nxt = permutation(rep * x)
+                image = numeric_cstar(rep * x * reps[nxt].inverse())
+                expected[p, letter.gen.value, letter.sign] = (nxt, image.terms)
+        got = {key: (nxt, tuple(Term(g, e) for g, e in image)) for key, (nxt, image) in _SCHREIER.items()}
+        assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(pure_braids(), st.lists(st.sampled_from(UNIT_LETTERS), max_size=6))
+    def test_matches_numeric_oracle_conjugated(self, b, conjugator):
+        # conjugation lets the walk reach all six states; the pure generators alone skip some entries
+        c = BraidWord(tuple(conjugator))
+        b = c * b * c.inverse()
+        assert cstar(b) == numeric_cstar(b)
 
 
 class TestBraidInvariant:

@@ -12,7 +12,7 @@ import pytest
 
 import slalom
 from slalom.braids import MAX_BRAID_LETTERS
-from slalom.cli import MAX_ROUNDTRIP_WORDS, MAX_SWEEP_SAMPLES, main
+from slalom.cli import MAX_ROUNDTRIP_POINTS, MAX_ROUNDTRIP_WORDS, MAX_SWEEP_SAMPLES, main
 from slalom.config import Config, load_config
 from slalom.covering import MAX_CURVE_POINTS
 
@@ -243,6 +243,8 @@ class TestBudgets:
         ("roundtrip", "--count", "1", "--maxlen", "-1"),
         ("roundtrip", "--count", "1", "--maxlen", str(MAX_CURVE_POINTS // 128 + 1)),
         ("roundtrip", "--count", "1", "--maxlen", "1000000000"),
+        ("roundtrip", "--count", str(MAX_ROUNDTRIP_POINTS // (100 * 128) + 1), "--maxlen", "100"),
+        ("roundtrip", "--count", str(MAX_ROUNDTRIP_WORDS), "--maxlen", str(MAX_CURVE_POINTS // 128)),
     ])
     def test_rejected_before_allocation(self, capsys, argv):
         tracemalloc.start()
