@@ -1,12 +1,15 @@
-"""Gather untraced perfbench records into a BENCH file of per-workload medians.
+"""Gather perfbench records into a BENCH file of per-workload medians.
 
-    python3 bench_record.py BENCH_7.json parent=../parent/perfbench/results change=perfbench/results
+    python3 bench_record.py BENCH_8.json parent=../parent/perfbench/results change=perfbench/results
 
 Each ``label=DIR`` names one side of a comparison and a directory of records
-written by ``perfbench/run.py --trace 0`` (``*-t0.json``).  For each side the
-BENCH file holds the commits, library versions and ``nproc`` read from the
-records and, per workload, the seeds run, the operations attempted and
-failed, and the median and quartiles of each end-to-end metric.
+written by ``perfbench/run.py --trace 0`` (``*-t0.json``) and, optionally,
+``--trace 1`` (``*-t1.json``).  For each side the BENCH file holds the
+commits, library versions and ``nproc`` read from the untraced records and,
+per workload, the seeds run, the operations attempted and failed, and the
+median and quartiles of each end-to-end metric; where traced records of the
+workload exist, a ``layers`` block holds their seeds and the median of each
+per-layer metric.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ def _distinct(values: list):
     return found[0] if len(found) == 1 else found
 
 
-def summarize(records: list[dict]) -> dict:
+def summarize(records: list[dict], traced: list[dict] = ()) -> dict:
     side = {key: _distinct([r[key] for r in records]) for key in ENVIRONMENT}
     side["workloads"] = {}
     for workload in sorted({r["workload"] for r in records}):
@@ -43,6 +46,12 @@ def summarize(records: list[dict]) -> dict:
             q1, _, q3 = statistics.quantiles(values, n=4) if len(values) > 1 else values * 3
             entry[name] = {"median": statistics.median(values), "q1": q1, "q3": q3,
                            "unit": runs[0]["metrics"][name]["unit"]}
+        layer_runs = sorted((r for r in traced if r["workload"] == workload), key=lambda r: r["seed"])
+        if layer_runs:
+            entry["layers"] = {"seeds": [r["seed"] for r in layer_runs]}
+            for name, metric in layer_runs[0]["metrics"].items():
+                values = [r["metrics"][name]["value"] for r in layer_runs]
+                entry["layers"][name] = {"median": statistics.median(values), "unit": metric["unit"]}
         side["workloads"][workload] = entry
     return side
 
@@ -58,7 +67,8 @@ def main(argv: list[str]) -> int:
         if not records:
             print(f"bench_record.py: no *-t0.json records in {directory}", file=sys.stderr)
             return 1
-        bench[label] = summarize(records)
+        traced = [json.loads(p.read_text()) for p in sorted(Path(directory).glob("*-t1.json"))]
+        bench[label] = summarize(records, traced)
     Path(argv[0]).write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 

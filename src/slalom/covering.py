@@ -15,6 +15,8 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
+from itertools import compress, islice, repeat
+from operator import attrgetter, eq, sub
 from typing import Sequence
 
 from slalom.words import FreeWord, Generator, reduce as reduce_word
@@ -61,15 +63,18 @@ class PolyPath:
     plane: Plane
 
     def __post_init__(self):
-        if not self.points:
+        if not (pts := self.points):
             raise ValueError("path needs at least one point")
-        check = _off_punctures if self.plane is Plane.PUNCTURED else _off_lattice
-        for z in self.points:
-            if not check(z):
-                raise ValueError(f"path point {z} hits the excluded set of {self.plane.value}")
-        for a, b in zip(self.points, self.points[1:]):
-            if a == b:
-                raise ValueError("zero-length segment in path")
+        # only points within the tolerance of the real axis (of iR on the cover) can be excluded: C-level
+        # passes clear the others, and a scan names the first bad point; isfinite first, as round(inf) raises
+        check, part = (_off_punctures, "imag") if self.plane is Plane.PUNCTURED else (_off_lattice, "real")
+        near = compress(pts, map(_PUNCTURE_TOL.__ge__, map(abs, map(attrgetter(part), pts))))
+        if not (all(map(cmath.isfinite, pts)) and all(map(check, near))):
+            z = next(z for z in pts if not (cmath.isfinite(z) and check(z)))
+            why = f"hits the excluded set of {self.plane.value}" if cmath.isfinite(z) else "is not finite"
+            raise ValueError(f"path point {z} {why}")
+        if any(map(eq, pts, islice(pts, 1, None))):
+            raise ValueError("zero-length segment in path")
 
     @property
     def is_constant(self) -> bool:
@@ -108,16 +113,16 @@ def cover_map(z: complex) -> complex:
     return 0.5 * (w + 1 / w)
 
 
-def _dist_to_punctures(z: complex) -> float:
-    return min(abs(z - p) for p in PUNCTURES)
-
-
-def _refine(points: Sequence[complex]) -> list[complex]:
-    """Subdivide segments whose image step is large relative to puncture distance."""
+def _refine(points: Sequence[complex]) -> Sequence[complex]:
+    """Subdivide segments whose image step is large relative to puncture distance; ``points`` if none is."""
+    # every step is within its limit when the largest step is within the smallest limit
+    near = min(min(map(abs, map(sub, points, repeat(p)))) for p in PUNCTURES)
+    if max(map(abs, map(sub, islice(points, 1, None), points)), default=0.0) <= _STEP_SAFETY * near:
+        return points
     out = [points[0]]
-    da = _dist_to_punctures(points[0])
-    for a, b in zip(points, points[1:]):
-        db = _dist_to_punctures(b)
+    da = min(abs(points[0] - p) for p in PUNCTURES)
+    for a, b in zip(points, islice(points, 1, None)):
+        db = min(abs(b - p) for p in PUNCTURES)
         limit = _STEP_SAFETY * min(da, db)
         n = max(1, math.ceil(abs(b - a) / limit)) if limit > 0 else _MAX_SUBDIVISION + 1
         if n > _MAX_SUBDIVISION:
@@ -125,7 +130,7 @@ def _refine(points: Sequence[complex]) -> list[complex]:
         for j in range(1, n + 1):
             out.append(a + (b - a) * j / n)
         da = db
-    return out
+    return out if len(out) > len(points) else points
 
 
 def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
@@ -140,17 +145,21 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
         raise ValueError("lift_path expects a path in the punctured plane")
     if abs(cover_map(start) - path.start) > _FIBER_TOL:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
+    sqrt, log, tanh, pi = cmath.sqrt, cmath.log, cmath.tanh, cmath.pi
     z = start
-    w = cmath.tanh(cmath.pi * z / 2)
+    w = tanh(pi * z / 2)
     lift = [z]
+    append = lift.append
     for u in _refine(path.points)[1:]:
-        r = cmath.sqrt((u - 1) * (u + 1))
-        w = u + r if abs(u + r - w) <= abs(u - r - w) else u - r
-        v = cmath.log((1 + w) / (1 - w)) / cmath.pi
+        r = sqrt((u - 1) * (u + 1))
+        up, um = u + r, u - r
+        w = up if abs(up - w) <= abs(um - w) else um
+        v = log((1 + w) / (1 - w)) / pi
         z = v + 2j * round((z - v).imag / 2)
-        if not abs(cover_map(z) - u) <= tol:  # written so that a NaN residual fails too
+        t = tanh(pi * z / 2)  # the residual is cover_map's; the final PolyPath checks the lattice
+        if not abs(0.5 * (t + 1 / t) - u) <= tol:  # written so that a NaN residual fails too
             raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
-        lift.append(z)
+        append(z)
     return PolyPath(tuple(lift), Plane.COVER)
 
 
@@ -168,13 +177,16 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
     if w.letter_length() * samples_per_turn > MAX_CURVE_POINTS:
         raise ValueError(f"word curve exceeds {MAX_CURVE_POINTS} points; use fewer letters or samples")
     pts = [0j]
+    turns: dict[tuple[Generator, int], list[complex]] = {}
     for term in w.terms:
-        center, phase = (-1.0, 0.0) if term.gen is Generator.A1 else (1.0, math.pi)
         sign = 1 if term.exponent > 0 else -1
-        turn = [
-            center + cmath.exp(1j * (phase + sign * 2 * math.pi * j / samples_per_turn))
-            for j in range(1, samples_per_turn + 1)
-        ]
+        turn = turns.get((term.gen, sign))
+        if turn is None:
+            center, phase = (-1.0, 0.0) if term.gen is Generator.A1 else (1.0, math.pi)
+            turn = turns[term.gen, sign] = [
+                center + cmath.exp(1j * (phase + sign * 2 * math.pi * j / samples_per_turn))
+                for j in range(1, samples_per_turn + 1)
+            ]
         pts.extend(turn * abs(term.exponent))
         pts[-1] = 0j  # each term ends at the base point up to rounding; make it exact
     return PolyPath(tuple(pts), Plane.PUNCTURED)

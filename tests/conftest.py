@@ -1,10 +1,22 @@
+import cmath
+import math
 import random
 
 import pytest
 from hypothesis import strategies as st
 
 from slalom.braids import BraidWord, braid_to_strands, cross_ratio_curve, full_twist, parse_braid
-from slalom.covering import BASE_LIFT_POINT, HalfPlane, PolyPath, curve_to_word, lift_path, slalom_decompose
+from slalom.covering import (
+    BASE_LIFT_POINT,
+    PUNCTURES,
+    HalfPlane,
+    LiftError,
+    Plane,
+    PolyPath,
+    curve_to_word,
+    lift_path,
+    slalom_decompose,
+)
 from slalom.words import FreeWord, Generator, Term, parse_word, reduce
 
 FIGURE2_TEXT = "a2^-1 a1^2 a2^-3 a1^-1 a2^-1 a1^-1 a2 a1^-1"
@@ -30,6 +42,48 @@ def lift_read_word(path: PolyPath) -> FreeWord:
         else:
             raw.append((Generator.A2, p.start_component - p.end_component))
     return reduce(raw)
+
+
+def reference_refine(points) -> list[complex]:
+    """Oracle for ``covering._refine``: the per-segment subdivision, each puncture distance measured once.
+
+    A segment is cut into n = ceil(|b - a| / (0.25 min(d(a), d(b)))) equal parts,
+    d the distance to the punctures; more than 4096 parts raise ``LiftError``.
+    """
+    out = [points[0]]
+    da = min(abs(points[0] - p) for p in PUNCTURES)
+    for a, b in zip(points, points[1:]):
+        db = min(abs(b - p) for p in PUNCTURES)
+        limit = 0.25 * min(da, db)
+        n = max(1, math.ceil(abs(b - a) / limit)) if limit > 0 else 4097
+        if n > 4096:
+            raise LiftError(f"refinement limit exceeded near {a} -> {b}")
+        for j in range(1, n + 1):
+            out.append(a + (b - a) * j / n)
+        da = db
+    return out
+
+
+def reference_path_error(points, plane: Plane) -> str | None:
+    """Oracle for ``PolyPath``'s validation, point by point: the message it must raise, or None.
+
+    A point is bad when it is not finite, or within 1e-9 of -1 or 1 (punctured
+    plane) or of iZ (cover plane); then a repeated consecutive point is bad.
+    """
+    if not points:
+        return "path needs at least one point"
+    for z in points:
+        if not cmath.isfinite(z):
+            return f"path point {z} is not finite"
+        if plane is Plane.PUNCTURED:
+            excluded = min(abs(z - p) for p in PUNCTURES) <= 1e-9
+        else:
+            excluded = abs(z.real) <= 1e-9 and abs(z.imag - round(z.imag)) <= 1e-9
+        if excluded:
+            return f"path point {z} hits the excluded set of {plane.value}"
+    if any(a == b for a, b in zip(points, points[1:])):
+        return "zero-length segment in path"
+    return None
 
 
 def numeric_cstar(b: BraidWord) -> FreeWord:

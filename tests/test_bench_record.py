@@ -41,6 +41,31 @@ def test_medians_per_side_and_workload(tmp_path):
     assert bench["change"]["workloads"]["cli"]["setup_s"]["median"] == 0.1
 
 
+def write_layers(directory: Path, workload: str, seed: int, lift_us: float):
+    metrics = {"covering.lift_path_us_per_point": {"value": lift_us, "unit": "us/point"},
+               "covering.refine_ratio": {"value": 1.0, "unit": "ratio"}}
+    record = {"workload": workload, "seed": seed, "seconds": 15, "trace": 1, "metrics": metrics}
+    (directory / f"{workload}-s{seed}-t1.json").write_text(json.dumps(record))
+
+
+def test_layer_medians_from_traced_records(tmp_path):
+    for seed in (1, 2):
+        write_record(tmp_path, "word-ladder", seed, 0, 10.0)
+        write_record(tmp_path, "cli", seed, 0, 5.0)
+    for seed, lift_us in ((3, 4.0), (1, 2.0), (2, 9.0)):
+        write_layers(tmp_path, "word-ladder", seed, lift_us)
+    write_layers(tmp_path, "braids", 1, 7.0)  # no untraced braids run: no braids entry
+    out = tmp_path / "BENCH.json"
+    assert load_script().main([str(out), f"change={tmp_path}"]) == 0
+    workloads = json.loads(out.read_text())["change"]["workloads"]
+    layers = workloads["word-ladder"]["layers"]
+    assert layers["seeds"] == [1, 2, 3]
+    assert layers["covering.lift_path_us_per_point"] == {"median": 4.0, "unit": "us/point"}
+    assert layers["covering.refine_ratio"] == {"median": 1.0, "unit": "ratio"}
+    assert workloads["word-ladder"]["seeds"] == [1, 2] and workloads["word-ladder"]["ops_per_s"]["median"] == 10.0
+    assert "layers" not in workloads["cli"] and set(workloads) == {"word-ladder", "cli"}
+
+
 def test_missing_records_or_labels(tmp_path):
     script = load_script()
     assert script.main([str(tmp_path / "BENCH.json"), f"empty={tmp_path}"]) == 1

@@ -178,10 +178,17 @@ class TestRoundtripCommand:
 
 class TestInterfaceContract:
     def test_import_does_not_load_scipy(self):
-        # scipy is imported by the quadrature route alone; it would dominate every CLI call
+        # scipy is imported by the quadrature route alone; it would dominate every CLI call.  numpy is
+        # imported by no route: on word-ladder it raised peak RSS from 24.8 to 37.6 MB
         src = str(Path(slalom.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        code = "import sys, slalom, slalom.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        code = (
+            "import sys, slalom, slalom.cli\n"
+            "from slalom.covering import BASE_LIFT_POINT, lift_path, slalom_decompose, word_to_curve\n"
+            "from slalom.words import parse_word\n"
+            "slalom_decompose(lift_path(word_to_curve(parse_word('a1^2 a2^-3'), 64), BASE_LIFT_POINT))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"
+        )
         proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert proc.stdout.strip() == "[]"
 

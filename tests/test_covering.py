@@ -1,12 +1,13 @@
 import cmath
 import math
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FIGURE2_TEXT, lift_read_word, pure_braids, reduced_words
+from conftest import FIGURE2_TEXT, lift_read_word, pure_braids, reduced_words, reference_path_error, reference_refine
 from slalom.braids import braid_to_strands, cross_ratio_curve
 from slalom.cli import random_reduced_word
 from slalom.covering import (
@@ -156,6 +157,89 @@ class TestPolyPath:
     def test_rejects_zero_length_segment(self):
         with pytest.raises(ValueError, match="zero-length"):
             PolyPath((0j, 0.5j, 0.5j, 0j), Plane.PUNCTURED)
+
+    @pytest.mark.parametrize("plane, z", [
+        (Plane.PUNCTURED, complex(math.inf, 1)),   # the ray crossing at inf - inf read the identity word
+        (Plane.PUNCTURED, complex(0.5, -math.inf)),
+        (Plane.PUNCTURED, complex(math.nan, 0)),
+        (Plane.COVER, complex(math.nan, 0.5)),
+        (Plane.COVER, complex(0.5, math.nan)),
+        (Plane.COVER, complex(0, math.inf)),       # round(inf) would raise OverflowError
+    ])
+    def test_rejects_non_finite(self, plane, z):
+        with pytest.raises(ValueError, match=re.escape(f"path point {z} is not finite")):
+            PolyPath((0.5 + 0.5j, z, -0.5 + 0.5j), plane)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_reference(self, data):
+        plane = data.draw(st.sampled_from(Plane))
+        points = data.draw(st.lists(path_points(), max_size=8))
+        if points and data.draw(st.booleans()):
+            i = data.draw(st.integers(0, len(points) - 1))
+            points.insert(i, points[i])
+        expected = reference_path_error(points, plane)
+        if expected is None:
+            assert PolyPath(tuple(points), plane).points == tuple(points)
+        else:
+            with pytest.raises(ValueError) as exc:
+                PolyPath(tuple(points), plane)
+            assert str(exc.value) == expected
+
+
+def near(center: complex):
+    tiny = st.floats(-3e-9, 3e-9)
+    return st.builds(lambda x, y: center + complex(x, y), tiny, tiny)
+
+
+def path_points():
+    """Points within 3e-9 of -1, 1 or iZ, non-finite points, and ordinary ones."""
+    return st.one_of(
+        st.sampled_from((-1.0, 1.0)).flatmap(near),
+        st.integers(-3, 3).flatmap(lambda k: near(complex(0, k))),
+        st.sampled_from((math.inf, -math.inf, math.nan)).flatmap(
+            lambda bad: st.floats(-2, 2).flatmap(lambda x: st.sampled_from((complex(bad, x), complex(x, bad))))),
+        st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+    )
+
+
+def loop_vertices():
+    """Points at distance 1e-8 to 0.3 from a puncture, or anywhere in [-3, 3]^2."""
+    return st.one_of(
+        st.builds(lambda c, log_r, theta: c + 10**log_r * cmath.exp(1j * theta),
+                  st.sampled_from((-1.0, 1.0)), st.floats(-8, math.log10(0.3)), st.floats(0, 2 * math.pi)),
+        st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+    )
+
+
+class TestRefine:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(loop_vertices(), min_size=1, max_size=6))
+    def test_matches_reference(self, vertices):
+        points = [0j, *vertices, 0j]
+        try:
+            pts = PolyPath(tuple(points), Plane.PUNCTURED).points
+        except ValueError:
+            return
+        try:
+            expected = reference_refine(pts)
+        except LiftError as exc:
+            with pytest.raises(LiftError, match=re.escape(str(exc))):
+                _refine(pts)
+            return
+        refined = _refine(pts)
+        assert len(refined) == len(expected)
+        if len(expected) > len(pts):
+            assert list(refined) == expected
+        else:  # nothing subdivided: the points themselves, where the reference has a + (b - a) * 1 / 1
+            assert refined is pts
+            assert all(abs(a - b) <= 1e-15 for a, b in zip(refined, expected))
+
+    def test_refinement_limit(self):
+        pts = PolyPath((0j, -1 + 2e-9j, 0j), Plane.PUNCTURED).points
+        for refine in (_refine, reference_refine):
+            with pytest.raises(LiftError, match="refinement limit exceeded"):
+                refine(pts)
 
 
 class TestStandardLoop:
