@@ -76,13 +76,16 @@ class StrandPaths:
             raise ValueError("strands must share a parameter grid")
 
 
+_LETTERS = {(g.value, sign): BraidLetter(g, sign) for g in BraidGenerator for sign in (1, -1)}
+
+
 def parse_braid(text: str) -> BraidWord:
     """Tokens ``s1``/``s2`` with optional ``^<int>``, expanded to at most ``MAX_BRAID_LETTERS`` unit letters."""
     letters: list[BraidLetter] = []
     for name, exp, col in scan_tokens(text, _BRAID_TOKEN_RE, BraidSyntaxError):
         if len(letters) + abs(exp) > MAX_BRAID_LETTERS:
             raise ValueError(f"braid exceeds {MAX_BRAID_LETTERS} letters at column {col}")
-        letters.extend([BraidLetter(BraidGenerator(name), 1 if exp > 0 else -1)] * abs(exp))
+        letters.extend([_LETTERS[name, 1 if exp > 0 else -1]] * abs(exp))
     return BraidWord(tuple(letters))
 
 

@@ -1,12 +1,12 @@
 """The logarithmic covering of the twice-punctured plane and path lifting.
 
-The covering map is f1 o f2 with f2(z) = (e^{pi z} - 1)/(e^{pi z} + 1) and
-f1(w) = (w + 1/w)/2, a covering from C \\ iZ onto C \\ {-1, 1}; paths lift
-through its explicit inverse.  Loops based at 0 lift from -i/2; the lift's
-excursions into the half-planes are its slalom pieces (a left piece moving up
-n components carries a1^n, a right piece moving down n carries a2^n).  The
-word of a loop is read without lifting, from its crossings of the rays
-(-inf, -1] and [1, inf).
+The covering map f1 o f2, with f2(z) = (e^{pi z} - 1)/(e^{pi z} + 1) and
+f1(w) = (w + 1/w)/2, is coth(pi z) from C \\ iZ onto C \\ {-1, 1}.  A path lifts
+to atanh(u)/pi + im, m in 1/2 + Z moving at its crossings of the rays (-inf, -1]
+and [1, inf).  Loops based at 0 lift from -i/2; the lift's excursions into the
+half-planes are its slalom pieces (a left piece moving up n components carries
+a1^n, a right piece moving down n carries a2^n).  The word of a loop is read
+without lifting, from the same ray crossings.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
-from operator import attrgetter, eq, sub
+from itertools import compress, count, islice, repeat, tee
+from operator import add, attrgetter, eq, ge, mul, sub, truediv
 from typing import Sequence
 
 from slalom.words import FreeWord, Generator, reduce as reduce_word
@@ -106,11 +106,10 @@ class SlalomDecomposition:
 
 
 def cover_map(z: complex) -> complex:
-    """f1(f2(z)) for z off iZ."""
+    """f1(f2(z)) = coth(pi z) for z off iZ, since (t + 1/t)/2 = coth(2x) for t = tanh(x)."""
     if not _off_lattice(z):
         raise ValueError(f"{z} is within tolerance of iZ")
-    w = cmath.tanh(cmath.pi * z / 2)
-    return 0.5 * (w + 1 / w)
+    return 1 / cmath.tanh(cmath.pi * z)
 
 
 def _refine(points: Sequence[complex]) -> Sequence[complex]:
@@ -136,30 +135,38 @@ def _refine(points: Sequence[complex]) -> Sequence[complex]:
 def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     """Lift of ``path`` through the covering with initial point ``start``.
 
-    Each sample u of the input, refined near the punctures, lifts to the root
-    w = u +- sqrt(u^2 - 1) nearest the previous w, then to the branch of
-    z = Log((1 + w)/(1 - w))/pi + 2ik nearest the previous z.  Raises
-    ``LiftError`` when a lifted point z has |f(z) - u| > tol.
+    Each sample u of the input, refined near the punctures, lifts to atanh(u)/pi + im,
+    where m in 1/2 + Z starts at ``start``'s branch and moves by one where the path
+    crosses the ray (-inf, -1] or [1, inf): up going down, down going up.  An axis
+    sample takes the side of its zero's sign, as atanh does.  Raises ``LiftError`` where
+    the path meets the axis near a puncture or runs along it past one, or |f(z) - u| > tol.
     """
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("lift_path expects a path in the punctured plane")
     if abs(cover_map(start) - path.start) > _FIBER_TOL:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
-    sqrt, log, tanh, pi = cmath.sqrt, cmath.log, cmath.tanh, cmath.pi
-    z = start
-    w = tanh(pi * z / 2)
-    lift = [z]
-    append = lift.append
-    for u in _refine(path.points)[1:]:
-        r = sqrt((u - 1) * (u + 1))
-        up, um = u + r, u - r
-        w = up if abs(up - w) <= abs(um - w) else um
-        v = log((1 + w) / (1 - w)) / pi
-        z = v + 2j * round((z - v).imag / 2)
-        t = tanh(pi * z / 2)  # the residual is cover_map's; the final PolyPath checks the lattice
-        if not abs(0.5 * (t + 1 / t) - u) <= tol:  # written so that a NaN residual fails too
-            raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
-        append(z)
+    us = _refine(path.points)
+    m = round((start - cmath.atanh(us[0]) / math.pi).imag - 0.5) + 0.5
+    cuts = [(1, m)]  # the first sample and the m of each run of samples on one branch
+    # a pair can cross or touch the real axis only where the product of its imaginary parts is <= 0
+    ims, later = tee(map(attrgetter("imag"), us))
+    next(later)
+    for i in compress(count(1), map(ge, repeat(0.0), map(mul, ims, later))):
+        a, b = us[i - 1], us[i]
+        if a.imag == 0 == b.imag and _ray(a.real, LiftError) != _ray(b.real, LiftError):
+            raise LiftError(f"path runs along the real axis through a puncture near {b.real}")
+        if (side := math.copysign(1.0, b.imag)) != math.copysign(1.0, a.imag):
+            x = b.real if b.imag == 0 else a.real + a.imag / (a.imag - b.imag) * (b.real - a.real)
+            if _ray(x, LiftError):
+                cuts.append((i, m := m - side))
+    lift = [start]
+    for (lo, offset), (hi, _) in zip(cuts, [*cuts[1:], (len(us), 0)]):
+        lift += map(add, map(truediv, map(cmath.atanh, us[lo:hi]), repeat(math.pi)), repeat(complex(0.0, offset)))
+    # the residual is cover_map's; the final PolyPath checks the lattice.  ge(tol, nan) is False, so NaN fails
+    coth = map(truediv, repeat(1 + 0j), map(cmath.tanh, map(mul, islice(lift, 1, None), repeat(math.pi))))
+    if not all(map(ge, repeat(tol), map(abs, map(sub, coth, islice(us, 1, None))))):
+        z, u = next((z, u) for z, u in zip(lift[1:], us[1:]) if not abs(1 / cmath.tanh(math.pi * z) - u) <= tol)
+        raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
     return PolyPath(tuple(lift), Plane.COVER)
 
 
@@ -236,10 +243,10 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
     return SlalomDecomposition(tuple(pieces))
 
 
-def _ray(x: float) -> int:
-    """-1 on (-inf, -1), 1 on (1, inf), 0 on (-1, 1); raises within tolerance of a puncture."""
+def _ray(x: float, error: type[Exception] = ValueError) -> int:
+    """-1 on (-inf, -1), 1 on (1, inf), 0 on (-1, 1); raises ``error`` within tolerance of a puncture."""
     if abs(abs(x) - 1) < _PUNCTURE_TOL:
-        raise ValueError(f"path meets the real axis at {x}, within tolerance of a puncture")
+        raise error(f"path meets the real axis at {x}, within tolerance of a puncture")
     return (x > 1) - (x < -1)
 
 

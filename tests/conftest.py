@@ -13,6 +13,8 @@ from slalom.covering import (
     LiftError,
     Plane,
     PolyPath,
+    _refine,
+    cover_map,
     curve_to_word,
     lift_path,
     slalom_decompose,
@@ -62,6 +64,33 @@ def reference_refine(points) -> list[complex]:
             out.append(a + (b - a) * j / n)
         da = db
     return out
+
+
+def reference_lift(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
+    """Oracle for ``lift_path``: the nearest-branch lift through the covering's explicit inverse.
+
+    Each refined sample u lifts to the root w = u +- sqrt(u^2 - 1) nearest the
+    previous w, then to the branch of z = Log((1 + w)/(1 - w))/pi + 2ik nearest
+    the previous z.  That choice is right only where consecutive samples are
+    close on the scale of their distance to the punctures, as on word and braid
+    curves; a chord passing close to -1 or 1 can take the wrong sheet.
+    """
+    if abs(cover_map(start) - path.start) > 1e-8:
+        raise LiftError(f"start {start} is not in the fiber over {path.start}")
+    z = start
+    w = cmath.tanh(cmath.pi * z / 2)
+    lift = [z]
+    for u in _refine(path.points)[1:]:
+        r = cmath.sqrt((u - 1) * (u + 1))
+        up, um = u + r, u - r
+        w = up if abs(up - w) <= abs(um - w) else um
+        v = cmath.log((1 + w) / (1 - w)) / cmath.pi
+        z = v + 2j * round((z - v).imag / 2)
+        t = cmath.tanh(cmath.pi * z / 2)
+        if not abs(0.5 * (t + 1 / t) - u) <= tol:
+            raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
+        lift.append(z)
+    return PolyPath(tuple(lift), Plane.COVER)
 
 
 def reference_path_error(points, plane: Plane) -> str | None:

@@ -83,7 +83,7 @@ class TestConfig:
 
     def test_lift_tolerance_governs(self, capsys, tmp_path):
         p = tmp_path / "cfg"
-        p.write_text("lift_tolerance = 1e-15\n")
+        p.write_text("lift_tolerance = 1e-16\n")
         code, out, err = run_cli(capsys, "--config", str(p), "lift", "a1")
         assert (code, out) == (1, "")
         assert "misses" in err

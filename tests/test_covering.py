@@ -4,10 +4,18 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIGURE2_TEXT, lift_read_word, pure_braids, reduced_words, reference_path_error, reference_refine
+from conftest import (
+    FIGURE2_TEXT,
+    lift_read_word,
+    pure_braids,
+    reduced_words,
+    reference_lift,
+    reference_path_error,
+    reference_refine,
+)
 from slalom.braids import braid_to_strands, cross_ratio_curve
 from slalom.cli import random_reduced_word
 from slalom.covering import (
@@ -130,9 +138,32 @@ class TestLiftPath:
     def test_braid_curve_lift_is_exact_and_continuous(self, b):
         self.assert_exact_continuous_lift(cross_ratio_curve(braid_to_strands(b)))
 
+    @staticmethod
+    def assert_matches_reference(curve):
+        try:
+            expected = reference_lift(curve, BASE_LIFT_POINT)
+        except LiftError as exc:
+            with pytest.raises(LiftError, match=re.escape(str(exc))):
+                lift_path(curve, BASE_LIFT_POINT)
+            return
+        lift = lift_path(curve, BASE_LIFT_POINT)
+        assert len(lift.points) == len(expected.points)
+        assert all(abs(z - r) <= 1e-15 * max(1.0, abs(r)) for z, r in zip(lift.points, expected.points))
+        assert slalom_decompose(lift) == slalom_decompose(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(reduced_words(), st.sampled_from((16, 64, 128)))
+    def test_word_curve_matches_reference(self, w, samples):
+        self.assert_matches_reference(word_to_curve(w, samples))
+
+    @settings(max_examples=20, deadline=None)
+    @given(pure_braids())
+    def test_braid_curve_matches_reference(self, b):
+        self.assert_matches_reference(cross_ratio_curve(braid_to_strands(b)))
+
     def test_tolerance_governs(self):
         with pytest.raises(LiftError, match="misses"):
-            lift_path(word_to_curve(parse_word("a1"), 64), BASE_LIFT_POINT, tol=1e-15)
+            lift_path(word_to_curve(parse_word("a1"), 64), BASE_LIFT_POINT, tol=1e-16)
 
 
 class TestPolyPath:
@@ -240,6 +271,29 @@ class TestRefine:
         for refine in (_refine, reference_refine):
             with pytest.raises(LiftError, match="refinement limit exceeded"):
                 refine(pts)
+
+
+class TestPolygonLift:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(loop_vertices(), st.builds(complex, st.floats(-3, 3), st.sampled_from((0.0, -0.0)))),
+                    min_size=1, max_size=6))
+    @example([complex(2.1471486802942295, -0.10824609356497383)])  # there and back past 1: nearest-branch ends at i/2
+    def test_endpoint_matches_cutting_sequence(self, vertices):
+        """The lift of a loop at 0 ends at i(-1/2 + the a1 exponents - the a2 exponents) of its word.
+
+        Chords passing close to -1 or 1 and vertices on the real axis, on either
+        side of it by the sign of their zero, are where a lift can take a wrong sheet.
+        """
+        try:
+            path = PolyPath((0j, *vertices, 0j), Plane.PUNCTURED)
+        except ValueError:
+            return
+        try:
+            lift = lift_path(path, BASE_LIFT_POINT)
+        except (LiftError, ValueError):  # ValueError: lifted points too close to iZ or to each other
+            return
+        k = sum(t.exponent if t.gen is Generator.A1 else -t.exponent for t in curve_to_word(path).terms)
+        assert abs(lift.end - complex(0, k - 0.5)) <= 1e-9
 
 
 class TestStandardLoop:
@@ -371,10 +425,16 @@ class TestRayReader:
     def test_crossing_at_puncture_raises(self, x):
         with pytest.raises(ValueError, match="puncture"):
             curve_to_word(loop(x + 1j, x - 1j))
+        with pytest.raises(LiftError, match="puncture"):
+            lift_path(loop(x + 1j, x - 1j), BASE_LIFT_POINT)
 
     def test_axis_run_through_puncture_raises(self):
         with pytest.raises(ValueError, match="puncture"):
             curve_to_word(loop(-0.5 + 1j, -0.5 + 0j, -1.5 + 0j, -1.5 - 1j))
+        # the refined run meets -1 itself here, and passes between samples -0.98 and -1.12 there
+        for run, match in (((-0.5 + 0j, -1.5 + 0j), "at -1.0, within tolerance"), ((-0.4 + 0j, -1.7 + 0j), "through")):
+            with pytest.raises(LiftError, match=match):
+                lift_path(loop(run[0] + 1j, *run, run[1] - 1j), BASE_LIFT_POINT)
 
 
 class TestSlalomDecompose:
