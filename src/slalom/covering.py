@@ -6,7 +6,8 @@ to atanh(u)/pi + im, m in 1/2 + Z moving at its crossings of the rays (-inf, -1]
 and [1, inf).  Loops based at 0 lift from -i/2; the lift's excursions into the
 half-planes are its slalom pieces (a left piece moving up n components carries
 a1^n, a right piece moving down n carries a2^n).  The word of a loop is read
-without lifting, from the same ray crossings.
+without lifting, from the same ray crossings.  Word curves repeat their turns,
+so the point checks and atanh run once per distinct sample.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat, tee
 from operator import add, attrgetter, eq, ge, mul, sub, truediv
-from typing import Sequence
+from typing import Collection, Sequence
 
 from slalom.words import FreeWord, Generator, reduce as reduce_word
 
@@ -65,11 +66,12 @@ class PolyPath:
     def __post_init__(self):
         if not (pts := self.points):
             raise ValueError("path needs at least one point")
-        # only points within the tolerance of the real axis (of iR on the cover) can be excluded: C-level
-        # passes clear the others, and a scan names the first bad point; isfinite first, as round(inf) raises
+        # only points within the tolerance of the real axis (of iR on the cover) can be excluded: C-level passes clear
+        # the others (over set(pts) if punctured), a scan names the first bad point; isfinite first: round(inf) raises
         check, part = (_off_punctures, "imag") if self.plane is Plane.PUNCTURED else (_off_lattice, "real")
-        near = compress(pts, map(_PUNCTURE_TOL.__ge__, map(abs, map(attrgetter(part), pts))))
-        if not (all(map(cmath.isfinite, pts)) and all(map(check, near))):
+        pool = set(pts) if self.plane is Plane.PUNCTURED else pts
+        near = compress(pool, map(_PUNCTURE_TOL.__ge__, map(abs, map(attrgetter(part), pool))))
+        if not (all(map(cmath.isfinite, pool)) and all(map(check, near))):
             z = next(z for z in pts if not (cmath.isfinite(z) and check(z)))
             why = f"hits the excluded set of {self.plane.value}" if cmath.isfinite(z) else "is not finite"
             raise ValueError(f"path point {z} {why}")
@@ -112,10 +114,10 @@ def cover_map(z: complex) -> complex:
     return 1 / cmath.tanh(cmath.pi * z)
 
 
-def _refine(points: Sequence[complex]) -> Sequence[complex]:
+def _refine(points: Sequence[complex], distinct: Collection[complex] = ()) -> Sequence[complex]:
     """Subdivide segments whose image step is large relative to puncture distance; ``points`` if none is."""
-    # every step is within its limit when the largest step is within the smallest limit
-    near = min(min(map(abs, map(sub, points, repeat(p)))) for p in PUNCTURES)
+    # every step is within its limit when the largest step is within the smallest limit, as small over set(points)
+    near = min(min(map(abs, map(sub, distinct or points, repeat(p)))) for p in PUNCTURES)
     if max(map(abs, map(sub, islice(points, 1, None), points)), default=0.0) <= _STEP_SAFETY * near:
         return points
     out = [points[0]]
@@ -138,36 +140,37 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     Each sample u of the input, refined near the punctures, lifts to atanh(u)/pi + im,
     where m in 1/2 + Z starts at ``start``'s branch and moves by one where the path
     crosses the ray (-inf, -1] or [1, inf): up going down, down going up.  An axis
-    sample takes the side of its zero's sign, as atanh does.  Raises ``LiftError`` where
-    the path meets the axis near a puncture or runs along it past one, or |f(z) - u| > tol.
+    sample takes the side of its zero's sign, as atanh does; atanh runs once per distinct
+    sample.  Raises ``LiftError`` where the path meets the axis near a puncture or runs
+    along it past one, where two samples lift to one point, or where |f(z) - u| > tol.
     """
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("lift_path expects a path in the punctured plane")
     if abs(cover_map(start) - path.start) > _FIBER_TOL:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
-    us = _refine(path.points)
+    if (us := _refine(path.points, distinct := set(path.points))) is not path.points:
+        distinct = set(us)
     m = round((start - cmath.atanh(us[0]) / math.pi).imag - 0.5) + 0.5
     cuts = [(1, m)]  # the first sample and the m of each run of samples on one branch
-    # a pair can cross or touch the real axis only where the product of its imaginary parts is <= 0
-    ims, later = tee(map(attrgetter("imag"), us))
-    next(later)
-    for i in compress(count(1), map(ge, repeat(0.0), map(mul, ims, later))):
-        a, b = us[i - 1], us[i]
-        if a.imag == 0 == b.imag and _ray(a.real, LiftError) != _ray(b.real, LiftError):
-            raise LiftError(f"path runs along the real axis through a puncture near {b.real}")
-        if (side := math.copysign(1.0, b.imag)) != math.copysign(1.0, a.imag):
-            x = b.real if b.imag == 0 else a.real + a.imag / (a.imag - b.imag) * (b.real - a.real)
-            if _ray(x, LiftError):
-                cuts.append((i, m := m - side))
+    cuts += [(i, m := m - side) for i, side, _ in _crossings(us, LiftError)]
+    # after the walk, which raises LiftError before atanh meets -1 or 1.  atanh puts an axis sample beyond them
+    # on its zero's side, and a set merges the two zeros, so a path with one lifts point by point
+    atanh_pi = (dict(zip(distinct, map(truediv, map(cmath.atanh, distinct), repeat(math.pi)))).__getitem__
+                if all(u.imag or abs(u.real) <= 1 for u in distinct) else lambda u: cmath.atanh(u) / math.pi)
     lift = [start]
     for (lo, offset), (hi, _) in zip(cuts, [*cuts[1:], (len(us), 0)]):
-        lift += map(add, map(truediv, map(cmath.atanh, us[lo:hi]), repeat(math.pi)), repeat(complex(0.0, offset)))
+        lift += map(add, map(atanh_pi, us[lo:hi]), repeat(complex(0.0, offset)))
     # the residual is cover_map's; the final PolyPath checks the lattice.  ge(tol, nan) is False, so NaN fails
     coth = map(truediv, repeat(1 + 0j), map(cmath.tanh, map(mul, islice(lift, 1, None), repeat(math.pi))))
     if not all(map(ge, repeat(tol), map(abs, map(sub, coth, islice(us, 1, None))))):
         z, u = next((z, u) for z, u in zip(lift[1:], us[1:]) if not abs(1 / cmath.tanh(math.pi * z) - u) <= tol)
         raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
-    return PolyPath(tuple(lift), Plane.COVER)
+    try:
+        return PolyPath(tuple(lift), Plane.COVER)
+    except ValueError:  # where two samples lift to one point, a scan on failure names them
+        if (i := next((i for i in range(1, len(lift)) if lift[i - 1] == lift[i]), 0)) == 0:
+            raise
+        raise LiftError(f"samples {us[i - 1]} and {us[i]} lift to the same point {lift[i]}") from None
 
 
 def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
@@ -250,29 +253,32 @@ def _ray(x: float, error: type[Exception] = ValueError) -> int:
     return (x > 1) - (x < -1)
 
 
+def _crossings(us: Sequence[complex], error: type[Exception]):
+    """(i, side, ray) per ray crossing from sample i - 1 to i: the sign of Im on the side entered (an axis sample's
+    zero's), and ``_ray`` of the crossing; raises ``error`` near a puncture or on an axis run through one."""
+    # a pair can cross or touch the real axis only where the product of its imaginary parts is <= 0
+    ims, later = tee(map(attrgetter("imag"), us))
+    next(later)
+    for i in compress(count(1), map(ge, repeat(0.0), map(mul, ims, later))):
+        a, b = us[i - 1], us[i]
+        if a.imag == 0 == b.imag and _ray(a.real, error) != _ray(b.real, error):
+            raise error(f"path runs along the real axis through a puncture near {b.real}")
+        if (side := math.copysign(1.0, b.imag)) != math.copysign(1.0, a.imag):
+            x = b.real if b.imag == 0 else a.real + a.imag / (a.imag - b.imag) * (b.real - a.real)
+            if ray := _ray(x, error):
+                yield i, side, ray
+
+
 def curve_to_word(path: PolyPath) -> FreeWord:
     """Word of a loop based at 0: its freely reduced sequence of ray crossings.
 
     The plane cut along (-inf, -1] and [1, inf) is simply connected (the
     cutting-sequence method).  Crossing the left ray downward reads a1, the
     right ray upward a2, the reverse crossings their inverses.  A sample on
-    the real axis locates the crossing through it; touching a ray reads nothing.
+    the real axis is on the side of its zero's sign; touching a ray from the
+    other side reads a crossing and its inverse, which reduction removes.
     """
     if abs(path.start) > _FIBER_TOL or abs(path.end) > _FIBER_TOL:
         raise ValueError("curve_to_word expects a loop based at 0")
-    raw: list[tuple[Generator, int]] = []
-    prev = axis_x = None  # the last sample off the real axis; the last on-axis real part after it
-    for z in path.points:
-        if z.imag == 0:
-            # a run of on-axis samples must not pass a puncture between them
-            if axis_x is not None and _ray(axis_x) != _ray(z.real):
-                raise ValueError(f"path runs along the real axis through a puncture near {z.real}")
-            axis_x = z.real
-            continue
-        if prev is not None and (z.imag > 0) != (prev.imag > 0):
-            x = axis_x if axis_x is not None else prev.real + prev.imag / (prev.imag - z.imag) * (z.real - prev.real)
-            ray = _ray(x)
-            if ray:
-                raw.append((Generator.A1 if ray < 0 else Generator.A2, ray if z.imag > 0 else -ray))
-        prev, axis_x = z, None
-    return reduce_word(raw)
+    return reduce_word([(Generator.A1 if ray < 0 else Generator.A2, int(side) * ray)
+                        for _, side, ray in _crossings(path.points, ValueError)])

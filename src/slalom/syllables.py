@@ -96,11 +96,8 @@ def decompose(w: FreeWord) -> SyllableDecomposition:
         j = i + 1
         while j < len(terms) and terms[j].exponent == terms[i].exponent:
             j += 1
-        if j - i >= 2:
-            out.append(Syllable(tuple(terms[i:j]), SyllableKind.ALTERNATING_RUN))
-        else:
-            out.append(Syllable((terms[i],), SyllableKind.SINGLETON))
-        i = j if j - i >= 2 else i + 1
+        out.append(Syllable(terms[i:j], SyllableKind.ALTERNATING_RUN if j - i >= 2 else SyllableKind.SINGLETON))
+        i = j
     return SyllableDecomposition(tuple(out), w)
 
 

@@ -119,7 +119,4 @@ def invert(u: FreeWord) -> FreeWord:
 
 def format_word(u: FreeWord) -> str:
     """Canonical string; ``parse_word`` round-trips it. Identity formats as ''."""
-    parts = []
-    for t in u.terms:
-        parts.append(t.gen.value if t.exponent == 1 else f"{t.gen.value}^{t.exponent}")
-    return " ".join(parts)
+    return " ".join(t.gen.value if t.exponent == 1 else f"{t.gen.value}^{t.exponent}" for t in u.terms)

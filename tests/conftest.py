@@ -46,6 +46,39 @@ def lift_read_word(path: PolyPath) -> FreeWord:
     return reduce(raw)
 
 
+def reference_ray(x: float) -> int:
+    """-1 on (-inf, -1), 1 on (1, inf), 0 on (-1, 1); ``ValueError`` within 1e-9 of -1 or 1."""
+    if abs(abs(x) - 1) < 1e-9:
+        raise ValueError(f"path meets the real axis at {x}, within tolerance of a puncture")
+    return (x > 1) - (x < -1)
+
+
+def reference_read_word(path: PolyPath) -> FreeWord:
+    """Oracle for ``curve_to_word``: the cutting sequence read sample by sample.
+
+    Samples on the real axis are skipped; a crossing between the off-axis samples
+    around them is located at the last of them, and a run of them must not pass
+    a puncture.  Crossing the left ray downward reads a1, the right ray upward a2.
+    """
+    if abs(path.start) > 1e-8 or abs(path.end) > 1e-8:
+        raise ValueError("curve_to_word expects a loop based at 0")
+    raw = []
+    prev = axis_x = None  # the last sample off the real axis; the last on-axis real part after it
+    for z in path.points:
+        if z.imag == 0:
+            if axis_x is not None and reference_ray(axis_x) != reference_ray(z.real):
+                raise ValueError(f"path runs along the real axis through a puncture near {z.real}")
+            axis_x = z.real
+            continue
+        if prev is not None and (z.imag > 0) != (prev.imag > 0):
+            x = axis_x if axis_x is not None else prev.real + prev.imag / (prev.imag - z.imag) * (z.real - prev.real)
+            ray = reference_ray(x)
+            if ray:
+                raw.append((Generator.A1 if ray < 0 else Generator.A2, ray if z.imag > 0 else -ray))
+        prev, axis_x = z, None
+    return reduce(raw)
+
+
 def reference_refine(points) -> list[complex]:
     """Oracle for ``covering._refine``: the per-segment subdivision, each puncture distance measured once.
 

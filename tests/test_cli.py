@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import slalom
+import slalom.cli
 from slalom.braids import MAX_BRAID_LETTERS
 from slalom.cli import MAX_ROUNDTRIP_POINTS, MAX_ROUNDTRIP_WORDS, MAX_SWEEP_SAMPLES, main
 from slalom.config import Config, load_config
-from slalom.covering import MAX_CURVE_POINTS
+from slalom.covering import MAX_CURVE_POINTS, Plane, PolyPath
 
 README_COMMANDS = [
     line for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
@@ -87,6 +88,14 @@ class TestConfig:
         code, out, err = run_cli(capsys, "--config", str(p), "lift", "a1")
         assert (code, out) == (1, "")
         assert "misses" in err
+
+    def test_collapsed_lift_exits_1(self, capsys, monkeypatch):
+        """Two samples whose lifts round to one point raise LiftError, which the CLI reports."""
+        collapsed = PolyPath((0j, 1e-17j, 0j), Plane.PUNCTURED)
+        monkeypatch.setattr(slalom.cli, "word_to_curve", lambda w, samples: collapsed)
+        code, out, err = run_cli(capsys, "lift", "a1")
+        assert (code, out) == (1, "")
+        assert err == "slalom: error: samples 0j and 1e-17j lift to the same point -0.5j\n"
 
 
 class TestLambdaCommand:

@@ -14,6 +14,7 @@ from conftest import (
     reduced_words,
     reference_lift,
     reference_path_error,
+    reference_read_word,
     reference_refine,
 )
 from slalom.braids import braid_to_strands, cross_ratio_curve
@@ -33,6 +34,20 @@ from slalom.covering import (
     word_to_curve,
 )
 from slalom.words import FreeWord, Generator, Term, concat, parse_word
+
+
+def bits(points) -> list[tuple[str, str]]:
+    """The exact floats of ``points``, so that 0.0 and -0.0 differ."""
+    return [(z.real.hex(), z.imag.hex()) for z in points]
+
+
+def per_point_lift(path: PolyPath, start: complex) -> list[complex]:
+    """Each refined sample u lifted on its own to atanh(u)/pi + im, m from the nearest-branch oracle's point."""
+    lift = [start]
+    for u, r in zip(_refine(path.points)[1:], reference_lift(path, start).points[1:]):
+        z = cmath.atanh(u) / math.pi
+        lift.append(z + complex(0.0, round((r - z).imag - 0.5) + 0.5))
+    return lift
 
 
 def winding_number(points, center: complex) -> float:
@@ -161,9 +176,58 @@ class TestLiftPath:
     def test_braid_curve_matches_reference(self, b):
         self.assert_matches_reference(cross_ratio_curve(braid_to_strands(b)))
 
+    @staticmethod
+    def assert_bit_equal_per_point(curve):
+        try:
+            expected = per_point_lift(curve, BASE_LIFT_POINT)
+        except LiftError:
+            return  # test_*_matches_reference requires lift_path to raise the same
+        assert bits(lift_path(curve, BASE_LIFT_POINT).points) == bits(expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(reduced_words(), st.sampled_from((16, 64, 128)))
+    def test_word_curve_is_bit_equal_per_point(self, w, samples):
+        """atanh runs once per distinct sample; every lifted point has the bits of its own atanh(u)/pi + im."""
+        self.assert_bit_equal_per_point(word_to_curve(w, samples))
+
+    @settings(max_examples=20, deadline=None)
+    @given(pure_braids())
+    def test_braid_curve_is_bit_equal_per_point(self, b):
+        self.assert_bit_equal_per_point(cross_ratio_curve(braid_to_strands(b)))
+
+    def test_equal_samples_with_other_zeros_lift_apart(self):
+        """-5 + 0i and -5 - 0i are equal keys but lie on either side of the ray, one sheet apart."""
+        path = PolyPath((-5 + 0.5j, complex(-5, 0.0), -5.5 + 0.5j, complex(-5, -0.0), -5 - 0.5j), Plane.PUNCTURED)
+        start = cmath.atanh(path.start) / math.pi + 0.5j
+        lift = lift_path(path, start)
+        assert _refine(path.points) is path.points
+        assert bits(lift.points) == bits(per_point_lift(path, start))
+        assert lift.points[1] == lift.points[3] == complex(lift.points[1].real, 1.0)
+
+    def test_collapsed_lift_raises_lift_error(self):
+        """Samples closer than the rounding of their lifts, 0 and 1e-17i, lift to one point of the cover."""
+        with pytest.raises(LiftError, match=re.escape("samples 0j and 1e-17j lift to the same point -0.5j")):
+            lift_path(PolyPath((0j, 1e-17j, 0j), Plane.PUNCTURED), BASE_LIFT_POINT)
+
     def test_tolerance_governs(self):
         with pytest.raises(LiftError, match="misses"):
             lift_path(word_to_curve(parse_word("a1"), 64), BASE_LIFT_POINT, tol=1e-16)
+
+
+def near(center: complex):
+    tiny = st.floats(-3e-9, 3e-9)
+    return st.builds(lambda x, y: center + complex(x, y), tiny, tiny)
+
+
+def path_points():
+    """Points within 3e-9 of -1, 1 or iZ, non-finite points, and ordinary ones."""
+    return st.one_of(
+        st.sampled_from((-1.0, 1.0)).flatmap(near),
+        st.integers(-3, 3).flatmap(lambda k: near(complex(0, k))),
+        st.sampled_from((math.inf, -math.inf, math.nan)).flatmap(
+            lambda bad: st.floats(-2, 2).flatmap(lambda x: st.sampled_from((complex(bad, x), complex(x, bad))))),
+        st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+    )
 
 
 class TestPolyPath:
@@ -218,20 +282,23 @@ class TestPolyPath:
             assert str(exc.value) == expected
 
 
-def near(center: complex):
-    tiny = st.floats(-3e-9, 3e-9)
-    return st.builds(lambda x, y: center + complex(x, y), tiny, tiny)
-
-
-def path_points():
-    """Points within 3e-9 of -1, 1 or iZ, non-finite points, and ordinary ones."""
-    return st.one_of(
-        st.sampled_from((-1.0, 1.0)).flatmap(near),
-        st.integers(-3, 3).flatmap(lambda k: near(complex(0, k))),
-        st.sampled_from((math.inf, -math.inf, math.nan)).flatmap(
-            lambda bad: st.floats(-2, 2).flatmap(lambda x: st.sampled_from((complex(bad, x), complex(x, bad))))),
-        st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
-    )
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(Plane), st.lists(path_points(), min_size=2, max_size=4),
+           st.lists(st.integers(0, 3), max_size=12))
+    @example(Plane.PUNCTURED, [0.5j, 1 + 0j], [0, 1, 0, 1, 0])              # a bad point twice
+    @example(Plane.PUNCTURED, [0.5j, -1 + 1e-10j, complex(math.nan, 0)], [0, 2, 1, 0, 1, 2])
+    @example(Plane.PUNCTURED, [0.5j, -1 + 1e-10j, complex(math.nan, 0)], [0, 1, 2, 0])  # bad before NaN
+    @example(Plane.COVER, [0.5 + 0.5j, 2j, complex(0, math.inf)], [0, 1, 0, 2, 1])
+    def test_repeated_points_match_reference(self, plane, pool, picks):
+        """Paths over a pool of 2 to 4 points, so that points repeat, as on word curves."""
+        points = [pool[i % len(pool)] for i in picks]
+        expected = reference_path_error(points, plane)
+        if expected is None:
+            assert PolyPath(tuple(points), plane).points == tuple(points)
+        else:
+            with pytest.raises(ValueError) as exc:
+                PolyPath(tuple(points), plane)
+            assert str(exc.value) == expected
 
 
 def loop_vertices():
@@ -247,7 +314,16 @@ class TestRefine:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(loop_vertices(), min_size=1, max_size=6))
     def test_matches_reference(self, vertices):
-        points = [0j, *vertices, 0j]
+        self.assert_matches_reference([0j, *vertices, 0j])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(loop_vertices(), min_size=2, max_size=4), st.lists(st.integers(0, 3), min_size=2, max_size=12))
+    def test_repeated_points_match_reference(self, pool, picks):
+        """The fast test's smallest puncture distance over the distinct points is that over all of them."""
+        self.assert_matches_reference([pool[i % len(pool)] for i in picks])
+
+    @staticmethod
+    def assert_matches_reference(points):
         try:
             pts = PolyPath(tuple(points), Plane.PUNCTURED).points
         except ValueError:
@@ -255,16 +331,17 @@ class TestRefine:
         try:
             expected = reference_refine(pts)
         except LiftError as exc:
-            with pytest.raises(LiftError, match=re.escape(str(exc))):
-                _refine(pts)
+            for args in ((pts,), (pts, set(pts))):  # as tests call it, and as lift_path does
+                with pytest.raises(LiftError, match=re.escape(str(exc))):
+                    _refine(*args)
             return
-        refined = _refine(pts)
-        assert len(refined) == len(expected)
-        if len(expected) > len(pts):
-            assert list(refined) == expected
-        else:  # nothing subdivided: the points themselves, where the reference has a + (b - a) * 1 / 1
-            assert refined is pts
-            assert all(abs(a - b) <= 1e-15 for a, b in zip(refined, expected))
+        for refined in (_refine(pts), _refine(pts, set(pts))):
+            assert len(refined) == len(expected)
+            if len(expected) > len(pts):
+                assert list(refined) == expected
+            else:  # nothing subdivided: the points themselves, where the reference has a + (b - a) * 1 / 1
+                assert refined is pts
+                assert all(abs(a - b) <= 1e-15 for a, b in zip(refined, expected))
 
     def test_refinement_limit(self):
         pts = PolyPath((0j, -1 + 2e-9j, 0j), Plane.PUNCTURED).points
@@ -290,7 +367,7 @@ class TestPolygonLift:
             return
         try:
             lift = lift_path(path, BASE_LIFT_POINT)
-        except (LiftError, ValueError):  # ValueError: lifted points too close to iZ or to each other
+        except (LiftError, ValueError):  # ValueError: lifted points too close to iZ
             return
         k = sum(t.exponent if t.gen is Generator.A1 else -t.exponent for t in curve_to_word(path).terms)
         assert abs(lift.end - complex(0, k - 0.5)) <= 1e-9
@@ -435,6 +512,27 @@ class TestRayReader:
         for run, match in (((-0.5 + 0j, -1.5 + 0j), "at -1.0, within tolerance"), ((-0.4 + 0j, -1.7 + 0j), "through")):
             with pytest.raises(LiftError, match=match):
                 lift_path(loop(run[0] + 1j, *run, run[1] - 1j), BASE_LIFT_POINT)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(loop_vertices(), st.builds(complex, st.floats(-3, 3), st.sampled_from((0.0, -0.0)))),
+                    min_size=1, max_size=6))
+    @example([-2 + 1j, complex(-2, -0.0), -3 + 1j])          # a touch from the other side: a1 a1^-1
+    @example([-2 + 1j, complex(-2, 0.0), complex(-0.5, -0.0), -0.5 - 1j])  # an axis run through -1
+    def test_matches_reference_reader(self, vertices):
+        """The one crossing walker reads the word, or the error, of the per-sample reader on polygonal loops."""
+        try:
+            path = PolyPath((0j, *vertices, 0j), Plane.PUNCTURED)
+        except ValueError:
+            return
+        try:
+            expected = reference_read_word(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                curve_to_word(path)
+            assert str(got.value) == str(exc)
+            return
+        assert curve_to_word(path) == expected
 
 
 class TestSlalomDecompose:
