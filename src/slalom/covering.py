@@ -134,6 +134,11 @@ def _refine(points: Sequence[complex], distinct: Collection[complex] = ()) -> Se
     return out if len(out) > len(points) else points
 
 
+class _AtanhTable(dict):
+    def __missing__(self, u: complex) -> complex:  # atanh(u)/pi of a sample the table leaves out
+        return cmath.atanh(u) / math.pi
+
+
 def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     """Lift of ``path`` through the covering with initial point ``start``.
 
@@ -153,10 +158,10 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     m = round((start - cmath.atanh(us[0]) / math.pi).imag - 0.5) + 0.5
     cuts = [(1, m)]  # the first sample and the m of each run of samples on one branch
     cuts += [(i, m := m - side) for i, side, _ in _crossings(us, LiftError)]
-    # after the walk, which raises LiftError before atanh meets -1 or 1.  atanh puts an axis sample beyond them
-    # on its zero's side, and a set merges the two zeros, so a path with one lifts point by point
-    atanh_pi = (dict(zip(distinct, map(truediv, map(cmath.atanh, distinct), repeat(math.pi)))).__getitem__
-                if all(u.imag or abs(u.real) <= 1 for u in distinct) else lambda u: cmath.atanh(u) / math.pi)
+    # after the walk, which raises LiftError before atanh meets -1 or 1.  atanh puts a sample on the real axis
+    # beyond them on its zero's side, and a set merges 0.0 and -0.0, so the table leaves such samples out
+    keys = [u for u in distinct if u.imag or abs(u.real) <= 1]
+    atanh_pi = _AtanhTable(zip(keys, map(truediv, map(cmath.atanh, keys), repeat(math.pi)))).__getitem__
     lift = [start]
     for (lo, offset), (hi, _) in zip(cuts, [*cuts[1:], (len(us), 0)]):
         lift += map(add, map(atanh_pi, us[lo:hi]), repeat(complex(0.0, offset)))
