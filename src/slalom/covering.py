@@ -6,8 +6,10 @@ to atanh(u)/pi + im, m in 1/2 + Z moving at its crossings of the rays (-inf, -1]
 and [1, inf).  Loops based at 0 lift from -i/2; the lift's excursions into the
 half-planes are its slalom pieces (a left piece moving up n components carries
 a1^n, a right piece moving down n carries a2^n).  The word of a loop is read
-without lifting, from the same ray crossings.  Word curves repeat their turns,
-so the point checks and atanh run once per distinct sample.
+without lifting, from the same ray crossings.  Re atanh(u) has the sign of
+Re u, so a lift changes half-plane where its sample does; a sample iy on iR
+lifts to i(atan(y)/pi + m), so a piece ends in component m - 1/2.  Word curves
+repeat their turns, so the point checks and atanh run once per distinct sample.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress, count, islice, repeat, tee
 from operator import add, attrgetter, eq, ge, mul, sub, truediv
-from typing import Collection, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from slalom.words import FreeWord, Generator, reduce as reduce_word
 
@@ -26,16 +28,12 @@ PUNCTURES = (-1.0, 1.0)
 BASE_LIFT_POINT = complex(0.0, -0.5)
 
 _PUNCTURE_TOL = 1e-9
-_AXIS_TOL = 1e-8  # lifts of 0 lie on iR up to rounding; samples this close count as on the axis
 _FIBER_TOL = 1e-8
-_CROSSING_TOL = 1e-6
-_STEP_SAFETY = 0.25
-_MAX_SUBDIVISION = 4096
 MAX_CURVE_POINTS = 10**6  # word_to_curve's budget, checked before any point is built
 
 
 class LiftError(RuntimeError):
-    """Lifting failed: start off fiber, refinement limit, or a lifted point's residual above the tolerance."""
+    """Lifting failed: start off fiber, residual above the tolerance, or a lift ending or changing half-plane off iR."""
 
 
 class Plane(enum.Enum):
@@ -114,24 +112,11 @@ def cover_map(z: complex) -> complex:
     return 1 / cmath.tanh(cmath.pi * z)
 
 
-def _refine(points: Sequence[complex], distinct: Collection[complex] = ()) -> Sequence[complex]:
-    """Subdivide segments whose image step is large relative to puncture distance; ``points`` if none is."""
-    # every step is within its limit when the largest step is within the smallest limit, as small over set(points)
-    near = min(min(map(abs, map(sub, distinct or points, repeat(p)))) for p in PUNCTURES)
-    if max(map(abs, map(sub, islice(points, 1, None), points)), default=0.0) <= _STEP_SAFETY * near:
-        return points
-    out = [points[0]]
-    da = min(abs(points[0] - p) for p in PUNCTURES)
-    for a, b in zip(points, islice(points, 1, None)):
-        db = min(abs(b - p) for p in PUNCTURES)
-        limit = _STEP_SAFETY * min(da, db)
-        n = max(1, math.ceil(abs(b - a) / limit)) if limit > 0 else _MAX_SUBDIVISION + 1
-        if n > _MAX_SUBDIVISION:
-            raise LiftError(f"refinement limit exceeded near {a} -> {b}")
-        for j in range(1, n + 1):
-            out.append(a + (b - a) * j / n)
-        da = db
-    return out if len(out) > len(points) else points
+def _touching(parts: Iterable[float]) -> Iterator[int]:
+    """Each i with parts[i - 1] * parts[i] <= 0: every change of strict sign, every zero, and every underflow."""
+    parts, later = tee(parts)
+    next(later, None)
+    return compress(count(1), map(ge, repeat(0.0), map(mul, parts, later)))
 
 
 class _AtanhTable(dict):
@@ -142,19 +127,30 @@ class _AtanhTable(dict):
 def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     """Lift of ``path`` through the covering with initial point ``start``.
 
-    Each sample u of the input, refined near the punctures, lifts to atanh(u)/pi + im,
-    where m in 1/2 + Z starts at ``start``'s branch and moves by one where the path
-    crosses the ray (-inf, -1] or [1, inf): up going down, down going up.  An axis
-    sample takes the side of its zero's sign, as atanh does; atanh runs once per distinct
-    sample.  Raises ``LiftError`` where the path meets the axis near a puncture or runs
-    along it past one, where two samples lift to one point, or where |f(z) - u| > tol.
+    Each sample u of the input lifts to atanh(u)/pi + im, where m in 1/2 + Z starts
+    at ``start``'s branch and moves by one where the path crosses the ray (-inf, -1]
+    or [1, inf): up going down, down going up.  Where a segment crosses iR between
+    samples, the point where it meets iR is inserted as a sample, so the lift is on iR
+    wherever it changes half-plane.  A sample on the real axis takes the side of its
+    zero's sign, as atanh does; atanh runs once per distinct sample.  Raises ``LiftError``
+    where the path meets the axis near a puncture or runs along it past one, where two
+    samples lift to one point, or where |f(z) - u| > tol.
     """
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("lift_path expects a path in the punctured plane")
     if abs(cover_map(start) - path.start) > _FIBER_TOL:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
-    if (us := _refine(path.points, distinct := set(path.points))) is not path.points:
-        distinct = set(us)
+    us = pts = path.points
+    # candidates from the product pass over the samples; the strict test is on the lifts' real parts, which have the
+    # samples' signs, except that atanh underflows to 0 from a subnormal one, and such a lift is on iR already
+    if flips := [i for i in _touching(map(attrgetter("real"), pts))
+                 if min(xs := (cmath.atanh(pts[i - 1]).real, cmath.atanh(pts[i]).real)) < 0 < max(xs)]:
+        us = list(pts[:flips[0]])
+        for i, j in zip(flips, [*flips[1:], len(pts)]):
+            a, b = pts[i - 1], pts[i]
+            us.append(complex(0.0, a.imag + a.real / (a.real - b.real) * (b.imag - a.imag)))
+            us += pts[i:j]
+    distinct = set(us)
     m = round((start - cmath.atanh(us[0]) / math.pi).imag - 0.5) + 0.5
     cuts = [(1, m)]  # the first sample and the m of each run of samples on one branch
     cuts += [(i, m := m - side) for i, side, _ in _crossings(us, LiftError)]
@@ -207,48 +203,36 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
     return PolyPath(tuple(pts), Plane.PUNCTURED)
 
 
-def _component(im: float) -> int:
-    k = math.floor(im)
-    if min(im - k, k + 1 - im) < _CROSSING_TOL:
-        raise LiftError(f"axis point {im}i is within tolerance of iZ")
-    return k
-
-
 def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
-    """Elementary pieces of a lift, split at its imaginary-axis crossings.
+    """Elementary pieces of a lift whose ends are on iR, split where it changes half-plane.
 
-    One piece per maximal closed-half-plane excursion, labeled with its
-    half-plane and endpoint components.  Samples exactly on the axis inherit
-    the surrounding sign, so tangential touches do not split an excursion.
+    One piece per maximal closed-half-plane excursion, labeled with its half-plane and
+    endpoint components.  A piece ends at the last point of the run on iR (real part 0)
+    between excursions of opposite sign, in the component floor(Im) of that point; a touch
+    of iR does not split an excursion.  ``lift_path`` puts a point on iR wherever a lift
+    changes half-plane, so a change with none between raises ``LiftError``.
     """
+    if lifted.plane is not Plane.COVER:
+        raise ValueError("slalom_decompose expects a path on the cover")
     pts = lifted.points
     if len(pts) < 2:
         return SlalomDecomposition(())
     for z in (pts[0], pts[-1]):
-        if abs(z.real) > _CROSSING_TOL:
+        if z.real:
             raise LiftError(f"path endpoint {z} is not on the imaginary axis")
-    pieces: list[ElementaryPiece] = []
-    cur_sign = 0
-    cur_start = _component(pts[0].imag)
-    for a, b in zip(pts, pts[1:]):
-        # tangential touches of lifted base points must not register as crossings
-        sb = 0 if abs(b.real) <= _AXIS_TOL else (1 if b.real > 0 else -1)
-        if sb == 0 or sb == cur_sign:
+    sides, ends = [], [math.floor(pts[0].imag)]  # the sign of each excursion; the components between them
+    for i in _touching(map(attrgetter("real"), pts)):
+        x = pts[i].real
+        if (s := (x > 0) - (x < 0)) == 0 or sides and s == sides[-1]:
             continue
-        if cur_sign == 0:
-            cur_sign = sb
-            continue
-        # sign change: linear interpolation for the crossing ordinate
-        t = a.real / (a.real - b.real)
-        comp = _component(a.imag + t * (b.imag - a.imag))
-        pieces.append(ElementaryPiece(HalfPlane.LEFT if cur_sign < 0 else HalfPlane.RIGHT, cur_start, comp))
-        cur_start = comp
-        cur_sign = sb
-    if cur_sign != 0:
-        pieces.append(
-            ElementaryPiece(HalfPlane.LEFT if cur_sign < 0 else HalfPlane.RIGHT, cur_start, _component(pts[-1].imag))
-        )
-    return SlalomDecomposition(tuple(pieces))
+        if sides:
+            if (axis := pts[i - 1]).real:
+                raise LiftError(f"lift changes half-plane between {axis} and {pts[i]}, off the imaginary axis")
+            ends.append(math.floor(axis.imag))
+        sides.append(s)
+    ends.append(math.floor(pts[-1].imag))
+    return SlalomDecomposition(tuple(ElementaryPiece(HalfPlane.LEFT if s < 0 else HalfPlane.RIGHT, a, b)
+                                     for s, a, b in zip(sides, ends, islice(ends, 1, None))))
 
 
 def _ray(x: float, error: type[Exception] = ValueError) -> int:
@@ -262,9 +246,7 @@ def _crossings(us: Sequence[complex], error: type[Exception]):
     """(i, side, ray) per ray crossing from sample i - 1 to i: the sign of Im on the side entered (an axis sample's
     zero's), and ``_ray`` of the crossing; raises ``error`` near a puncture or on an axis run through one."""
     # a pair can cross or touch the real axis only where the product of its imaginary parts is <= 0
-    ims, later = tee(map(attrgetter("imag"), us))
-    next(later)
-    for i in compress(count(1), map(ge, repeat(0.0), map(mul, ims, later))):
+    for i in _touching(map(attrgetter("imag"), us)):
         a, b = us[i - 1], us[i]
         if a.imag == 0 == b.imag and _ray(a.real, error) != _ray(b.real, error):
             raise error(f"path runs along the real axis through a puncture near {b.real}")

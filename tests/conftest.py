@@ -1,6 +1,8 @@
 import cmath
 import math
 import random
+from itertools import accumulate, groupby
+from operator import attrgetter
 
 import pytest
 from hypothesis import strategies as st
@@ -9,16 +11,17 @@ from slalom.braids import BraidWord, braid_to_strands, cross_ratio_curve, full_t
 from slalom.covering import (
     BASE_LIFT_POINT,
     PUNCTURES,
+    ElementaryPiece,
     HalfPlane,
     LiftError,
     Plane,
     PolyPath,
-    _refine,
     cover_map,
     curve_to_word,
     lift_path,
     slalom_decompose,
 )
+from slalom.syllables import SyllableKind
 from slalom.words import FreeWord, Generator, Term, parse_word, reduce
 
 FIGURE2_TEXT = "a2^-1 a1^2 a2^-3 a1^-1 a2^-1 a1^-1 a2 a1^-1"
@@ -79,41 +82,77 @@ def reference_read_word(path: PolyPath) -> FreeWord:
     return reduce(raw)
 
 
-def reference_refine(points) -> list[complex]:
-    """Oracle for ``covering._refine``: the per-segment subdivision, each puncture distance measured once.
+def word_pieces(w: FreeWord) -> tuple[ElementaryPiece, ...]:
+    """Oracle for the slalom pieces of the lift of ``word_to_curve(w)`` from -i/2: one per term, from component -1.
 
-    A segment is cut into n = ceil(|b - a| / (0.25 min(d(a), d(b)))) equal parts,
-    d the distance to the punctures; more than 4096 parts raise ``LiftError``.
+    a1^n is a left piece from component k to k + n, a2^n a right piece from k to k - n.
     """
+    pieces, k = [], -1
+    for t in w.terms:
+        left = t.gen is Generator.A1
+        end = k + t.exponent if left else k - t.exponent
+        pieces.append(ElementaryPiece(HalfPlane.LEFT if left else HalfPlane.RIGHT, k, end))
+        k = end
+    return tuple(pieces)
+
+
+def axis_samples(points) -> list[complex]:
+    """Oracle for the samples ``lift_path`` lifts: ``points``, and between two whose atanh have real parts of
+    strictly opposite sign, the point where their segment meets the imaginary axis, with real part 0.0."""
     out = [points[0]]
-    da = min(abs(points[0] - p) for p in PUNCTURES)
     for a, b in zip(points, points[1:]):
-        db = min(abs(b - p) for p in PUNCTURES)
-        limit = 0.25 * min(da, db)
-        n = max(1, math.ceil(abs(b - a) / limit)) if limit > 0 else 4097
-        if n > 4096:
-            raise LiftError(f"refinement limit exceeded near {a} -> {b}")
-        for j in range(1, n + 1):
-            out.append(a + (b - a) * j / n)
-        da = db
+        x, y = cmath.atanh(a).real, cmath.atanh(b).real
+        if x < 0 < y or y < 0 < x:
+            out.append(complex(0.0, a.imag + a.real / (a.real - b.real) * (b.imag - a.imag)))
+        out.append(b)
     return out
+
+
+def reference_parts(a: complex, b: complex) -> int:
+    """Parts of the nearest-branch oracle's segment a -> b: ceil(|b - a| / (0.25 min(d(a), d(b)))).
+
+    d is the distance to the punctures; more than 4096 parts raise ``LiftError``.
+    """
+    limit = 0.25 * min(abs(z - p) for z in (a, b) for p in PUNCTURES)
+    n = max(1, math.ceil(abs(b - a) / limit)) if limit > 0 else 4097
+    if n > 4096:
+        raise LiftError(f"refinement limit exceeded near {a} -> {b}")
+    return n
+
+
+def reference_refine(points) -> list[complex]:
+    """Each segment cut into ``reference_parts`` equal parts; every point of ``points`` kept with its bits."""
+    out = [points[0]]
+    for a, b in zip(points, points[1:]):
+        n = reference_parts(a, b)
+        out += [a + (b - a) * j / n for j in range(1, n)]
+        out.append(b)
+    return out
+
+
+def sample_positions(samples) -> list[int]:
+    """The index of each of ``samples`` in ``reference_refine(samples)``."""
+    return list(accumulate(map(reference_parts, samples, samples[1:]), initial=0))
 
 
 def reference_lift(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     """Oracle for ``lift_path``: the nearest-branch lift through the covering's explicit inverse.
 
-    Each refined sample u lifts to the root w = u +- sqrt(u^2 - 1) nearest the
-    previous w, then to the branch of z = Log((1 + w)/(1 - w))/pi + 2ik nearest
-    the previous z.  That choice is right only where consecutive samples are
-    close on the scale of their distance to the punctures, as on word and braid
-    curves; a chord passing close to -1 or 1 can take the wrong sheet.
+    It lifts ``reference_refine(axis_samples(path.points))``: each sample u lifts to
+    the root w = u +- sqrt(u^2 - 1) nearest the previous w, then to the branch of
+    z = Log((1 + w)/(1 - w))/pi + 2ik nearest the previous z.  That choice is right
+    only where consecutive samples are close on the scale of their distance to the
+    punctures, which the refinement makes them; a chord passing close to -1 or 1
+    can still take the wrong sheet.  Re z has the sign of Re u (0 on iR), which
+    Log's rounding can lose where Re u is within rounding of 0; the oracle takes
+    that sign from u, so that ``slalom_decompose`` reads its pieces.
     """
     if abs(cover_map(start) - path.start) > 1e-8:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
     z = start
     w = cmath.tanh(cmath.pi * z / 2)
     lift = [z]
-    for u in _refine(path.points)[1:]:
+    for u in reference_refine(axis_samples(path.points))[1:]:
         r = cmath.sqrt((u - 1) * (u + 1))
         up, um = u + r, u - r
         w = up if abs(up - w) <= abs(um - w) else um
@@ -122,7 +161,7 @@ def reference_lift(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPat
         t = cmath.tanh(cmath.pi * z / 2)
         if not abs(0.5 * (t + 1 / t) - u) <= tol:
             raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
-        lift.append(z)
+        lift.append(complex(math.copysign(z.real, u.real) if u.real else 0.0, z.imag))
     return PolyPath(tuple(lift), Plane.COVER)
 
 
@@ -146,6 +185,19 @@ def reference_path_error(points, plane: Plane) -> str | None:
     if any(a == b for a, b in zip(points, points[1:])):
         return "zero-length segment in path"
     return None
+
+
+def reference_decompose(w: FreeWord) -> list[tuple[SyllableKind, tuple[Term, ...]]]:
+    """Oracle for ``syllables.decompose``: the terms grouped by equal exponent, each term of
+    |exponent| >= 2 a big power on its own, a group of +-1 terms a run if it has two or more."""
+    out = []
+    for exponent, group in groupby(w.terms, key=attrgetter("exponent")):
+        group = tuple(group)
+        if abs(exponent) >= 2:
+            out += [(SyllableKind.BIG_POWER, (t,)) for t in group]
+        else:
+            out.append((SyllableKind.ALTERNATING_RUN if len(group) >= 2 else SyllableKind.SINGLETON, group))
+    return out
 
 
 def numeric_cstar(b: BraidWord) -> FreeWord:

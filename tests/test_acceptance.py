@@ -115,7 +115,7 @@ def test_criterion_4_lift_endpoints():
         l2 = lift_path(a2, BASE_LIFT_POINT)
         assert abs(l1.end - 0.5j) < 1e-6
         assert abs(l2.end - (-1.5j)) < 1e-6
-        # projection reproduces inputs pointwise (lift is a refinement of the input grid)
+        # projection reproduces inputs pointwise (the lift holds every input sample)
         for path, lift in ((a1, l1), (a2, l2)):
             images = [cover_map(z) for z in lift.points]
             j = 0

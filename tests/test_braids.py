@@ -153,6 +153,16 @@ class TestCrossRatioCurve:
         with pytest.raises(ValueError, match=message):
             cross_ratio_curve(StrandPaths(strands))
 
+    @pytest.mark.parametrize("d, collides", [(0.5e-9, True), (2e-9, False)])
+    def test_strand_distance_tolerance(self, d, collides):
+        """Strands 1 and 3 closer than 1e-9 collide; the middle strand sits where the cross ratio is i."""
+        strands = StrandPaths(((0j,), (complex(d / 2, d / 2),), (complex(d, 0.0),)))
+        if collides:
+            with pytest.raises(ValueError, match="strands 1 and 3 collide"):
+                cross_ratio_curve(strands)
+        else:
+            assert cross_ratio_curve(strands).points == (1j,)
+
     def test_affine_invariance(self):
         s = braid_to_strands(parse_braid("s1^2"), 16)
         mapped = StrandPaths(tuple(tuple(2 * z + 5 for z in strand) for strand in s.strands))

@@ -2,6 +2,7 @@ import cmath
 import math
 import random
 import re
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -9,24 +10,27 @@ from hypothesis import strategies as st
 
 from conftest import (
     FIGURE2_TEXT,
+    axis_samples,
     lift_read_word,
     pure_braids,
     reduced_words,
     reference_lift,
     reference_path_error,
     reference_read_word,
-    reference_refine,
+    sample_positions,
+    word_pieces,
 )
 from slalom.braids import braid_to_strands, cross_ratio_curve
 from slalom.cli import random_reduced_word
 from slalom.covering import (
     BASE_LIFT_POINT,
+    ElementaryPiece,
     HalfPlane,
     MAX_CURVE_POINTS,
     LiftError,
     Plane,
     PolyPath,
-    _refine,
+    SlalomDecomposition,
     cover_map,
     curve_to_word,
     lift_path,
@@ -42,12 +46,18 @@ def bits(points) -> list[tuple[str, str]]:
 
 
 def per_point_lift(path: PolyPath, start: complex) -> list[complex]:
-    """Each refined sample u lifted on its own to atanh(u)/pi + im, m from the nearest-branch oracle's point."""
+    """Each of ``axis_samples`` lifted on its own to atanh(u)/pi + im, m from the nearest-branch oracle's lift of u."""
+    samples = axis_samples(path.points)
+    oracle = reference_lift(path, start).points
     lift = [start]
-    for u, r in zip(_refine(path.points)[1:], reference_lift(path, start).points[1:]):
+    for u, i in zip(samples[1:], sample_positions(samples)[1:]):
         z = cmath.atanh(u) / math.pi
-        lift.append(z + complex(0.0, round((r - z).imag - 0.5) + 0.5))
+        lift.append(z + complex(0.0, round((oracle[i] - z).imag - 0.5) + 0.5))
     return lift
+
+
+def sign(x: float) -> int:
+    return (x > 0) - (x < 0)
 
 
 def winding_number(points, center: complex) -> float:
@@ -55,6 +65,15 @@ def winding_number(points, center: complex) -> float:
     for a, b in zip(points, points[1:]):
         total += cmath.phase((b - center) / (a - center))
     return total / (2 * math.pi)
+
+
+def loop_vertices():
+    """Points at distance 1e-8 to 0.3 from a puncture, or anywhere in [-3, 3]^2."""
+    return st.one_of(
+        st.builds(lambda c, log_r, theta: c + 10**log_r * cmath.exp(1j * theta),
+                  st.sampled_from((-1.0, 1.0)), st.floats(-8, math.log10(0.3)), st.floats(0, 2 * math.pi)),
+        st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+    )
 
 
 class TestCoverMap:
@@ -137,9 +156,9 @@ class TestLiftPath:
     @staticmethod
     def assert_exact_continuous_lift(curve):
         lift = lift_path(curve, BASE_LIFT_POINT, tol=1e-12)
-        refined = _refine(curve.points)
-        assert len(lift.points) == len(refined)
-        assert all(abs(cover_map(z) - u) <= 1e-12 for z, u in zip(lift.points, refined))
+        samples = axis_samples(curve.points)
+        assert len(lift.points) == len(samples)
+        assert all(abs(cover_map(z) - u) <= 1e-12 for z, u in zip(lift.points, samples))
         # another point of the fiber z + iZ is at least 1 away, so the lift keeps one branch
         assert all(abs(b - a) < 0.5 for a, b in zip(lift.points, lift.points[1:]))
 
@@ -162,8 +181,11 @@ class TestLiftPath:
                 lift_path(curve, BASE_LIFT_POINT)
             return
         lift = lift_path(curve, BASE_LIFT_POINT)
-        assert len(lift.points) == len(expected.points)
-        assert all(abs(z - r) <= 1e-15 * max(1.0, abs(r)) for z, r in zip(lift.points, expected.points))
+        samples = axis_samples(curve.points)
+        assert len(lift.points) == len(samples)
+        # the oracle's lift holds every sample, between the points where it cuts
+        rs = [expected.points[i] for i in sample_positions(samples)]
+        assert all(abs(z - r) <= 1e-15 * max(1.0, abs(r)) for z, r in zip(lift.points, rs))
         assert slalom_decompose(lift) == slalom_decompose(expected)
 
     @settings(max_examples=40, deadline=None)
@@ -200,7 +222,6 @@ class TestLiftPath:
         path = PolyPath((-5 + 0.5j, complex(-5, 0.0), -5.5 + 0.5j, complex(-5, -0.0), -5 - 0.5j), Plane.PUNCTURED)
         start = cmath.atanh(path.start) / math.pi + 0.5j
         lift = lift_path(path, start)
-        assert _refine(path.points) is path.points
         assert bits(lift.points) == bits(per_point_lift(path, start))
         assert lift.points[1] == lift.points[3] == complex(lift.points[1].real, 1.0)
 
@@ -212,6 +233,75 @@ class TestLiftPath:
     def test_tolerance_governs(self):
         with pytest.raises(LiftError, match="misses"):
             lift_path(word_to_curve(parse_word("a1"), 64), BASE_LIFT_POINT, tol=1e-16)
+
+    def test_far_axis_sample_misses(self):
+        """A sample iy lifts within 1/(pi y) of iZ; far up the axis the residual check refuses it."""
+        with pytest.raises(LiftError, match="misses"):
+            lift_path(PolyPath((0j, 1e10j, 0j), Plane.PUNCTURED), BASE_LIFT_POINT)
+
+    @pytest.mark.parametrize("d, lifts", [(0.5e-8, True), (2e-8, False)])
+    def test_fiber_tolerance_at_start(self, d, lifts):
+        """cover_map(-i/2) is 0 up to rounding, so the start is at distance d from the fiber over d."""
+        path = PolyPath((complex(d, 0.0), 0.5j, complex(d, 0.0)), Plane.PUNCTURED)
+        if lifts:
+            assert lift_path(path, BASE_LIFT_POINT).start == BASE_LIFT_POINT
+        else:
+            with pytest.raises(LiftError, match="not in the fiber"):
+                lift_path(path, BASE_LIFT_POINT)
+
+    def test_subnormal_real_part_lifts_onto_the_axis(self):
+        """atanh(5e-324 + i) is i pi/4: that sample's lift is the point on iR, and no axis sample is added beside it."""
+        path = PolyPath((0j, -1 + 1j, 5e-324 + 1j, 1 + 1j, 0j), Plane.PUNCTURED)
+        lift = lift_path(path, BASE_LIFT_POINT)
+        assert len(lift.points) == 5 and lift.points[2] == complex(0.0, -0.25)
+        assert slalom_decompose(lift).pieces == (
+            ElementaryPiece(HalfPlane.LEFT, -1, -1), ElementaryPiece(HalfPlane.RIGHT, -1, -1))
+
+    def test_chords_near_a_puncture_lift(self):
+        """Chords that pass within rounding of a puncture lift, and their pieces read the word of the crossings."""
+        for points, word in (
+            ((0j, -1 + 2e-9j, 0j), ""),                          # out to 2e-9 from -1 and back
+            ((0j, 2 + 1e-300j, -2 - 1e-300j, 0j), ""),           # past both punctures, 5e-301 away
+            ((0j, -1 + 2e-9j, -1.5 - 1e-3j, 0j), "a1"),
+            ((0j, 1 - 2e-9j, 2 + 1e-300j, 0.5 + 1j, 0j), "a2"),
+        ):
+            path = PolyPath(points, Plane.PUNCTURED)
+            k = sum(t.exponent if t.gen is Generator.A1 else -t.exponent for t in parse_word(word).terms)
+            assert lift_path(path, BASE_LIFT_POINT).end == complex(0.0, k - 0.5)
+            assert lift_read_word(path) == curve_to_word(path) == parse_word(word)
+
+    @staticmethod
+    def assert_half_planes_kept(curve):
+        """Re atanh(u) has the sign of Re u: every lifted point is in the half-plane of its sample."""
+        try:
+            lift = lift_path(curve, BASE_LIFT_POINT)
+        except (LiftError, ValueError):
+            return
+        samples = axis_samples(curve.points)
+        assert len(lift.points) == len(samples)
+        # atanh's real part underflows to 0 only from a subnormal one on these paths
+        assert all(sign(z.real) == sign(u.real) or (z.real == 0 and abs(u.real) < sys.float_info.min)
+                   for z, u in zip(lift.points, samples))
+
+    @settings(max_examples=40, deadline=None)
+    @given(reduced_words(max_terms=6, max_exp=3), st.sampled_from((16, 64, 128)))
+    def test_word_curve_keeps_half_planes(self, w, samples):
+        self.assert_half_planes_kept(word_to_curve(w, samples))
+
+    @settings(max_examples=20, deadline=None)
+    @given(pure_braids(max_factors=6))
+    def test_braid_curve_keeps_half_planes(self, b):
+        self.assert_half_planes_kept(cross_ratio_curve(braid_to_strands(b)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(loop_vertices(), st.builds(complex, st.floats(-3, 3), st.sampled_from((0.0, -0.0)))),
+                    min_size=1, max_size=6))
+    def test_polygon_keeps_half_planes(self, vertices):
+        try:
+            path = PolyPath((0j, *vertices, 0j), Plane.PUNCTURED)
+        except ValueError:
+            return
+        self.assert_half_planes_kept(path)
 
 
 def near(center: complex):
@@ -301,55 +391,6 @@ class TestPolyPath:
             assert str(exc.value) == expected
 
 
-def loop_vertices():
-    """Points at distance 1e-8 to 0.3 from a puncture, or anywhere in [-3, 3]^2."""
-    return st.one_of(
-        st.builds(lambda c, log_r, theta: c + 10**log_r * cmath.exp(1j * theta),
-                  st.sampled_from((-1.0, 1.0)), st.floats(-8, math.log10(0.3)), st.floats(0, 2 * math.pi)),
-        st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
-    )
-
-
-class TestRefine:
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(loop_vertices(), min_size=1, max_size=6))
-    def test_matches_reference(self, vertices):
-        self.assert_matches_reference([0j, *vertices, 0j])
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.lists(loop_vertices(), min_size=2, max_size=4), st.lists(st.integers(0, 3), min_size=2, max_size=12))
-    def test_repeated_points_match_reference(self, pool, picks):
-        """The fast test's smallest puncture distance over the distinct points is that over all of them."""
-        self.assert_matches_reference([pool[i % len(pool)] for i in picks])
-
-    @staticmethod
-    def assert_matches_reference(points):
-        try:
-            pts = PolyPath(tuple(points), Plane.PUNCTURED).points
-        except ValueError:
-            return
-        try:
-            expected = reference_refine(pts)
-        except LiftError as exc:
-            for args in ((pts,), (pts, set(pts))):  # as tests call it, and as lift_path does
-                with pytest.raises(LiftError, match=re.escape(str(exc))):
-                    _refine(*args)
-            return
-        for refined in (_refine(pts), _refine(pts, set(pts))):
-            assert len(refined) == len(expected)
-            if len(expected) > len(pts):
-                assert list(refined) == expected
-            else:  # nothing subdivided: the points themselves, where the reference has a + (b - a) * 1 / 1
-                assert refined is pts
-                assert all(abs(a - b) <= 1e-15 for a, b in zip(refined, expected))
-
-    def test_refinement_limit(self):
-        pts = PolyPath((0j, -1 + 2e-9j, 0j), Plane.PUNCTURED).points
-        for refine in (_refine, reference_refine):
-            with pytest.raises(LiftError, match="refinement limit exceeded"):
-                refine(pts)
-
-
 class TestPolygonLift:
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(loop_vertices(), st.builds(complex, st.floats(-3, 3), st.sampled_from((0.0, -0.0)))),
@@ -369,8 +410,10 @@ class TestPolygonLift:
             lift = lift_path(path, BASE_LIFT_POINT)
         except (LiftError, ValueError):  # ValueError: lifted points too close to iZ
             return
-        k = sum(t.exponent if t.gen is Generator.A1 else -t.exponent for t in curve_to_word(path).terms)
+        word = curve_to_word(path)
+        k = sum(t.exponent if t.gen is Generator.A1 else -t.exponent for t in word.terms)
         assert abs(lift.end - complex(0, k - 0.5)) <= 1e-9
+        assert lift_read_word(path) == word
 
 
 class TestStandardLoop:
@@ -453,6 +496,17 @@ class TestCurveToWord:
         with pytest.raises(ValueError):
             curve_to_word(path)
 
+    @pytest.mark.parametrize("d, lifts", [(0.5e-8, True), (2e-8, False)])
+    def test_fiber_tolerance_at_base_point(self, d, lifts):
+        """A loop's ends may be up to 1e-8 from 0, at either end."""
+        for ends in ((d, 0j), (0j, complex(0.0, -d))):
+            path = PolyPath((ends[0], -2 + 1j, -2 - 1j, ends[1]), Plane.PUNCTURED)
+            if lifts:
+                assert curve_to_word(path) == parse_word("a1")
+            else:
+                with pytest.raises(ValueError, match="based at 0"):
+                    curve_to_word(path)
+
 
 def loop(*points: complex):
     """Polygonal loop based at 0 through ``points``."""
@@ -505,12 +559,16 @@ class TestRayReader:
         with pytest.raises(LiftError, match="puncture"):
             lift_path(loop(x + 1j, x - 1j), BASE_LIFT_POINT)
 
+    @pytest.mark.parametrize("x, word", [(-1 - 2e-9, "a1"), (1 + 2e-9, "a2^-1")])
+    def test_crossing_just_outside_puncture_tolerance(self, x, word):
+        path = loop(x + 1j, x - 1j)
+        assert curve_to_word(path) == parse_word(word) == lift_read_word(path)
+
     def test_axis_run_through_puncture_raises(self):
         with pytest.raises(ValueError, match="puncture"):
             curve_to_word(loop(-0.5 + 1j, -0.5 + 0j, -1.5 + 0j, -1.5 - 1j))
-        # the refined run meets -1 itself here, and passes between samples -0.98 and -1.12 there
-        for run, match in (((-0.5 + 0j, -1.5 + 0j), "at -1.0, within tolerance"), ((-0.4 + 0j, -1.7 + 0j), "through")):
-            with pytest.raises(LiftError, match=match):
+        for run in ((-0.5 + 0j, -1.5 + 0j), (-0.4 + 0j, -1.7 + 0j)):
+            with pytest.raises(LiftError, match="through"):
                 lift_path(loop(run[0] + 1j, *run, run[1] - 1j), BASE_LIFT_POINT)
 
 
@@ -564,3 +622,46 @@ class TestSlalomDecompose:
         pieces = [p for p in slalom_decompose(lift).pieces if not p.trivial]
         for a, b in zip(pieces, pieces[1:]):
             assert a.half_plane is not b.half_plane
+
+    @settings(max_examples=60, deadline=None)
+    @given(reduced_words(), st.sampled_from((16, 64, 128)))
+    def test_word_curve_matches_word_pieces(self, w, samples):
+        """The pieces of a word curve's lift are those its terms spell, at every sampling."""
+        lift = lift_path(word_to_curve(w, samples), BASE_LIFT_POINT)
+        assert slalom_decompose(lift).pieces == word_pieces(w)
+
+
+def cover(*points: complex) -> PolyPath:
+    return PolyPath(points, Plane.COVER)
+
+
+class TestSlalomReading:
+    """slalom_decompose reads hand-built cover-plane paths exactly, with no tolerance."""
+
+    def test_piece_ends_at_last_axis_point_of_run(self):
+        path = cover(-0.5j, -0.3 + 0.5j, 0.5j, complex(-0.0, 1.2), 1.5j, 0.3 + 1.2j, 0.5j)
+        assert slalom_decompose(path).pieces == (
+            ElementaryPiece(HalfPlane.LEFT, -1, 1), ElementaryPiece(HalfPlane.RIGHT, 1, 0))
+
+    def test_touch_does_not_split(self):
+        path = cover(-0.5j, -0.3 + 0.5j, 1.5j, -0.3 + 2.5j, 2.5j)
+        assert slalom_decompose(path).pieces == (ElementaryPiece(HalfPlane.LEFT, -1, 2),)
+
+    def test_axis_only_path_has_no_pieces(self):
+        assert slalom_decompose(cover(-0.5j, 0.5j, 1.5j)) == SlalomDecomposition(())
+
+    def test_change_off_axis_raises(self):
+        with pytest.raises(LiftError, match="off the imaginary axis"):
+            slalom_decompose(cover(-0.5j, -0.3 + 0.5j, 0.3 + 0.5j, 0.5j))
+
+    @pytest.mark.parametrize("points", [
+        (complex(1e-300, -0.5), -0.3 + 0.5j, 0.5j),
+        (-0.5j, -0.3 + 0.5j, complex(-1e-300, 0.5)),
+    ])
+    def test_endpoint_off_axis_raises(self, points):
+        with pytest.raises(LiftError, match="not on the imaginary axis"):
+            slalom_decompose(cover(*points))
+
+    def test_punctured_plane_path_raises(self):
+        with pytest.raises(ValueError, match="on the cover"):
+            slalom_decompose(word_to_curve(parse_word("a1"), 64))

@@ -2,9 +2,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from conftest import random_word_max_terms, reduced_words
+from conftest import random_word_max_terms, reduced_words, reference_decompose
 from slalom.syllables import (
     BoundaryCondition,
     BoundConstants,
@@ -79,6 +79,18 @@ class TestDecompose:
         rng = random.Random(20240817)
         for _ in range(1000):
             check_partition(decompose(random_word_max_terms(rng, 30)))
+
+
+class TestReferenceDecompose:
+    @settings(max_examples=300)
+    @given(reduced_words(max_terms=30, max_exp=3))
+    def test_matches_reference(self, w):
+        """The scan and the oracle's grouping agree on kinds and terms, and so on Lambda."""
+        expected = reference_decompose(w)
+        assert [(s.kind, s.terms) for s in decompose(w).syllables] == expected
+        lam = sum(math.log(1 + sum(abs(t.exponent) for t in terms)) for _, terms in expected)
+        for bc in BoundaryCondition:
+            assert lambda_bounds(w, bc).lambda_value == pytest.approx(lam, rel=1e-12, abs=1e-15)
 
 
 class TestLambda:
