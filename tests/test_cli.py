@@ -12,6 +12,7 @@ import pytest
 
 import slalom
 import slalom.cli
+import slalom.elliptic
 from slalom.braids import MAX_BRAID_LETTERS
 from slalom.cli import MAX_ROUNDTRIP_POINTS, MAX_ROUNDTRIP_WORDS, MAX_SWEEP_SAMPLES, main
 from slalom.config import Config, load_config
@@ -21,6 +22,12 @@ README_COMMANDS = [
     line for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
     if line.startswith("slalom ")
 ]
+
+
+def run_fresh_interpreter(code):
+    src = str(Path(slalom.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +147,18 @@ class TestNumericCommands:
         assert code == 1
         assert out == ""
         assert "error" in err
+        assert f"M must be in [0, {sys.float_info.max / 2!r}]" in err
+
+    def test_verify_bounds_rejects_m_above_bound(self, capsys):
+        code, out, err = run_cli(capsys, "verify-bounds", "--from", "1", "--to", "1.7e308", "--samples", "3")
+        assert (code, out) == (1, "")
+        assert f"M must be in [0, {sys.float_info.max / 2!r}]" in err
+
+    def test_rectangle_module_quadrature_failure_exit_1(self, capsys, monkeypatch):
+        monkeypatch.setattr(slalom.elliptic, "_QUAD_STEP", 1.0)
+        code, out, err = run_cli(capsys, "rectangle-module", "--M", "1", "--method", "quad")
+        assert (code, out) == (1, "")
+        assert "did not converge" in err
 
     def test_verify_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "verify-bounds", "--from", "0.5", "--to", "100", "--samples", "5")
@@ -187,10 +206,8 @@ class TestRoundtripCommand:
 
 class TestInterfaceContract:
     def test_import_does_not_load_scipy(self):
-        # scipy is imported by the quadrature route alone; it would dominate every CLI call.  numpy is
-        # imported by no route: on word-ladder it raised peak RSS from 24.8 to 37.6 MB
-        src = str(Path(slalom.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        # no route imports scipy: importing it took longer than the rest of a CLI call.  numpy is
+        # imported by no route either: on word-ladder it raised peak RSS from 24.8 to 37.6 MB
         code = (
             "import sys, slalom, slalom.cli\n"
             "from slalom.covering import BASE_LIFT_POINT, lift_path, slalom_decompose, word_to_curve\n"
@@ -198,8 +215,21 @@ class TestInterfaceContract:
             "slalom_decompose(lift_path(word_to_curve(parse_word('a1^2 a2^-3'), 64), BASE_LIFT_POINT))\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'numpy')))"
         )
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        proc = run_fresh_interpreter(code)
+        assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    def test_quadrature_runs_without_scipy(self):
+        # a None entry in sys.modules makes every import of scipy raise ImportError
+        code = (
+            "import sys\n"
+            "sys.modules['scipy'] = None\n"
+            "import slalom.cli\n"
+            "sys.exit(slalom.cli.main(['rectangle-module', '--M', '1', '--method', 'quad']))"
+        )
+        proc = run_fresh_interpreter(code)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"]["extremal_length"] == pytest.approx(1.5634019226961113, abs=1e-12)
 
     @pytest.mark.parametrize("line", README_COMMANDS, ids=[f"{i}-{line.split()[1]}" for i, line in enumerate(README_COMMANDS)])
     def test_readme_example(self, capsys, tmp_path, monkeypatch, line):

@@ -1,11 +1,14 @@
 import math
 import random
+import re
+import sys
 
 import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import slalom.elliptic
 from slalom.elliptic import (
     ModulusMethod,
     agm,
@@ -20,6 +23,13 @@ QUAD = ModulusMethod.QUADRATURE
 RECT_M1 = 1.5634019226961113
 SWEEP_RATIO_MIN = 0.7803459916548664
 SWEEP_RATIO_MAX = 3.1550472422641684
+
+
+def _mpmath_agm_oracle(m):
+    # lambda = 2 K(k) / K(k') = 2 agm(1, k) / agm(1, k') in mpmath, both moduli exact at the working
+    # precision: ellipk would need 1 - k^2, which takes 600 digits at M = 1e-300
+    big_m = mpmath.mpf(m)
+    return 2 * mpmath.agm(1, big_m / (big_m + 1)) / mpmath.agm(1, mpmath.sqrt(2 * big_m + 1) / (big_m + 1))
 
 
 class TestAgm:
@@ -64,22 +74,49 @@ class TestRectExtremalLength:
         with pytest.raises(ValueError):
             rect_extremal_length(m, method)
 
+    @pytest.mark.parametrize("m", [9e307, sys.float_info.max])
+    @pytest.mark.parametrize("method", [CLOSED, QUAD])
+    def test_m_above_bound_rejected(self, m, method):
+        # 2M + 1 overflows to inf above float max / 2; the error names the bound
+        with pytest.raises(ValueError, match=re.escape(repr(sys.float_info.max / 2))):
+            rect_extremal_length(m, method)
+
+    @pytest.mark.parametrize("method", [CLOSED, QUAD])
+    def test_largest_accepted_m_mpmath_oracle(self, method):
+        m = sys.float_info.max / 2
+        with mpmath.workdps(60):
+            expected = _mpmath_agm_oracle(m)
+            rel = abs(rect_extremal_length(m, method).extremal_length - expected) / expected
+        assert rel < 2e-15, f"relative error {float(rel)}"
+
     def test_pinned_value_at_m1(self):
-        assert rect_extremal_length(1.0, CLOSED).extremal_length == pytest.approx(RECT_M1, abs=1e-9)
-        assert rect_extremal_length(1.0, QUAD).extremal_length == pytest.approx(RECT_M1, abs=1e-8)
+        assert rect_extremal_length(1.0, CLOSED).extremal_length == pytest.approx(RECT_M1, abs=1e-12)
+        assert rect_extremal_length(1.0, QUAD).extremal_length == pytest.approx(RECT_M1, abs=1e-12)
+
+    def test_quadrature_never_calls_agm(self, monkeypatch):
+        def refuse(a, b):
+            raise AssertionError("the quadrature route called agm")
+        monkeypatch.setattr(slalom.elliptic, "agm", refuse)
+        assert rect_extremal_length(1.0, QUAD).extremal_length == pytest.approx(RECT_M1, abs=1e-12)
+
+    def test_coarse_step_raises(self, monkeypatch):
+        # a step of 1 leaves the 2h sum about exp(-pi^2 / 2) off: the h-versus-2h estimate must catch it
+        monkeypatch.setattr(slalom.elliptic, "_QUAD_STEP", 1.0)
+        with pytest.raises(ArithmeticError):
+            rect_extremal_length(1.0, QUAD)
 
     @pytest.mark.parametrize("m", [0.1, 0.5, 1, 2, 5, 10, 100, 1e4])
     def test_oracle_equivalence(self, m):
         c = rect_extremal_length(m, CLOSED).extremal_length
         q = rect_extremal_length(m, QUAD).extremal_length
-        assert abs(c - q) < 1e-8
+        assert abs(c - q) < 1e-12
 
     @settings(max_examples=200, deadline=None)
-    @given(st.floats(-12, 8))
+    @given(st.floats(-300, 300))
     def test_routes_agree_log_uniform(self, log10_m):
         m = 10.0**log10_m
         closed = rect_extremal_length(m, CLOSED).extremal_length
-        assert rect_extremal_length(m, QUAD).extremal_length == pytest.approx(closed, rel=1e-8)
+        assert rect_extremal_length(m, QUAD).extremal_length == pytest.approx(closed, rel=1e-12)
 
     def test_closed_form_mpmath_oracle_full_range(self):
         # lambda = 2 K(k) / K(k'), k = M/(M+1), at 80 digits (1 - k^2 needs 60 at M = 1e-30);
@@ -95,19 +132,12 @@ class TestRectExtremalLength:
 
     @pytest.mark.filterwarnings("error")
     def test_quadrature_mpmath_oracle_full_range(self):
-        # the quadrature route either meets 1e-8 or raises, without warnings; it must not raise on [1e-12, 1e8]
-        for j in range(241):
-            m = 10.0 ** (-12 + j / 10)
-            with mpmath.workdps(30):
-                big_m = mpmath.mpf(m)
-                k2 = (big_m / (big_m + 1)) ** 2
-                expected = float(2 * mpmath.ellipk(k2) / mpmath.ellipk(1 - k2))
-            try:
-                got = rect_extremal_length(m, QUAD).extremal_length
-            except ArithmeticError:
-                assert m > 1e8, f"quadrature raised at M={m}"
-                continue
-            assert got == pytest.approx(expected, rel=1e-8), f"M={m}"
+        # the quadrature route meets 1e-13 and never raises, from the smallest subnormal to 1e300
+        for m in [5e-324] + [10.0 ** (-300 + j) for j in range(601)]:
+            with mpmath.workdps(60):
+                expected = _mpmath_agm_oracle(m)
+                rel = abs(rect_extremal_length(m, QUAD).extremal_length - expected) / expected
+            assert rel < 1e-13, f"M={m}: relative error {float(rel)}"
 
     def test_monotone(self):
         assert (rect_extremal_length(2.0).extremal_length
