@@ -8,21 +8,12 @@ import math
 import random
 import sys
 
+# covering, braids and svg are imported inside the commands that run them, so a call loads only what it
+# uses; elliptic stays here because perfbench/run.py's import_times times it within `import slalom.cli`
 from slalom import __version__
-from slalom.braids import PurityError, braid_to_strands, cross_ratio_curve, cstar, parse_braid
 from slalom.config import load_config
-from slalom.covering import (
-    BASE_LIFT_POINT,
-    MAX_CURVE_POINTS,
-    LiftError,
-    curve_to_word,
-    lift_path,
-    slalom_decompose,
-    word_to_curve,
-)
 from slalom.elliptic import ModulusMethod, rect_extremal_length, verify_log_bounds
 from slalom.syllables import BoundConstants, BoundaryCondition, decompose, lambda_bounds, lambda_invariant
-from slalom.svg import render_lift_scene
 from slalom.words import FreeWord, Generator, Term, format_word, parse_word
 
 MAX_SWEEP_SAMPLES = 10**5  # verify-bounds' budget of M values
@@ -103,6 +94,9 @@ def _cmd_rectangle_module(args) -> int:
 def _cmd_verify_bounds(args) -> int:
     if not 1 <= args.samples <= MAX_SWEEP_SAMPLES:
         raise ValueError(f"--samples must be in [1, {MAX_SWEEP_SAMPLES}]")
+    for flag, m in (("--from", args.frm), ("--to", args.to)):
+        if not 0 < m < math.inf:
+            raise ValueError(f"{flag} must be positive and finite; got {m}")
     lo, hi = math.log(args.frm), math.log(args.to)
     ms = [math.exp(lo + (hi - lo) * j / max(args.samples - 1, 1)) for j in range(args.samples)]
     rep = verify_log_bounds(ms)
@@ -128,16 +122,22 @@ def _piece_table(pieces) -> list[dict]:
 
 def _lift(args, curve):
     """The lift of ``curve`` from the base point and its slalom pieces, drawn to ``--svg`` when given."""
+    from slalom.covering import BASE_LIFT_POINT, lift_path, slalom_decompose
+
     cfg = args.config_obj
     lifted = lift_path(curve, BASE_LIFT_POINT, cfg.lift_tolerance)
     pieces = slalom_decompose(lifted).pieces
     if args.svg:
+        from slalom.svg import render_lift_scene
+
         with open(args.svg, "w") as fh:
             fh.write(render_lift_scene(lifted, pieces, curve, cfg.svg_scale))
     return lifted, pieces
 
 
 def _cmd_lift(args) -> int:
+    from slalom.covering import word_to_curve
+
     w = parse_word(args.word)
     lifted, pieces = _lift(args, word_to_curve(w, args.config_obj.samples_per_turn))
     end = lifted.end
@@ -150,6 +150,8 @@ def _cmd_lift(args) -> int:
 
 
 def _cmd_braid(args) -> int:
+    from slalom.braids import braid_to_strands, cross_ratio_curve, cstar, parse_braid
+
     b = parse_braid(args.braidword)
     rep = _bounds_report(cstar(b), BoundaryCondition(args.boundary), args.config_obj.bound_constants)
     del rep["boundary"]
@@ -172,6 +174,8 @@ def random_reduced_word(rng: random.Random, max_letters: int) -> FreeWord:
 
 
 def _cmd_roundtrip(args) -> int:
+    from slalom.covering import MAX_CURVE_POINTS, curve_to_word, word_to_curve
+
     cfg = args.config_obj
     if not 1 <= args.count <= MAX_ROUNDTRIP_WORDS:
         raise ValueError(f"--count must be in [1, {MAX_ROUNDTRIP_WORDS}]")
@@ -247,9 +251,16 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.config_obj = load_config(args.config)
         return args.func(args)
-    except (ValueError, LiftError, PurityError, ArithmeticError, OSError) as exc:
-        print(f"slalom: error: {exc}", file=sys.stderr)
-        return 1
+    except (ValueError, ArithmeticError, OSError) as exc:  # braids' PurityError is a ValueError
+        error = exc
+    except RuntimeError as exc:
+        from slalom.covering import LiftError  # reached only on failure, so success never loads covering
+
+        if not isinstance(exc, LiftError):
+            raise
+        error = exc
+    print(f"slalom: error: {error}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import json
 import math
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import slalom
 import slalom.cli
+import slalom.covering
 import slalom.elliptic
 from slalom.braids import MAX_BRAID_LETTERS
 from slalom.cli import MAX_ROUNDTRIP_POINTS, MAX_ROUNDTRIP_WORDS, MAX_SWEEP_SAMPLES, main
@@ -22,6 +24,20 @@ README_COMMANDS = [
     line for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
     if line.startswith("slalom ")
 ]
+
+
+# the names `slalom` exports, by submodule
+PUBLIC_NAMES = {
+    "words": ["FreeWord", "Generator", "Term", "concat", "format_word", "invert", "parse_word"],
+    "syllables": ["BoundaryCondition", "BoundConstants", "Syllable", "SyllableDecomposition", "SyllableKind",
+                  "classify_exceptional", "decompose", "lambda_bounds", "lambda_invariant"],
+    "elliptic": ["BoundCheckReport", "ModulusMethod", "QuadModulus", "agm", "rect_extremal_length",
+                 "verify_log_bounds"],
+    "covering": ["ElementaryPiece", "HalfPlane", "Plane", "PolyPath", "SlalomDecomposition", "cover_map",
+                 "curve_to_word", "lift_path", "slalom_decompose", "word_to_curve"],
+    "braids": ["BraidGenerator", "BraidLetter", "BraidWord", "StrandPaths", "braid_invariant", "braid_to_strands",
+               "cross_ratio_curve", "cstar", "full_twist", "parse_braid", "permutation"],
+}
 
 
 def run_fresh_interpreter(code):
@@ -99,7 +115,7 @@ class TestConfig:
     def test_collapsed_lift_exits_1(self, capsys, monkeypatch):
         """Two samples whose lifts round to one point raise LiftError, which the CLI reports."""
         collapsed = PolyPath((0j, 1e-17j, 0j), Plane.PUNCTURED)
-        monkeypatch.setattr(slalom.cli, "word_to_curve", lambda w, samples: collapsed)
+        monkeypatch.setattr(slalom.covering, "word_to_curve", lambda w, samples: collapsed)
         code, out, err = run_cli(capsys, "lift", "a1")
         assert (code, out) == (1, "")
         assert err == "slalom: error: samples 0j and 1e-17j lift to the same point -0.5j\n"
@@ -159,6 +175,19 @@ class TestNumericCommands:
         code, out, err = run_cli(capsys, "rectangle-module", "--M", "1", "--method", "quad")
         assert (code, out) == (1, "")
         assert "did not converge" in err
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "1e309"])
+    @pytest.mark.parametrize("flag", ["--from", "--to"])
+    def test_verify_bounds_names_the_bad_end(self, capsys, flag, value):
+        ends = {"--from": "1", "--to": "2", flag: value}
+        code, out, err = run_cli(capsys, "verify-bounds", *[a for kv in ends.items() for a in kv], "--samples", "3")
+        assert (code, out) == (1, "")
+        assert f"{flag} must be positive and finite" in err
+
+    def test_verify_bounds_descending_range(self, capsys):
+        code, out, _ = run_cli(capsys, "verify-bounds", "--from", "5", "--to", "2", "--samples", "3")
+        assert code == 0
+        assert json.loads(out)["result"]["m_range"] == pytest.approx([5.0, 10**0.5, 2.0], rel=1e-15)
 
     def test_verify_bounds(self, capsys):
         code, out, _ = run_cli(capsys, "verify-bounds", "--from", "0.5", "--to", "100", "--samples", "5")
@@ -231,6 +260,56 @@ class TestInterfaceContract:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["result"]["extremal_length"] == pytest.approx(1.5634019226961113, abs=1e-12)
 
+    @pytest.mark.parametrize("argv, loaded, not_loaded", [
+        (["lambda", "a1^2 a2^-3"], [], ["covering", "braids", "svg"]),
+        (["syllables", "a1 a2^-1"], [], ["covering", "braids", "svg"]),
+        (["rectangle-module", "--M", "2", "--method", "quad"], [], ["covering", "braids", "svg"]),
+        (["verify-bounds", "--from", "0.5", "--to", "100", "--samples", "5"], [], ["covering", "braids", "svg"]),
+        (["lift", "a1 a2^-1"], ["covering"], ["braids", "svg"]),
+        (["lift", "a1 a2^-1", "--svg", "lift.svg"], ["covering", "svg"], ["braids"]),
+        (["roundtrip", "--count", "3", "--maxlen", "4"], ["covering"], ["braids", "svg"]),
+        (["braid", "s1^2 s2^-2"], ["braids"], ["svg"]),
+    ], ids=["lambda", "syllables", "rectangle-module", "verify-bounds", "lift", "lift-svg", "roundtrip", "braid"])
+    def test_subcommand_loads_only_its_modules(self, tmp_path, argv, loaded, not_loaded):
+        code = (
+            "import json, os, sys, slalom.cli\n"
+            f"os.chdir({str(tmp_path)!r})\n"
+            f"code = slalom.cli.main({argv!r})\n"
+            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('slalom.'))]))"
+        )
+        proc = run_fresh_interpreter(code)
+        assert proc.returncode == 0, proc.stderr
+        exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
+        assert exit_code == 0
+        assert {f"slalom.{m}" for m in loaded} <= set(modules)
+        assert not {f"slalom.{m}" for m in not_loaded} & set(modules)
+
+    def test_import_slalom_loads_no_submodule(self):
+        proc = run_fresh_interpreter("import sys, slalom\nprint(sorted(m for m in sys.modules if m.startswith('slalom')))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "['slalom']"
+
+    def test_import_cli_loads_elliptic(self):
+        # perfbench/run.py's import_times reads elliptic's import time from `python -X importtime -c
+        # "import slalom.cli"`, and fails when that import does not load slalom.elliptic
+        proc = run_fresh_interpreter("import sys, slalom.cli\nprint('slalom.elliptic' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "True"
+
+    def test_public_names_resolve_lazily(self):
+        names = [name for names in PUBLIC_NAMES.values() for name in names]
+        assert len(names) == 43
+        assert sorted(slalom.__all__) == sorted(names)
+        for module, names_of_module in PUBLIC_NAMES.items():
+            mod = importlib.import_module(f"slalom.{module}")
+            for name in names_of_module:
+                assert getattr(slalom, name) is getattr(mod, name), name
+        star: dict = {}
+        exec("from slalom import *", star)
+        assert sorted(set(star) - {"__builtins__"}) == sorted(names)
+        with pytest.raises(AttributeError):
+            slalom.no_such_name
+
     @pytest.mark.parametrize("line", README_COMMANDS, ids=[f"{i}-{line.split()[1]}" for i, line in enumerate(README_COMMANDS)])
     def test_readme_example(self, capsys, tmp_path, monkeypatch, line):
         monkeypatch.chdir(tmp_path)
@@ -253,6 +332,15 @@ class TestInterfaceContract:
         assert code == 1
         assert out == ""
         assert "error" in err
+
+    def test_other_runtime_error_propagates(self, capsys, monkeypatch):
+        """Only covering's LiftError among RuntimeErrors becomes exit 1; any other is a bug and propagates."""
+        def fail(w):
+            raise RuntimeError("not a lift failure")
+
+        monkeypatch.setattr(slalom.cli, "lambda_invariant", fail)
+        with pytest.raises(RuntimeError, match="not a lift failure"):
+            main(["syllables", "a1"])
 
     def test_non_finite_result_exit_1(self, capsys, monkeypatch):
         monkeypatch.setattr("slalom.cli.lambda_invariant", lambda w: math.nan)
