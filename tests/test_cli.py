@@ -296,7 +296,7 @@ class TestInterfaceContract:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "True"
 
-    def test_public_names_resolve_lazily(self):
+    def test_public_names_resolve(self):
         names = [name for names in PUBLIC_NAMES.values() for name in names]
         assert len(names) == 43
         assert sorted(slalom.__all__) == sorted(names)
