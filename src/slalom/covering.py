@@ -9,7 +9,8 @@ a1^n, a right piece moving down n carries a2^n).  The word of a loop is read
 without lifting, from the same ray crossings.  Re atanh(u) has the sign of
 Re u, so a lift changes half-plane where its sample does; a sample iy on iR
 lifts to i(atan(y)/pi + m), so a piece ends in component m - 1/2.  Word curves
-repeat their turns, so the point checks and atanh run once per distinct sample.
+repeat their turns, so the point checks, atanh and sign classes run once per distinct
+sample; bytes.find on their codes finds half-plane changes, crossings and pieces.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from itertools import compress, count, islice, repeat, tee
-from operator import add, attrgetter, eq, ge, mul, sub, truediv
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from itertools import compress, islice, repeat
+from operator import add, attrgetter, eq, ge, mul, ne, sub, truediv
+from typing import Iterable, Sequence
 
 from slalom.words import FreeWord, Generator, reduce as reduce_word
 
@@ -30,6 +32,20 @@ BASE_LIFT_POINT = complex(0.0, -0.5)
 _PUNCTURE_TOL = 1e-9
 _FIBER_TOL = 1e-8
 MAX_CURVE_POINTS = 10**6  # word_to_curve's budget, checked before any point is built
+# a lift skips the cover plane's point checks when its values within _PUNCTURE_TOL of iR keep this far inside
+# |Im| < 1/2 and its offsets (in 1/2 + Z) this small: their rounding, below 2^-23, keeps its points off iZ
+_LIFT_MARGIN = 1e-6
+_MAX_OFFSET = 2.0**30
+
+_SIGNS = b"-0+"
+# these translate a string of code bytes (see _classify) into the b"-0+" string of one of their classes
+_ATANH_REAL, _LIFT_REAL, _IMAG = (bytes(_SIGNS[c // d % 3] for c in range(256)) for d in (9, 3, 1))
+_FLIPS = (b"-+", b"+-")
+_TOUCHING = (b"-0", b"00", b"+0", b"0-", b"0+", *_FLIPS)  # a zero class at either end, or strictly opposite ones
+
+
+def _sign(x: float) -> int:  # the index in b"-0+" of x's sign class
+    return (x > 0) - (x < 0) + 1
 
 
 class LiftError(RuntimeError):
@@ -67,7 +83,7 @@ class PolyPath:
         # only points within the tolerance of the real axis (of iR on the cover) can be excluded: C-level passes clear
         # the others (over set(pts) if punctured), a scan names the first bad point; isfinite first: round(inf) raises
         check, part = (_off_punctures, "imag") if self.plane is Plane.PUNCTURED else (_off_lattice, "real")
-        pool = set(pts) if self.plane is Plane.PUNCTURED else pts
+        pool = self._samples if self.plane is Plane.PUNCTURED else pts
         near = compress(pool, map(_PUNCTURE_TOL.__ge__, map(abs, map(attrgetter(part), pool))))
         if not (all(map(cmath.isfinite, pool)) and all(map(check, near))):
             z = next(z for z in pts if not (cmath.isfinite(z) and check(z)))
@@ -75,6 +91,11 @@ class PolyPath:
             raise ValueError(f"path point {z} {why}")
         if any(map(eq, pts, islice(pts, 1, None))):
             raise ValueError("zero-length segment in path")
+
+    @cached_property
+    def _samples(self) -> set[complex]:
+        """The distinct points, found once for the point checks, the lift and the reader."""
+        return set(self.points)
 
     @property
     def is_constant(self) -> bool:
@@ -112,16 +133,32 @@ def cover_map(z: complex) -> complex:
     return 1 / cmath.tanh(cmath.pi * z)
 
 
-def _touching(parts: Iterable[float]) -> Iterator[int]:
-    """Each i with parts[i - 1] * parts[i] <= 0: every change of strict sign, every zero, and every underflow."""
-    parts, later = tee(parts)
-    next(later, None)
-    return compress(count(1), map(ge, repeat(0.0), map(mul, parts, later)))
+def _pairs(signs: bytes, pairs: tuple[bytes, ...]) -> list[int]:
+    """Each i where the b"-0+" classes signs[i - 1:i + 1] are one of ``pairs``, in order."""
+    found = []
+    for pair in pairs:
+        i = -1
+        while (i := signs.find(pair, i + 1)) >= 0:
+            found.append(i + 1)
+    return sorted(found)
 
 
 class _AtanhTable(dict):
     def __missing__(self, u: complex) -> complex:  # atanh(u)/pi of a sample the table leaves out
         return cmath.atanh(u) / math.pi
+
+
+def _classify(samples: Iterable[complex], codes: dict[complex, int], atanh_pi: _AtanhTable) -> bool:
+    """Enter each sample's code byte, 9 _sign(Re atanh(u)) + 3 _sign(Re atanh(u)/pi) + _sign(Im u), and atanh(u)/pi;
+    whether every value is finite and, if within ``_PUNCTURE_TOL`` of iR, has |Im| <= 1/2 - ``_LIFT_MARGIN``."""
+    clear = True
+    for u in samples:
+        v = (a := cmath.atanh(u)) / math.pi
+        codes[u] = 9 * _sign(a.real) + 3 * _sign(v.real) + _sign(u.imag)
+        if u.imag or abs(u.real) <= 1:  # else atanh(u).imag takes the side of a zero that the key merges
+            atanh_pi[u] = v
+        clear = clear and cmath.isfinite(v) and (abs(v.real) > _PUNCTURE_TOL or abs(v.imag) <= 0.5 - _LIFT_MARGIN)
+    return clear
 
 
 def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
@@ -141,37 +178,42 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     if abs(cover_map(start) - path.start) > _FIBER_TOL:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
     us = pts = path.points
-    # candidates from the product pass over the samples; the strict test is on the lifts' real parts, which have the
-    # samples' signs, except that atanh underflows to 0 from a subnormal one, and such a lift is on iR already
-    if flips := [i for i in _touching(map(attrgetter("real"), pts))
-                 if min(xs := (cmath.atanh(pts[i - 1]).real, cmath.atanh(pts[i]).real)) < 0 < max(xs)]:
+    codes, atanh_pi = {}, _AtanhTable()  # PolyPath keeps the samples more than 1e-9 from -1 and 1, where atanh fails
+    clear = _classify(path._samples, codes, atanh_pi)
+    signs = bytes(map(codes.__getitem__, pts))
+    # where Re atanh(u) flips: it has the sign of Re u unless it underflows to 0, and then the lift is on iR already
+    if flips := _pairs(signs.translate(_ATANH_REAL), _FLIPS):
         us = list(pts[:flips[0]])
         for i, j in zip(flips, [*flips[1:], len(pts)]):
             a, b = pts[i - 1], pts[i]
             us.append(complex(0.0, a.imag + a.real / (a.real - b.real) * (b.imag - a.imag)))
             us += pts[i:j]
-    distinct = set(us)
+        clear = _classify(set(us).difference(codes), codes, atanh_pi) and clear
+        signs = bytes(map(codes.__getitem__, us))
     m = round((start - cmath.atanh(us[0]) / math.pi).imag - 0.5) + 0.5
     cuts = [(1, m)]  # the first sample and the m of each run of samples on one branch
-    cuts += [(i, m := m - side) for i, side, _ in _crossings(us, LiftError)]
-    # after the walk, which raises LiftError before atanh meets -1 or 1.  atanh puts a sample on the real axis
-    # beyond them on its zero's side, and a set merges 0.0 and -0.0, so the table leaves such samples out
-    keys = [u for u in distinct if u.imag or abs(u.real) <= 1]
-    atanh_pi = _AtanhTable(zip(keys, map(truediv, map(cmath.atanh, keys), repeat(math.pi)))).__getitem__
+    cuts += [(i, m := m - side) for i, side, _ in _crossings(us, signs.translate(_IMAG), LiftError)]
     lift = [start]
     for (lo, offset), (hi, _) in zip(cuts, [*cuts[1:], (len(us), 0)]):
-        lift += map(add, map(atanh_pi, us[lo:hi]), repeat(complex(0.0, offset)))
-    # the residual is cover_map's; the final PolyPath checks the lattice.  ge(tol, nan) is False, so NaN fails
+        lift += map(add, map(atanh_pi.__getitem__, us[lo:hi]), repeat(complex(0.0, offset)))
+    # the residual is cover_map's; ge(tol, nan) is False, so NaN fails
     coth = map(truediv, repeat(1 + 0j), map(cmath.tanh, map(mul, islice(lift, 1, None), repeat(math.pi))))
     if not all(map(ge, repeat(tol), map(abs, map(sub, coth, islice(us, 1, None))))):
         z, u = next((z, u) for z, u in zip(lift[1:], us[1:]) if not abs(1 / cmath.tanh(math.pi * z) - u) <= tol)
         raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
-    try:
-        return PolyPath(tuple(lift), Plane.COVER)
-    except ValueError:  # where two samples lift to one point, a scan on failure names them
-        if (i := next((i for i in range(1, len(lift)) if lift[i - 1] == lift[i]), 0)) == 0:
-            raise
-        raise LiftError(f"samples {us[i - 1]} and {us[i]} lift to the same point {lift[i]}") from None
+    lift = tuple(lift)  # cover_map has put start off iZ, and each cut moves the offset by one
+    if not (clear and cmath.isfinite(start) and abs(cuts[0][1]) + len(cuts) <= _MAX_OFFSET
+            and all(map(ne, lift, islice(lift, 1, None)))):  # else PolyPath checks the lift
+        try:
+            PolyPath(lift, Plane.COVER)
+        except ValueError:  # where two samples lift to one point, a scan on failure names them
+            if (i := next((i for i in range(1, len(lift)) if lift[i - 1] == lift[i]), 0)) == 0:
+                raise
+            raise LiftError(f"samples {us[i - 1]} and {us[i]} lift to the same point {lift[i]}") from None
+    lifted = object.__new__(PolyPath)  # checked above, so built without PolyPath's checks, and carrying the
+    lifted.__dict__.update(points=lift, plane=Plane.COVER,  # real signs that slalom_decompose reads
+                           _real_signs=bytes([_SIGNS[_sign(start.real)]]) + signs[1:].translate(_LIFT_REAL))
+    return lifted
 
 
 def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
@@ -220,18 +262,18 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
     for z in (pts[0], pts[-1]):
         if z.real:
             raise LiftError(f"path endpoint {z} is not on the imaginary axis")
+    signs = lifted.__dict__.get("_real_signs") or bytes(_SIGNS[_sign(z.real)] for z in pts)  # a lift's, or b"-0+"
     sides, ends = [], [math.floor(pts[0].imag)]  # the sign of each excursion; the components between them
-    for i in _touching(map(attrgetter("real"), pts)):
-        x = pts[i].real
-        if (s := (x > 0) - (x < 0)) == 0 or sides and s == sides[-1]:
+    for i in _pairs(signs, _TOUCHING):
+        if (s := signs[i:i + 1]) == b"0" or sides and s == sides[-1]:
             continue
         if sides:
-            if (axis := pts[i - 1]).real:
-                raise LiftError(f"lift changes half-plane between {axis} and {pts[i]}, off the imaginary axis")
-            ends.append(math.floor(axis.imag))
+            if signs[i - 1:i] != b"0":
+                raise LiftError(f"lift changes half-plane between {pts[i - 1]} and {pts[i]}, off the imaginary axis")
+            ends.append(math.floor(pts[i - 1].imag))
         sides.append(s)
     ends.append(math.floor(pts[-1].imag))
-    return SlalomDecomposition(tuple(ElementaryPiece(HalfPlane.LEFT if s < 0 else HalfPlane.RIGHT, a, b)
+    return SlalomDecomposition(tuple(ElementaryPiece(HalfPlane.LEFT if s == b"-" else HalfPlane.RIGHT, a, b)
                                      for s, a, b in zip(sides, ends, islice(ends, 1, None))))
 
 
@@ -242,11 +284,11 @@ def _ray(x: float, error: type[Exception] = ValueError) -> int:
     return (x > 1) - (x < -1)
 
 
-def _crossings(us: Sequence[complex], error: type[Exception]):
+def _crossings(us: Sequence[complex], imag_signs: bytes, error: type[Exception]):
     """(i, side, ray) per ray crossing from sample i - 1 to i: the sign of Im on the side entered (an axis sample's
     zero's), and ``_ray`` of the crossing; raises ``error`` near a puncture or on an axis run through one."""
-    # a pair can cross or touch the real axis only where the product of its imaginary parts is <= 0
-    for i in _touching(map(attrgetter("imag"), us)):
+    # a pair can cross or touch the real axis only where the b"-0+" classes of Im have a zero or opposite signs
+    for i in _pairs(imag_signs, _TOUCHING):
         a, b = us[i - 1], us[i]
         if a.imag == 0 == b.imag and _ray(a.real, error) != _ray(b.real, error):
             raise error(f"path runs along the real axis through a puncture near {b.real}")
@@ -265,7 +307,10 @@ def curve_to_word(path: PolyPath) -> FreeWord:
     the real axis is on the side of its zero's sign; touching a ray from the
     other side reads a crossing and its inverse, which reduction removes.
     """
+    if path.plane is not Plane.PUNCTURED:
+        raise ValueError("curve_to_word expects a path in the punctured plane")
     if abs(path.start) > _FIBER_TOL or abs(path.end) > _FIBER_TOL:
         raise ValueError("curve_to_word expects a loop based at 0")
-    return reduce_word([(Generator.A1 if ray < 0 else Generator.A2, int(side) * ray)
-                        for _, side, ray in _crossings(path.points, ValueError)])
+    imag = {u: _SIGNS[_sign(u.imag)] for u in path._samples}
+    crossings = _crossings(path.points, bytes(map(imag.__getitem__, path.points)), ValueError)
+    return reduce_word([(Generator.A1 if ray < 0 else Generator.A2, int(side) * ray) for _, side, ray in crossings])

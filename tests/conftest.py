@@ -1,8 +1,9 @@
 import cmath
 import math
 import random
-from itertools import accumulate, groupby
-from operator import attrgetter
+from itertools import accumulate, compress, count, groupby, repeat, tee
+from operator import attrgetter, ge, mul
+from typing import Iterable
 
 import pytest
 from hypothesis import strategies as st
@@ -80,6 +81,17 @@ def reference_read_word(path: PolyPath) -> FreeWord:
                 raw.append((Generator.A1 if ray < 0 else Generator.A2, ray if z.imag > 0 else -ray))
         prev, axis_x = z, None
     return reduce(raw)
+
+
+def reference_touching(parts: Iterable[float]) -> list[int]:
+    """Oracle for the candidate pairs of the ray walk and the piece reader: each i with parts[i - 1] * parts[i] <= 0.
+
+    This is the product pass over the floats that the covering ran before its sign strings: every
+    zero, every change of strict sign, and also every pair of one sign whose product underflows.
+    """
+    parts, later = tee(parts)
+    next(later, None)
+    return list(compress(count(1), map(ge, repeat(0.0), map(mul, parts, later))))
 
 
 def word_pieces(w: FreeWord) -> tuple[ElementaryPiece, ...]:

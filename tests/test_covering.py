@@ -17,10 +17,12 @@ from conftest import (
     reference_lift,
     reference_path_error,
     reference_read_word,
+    reference_touching,
     sample_positions,
     word_pieces,
 )
 from slalom.braids import braid_to_strands, cross_ratio_curve
+from slalom import covering
 from slalom.cli import random_reduced_word
 from slalom.covering import (
     BASE_LIFT_POINT,
@@ -496,6 +498,12 @@ class TestCurveToWord:
         with pytest.raises(ValueError):
             curve_to_word(path)
 
+    def test_rejects_cover_plane_path(self):
+        """A cover-plane path is refused, as by lift_path and slalom_decompose, not read as a loop at 0."""
+        path = PolyPath((5e-9 + 0j, -2 + 1j, -2 - 1j, 5e-9 + 0j), Plane.COVER)
+        with pytest.raises(ValueError, match="punctured plane"):
+            curve_to_word(path)
+
     @pytest.mark.parametrize("d, lifts", [(0.5e-8, True), (2e-8, False)])
     def test_fiber_tolerance_at_base_point(self, d, lifts):
         """A loop's ends may be up to 1e-8 from 0, at either end."""
@@ -665,3 +673,107 @@ class TestSlalomReading:
     def test_punctured_plane_path_raises(self):
         with pytest.raises(ValueError, match="on the cover"):
             slalom_decompose(word_to_curve(parse_word("a1"), 64))
+
+
+def sign_string(parts) -> bytes:
+    """The b"-0+" class of each of ``parts``, through the covering's own classifier."""
+    return bytes(covering._SIGNS[covering._sign(x)] for x in parts)
+
+
+# zeros of both signs, the smallest subnormal, and values whose products with each other underflow to 0
+EDGE_FLOATS = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-170, 1e-200, -1e-200, 1e-300, -1e-300))
+
+
+class TestSignStrings:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS), max_size=24))
+    @example([1e-200, 1e-200, -1e-200, -1e-200, 5e-324, 5e-324])  # products that underflow to 0.0 and -0.0
+    @example([0.0, -0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, -1.0])
+    def test_candidates_match_product_pass(self, xs):
+        """The candidates are exactly the pairs with a zero or strictly opposite signs.  Over finite floats, as path
+        points are, the product pass finds those, and besides them only pairs of one sign whose product underflows."""
+        signs = sign_string(xs)
+        got = covering._pairs(signs, covering._TOUCHING)
+        assert got == [i for i in range(1, len(xs)) if xs[i - 1] == 0 or xs[i] == 0 or (xs[i - 1] < 0) != (xs[i] < 0)]
+        assert covering._pairs(signs, covering._FLIPS) == [
+            i for i in range(1, len(xs)) if min(xs[i - 1:i + 1]) < 0 < max(xs[i - 1:i + 1])]
+        oracle = reference_touching(xs)
+        assert set(got) <= set(oracle)
+        assert all(xs[i - 1] != 0 != xs[i] and (xs[i - 1] > 0) == (xs[i] > 0) and xs[i - 1] * xs[i] == 0
+                   for i in set(oracle) - set(got))
+
+    @staticmethod
+    def assert_attached_signs_read_alike(curve):
+        lifted = lift_path(curve, BASE_LIFT_POINT)
+        plain = PolyPath(lifted.points, Plane.COVER)  # built again: it carries no sign string
+        assert "_real_signs" not in plain.__dict__ and plain == lifted and hash(plain) == hash(lifted)
+        assert lifted.__dict__["_real_signs"] == sign_string(z.real for z in lifted.points)
+        assert slalom_decompose(lifted) == slalom_decompose(plain)
+
+    @settings(max_examples=40, deadline=None)
+    @given(reduced_words(), st.sampled_from((16, 64, 128)))
+    def test_word_curve_attached_signs(self, w, samples):
+        self.assert_attached_signs_read_alike(word_to_curve(w, samples))
+
+    @settings(max_examples=20, deadline=None)
+    @given(pure_braids())
+    def test_braid_curve_attached_signs(self, b):
+        self.assert_attached_signs_read_alike(cross_ratio_curve(braid_to_strands(b)))
+
+
+def lift_outcome(path: PolyPath, start: complex, tol: float):
+    try:
+        return bits(lift_path(path, start, tol).points)
+    except (LiftError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCoverRoute:
+    """A lift that clears iZ by the margin skips PolyPath's checks; every other lift gets them."""
+
+    @staticmethod
+    def assert_route_matches_full_check(path, start=BASE_LIFT_POINT, tol=1e-6):
+        got = lift_outcome(path, start, tol)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(covering, "_MAX_OFFSET", -1.0)  # no lift clears: each is built by PolyPath(points, COVER)
+            assert lift_outcome(path, start, tol) == got
+
+    @settings(max_examples=40, deadline=None)
+    @given(reduced_words(), st.sampled_from((16, 64, 128)))
+    def test_word_curves(self, w, samples):
+        self.assert_route_matches_full_check(word_to_curve(w, samples))
+
+    @settings(max_examples=20, deadline=None)
+    @given(pure_braids())
+    def test_braid_curves(self, b):
+        self.assert_route_matches_full_check(cross_ratio_curve(braid_to_strands(b)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(loop_vertices(), st.builds(complex, st.floats(-3, 3), st.sampled_from((0.0, -0.0))),
+                              st.builds(complex, st.sampled_from((0.0, 3e8, -1e9)), st.sampled_from((0.0, -0.0))),
+                              st.builds(complex, st.sampled_from((0.0, -0.0)), st.floats(-1e12, 1e12))),
+                    min_size=1, max_size=6), st.sampled_from((1e-6, math.inf)))
+    def test_polygon_loops(self, vertices, tol):
+        try:
+            path = PolyPath((0j, *vertices, 0j), Plane.PUNCTURED)
+        except ValueError:
+            return
+        self.assert_route_matches_full_check(path, tol=tol)
+
+    @pytest.mark.parametrize("points, start, tol, point", [
+        # a sample on the real axis far beyond 1 lifts to within 1e-9 of iR at Im = +-1/2, and onto iZ
+        ((0j, 2 + 1j, complex(1e9, 0.0), 2 - 1j, 0j), BASE_LIFT_POINT, 1e-6, "(3.1830988618379065e-10+0j)"),
+        # a sample iy lifts within 1/(pi y) of iZ: 9.1e-10 here, inside 1e-9 but 1/2 - 9.1e-10 from the real axis
+        ((0j, 3.5e8j, 0j), BASE_LIFT_POINT, math.inf, "-9.094567876566373e-10j"),
+        # an offset of 2^40 rounds the lift of 1e5j onto iZ; near 1 the start is in the fiber up to rounding
+        ((1 + 1e-8 + 0j, 0.5 + 0.5j, 1e5j, -0.5 + 0.5j), cmath.atanh(1 + 1e-8) / math.pi + (2**40 + 0.5) * 1j,
+         math.inf, "1099511627777j"),
+    ])
+    def test_lift_near_lattice_takes_full_check(self, points, start, tol, point):
+        with pytest.raises(ValueError, match=re.escape(f"path point {point} hits the excluded set of cover")):
+            lift_path(PolyPath(points, Plane.PUNCTURED), start, tol)
+
+    def test_non_finite_start_takes_full_check(self):
+        """cover_map(nan - i/2) is NaN, which the fiber test lets through; the start is then refused as a point."""
+        with pytest.raises(ValueError, match=re.escape("path point (nan-0.5j) is not finite")):
+            lift_path(word_to_curve(parse_word("a1"), 16), complex(math.nan, -0.5))
