@@ -10,7 +10,9 @@ without lifting, from the same ray crossings.  Re atanh(u) has the sign of
 Re u, so a lift changes half-plane where its sample does; a sample iy on iR
 lifts to i(atan(y)/pi + m), so a piece ends in component m - 1/2.  Word curves
 repeat their turns, so the point checks, atanh and sign classes run once per distinct
-sample; bytes.find on their codes finds half-plane changes, crossings and pieces.
+sample; bytes.find on their codes finds half-plane changes, crossings and pieces.  A lifted
+point keeps its sample's Re atanh(u)/pi, so only the points of samples whose code marks them
+within the tolerance of iR are checked against iZ.
 """
 
 from __future__ import annotations
@@ -32,14 +34,11 @@ BASE_LIFT_POINT = complex(0.0, -0.5)
 _PUNCTURE_TOL = 1e-9
 _FIBER_TOL = 1e-8
 MAX_CURVE_POINTS = 10**6  # word_to_curve's budget, checked before any point is built
-# a lift skips the cover plane's point checks when its values within _PUNCTURE_TOL of iR keep this far inside
-# |Im| < 1/2 and its offsets (in 1/2 + Z) this small: their rounding, below 2^-23, keeps its points off iZ
-_LIFT_MARGIN = 1e-6
-_MAX_OFFSET = 2.0**30
 
 _SIGNS = b"-0+"
 # these translate a string of code bytes (see _classify) into the b"-0+" string of one of their classes
 _ATANH_REAL, _LIFT_REAL, _IMAG = (bytes(_SIGNS[c // d % 3] for c in range(256)) for d in (9, 3, 1))
+_NEAR_IR = bytes(b".!"[c >= 27] for c in range(256))  # b"!" where the lifted point is within _PUNCTURE_TOL of iR
 _FLIPS = (b"-+", b"+-")
 _TOUCHING = (b"-0", b"00", b"+0", b"0-", b"0+", *_FLIPS)  # a zero class at either end, or strictly opposite ones
 
@@ -128,6 +127,8 @@ class SlalomDecomposition:
 
 def cover_map(z: complex) -> complex:
     """f1(f2(z)) = coth(pi z) for z off iZ, since (t + 1/t)/2 = coth(2x) for t = tanh(x)."""
+    if not cmath.isfinite(z):
+        raise ValueError(f"{z} is not finite")
     if not _off_lattice(z):
         raise ValueError(f"{z} is within tolerance of iZ")
     return 1 / cmath.tanh(cmath.pi * z)
@@ -148,17 +149,14 @@ class _AtanhTable(dict):
         return cmath.atanh(u) / math.pi
 
 
-def _classify(samples: Iterable[complex], codes: dict[complex, int], atanh_pi: _AtanhTable) -> bool:
-    """Enter each sample's code byte, 9 _sign(Re atanh(u)) + 3 _sign(Re atanh(u)/pi) + _sign(Im u), and atanh(u)/pi;
-    whether every value is finite and, if within ``_PUNCTURE_TOL`` of iR, has |Im| <= 1/2 - ``_LIFT_MARGIN``."""
-    clear = True
+def _classify(samples: Iterable[complex], codes: dict[complex, int], atanh_pi: _AtanhTable) -> None:
+    """Enter each sample's atanh(u)/pi and its code byte, 27 [|Re atanh(u)/pi| <= ``_PUNCTURE_TOL``]
+    + 9 _sign(Re atanh(u)) + 3 _sign(Re atanh(u)/pi) + _sign(Im u)."""
     for u in samples:
         v = (a := cmath.atanh(u)) / math.pi
-        codes[u] = 9 * _sign(a.real) + 3 * _sign(v.real) + _sign(u.imag)
+        codes[u] = 27 * (abs(v.real) <= _PUNCTURE_TOL) + 9 * _sign(a.real) + 3 * _sign(v.real) + _sign(u.imag)
         if u.imag or abs(u.real) <= 1:  # else atanh(u).imag takes the side of a zero that the key merges
             atanh_pi[u] = v
-        clear = clear and cmath.isfinite(v) and (abs(v.real) > _PUNCTURE_TOL or abs(v.imag) <= 0.5 - _LIFT_MARGIN)
-    return clear
 
 
 def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
@@ -171,7 +169,8 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     wherever it changes half-plane.  A sample on the real axis takes the side of its
     zero's sign, as atanh does; atanh runs once per distinct sample.  Raises ``LiftError``
     where the path meets the axis near a puncture or runs along it past one, where two
-    samples lift to one point, or where |f(z) - u| > tol.
+    samples lift to one point, or where |f(z) - u| > tol or a point lifts onto iZ; raises
+    ``ValueError`` where a lifted point is within tolerance of iZ, as ``PolyPath`` would.
     """
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("lift_path expects a path in the punctured plane")
@@ -179,7 +178,7 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
     us = pts = path.points
     codes, atanh_pi = {}, _AtanhTable()  # PolyPath keeps the samples more than 1e-9 from -1 and 1, where atanh fails
-    clear = _classify(path._samples, codes, atanh_pi)
+    _classify(path._samples, codes, atanh_pi)
     signs = bytes(map(codes.__getitem__, pts))
     # where Re atanh(u) flips: it has the sign of Re u unless it underflows to 0, and then the lift is on iR already
     if flips := _pairs(signs.translate(_ATANH_REAL), _FLIPS):
@@ -188,7 +187,7 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
             a, b = pts[i - 1], pts[i]
             us.append(complex(0.0, a.imag + a.real / (a.real - b.real) * (b.imag - a.imag)))
             us += pts[i:j]
-        clear = _classify(set(us).difference(codes), codes, atanh_pi) and clear
+        _classify(set(us).difference(codes), codes, atanh_pi)
         signs = bytes(map(codes.__getitem__, us))
     m = round((start - cmath.atanh(us[0]) / math.pi).imag - 0.5) + 0.5
     cuts = [(1, m)]  # the first sample and the m of each run of samples on one branch
@@ -196,20 +195,28 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     lift = [start]
     for (lo, offset), (hi, _) in zip(cuts, [*cuts[1:], (len(us), 0)]):
         lift += map(add, map(atanh_pi.__getitem__, us[lo:hi]), repeat(complex(0.0, offset)))
-    # the residual is cover_map's; ge(tol, nan) is False, so NaN fails
+    # the residual is cover_map's; ge(tol, nan) is False, so NaN fails and every lifted point that passes is finite
     coth = map(truediv, repeat(1 + 0j), map(cmath.tanh, map(mul, islice(lift, 1, None), repeat(math.pi))))
-    if not all(map(ge, repeat(tol), map(abs, map(sub, coth, islice(us, 1, None))))):
-        z, u = next((z, u) for z, u in zip(lift[1:], us[1:]) if not abs(1 / cmath.tanh(math.pi * z) - u) <= tol)
-        raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
-    lift = tuple(lift)  # cover_map has put start off iZ, and each cut moves the offset by one
-    if not (clear and cmath.isfinite(start) and abs(cuts[0][1]) + len(cuts) <= _MAX_OFFSET
-            and all(map(ne, lift, islice(lift, 1, None)))):  # else PolyPath checks the lift
-        try:
-            PolyPath(lift, Plane.COVER)
-        except ValueError:  # where two samples lift to one point, a scan on failure names them
-            if (i := next((i for i in range(1, len(lift)) if lift[i - 1] == lift[i]), 0)) == 0:
-                raise
-            raise LiftError(f"samples {us[i - 1]} and {us[i]} lift to the same point {lift[i]}") from None
+    try:
+        close = all(map(ge, repeat(tol), map(abs, map(sub, coth, islice(us, 1, None)))))
+    except ZeroDivisionError:  # a point lifted exactly onto 0, where coth has its pole
+        close = False
+    if not close:
+        for z, u in zip(lift[1:], us[1:]):
+            if not (t := cmath.tanh(math.pi * z)):
+                raise LiftError(f"lifted point {z} of image point {u} is on iZ")
+            if not abs(1 / t - u) <= tol:
+                raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
+    lift = tuple(lift)
+    if not all(map(ne, lift, islice(lift, 1, None))):
+        i = next(i for i in range(1, len(lift)) if lift[i - 1] == lift[i])
+        raise LiftError(f"samples {us[i - 1]} and {us[i]} lift to the same point {lift[i]}")
+    # adding the offset keeps Re atanh(u)/pi, so only the points of samples marked near iR can be near iZ;
+    # cover_map has put the finite start off iZ
+    near, i = signs.translate(_NEAR_IR), 0
+    while (i := near.find(b"!", i + 1)) > 0:
+        if not _off_lattice(lift[i]):
+            raise ValueError(f"path point {lift[i]} hits the excluded set of cover")
     lifted = object.__new__(PolyPath)  # checked above, so built without PolyPath's checks, and carrying the
     lifted.__dict__.update(points=lift, plane=Plane.COVER,  # real signs that slalom_decompose reads
                            _real_signs=bytes([_SIGNS[_sign(start.real)]]) + signs[1:].translate(_LIFT_REAL))

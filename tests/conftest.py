@@ -50,10 +50,10 @@ def lift_read_word(path: PolyPath) -> FreeWord:
     return reduce(raw)
 
 
-def reference_ray(x: float) -> int:
-    """-1 on (-inf, -1), 1 on (1, inf), 0 on (-1, 1); ``ValueError`` within 1e-9 of -1 or 1."""
+def reference_ray(x: float, error: type[Exception] = ValueError) -> int:
+    """-1 on (-inf, -1), 1 on (1, inf), 0 on (-1, 1); ``error`` within 1e-9 of -1 or 1."""
     if abs(abs(x) - 1) < 1e-9:
-        raise ValueError(f"path meets the real axis at {x}, within tolerance of a puncture")
+        raise error(f"path meets the real axis at {x}, within tolerance of a puncture")
     return (x > 1) - (x < -1)
 
 
@@ -175,6 +175,41 @@ def reference_lift(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPat
             raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
         lift.append(complex(math.copysign(z.real, u.real) if u.real else 0.0, z.imag))
     return PolyPath(tuple(lift), Plane.COVER)
+
+
+def reference_lift_points(path: PolyPath, start: complex, tol: float = 1e-6) -> tuple[complex, ...]:
+    """Oracle for ``lift_path``'s checks, point by point: the lifted points, or the error ``lift_path`` must raise.
+
+    Each of ``axis_samples`` u lifts on its own to atanh(u)/pi + im.  m starts at ``start``'s branch and, pair by
+    pair of samples, moves by one where their segment crosses a ray: up going down, down going up (a sample on
+    the real axis is on the side of its zero's sign).  The fiber test, the crossings and each point's residual
+    come first; then two consecutive equal points raise ``LiftError``, and then ``PolyPath(points, Plane.COVER)``
+    refuses whatever it refuses.
+    """
+    if abs(cover_map(start) - path.start) > 1e-8:
+        raise LiftError(f"start {start} is not in the fiber over {path.start}")
+    us = axis_samples(path.points)
+    m = round((start - cmath.atanh(us[0]) / math.pi).imag - 0.5) + 0.5
+    offsets = [m]
+    for a, b in zip(us, us[1:]):
+        if a.imag == 0 == b.imag and reference_ray(a.real, LiftError) != reference_ray(b.real, LiftError):
+            raise LiftError(f"path runs along the real axis through a puncture near {b.real}")
+        if (side := math.copysign(1.0, b.imag)) != math.copysign(1.0, a.imag):
+            x = b.real if b.imag == 0 else a.real + a.imag / (a.imag - b.imag) * (b.real - a.real)
+            m -= side * abs(reference_ray(x, LiftError))
+        offsets.append(m)
+    lift = [start] + [cmath.atanh(u) / math.pi + complex(0.0, k) for u, k in zip(us[1:], offsets[1:])]
+    for z, u in zip(lift[1:], us[1:]):
+        try:
+            residual = abs(1 / cmath.tanh(math.pi * z) - u)
+        except ZeroDivisionError:
+            raise LiftError(f"lifted point {z} of image point {u} is on iZ") from None
+        if not residual <= tol:
+            raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
+    for i in range(1, len(lift)):
+        if lift[i - 1] == lift[i]:
+            raise LiftError(f"samples {us[i - 1]} and {us[i]} lift to the same point {lift[i]}")
+    return PolyPath(tuple(lift), Plane.COVER).points
 
 
 def reference_path_error(points, plane: Plane) -> str | None:

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 import math
@@ -17,7 +18,7 @@ import slalom.covering
 import slalom.elliptic
 from slalom.braids import MAX_BRAID_LETTERS
 from slalom.cli import MAX_ROUNDTRIP_POINTS, MAX_ROUNDTRIP_WORDS, MAX_SWEEP_SAMPLES, main
-from slalom.config import Config, load_config
+from slalom.config import ENV_VAR, Config, load_config
 from slalom.covering import MAX_CURVE_POINTS, Plane, PolyPath
 
 README_COMMANDS = [
@@ -224,6 +225,17 @@ class TestLiftCommand:
         doc = json.loads(out)
         assert doc["result"]["word"] == "a1"
         assert svg.read_text().startswith("<svg")
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("lift", "a1^2 a2^-3"), "0a6b4b75186fab084eec2c8c93cb5c7d0446bba841d444b43a7f1a2c755bb6df"),
+        (("braid", "s1^2 s2^-2"), "e3ba50db2b45f736e4bfa54715cefbfbc4570944b4475918bd3b95ce1e5445e0"),
+    ])
+    def test_svg_bytes_are_pinned(self, capsys, tmp_path, monkeypatch, argv, digest):
+        """The pictures at the default configuration, byte for byte."""
+        monkeypatch.delenv(ENV_VAR, raising=False)
+        svg = tmp_path / "scene.svg"
+        assert run_cli(capsys, *argv, "--svg", str(svg))[0] == 0
+        assert hashlib.sha256(svg.read_bytes()).hexdigest() == digest
 
 
 class TestRoundtripCommand:

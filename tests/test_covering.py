@@ -15,6 +15,7 @@ from conftest import (
     pure_braids,
     reduced_words,
     reference_lift,
+    reference_lift_points,
     reference_path_error,
     reference_read_word,
     reference_touching,
@@ -69,6 +70,9 @@ def winding_number(points, center: complex) -> float:
     return total / (2 * math.pi)
 
 
+NON_FINITE_STARTS = [complex(0.0, math.inf), complex(0.3, math.nan), complex(math.nan, -0.5)]
+
+
 def loop_vertices():
     """Points at distance 1e-8 to 0.3 from a puncture, or anywhere in [-3, 3]^2."""
     return st.one_of(
@@ -105,6 +109,11 @@ class TestCoverMap:
         for z in (0j, 1j, -3j, 1e-12 + 2j):
             with pytest.raises(ValueError):
                 cover_map(z)
+
+    @pytest.mark.parametrize("z", NON_FINITE_STARTS)
+    def test_rejects_non_finite(self, z):
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{z} is not finite')}$"):
+            cover_map(z)
 
 
 class TestLiftPath:
@@ -729,14 +738,15 @@ def lift_outcome(path: PolyPath, start: complex, tol: float):
 
 
 class TestCoverRoute:
-    """A lift that clears iZ by the margin skips PolyPath's checks; every other lift gets them."""
+    """lift_path checks only the points of samples near iR against iZ; the oracle checks every point."""
 
     @staticmethod
     def assert_route_matches_full_check(path, start=BASE_LIFT_POINT, tol=1e-6):
-        got = lift_outcome(path, start, tol)
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(covering, "_MAX_OFFSET", -1.0)  # no lift clears: each is built by PolyPath(points, COVER)
-            assert lift_outcome(path, start, tol) == got
+        try:
+            expected = bits(reference_lift_points(path, start, tol))
+        except (LiftError, ValueError) as exc:
+            expected = type(exc), str(exc)
+        assert lift_outcome(path, start, tol) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(reduced_words(), st.sampled_from((16, 64, 128)))
@@ -750,8 +760,9 @@ class TestCoverRoute:
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.one_of(loop_vertices(), st.builds(complex, st.floats(-3, 3), st.sampled_from((0.0, -0.0))),
-                              st.builds(complex, st.sampled_from((0.0, 3e8, -1e9)), st.sampled_from((0.0, -0.0))),
-                              st.builds(complex, st.sampled_from((0.0, -0.0)), st.floats(-1e12, 1e12))),
+                              st.builds(complex, st.sampled_from((0.0, 3e8, 4.5e8, -1e9)),
+                                        st.sampled_from((0.0, -0.0))),
+                              st.builds(complex, st.sampled_from((0.0, -0.0)), st.floats(-1e300, 1e300))),
                     min_size=1, max_size=6), st.sampled_from((1e-6, math.inf)))
     def test_polygon_loops(self, vertices, tol):
         try:
@@ -763,17 +774,29 @@ class TestCoverRoute:
     @pytest.mark.parametrize("points, start, tol, point", [
         # a sample on the real axis far beyond 1 lifts to within 1e-9 of iR at Im = +-1/2, and onto iZ
         ((0j, 2 + 1j, complex(1e9, 0.0), 2 - 1j, 0j), BASE_LIFT_POINT, 1e-6, "(3.1830988618379065e-10+0j)"),
-        # a sample iy lifts within 1/(pi y) of iZ: 9.1e-10 here, inside 1e-9 but 1/2 - 9.1e-10 from the real axis
+        # a sample iy lifts onto iR within 1/(pi y) of iZ: 9.1e-10 here, inside 1e-9
         ((0j, 3.5e8j, 0j), BASE_LIFT_POINT, math.inf, "-9.094567876566373e-10j"),
         # an offset of 2^40 rounds the lift of 1e5j onto iZ; near 1 the start is in the fiber up to rounding
         ((1 + 1e-8 + 0j, 0.5 + 0.5j, 1e5j, -0.5 + 0.5j), cmath.atanh(1 + 1e-8) / math.pi + (2**40 + 0.5) * 1j,
          math.inf, "1099511627777j"),
+        # at 4.5e8 the real part, 7.1e-10, is inside 1e-9 but outside half of it
+        ((0j, 2 + 1j, complex(4.5e8, 0.0), 2 - 1j, 0j), BASE_LIFT_POINT, 1e-6, "(7.073553026306461e-10+0j)"),
     ])
     def test_lift_near_lattice_takes_full_check(self, points, start, tol, point):
         with pytest.raises(ValueError, match=re.escape(f"path point {point} hits the excluded set of cover")):
             lift_path(PolyPath(points, Plane.PUNCTURED), start, tol)
 
     def test_non_finite_start_takes_full_check(self):
-        """cover_map(nan - i/2) is NaN, which the fiber test lets through; the start is then refused as a point."""
-        with pytest.raises(ValueError, match=re.escape("path point (nan-0.5j) is not finite")):
-            lift_path(word_to_curve(parse_word("a1"), 16), complex(math.nan, -0.5))
+        """cover_map refuses each start: round(inf) would overflow, round(nan) fail, and cover_map(nan - i/2) is NaN,
+        which the fiber test would let through."""
+        for start in NON_FINITE_STARTS:
+            with pytest.raises(ValueError, match=f"^{re.escape(f'{start} is not finite')}$"):
+                lift_path(word_to_curve(parse_word("a1"), 16), start)
+
+    @pytest.mark.parametrize("points", [(0j, 1e300j, 0j), (0j, 1e17j, -1e17j, 0j)])
+    def test_lift_onto_lattice_raises_lift_error(self, points):
+        """atan(y)/pi rounds to 1/2 far up iR, so the sample lifts exactly onto 0, the pole of coth."""
+        path = PolyPath(points, Plane.PUNCTURED)
+        with pytest.raises(LiftError, match=re.escape(f"lifted point 0j of image point {points[1]} is on iZ")):
+            lift_path(path, BASE_LIFT_POINT)
+        self.assert_route_matches_full_check(path)
