@@ -196,7 +196,8 @@ def reference_lift_points(path: PolyPath, start: complex, tol: float = 1e-6) -> 
             raise LiftError(f"path runs along the real axis through a puncture near {b.real}")
         if (side := math.copysign(1.0, b.imag)) != math.copysign(1.0, a.imag):
             x = b.real if b.imag == 0 else a.real + a.imag / (a.imag - b.imag) * (b.real - a.real)
-            m -= side * abs(reference_ray(x, LiftError))
+            if reference_ray(x, LiftError):
+                m -= side
         offsets.append(m)
     lift = [start] + [cmath.atanh(u) / math.pi + complex(0.0, k) for u, k in zip(us[1:], offsets[1:])]
     for z, u in zip(lift[1:], us[1:]):
