@@ -15,7 +15,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from slalom.covering import Plane, PolyPath
+from slalom.covering import MAX_CURVE_POINTS, Plane, PolyPath
 from slalom.syllables import BoundaryCondition, BoundConstants, LambdaBounds, lambda_bounds
 from slalom.words import FreeWord, Generator, WordSyntaxError, reduce, scan_tokens
 
@@ -121,9 +121,13 @@ def braid_to_strands(b: BraidWord, samples_per_crossing: int = 32) -> StrandPath
     Each letter rotates the pair at the affected slots by a half-turn about
     their midpoint (counterclockwise for positive sign); the pair radius dips
     to _TURN_RADIUS_MIN mid-turn so the moving strands clear the static one.
+    Letters x ``samples_per_crossing``, and ``samples_per_crossing`` itself, are at most
+    ``MAX_CURVE_POINTS``, checked before anything is built.
     """
     if samples_per_crossing < 16:
         raise ValueError("samples_per_crossing must be >= 16")
+    if max(len(b.letters), 1) * samples_per_crossing > MAX_CURVE_POINTS:
+        raise ValueError(f"strands exceed {MAX_CURVE_POINTS} points; use fewer letters or samples")
     if not is_pure(b):
         raise PurityError(f"braid {format_braid(b)!r} is not pure: permutation {permutation(b)}")
     # the half-turn factors (rotation, radius scale) depend only on the sign and the sample

@@ -8,8 +8,10 @@ half-planes are its slalom pieces (a left piece moving up n components carries
 a1^n, a right piece moving down n carries a2^n).  The word of a loop is read
 without lifting, from the same ray crossings.  Re atanh(u) has the sign of
 Re u, so a lift changes half-plane where its sample does; a sample iy on iR
-lifts to i(atan(y)/pi + m), so a piece ends in component m - 1/2.  Word curves
-repeat their turns, so the point checks, atanh and sign classes run once per distinct
+lifts to i(atan(y)/pi + m), so a piece ends in component m - 1/2.  A word curve is
+checked by construction and carries its distinct samples, those of at most four turns and
+0; PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks it point by point.  The
+point checks of other punctured-plane paths, atanh and the sign classes run once per distinct
 sample; bytes.find on their codes finds half-plane changes, crossings and pieces.  A lifted
 point keeps its sample's Re atanh(u)/pi, so only the points of samples whose code marks them
 within the tolerance of iR are checked against iZ.
@@ -93,7 +95,7 @@ class PolyPath:
 
     @cached_property
     def _samples(self) -> set[complex]:
-        """The distinct points, found once for the point checks, the lift and the reader."""
+        """The distinct points, found once for the point checks, the lift and the reader; word curves carry theirs."""
         return set(self.points)
 
     @property
@@ -231,12 +233,24 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
     counterclockwise inside the closed left half-plane, a2 surrounds +1
     counterclockwise inside the closed right half-plane, and a negative n
     traverses the reversed circle |n| times.  The identity gives a constant path.
+
+    The curve is checked by construction, so it is built without ``PolyPath``'s
+    point checks, and it carries its distinct samples: 0, each turn used but its
+    last sample, and that last sample only where a term repeats the turn, since
+    each term's last point is set to 0.  ``PolyPath(points, Plane.PUNCTURED)``,
+    the tests' oracle, accepts it and finds the same samples, because:
+
+    - every sample is center + e^{it} with center = -1 or 1, so it is finite,
+      about 1 from its own puncture and at least about 1 from the other;
+    - consecutive samples differ by a chord of at least 2 sin(pi / samples_per_turn),
+      which the budget (samples_per_turn <= ``MAX_CURVE_POINTS``) keeps above 6e-6;
+    - a term's end 0 differs, by about that chord, from the samples on either side of it.
     """
     if samples_per_turn < 16:
         raise ValueError("samples_per_turn must be >= 16")
     if w.letter_length() * samples_per_turn > MAX_CURVE_POINTS:
         raise ValueError(f"word curve exceeds {MAX_CURVE_POINTS} points; use fewer letters or samples")
-    pts = [0j]
+    pts, samples = [0j], {0j}
     turns: dict[tuple[Generator, int], list[complex]] = {}
     for term in w.terms:
         sign = 1 if term.exponent > 0 else -1
@@ -247,9 +261,14 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
                 center + cmath.exp(1j * (phase + sign * 2 * math.pi * j / samples_per_turn))
                 for j in range(1, samples_per_turn + 1)
             ]
-        pts.extend(turn * abs(term.exponent))
+            samples.update(turn[:-1])
+        if (n := abs(term.exponent)) > 1:
+            samples.add(turn[-1])
+        pts.extend(turn * n)
         pts[-1] = 0j  # each term ends at the base point up to rounding; make it exact
-    return PolyPath(tuple(pts), Plane.PUNCTURED)
+    curve = object.__new__(PolyPath)  # checked by construction, see above
+    curve.__dict__.update(points=tuple(pts), plane=Plane.PUNCTURED, _samples=samples)
+    return curve
 
 
 def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:

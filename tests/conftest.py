@@ -213,6 +213,12 @@ def reference_lift_points(path: PolyPath, start: complex, tol: float = 1e-6) -> 
     return PolyPath(tuple(lift), Plane.COVER).points
 
 
+def checked_word_curve(curve: PolyPath) -> PolyPath:
+    """Oracle for ``word_to_curve``, which builds its curve without ``PolyPath``'s checks: the same points
+    built through them, so that they are checked and their distinct samples found point by point."""
+    return PolyPath(curve.points, Plane.PUNCTURED)
+
+
 def reference_path_error(points, plane: Plane) -> str | None:
     """Oracle for ``PolyPath``'s validation, point by point: the message it must raise, or None.
 

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -24,6 +25,7 @@ from slalom.braids import (
     parse_braid,
     permutation,
 )
+from slalom.covering import MAX_CURVE_POINTS
 from slalom.syllables import BoundaryCondition
 from slalom.words import Term, WordSyntaxError, concat, parse_word
 
@@ -130,6 +132,25 @@ class TestStrands:
     def test_rejects_coarse_sampling(self):
         with pytest.raises(ValueError):
             braid_to_strands(parse_braid("s1^2"), 8)
+
+    @pytest.mark.parametrize("b, samples", [
+        (BraidWord(), 10**15),
+        (parse_braid("s1^2"), 10**15),
+        (BraidWord(), MAX_CURVE_POINTS + 1),
+        (parse_braid("s1^2"), MAX_CURVE_POINTS // 2 + 1),
+    ])
+    def test_point_budget_refuses_before_building(self, b, samples):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceed"):
+                braid_to_strands(b, samples)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_point_budget_admits_every_parsed_braid_at_the_default_sampling(self):
+        assert MAX_BRAID_LETTERS * 32 <= MAX_CURVE_POINTS
 
 
 class TestCrossRatioCurve:

@@ -1,8 +1,11 @@
 import cmath
+import dataclasses
 import math
+import pickle
 import random
 import re
 import sys
+from operator import sub
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +14,7 @@ from hypothesis import strategies as st
 from conftest import (
     FIGURE2_TEXT,
     axis_samples,
+    checked_word_curve,
     lift_read_word,
     pure_braids,
     reduced_words,
@@ -471,6 +475,83 @@ class TestWordToCurve:
     def test_point_budget(self, text, samples):
         with pytest.raises(ValueError, match="exceeds"):
             word_to_curve(parse_word(text), samples)
+
+
+class TestWordCurveCheckedByConstruction:
+    """``word_to_curve`` builds its curve and its distinct samples without ``PolyPath``'s checks;
+    ``checked_word_curve`` runs them on the same points."""
+
+    def assert_matches_oracle(self, curve: PolyPath) -> PolyPath:
+        oracle = checked_word_curve(curve)
+        assert bits(curve.points) == bits(oracle.points)
+        assert sorted(bits(curve._samples)) == sorted(bits(oracle._samples))
+        assert curve == oracle and hash(curve) == hash(oracle)
+        return oracle
+
+    def assert_obligations(self, curve: PolyPath, samples: int):
+        """The docstring's proof: samples finite and about 1 from both punctures, and chords of at least
+        2 sin(pi / samples) between consecutive points, across each term's end at 0 too."""
+        assert all(map(cmath.isfinite, curve._samples))
+        assert min(abs(z - p) for z in curve._samples for p in (-1.0, 1.0)) >= 1 - 1e-12
+        chords = list(map(abs, map(sub, curve.points[1:], curve.points[:-1])))
+        assert min(chords, default=math.inf) >= 2 * math.sin(math.pi / samples) * (1 - 1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.one_of(reduced_words(max_terms=8, max_exp=1), reduced_words(max_terms=8, max_exp=4)),
+           st.integers(16, 130))
+    @example(FreeWord(), 17)
+    @example(parse_word("a1^2 a2^-1 a1^-3 a2^5"), 999)
+    def test_matches_oracle(self, w, samples):
+        curve = word_to_curve(w, samples)
+        oracle = self.assert_matches_oracle(curve)
+        self.assert_obligations(curve, samples)
+        assert curve_to_word(curve) == curve_to_word(oracle) == w
+        lifted, checked = (lift_path(c, BASE_LIFT_POINT) for c in (curve, oracle))
+        assert bits(lifted.points) == bits(checked.points)
+        assert lifted._real_signs == checked._real_signs
+        assert slalom_decompose(lifted) == slalom_decompose(checked)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.one_of(reduced_words(max_terms=8, max_exp=1), reduced_words(max_terms=8, max_exp=4)),
+           st.integers(16, 130))
+    def test_turn_ends_only_where_a_term_repeats_its_turn(self, w, samples):
+        """Each term's last point is 0, so a turn's last sample, within rounding of 0, is a sample only
+        where a term of |exponent| >= 2 runs the turn again after it."""
+        ends = [z for z in word_to_curve(w, samples)._samples if z and abs(z) < 1e-12]
+        assert bool(ends) == any(abs(t.exponent) >= 2 for t in w.terms)
+
+    @pytest.mark.parametrize("samples", [16, 17, 128])
+    def test_identity(self, samples):
+        curve = word_to_curve(FreeWord(), samples)
+        assert curve.is_constant and curve._samples == {0j}
+        self.assert_matches_oracle(curve)
+
+    def test_at_point_budget(self):
+        w, samples = parse_word("a1^3 a2^-1 a1"), MAX_CURVE_POINTS // 5
+        curve = word_to_curve(w, samples)
+        assert len(curve.points) == MAX_CURVE_POINTS + 1
+        self.assert_matches_oracle(curve)
+        self.assert_obligations(curve, samples)
+        assert 2 * math.sin(math.pi / MAX_CURVE_POINTS) > 6e-6  # the chord at the most samples per turn
+
+    def test_word_routes_skip_point_checks(self, monkeypatch):
+        """Neither route builds a ``PolyPath`` through its checks; copies of the curve equal the oracle."""
+        w = parse_word(FIGURE2_TEXT)
+        oracle = checked_word_curve(word_to_curve(w, 64))
+
+        def refuse(self):
+            raise AssertionError("PolyPath's checks ran")
+
+        monkeypatch.setattr(PolyPath, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            PolyPath((0j,), Plane.PUNCTURED)
+        curve = word_to_curve(w, 64)
+        assert curve_to_word(curve) == w
+        assert slalom_decompose(lift_path(curve, BASE_LIFT_POINT)).pieces == word_pieces(w)
+        monkeypatch.undo()
+        for copy in (pickle.loads(pickle.dumps(curve)), dataclasses.replace(curve)):
+            assert copy == oracle and hash(copy) == hash(oracle)
+            assert sorted(bits(copy._samples)) == sorted(bits(oracle._samples))
 
 
 class TestCurveToWord:
