@@ -251,16 +251,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args.config_obj = load_config(args.config)
         return args.func(args)
-    except (ValueError, ArithmeticError, OSError) as exc:  # braids' PurityError is a ValueError
-        error = exc
-    except RuntimeError as exc:
-        from slalom.covering import LiftError  # reached only on failure, so success never loads covering
-
-        if not isinstance(exc, LiftError):
-            raise
-        error = exc
-    print(f"slalom: error: {error}", file=sys.stderr)
-    return 1
+    except (ValueError, ArithmeticError, OSError) as exc:  # PurityError and LiftError are ValueErrors
+        print(f"slalom: error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

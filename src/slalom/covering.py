@@ -6,15 +6,14 @@ to atanh(u)/pi + im, m in 1/2 + Z moving at its crossings of the rays (-inf, -1]
 and [1, inf).  Loops based at 0 lift from -i/2; the lift's excursions into the
 half-planes are its slalom pieces (a left piece moving up n components carries
 a1^n, a right piece moving down n carries a2^n).  The word of a loop is read
-without lifting, from the same ray crossings.  Re atanh(u) has the sign of
-Re u, so a lift changes half-plane where its sample does; a sample iy on iR
-lifts to i(atan(y)/pi + m), so a piece ends in component m - 1/2.  A word curve is
-checked by construction and carries its distinct samples, those of at most four turns and
-0; PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks it point by point.  The
-point checks of other punctured-plane paths, atanh and the sign classes run once per distinct
-sample; bytes.find on their codes finds half-plane changes, crossings and pieces.  A lifted
-point keeps its sample's Re atanh(u)/pi, so only the points of samples whose code marks them
-within the tolerance of iR are checked against iZ.
+without lifting, from the same ray crossings.  A lifted point keeps its sample's Re atanh(u)/pi,
+which has the sign of Re u or underflows to 0, on iR; a lift changes half-plane where that sign
+does, and a sample iy on iR lifts to i(atan(y)/pi + m), so a piece ends in component m - 1/2.
+A word curve is checked by construction and carries its distinct samples, those of at most four turns
+and 0; PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks it point by point.  The point checks
+of other punctured-plane paths, atanh and the sign classes of Re atanh(u)/pi and Im u run once per
+distinct sample; bytes.find on their codes finds half-plane changes, crossings and pieces, and only
+the points of samples whose code marks them within the tolerance of iR are checked against iZ.
 """
 
 from __future__ import annotations
@@ -39,8 +38,8 @@ MAX_CURVE_POINTS = 10**6  # word_to_curve's budget, checked before any point is 
 
 _SIGNS = b"-0+"
 # these translate a string of code bytes (see _classify) into the b"-0+" string of one of their classes
-_ATANH_REAL, _LIFT_REAL, _IMAG = (bytes(_SIGNS[c // d % 3] for c in range(256)) for d in (9, 3, 1))
-_NEAR_IR = bytes(b".!"[c >= 27] for c in range(256))  # b"!" where the lifted point is within _PUNCTURE_TOL of iR
+_LIFT_REAL, _IMAG = (bytes(_SIGNS[c // d % 3] for c in range(256)) for d in (3, 1))
+_NEAR_IR = bytes(b".!"[c >= 9] for c in range(256))  # b"!" where the lifted point is within _PUNCTURE_TOL of iR
 _FLIPS = (b"-+", b"+-")
 _TOUCHING = (b"-0", b"00", b"+0", b"0-", b"0+", *_FLIPS)  # a zero class at either end, or strictly opposite ones
 
@@ -49,7 +48,7 @@ def _sign(x: float) -> int:  # the index in b"-0+" of x's sign class
     return (x > 0) - (x < 0) + 1
 
 
-class LiftError(RuntimeError):
+class LiftError(ValueError, RuntimeError):  # a RuntimeError too, so that `except RuntimeError` still catches it
     """Lifting failed: start off fiber, residual above the tolerance, or a lift ending or changing half-plane off iR."""
 
 
@@ -152,11 +151,11 @@ class _AtanhTable(dict):
 
 
 def _classify(samples: Iterable[complex], codes: dict[complex, int], atanh_pi: _AtanhTable) -> None:
-    """Enter each sample's atanh(u)/pi and its code byte, 27 [|Re atanh(u)/pi| <= ``_PUNCTURE_TOL``]
-    + 9 _sign(Re atanh(u)) + 3 _sign(Re atanh(u)/pi) + _sign(Im u)."""
+    """Enter each sample's atanh(u)/pi and its code byte,
+    9 [|Re atanh(u)/pi| <= ``_PUNCTURE_TOL``] + 3 _sign(Re atanh(u)/pi) + _sign(Im u)."""
     for u in samples:
-        v = (a := cmath.atanh(u)) / math.pi
-        codes[u] = 27 * (abs(v.real) <= _PUNCTURE_TOL) + 9 * _sign(a.real) + 3 * _sign(v.real) + _sign(u.imag)
+        v = cmath.atanh(u) / math.pi
+        codes[u] = 9 * (abs(v.real) <= _PUNCTURE_TOL) + 3 * _sign(v.real) + _sign(u.imag)
         if u.imag or abs(u.real) <= 1:  # else atanh(u).imag takes the side of a zero that the key merges
             atanh_pi[u] = v
 
@@ -166,12 +165,13 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
 
     Each sample u of the input lifts to atanh(u)/pi + im, where m in 1/2 + Z starts
     at ``start``'s branch and moves by one where the path crosses the ray (-inf, -1]
-    or [1, inf): up going down, down going up.  Where a segment crosses iR between
-    samples, the point where it meets iR is inserted as a sample, so the lift is on iR
-    wherever it changes half-plane.  A sample on the real axis takes the side of its
-    zero's sign, as atanh does; atanh runs once per distinct sample.  Raises ``LiftError``
-    where the path meets the axis near a puncture or runs along it past one, where two
-    samples lift to one point, or where |f(z) - u| > tol or a point lifts onto iZ; raises
+    or [1, inf): up going down, down going up.  Where two consecutive samples lift to
+    real parts Re atanh(u)/pi of strictly opposite sign, the point where their segment
+    meets iR is inserted as a sample, so the lift is on iR wherever it changes half-plane.
+    A sample on the real axis takes the side of its zero's sign, as atanh does; atanh
+    runs once per distinct sample.  Raises ``LiftError``, a ``ValueError``, where the path
+    meets the axis near a puncture or runs along it past one, where two samples lift to
+    one point, or where |f(z) - u| > tol or a point lifts onto iZ; raises a plain
     ``ValueError`` where a lifted point is within tolerance of iZ, as ``PolyPath`` would.
     """
     if path.plane is not Plane.PUNCTURED:
@@ -182,8 +182,8 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     codes, atanh_pi = {}, _AtanhTable()  # PolyPath keeps the samples more than 1e-9 from -1 and 1, where atanh fails
     _classify(path._samples, codes, atanh_pi)
     signs = bytes(map(codes.__getitem__, pts))
-    # where Re atanh(u) flips: it has the sign of Re u unless it underflows to 0, and then the lift is on iR already
-    if flips := _pairs(signs.translate(_ATANH_REAL), _FLIPS):
+    # where the lift's real part Re atanh(u)/pi flips; where it underflows to 0 the lifted point is on iR already
+    if flips := _pairs(signs.translate(_LIFT_REAL), _FLIPS):
         us = list(pts[:flips[0]])
         for i, j in zip(flips, [*flips[1:], len(pts)]):
             a, b = pts[i - 1], pts[i]

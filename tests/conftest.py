@@ -109,11 +109,12 @@ def word_pieces(w: FreeWord) -> tuple[ElementaryPiece, ...]:
 
 
 def axis_samples(points) -> list[complex]:
-    """Oracle for the samples ``lift_path`` lifts: ``points``, and between two whose atanh have real parts of
-    strictly opposite sign, the point where their segment meets the imaginary axis, with real part 0.0."""
+    """Oracle for the samples ``lift_path`` lifts: ``points``, and between two whose lifts have real parts
+    Re atanh(u)/pi of strictly opposite sign, the point where their segment meets the imaginary axis, with real
+    part 0.0.  Where Re atanh(u)/pi underflows to 0 the sample's lift is on the axis already, and none is added."""
     out = [points[0]]
     for a, b in zip(points, points[1:]):
-        x, y = cmath.atanh(a).real, cmath.atanh(b).real
+        x, y = (cmath.atanh(a) / math.pi).real, (cmath.atanh(b) / math.pi).real
         if x < 0 < y or y < 0 < x:
             out.append(complex(0.0, a.imag + a.real / (a.real - b.real) * (b.imag - a.imag)))
         out.append(b)

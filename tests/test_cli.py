@@ -1,25 +1,34 @@
 import dataclasses
 import hashlib
 import importlib
+import io
 import json
 import math
 import os
 import shlex
 import subprocess
 import sys
+import tempfile
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import slalom
 import slalom.cli
 import slalom.covering
 import slalom.elliptic
-from slalom.braids import MAX_BRAID_LETTERS
+from slalom.braids import MAX_BRAID_LETTERS, format_braid
 from slalom.cli import MAX_ROUNDTRIP_POINTS, MAX_ROUNDTRIP_WORDS, MAX_SWEEP_SAMPLES, main
 from slalom.config import ENV_VAR, Config, load_config
 from slalom.covering import MAX_CURVE_POINTS, Plane, PolyPath
+from slalom.words import format_word
+
+from conftest import pure_braids, reduced_words
 
 README_COMMANDS = [
     line for line in (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
@@ -346,7 +355,8 @@ class TestInterfaceContract:
         assert "error" in err
 
     def test_other_runtime_error_propagates(self, capsys, monkeypatch):
-        """Only covering's LiftError among RuntimeErrors becomes exit 1; any other is a bug and propagates."""
+        """main maps one family to exit 1, ValueError (covering's LiftError among them), ArithmeticError and OSError;
+        any other RuntimeError is a bug and propagates."""
         def fail(w):
             raise RuntimeError("not a lift failure")
 
@@ -406,3 +416,101 @@ class TestBudgets:
         code, out, _ = run_cli(capsys, "lambda", "a1^100000000")
         assert code == 0
         assert json.loads(out)["result"]["word"] == "a1^100000000"
+
+
+# numbers, positive and finite, or not: zeros of both signs, negative, non-finite, past 64 bits or malformed;
+# the positive ones include a subnormal, the float extremes and integers past 64 bits
+NUMBERS = (("5e-324", "1e-300", "1", "2.5", "16", "17", "1_000", "1e308", "9223372036854775808"),
+           ("0", "-0.0", "0.0", "-5e-324", "-1", "-1e308", "1e309", "nan", "inf", "-inf", "-9223372036854775809",
+            "0x10", "", "abc", "1.0.0"))
+# counts, accepted and kept small, or over a budget, negative, past 64 bits or malformed
+REFUSED_COUNTS = ("0", "-1", "9223372036854775808", "1e3", "x")
+COUNTS = (("1", "3"), (str(MAX_ROUNDTRIP_WORDS + 1), *REFUSED_COUNTS))
+LENGTHS = (("0", "1", "6"), (str(MAX_CURVE_POINTS), *REFUSED_COUNTS[1:]))
+SAMPLES = (("1", "2", "7"), (str(MAX_SWEEP_SAMPLES + 1), *REFUSED_COUNTS))
+SEEDS = ("0", "-1", "9223372036854775808", "x", "1e3")
+BAD_WORDS = ("a1^0", "a3", "a1^", "a1^x", "b1", "a1 ^2", "a1^1e3", "a1,a2", "a1^9223372036854775808",
+             "a2^-9223372036854775809", "a1^9223372036854775807", "a2^-9223372036854775808", "a1^18446744073709551616")
+BAD_BRAIDS = ("s1", "s3", "s1^x", "s1 s2", f"s1^{MAX_BRAID_LETTERS + 2}", "s1^9223372036854775808",
+              "s2^-9223372036854775808", "s1^-18446744073709551616")
+
+
+def tokens(kinds):
+    """Half the time an accepted token, half the time a refused one."""
+    return st.one_of(*map(st.sampled_from, kinds))
+
+
+CONFIG_LINES = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from([f.name for f in dataclasses.fields(Config)]), tokens(NUMBERS)),
+    st.sampled_from(("# a comment", "", "no equals sign", "unknown = 1", "samples_per_turn = 1_000")),
+)
+
+
+def words():
+    return st.one_of(st.sampled_from(BAD_WORDS), reduced_words(max_terms=4, max_exp=3).map(format_word))
+
+
+def braid_texts():
+    return st.one_of(st.sampled_from(BAD_BRAIDS), pure_braids(max_factors=3).map(format_braid))
+
+
+def option(flag, values):
+    return values.map(lambda v: (flag, v))
+
+
+def optional(flag, values):
+    return st.one_of(st.just(()), option(flag, st.sampled_from(values)))
+
+
+def argv(*parts):
+    """The argv of drawn parts, each an argument or a tuple of them (an option and its value, or none)."""
+    return st.tuples(*parts).map(lambda drawn: [a for p in drawn for a in ((p,) if isinstance(p, str) else p)])
+
+
+def subcommands(svg: str):
+    """The argv of one subcommand, its arguments drawn from tokens of every kind."""
+    boundary = optional("--boundary", ("tr", "pb", "xx"))
+    return st.one_of(
+        argv(st.just("lambda"), words(), boundary),
+        argv(st.just("syllables"), words()),
+        argv(st.just("rectangle-module"), option("--M", tokens(NUMBERS)),
+             optional("--method", ("closed", "quad", "xx"))),
+        argv(st.just("verify-bounds"), option("--from", tokens(NUMBERS)), option("--to", tokens(NUMBERS)),
+             option("--samples", tokens(SAMPLES))),
+        argv(st.just("lift"), words(), optional("--svg", (svg,))),
+        argv(st.just("braid"), braid_texts(), boundary, optional("--svg", (svg,))),
+        argv(st.just("roundtrip"), option("--count", tokens(COUNTS)), option("--maxlen", tokens(LENGTHS)),
+             optional("--seed", SEEDS)),
+    )
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestRobustness:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data(), st.one_of(st.none(), st.lists(CONFIG_LINES, max_size=4)))
+    def test_main_exits_0_1_or_2(self, data, config):
+        """Every call exits 0 with strict JSON, 1 with one diagnostic line and no output, or 2 on a usage error."""
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+            os.environ.pop(ENV_VAR, None)
+            args = data.draw(subcommands(os.path.join(tmp, "out.svg")))
+            if config is not None:
+                Path(tmp, "cfg").write_text("\n".join(config) + "\n")
+                args = ["--config", str(Path(tmp, "cfg")), *args]
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(args)
+                except SystemExit as exc:  # argparse's usage error
+                    code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert code in (0, 1, 2)
+        if code == 0:
+            doc = json.loads(out, parse_constant=reject_constant)
+            assert list(doc) == ["tool", "version", "command", "input", "result", "config"] and err == ""
+        elif code == 1:
+            assert out == "" and err.startswith("slalom: error: ") and err.count("\n") == 1 and err.endswith("\n")
+        else:
+            assert out == "" and "usage:" in err

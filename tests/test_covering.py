@@ -241,7 +241,9 @@ class TestLiftPath:
         assert lift.points[1] == lift.points[3] == complex(lift.points[1].real, 1.0)
 
     def test_collapsed_lift_raises_lift_error(self):
-        """Samples closer than the rounding of their lifts, 0 and 1e-17i, lift to one point of the cover."""
+        """Samples closer than the rounding of their lifts, 0 and 1e-17i, lift to one point of the cover.  LiftError is
+        a ValueError, as the package's other errors are, and a RuntimeError for handlers that catch that."""
+        assert issubclass(LiftError, ValueError) and issubclass(LiftError, RuntimeError)
         with pytest.raises(LiftError, match=re.escape("samples 0j and 1e-17j lift to the same point -0.5j")):
             lift_path(PolyPath((0j, 1e-17j, 0j), Plane.PUNCTURED), BASE_LIFT_POINT)
 
@@ -265,12 +267,20 @@ class TestLiftPath:
                 lift_path(path, BASE_LIFT_POINT)
 
     def test_subnormal_real_part_lifts_onto_the_axis(self):
-        """atanh(5e-324 + i) is i pi/4: that sample's lift is the point on iR, and no axis sample is added beside it."""
-        path = PolyPath((0j, -1 + 1j, 5e-324 + 1j, 1 + 1j, 0j), Plane.PUNCTURED)
-        lift = lift_path(path, BASE_LIFT_POINT)
-        assert len(lift.points) == 5 and lift.points[2] == complex(0.0, -0.25)
-        assert slalom_decompose(lift).pieces == (
-            ElementaryPiece(HalfPlane.LEFT, -1, -1), ElementaryPiece(HalfPlane.RIGHT, -1, -1))
+        """atanh(5e-324 + i) is i pi/4: that sample's lift is the point on iR, and no axis sample is added beside it.
+        Re atanh(5e-324 + 0.5i) is 5e-324 but Re atanh(u)/pi underflows to 0, so that lift is on iR too; an axis
+        sample added between it and -0.1 + 0.4i would lift onto the same point."""
+        for points, axis_point, pieces in (
+            ((0j, -1 + 1j, 5e-324 + 1j, 1 + 1j, 0j), complex(0.0, -0.25),
+             (ElementaryPiece(HalfPlane.LEFT, -1, -1), ElementaryPiece(HalfPlane.RIGHT, -1, -1))),
+            ((0j, 0.3j, 5e-324 + 0.5j, -0.1 + 0.4j, -0.2 + 0j, -0.1 - 0.3j, 0j), complex(0.0, -0.35241638234956674),
+             (ElementaryPiece(HalfPlane.LEFT, -1, -1),)),
+        ):
+            path = PolyPath(points, Plane.PUNCTURED)
+            lift, expected = lift_path(path, BASE_LIFT_POINT), reference_lift_points(path, BASE_LIFT_POINT)
+            assert len(lift.points) == len(points) and lift.points[2] == axis_point
+            assert bits(lift.points) == bits(expected)
+            assert slalom_decompose(lift).pieces == slalom_decompose(PolyPath(expected, Plane.COVER)).pieces == pieces
 
     def test_chords_near_a_puncture_lift(self):
         """Chords that pass within rounding of a puncture lift, and their pieces read the word of the crossings."""
@@ -287,14 +297,15 @@ class TestLiftPath:
 
     @staticmethod
     def assert_half_planes_kept(curve):
-        """Re atanh(u) has the sign of Re u: every lifted point is in the half-plane of its sample."""
+        """Re atanh(u)/pi has the sign of Re u or underflows to 0: every lifted point is in the closed half-plane of its
+        sample."""
         try:
             lift = lift_path(curve, BASE_LIFT_POINT)
         except (LiftError, ValueError):
             return
         samples = axis_samples(curve.points)
         assert len(lift.points) == len(samples)
-        # atanh's real part underflows to 0 only from a subnormal one on these paths
+        # Re atanh(u)/pi underflows to 0 only from a subnormal Re u
         assert all(sign(z.real) == sign(u.real) or (z.real == 0 and abs(u.real) < sys.float_info.min)
                    for z, u in zip(lift.points, samples))
 
@@ -843,7 +854,9 @@ class TestCoverRoute:
     @given(st.lists(st.one_of(loop_vertices(), st.builds(complex, st.floats(-3, 3), st.sampled_from((0.0, -0.0))),
                               st.builds(complex, st.sampled_from((0.0, 3e8, 4.5e8, -1e9)),
                                         st.sampled_from((0.0, -0.0))),
-                              st.builds(complex, st.sampled_from((0.0, -0.0)), st.floats(-1e300, 1e300))),
+                              st.builds(complex, st.sampled_from((0.0, -0.0)), st.floats(-1e300, 1e300)),
+                              # subnormal real parts: Re atanh(u)/pi underflows to 0 at +-5e-324, not at +-1e-320
+                              st.builds(complex, st.sampled_from((5e-324, -5e-324, 1e-320, -1e-320)), st.floats(-3, 3))),
                     min_size=1, max_size=6), st.sampled_from((1e-6, math.inf)))
     def test_polygon_loops(self, vertices, tol):
         try:
