@@ -1,19 +1,19 @@
 """The logarithmic covering of the twice-punctured plane and path lifting.
 
-The covering map f1 o f2, with f2(z) = (e^{pi z} - 1)/(e^{pi z} + 1) and
-f1(w) = (w + 1/w)/2, is coth(pi z) from C \\ iZ onto C \\ {-1, 1}.  A path lifts
-to atanh(u)/pi + im, m in 1/2 + Z moving at its crossings of the rays (-inf, -1]
-and [1, inf).  Loops based at 0 lift from -i/2; the lift's excursions into the
-half-planes are its slalom pieces (a left piece moving up n components carries
-a1^n, a right piece moving down n carries a2^n).  The word of a loop is read
-without lifting, from the same ray crossings.  A lifted point keeps its sample's Re atanh(u)/pi,
-which has the sign of Re u or underflows to 0, on iR; a lift changes half-plane where that sign
-does, and a sample iy on iR lifts to i(atan(y)/pi + m), so a piece ends in component m - 1/2.
-A word curve is checked by construction and carries its distinct samples, those of at most four turns
-and 0; PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks it point by point.  The point checks
-of other punctured-plane paths, atanh and the sign classes of Re atanh(u)/pi and Im u run once per
-distinct sample; bytes.find on their codes finds half-plane changes, crossings and pieces, and only
-the points of samples whose code marks them within the tolerance of iR are checked against iZ.
+The covering map f1 o f2, with f2(z) = (e^{pi z} - 1)/(e^{pi z} + 1) and f1(w) = (w + 1/w)/2, is coth(pi z) from
+C \\ iZ onto C \\ {-1, 1}.  A path lifts to atanh(u)/pi + im, m in 1/2 + Z moving at its crossings of the rays
+(-inf, -1] and [1, inf).  Loops based at 0 lift from -i/2; the lift's excursions into the half-planes are its slalom
+pieces (a left piece moving up n components carries a1^n, a right piece moving down n carries a2^n).  The word of a
+loop is read without lifting, from the same ray crossings.  A lifted point keeps its sample's Re atanh(u)/pi, which has
+the sign of Re u or underflows to 0, on iR; a lift changes half-plane where that sign does, and a sample iy on iR lifts
+to i(atan(y)/pi + m), so a piece ends in component m - 1/2.
+
+A path is runs of copies of units: a word curve, checked by construction, is copies of at most four turns and 0; any
+other path is one run, and PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.
+The point checks, atanh and the sign classes of Re atanh(u)/pi and Im u run once per distinct sample; bytes.find on
+their codes finds half-plane changes, crossings and pieces.  The lift's and the reader's crossing walks run once per
+plan, a unit after one sample, and the lifted points and their checks once per chunk, a plan on one branch m; only the
+points of samples whose code marks them within the tolerance of iR are checked against iZ.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import enum
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress, islice, repeat
+from itertools import accumulate, chain, compress, cycle, islice, repeat
 from operator import add, attrgetter, eq, ge, mul, ne, sub, truediv
 from typing import Iterable, Sequence
 
@@ -39,7 +39,7 @@ MAX_CURVE_POINTS = 10**6  # word_to_curve's budget, checked before any point is 
 _SIGNS = b"-0+"
 # these translate a string of code bytes (see _classify) into the b"-0+" string of one of their classes
 _LIFT_REAL, _IMAG = (bytes(_SIGNS[c // d % 3] for c in range(256)) for d in (3, 1))
-_NEAR_IR = bytes(b".!"[c >= 9] for c in range(256))  # b"!" where the lifted point is within _PUNCTURE_TOL of iR
+_NEAR_IR = bytes(c >= 9 for c in range(256))  # 1 where the lifted point is within _PUNCTURE_TOL of iR
 _FLIPS = (b"-+", b"+-")
 _TOUCHING = (b"-0", b"00", b"+0", b"0-", b"0+", *_FLIPS)  # a zero class at either end, or strictly opposite ones
 
@@ -72,7 +72,7 @@ def _off_lattice(z: complex) -> bool:
 
 @dataclass(frozen=True)
 class PolyPath:
-    """Discretized curve; a single point represents a constant path."""
+    """Discretized curve; a single point represents a constant path.  ``_runs`` holds its points as copies of units."""
 
     points: tuple[complex, ...]
     plane: Plane
@@ -93,9 +93,14 @@ class PolyPath:
             raise ValueError("zero-length segment in path")
 
     @cached_property
+    def _runs(self) -> tuple[tuple[tuple[complex, ...], int], ...]:
+        """(unit, count) pairs, each unit repeated count times, that make up the points: one run but on a word curve."""
+        return ((self.points, 1),)
+
+    @cached_property
     def _samples(self) -> set[complex]:
-        """The distinct points, found once for the point checks, the lift and the reader; word curves carry theirs."""
-        return set(self.points)
+        """The distinct points, those of the distinct units, found once for the point checks, the lift and the reader."""
+        return set().union(*{id(unit): unit for unit, _ in self._runs}.values())
 
     @property
     def is_constant(self) -> bool:
@@ -160,114 +165,151 @@ def _classify(samples: Iterable[complex], codes: dict[complex, int], atanh_pi: _
             atanh_pi[u] = v
 
 
-def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
-    """Lift of ``path`` through the covering with initial point ``start``.
+def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
+    """(plan(us), count) per stretch of copies of a unit after one sample, us that sample (none at the start) and the
+    unit; ``plan`` runs once per unit and sample, in path order."""
+    plans, out = {}, []
+    for (unit, count), pred in zip(path._runs, [None, *(unit[-1] for unit, _ in path._runs)]):
+        for p, n in ((pred, 1), (unit[-1], count - 1))[:1 + (count > 1)]:
+            if (got := plans.get(key := (id(unit), id(p)))) is None:
+                got = plans[key] = plan(unit if p is None else (p, *unit))
+            out.append((got, n))
+    return out
 
-    Each sample u of the input lifts to atanh(u)/pi + im, where m in 1/2 + Z starts
-    at ``start``'s branch and moves by one where the path crosses the ray (-inf, -1]
-    or [1, inf): up going down, down going up.  Where two consecutive samples lift to
-    real parts Re atanh(u)/pi of strictly opposite sign, the point where their segment
-    meets iR is inserted as a sample, so the lift is on iR wherever it changes half-plane.
-    A sample on the real axis takes the side of its zero's sign, as atanh does; atanh
-    runs once per distinct sample.  Raises ``LiftError``, a ``ValueError``, where the path
-    meets the axis near a puncture or runs along it past one, where two samples lift to
-    one point, or where |f(z) - u| > tol or a point lifts onto iZ; raises a plain
-    ``ValueError`` where a lifted point is within tolerance of iZ, as ``PolyPath`` would.
-    """
-    if path.plane is not Plane.PUNCTURED:
-        raise ValueError("lift_path expects a path in the punctured plane")
-    if abs(cover_map(start) - path.start) > _FIBER_TOL:
-        raise LiftError(f"start {start} is not in the fiber over {path.start}")
-    us = pts = path.points
-    codes, atanh_pi = {}, _AtanhTable()  # PolyPath keeps the samples more than 1e-9 from -1 and 1, where atanh fails
-    _classify(path._samples, codes, atanh_pi)
-    signs = bytes(map(codes.__getitem__, pts))
+
+def _plan(us: Sequence[complex], codes: dict[complex, int], atanh_pi: _AtanhTable) -> tuple:
+    """A copy's lift but for its branch: us, an axis point inserted where Re atanh(u)/pi flips; the crossings' sides;
+    the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks and real classes; a chunk per branch."""
+    signs = bytes(map(codes.__getitem__, us))
     # where the lift's real part Re atanh(u)/pi flips; where it underflows to 0 the lifted point is on iR already
     if flips := _pairs(signs.translate(_LIFT_REAL), _FLIPS):
-        us = list(pts[:flips[0]])
+        pts, us = us, list(us[:flips[0]])
         for i, j in zip(flips, [*flips[1:], len(pts)]):
             a, b = pts[i - 1], pts[i]
             us.append(complex(0.0, a.imag + a.real / (a.real - b.real) * (b.imag - a.imag)))
             us += pts[i:j]
         _classify(set(us).difference(codes), codes, atanh_pi)
         signs = bytes(map(codes.__getitem__, us))
-    m = round((start - cmath.atanh(us[0]) / math.pi).imag - 0.5) + 0.5
-    cuts = [(1, m)]  # the first sample and the m of each run of samples on one branch
-    cuts += [(i, m := m - side) for i, side, _ in _crossings(us, signs.translate(_IMAG), LiftError)]
-    lift = [start]
-    for (lo, offset), (hi, _) in zip(cuts, [*cuts[1:], (len(us), 0)]):
-        lift += map(add, map(atanh_pi.__getitem__, us[lo:hi]), repeat(complex(0.0, offset)))
+    crossings = list(_crossings(us, signs.translate(_IMAG), LiftError))
+    cuts = [1, *(i for i, _, _ in crossings), len(us)]
+    return (us, [side for _, side, _ in crossings], list(map(sub, cuts[1:], cuts[:-1])),
+            tuple(map(atanh_pi.__getitem__, islice(us, 1, None))), signs[1:].translate(_NEAR_IR),
+            signs[1:].translate(_LIFT_REAL), {})
+
+
+def _chunks(plan: tuple, offsets: list[float], tol: float, last: complex, faults: dict) -> list:
+    """Consecutive copies of ``plan`` lifted on new branches after the point ``last``, ``offsets`` the m between
+    crossings, and checked in one pass; each check's first fault in path order stays in ``faults``."""
+    us, sides, lengths, values, near, _, _ = plan
+    k, q = len(values), (len(offsets) - 1) // len(sides) if sides else 1
+    spans = [lengths[0], *[*lengths[1:-1], lengths[-1] + lengths[0]] * (q - 1), *lengths[1:]]  # copies meet in one m
+    lift = list(map(add, chain.from_iterable(repeat(values, q)),
+                    chain.from_iterable(map(repeat, map(complex, repeat(0.0), offsets), spans))))
+    samples = chain.from_iterable(map(islice, repeat(us, q), repeat(1), repeat(None)))  # us[1:] per copy
     # the residual is cover_map's; ge(tol, nan) is False, so NaN fails and every lifted point that passes is finite
-    coth = map(truediv, repeat(1 + 0j), map(cmath.tanh, map(mul, islice(lift, 1, None), repeat(math.pi))))
+    coth = map(truediv, repeat(1 + 0j), map(cmath.tanh, map(mul, lift, repeat(math.pi))))
     try:
-        close = all(map(ge, repeat(tol), map(abs, map(sub, coth, islice(us, 1, None)))))
+        close = all(map(ge, repeat(tol), map(abs, map(sub, coth, samples))))
     except ZeroDivisionError:  # a point lifted exactly onto 0, where coth has its pole
         close = False
-    if not close:
-        for z, u in zip(lift[1:], us[1:]):
-            if not (t := cmath.tanh(math.pi * z)):
-                raise LiftError(f"lifted point {z} of image point {u} is on iZ")
-            if not abs(1 / t - u) <= tol:
-                raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
-    lift = tuple(lift)
-    if not all(map(ne, lift, islice(lift, 1, None))):
-        i = next(i for i in range(1, len(lift)) if lift[i - 1] == lift[i])
-        raise LiftError(f"samples {us[i - 1]} and {us[i]} lift to the same point {lift[i]}")
-    # adding the offset keeps Re atanh(u)/pi, so only the points of samples marked near iR can be near iZ;
-    # cover_map has put the finite start off iZ
-    near, i = signs.translate(_NEAR_IR), 0
-    while (i := near.find(b"!", i + 1)) > 0:
-        if not _off_lattice(lift[i]):
-            raise ValueError(f"path point {lift[i]} hits the excluded set of cover")
+    for i, z in enumerate(() if close else lift):  # the first point that fails
+        if not (t := cmath.tanh(math.pi * z)) or not abs(1 / t - (u := us[i % k + 1])) <= tol:
+            why = f"misses its image point {u} by more than {tol}" if t else f"of image point {us[i % k + 1]} is on iZ"
+            faults.setdefault(0, LiftError(f"lifted point {z} {why}"))
+            break
+    if not all(map(ne, chain((last,), lift), lift)):  # the sample of ``last`` is us[0], which is us[k] where q > 1
+        i = next(i for i, (a, b) in enumerate(zip(chain((last,), lift), lift)) if a == b)
+        faults.setdefault(1, LiftError(f"samples {us[i % k]} and {us[i % k + 1]} lift to the same point {lift[i]}"))
+    # adding the offset keeps Re atanh(u)/pi, so only the points of samples marked near iR can be near iZ
+    if not all(map(_off_lattice, compress(lift, cycle(near)))):
+        i = next(i for i, z in enumerate(lift) if near[i % k] and not _off_lattice(z))
+        faults.setdefault(2, ValueError(f"path point {lift[i]} hits the excluded set of cover"))
+    return list(zip(*[iter(lift)] * k)) if q > 1 else [lift]
+
+
+def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
+    """Lift of ``path`` through the covering with initial point ``start``.
+
+    Each sample u of the input lifts to atanh(u)/pi + im, where m in 1/2 + Z starts at ``start``'s branch and moves by
+    one where the path crosses the ray (-inf, -1] or [1, inf): up going down, down going up.  Where two consecutive
+    samples lift to real parts Re atanh(u)/pi of strictly opposite sign, the point where their segment meets iR is
+    inserted as a sample, so the lift is on iR wherever it changes half-plane.  A sample on the real axis takes the side
+    of its zero's sign, as atanh does.  Raises ``LiftError``, a ``ValueError``, where the path meets the axis near a
+    puncture or runs along it past one, where two samples lift to one point, or where |f(z) - u| > tol or a point lifts
+    onto iZ; raises a plain ``ValueError`` where a lifted point is within tolerance of iZ, as ``PolyPath`` would.
+
+    atanh runs once per distinct sample and the crossing walk once per plan, a unit of the path's runs after one
+    sample.  The lifted points, residual, zero-length and near-iZ checks run once per chunk, a plan on one branch m,
+    a run's copies on new branches in one pass; chunks meet with a zero-length check.  A repeated chunk holds the same
+    floats, and each check depends on them alone, so every point is checked; as on a lift point by point, the earliest
+    check's first fault in path order is raised.
+    """
+    if path.plane is not Plane.PUNCTURED:
+        raise ValueError("lift_path expects a path in the punctured plane")
+    if abs(cover_map(start) - path.start) > _FIBER_TOL:
+        raise LiftError(f"start {start} is not in the fiber over {path.start}")
+    codes, atanh_pi = {}, _AtanhTable()  # PolyPath keeps the samples more than 1e-9 from -1 and 1, where atanh fails
+    _classify(path._samples, codes, atanh_pi)
+    runs = _copies(path, lambda us: _plan(us, codes, atanh_pi))  # all first: the crossing walk raises first
+    m = round((start - cmath.atanh(path.start) / math.pi).imag - 0.5) + 0.5
+    parts, faults, last = [], {}, start
+    for plan, n in runs:
+        us, sides, _, values, _, _, built = plan
+        r, t = len(sides), 0  # the m of each stretch between crossings; a copy's branch is every r-th
+        offsets = list(accumulate(chain.from_iterable(repeat(sides, n)), sub, initial=m))
+        branches = offsets[::r] if r else [m] * (n + 1)
+        while values and t < n:
+            q = next((j for j in range(t, n) if branches[j] in built), n) - t  # the copies from t on new branches
+            got = _chunks(plan, offsets[t * r:(t + q) * r + 1], tol, last, faults) if q else [built[branches[t]]]
+            if not q and last == got[0][0]:
+                faults.setdefault(1, LiftError(f"samples {us[0]} and {us[1]} lift to the same point {last}"))
+            built.update(zip(branches[t:t + q], got))
+            parts += got
+            last, t = got[-1][-1], t + len(got)
+        m = branches[n]
+    if faults:  # as on a lift point by point, the first fault of the earliest check
+        raise faults[min(faults)]
     lifted = object.__new__(PolyPath)  # checked above, so built without PolyPath's checks, and carrying the
-    lifted.__dict__.update(points=lift, plane=Plane.COVER,  # real signs that slalom_decompose reads
-                           _real_signs=bytes([_SIGNS[_sign(start.real)]]) + signs[1:].translate(_LIFT_REAL))
+    lifted.__dict__.update(points=tuple(chain((start,), chain.from_iterable(parts))), plane=Plane.COVER,  # real signs
+                           _real_signs=bytes([_SIGNS[_sign(start.real)]]) + b"".join(p[5] * n for p, n in runs))
     return lifted
 
 
 def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
     """Concatenation of the standard loops of the terms, of at most ``MAX_CURVE_POINTS`` points.
 
-    The standard loop of a_j^n is the unit circle about the puncture, based
-    at 0 and sampled ``samples_per_turn`` times per turn: a1 surrounds -1
-    counterclockwise inside the closed left half-plane, a2 surrounds +1
-    counterclockwise inside the closed right half-plane, and a negative n
-    traverses the reversed circle |n| times.  The identity gives a constant path.
+    The standard loop of a_j^n is the unit circle about the puncture, based at 0 and sampled ``samples_per_turn`` times
+    per turn: a1 surrounds -1 counterclockwise inside the closed left half-plane, a2 surrounds +1 counterclockwise
+    inside the closed right half-plane, and a negative n traverses the reversed circle |n| times.  The identity gives a
+    constant path.  The curve carries its runs: 0, then per term |n| - 1 copies of its turn and one closing turn, the
+    turn with its last sample set to 0, both built once per generator and sign.  It is checked by construction, so it is
+    built without ``PolyPath``'s point checks; ``PolyPath(points, Plane.PUNCTURED)``, the tests' oracle, accepts it and
+    finds the same samples, because:
 
-    The curve is checked by construction, so it is built without ``PolyPath``'s
-    point checks, and it carries its distinct samples: 0, each turn used but its
-    last sample, and that last sample only where a term repeats the turn, since
-    each term's last point is set to 0.  ``PolyPath(points, Plane.PUNCTURED)``,
-    the tests' oracle, accepts it and finds the same samples, because:
-
-    - every sample is center + e^{it} with center = -1 or 1, so it is finite,
-      about 1 from its own puncture and at least about 1 from the other;
-    - consecutive samples differ by a chord of at least 2 sin(pi / samples_per_turn),
-      which the budget (samples_per_turn <= ``MAX_CURVE_POINTS``) keeps above 6e-6;
+    - every sample is center + e^{it} with center = -1 or 1, so it is finite, about 1 from its own puncture and at
+      least about 1 from the other;
+    - consecutive samples differ by a chord of at least 2 sin(pi / samples_per_turn), which the budget
+      (samples_per_turn <= ``MAX_CURVE_POINTS``) keeps above 6e-6;
     - a term's end 0 differs, by about that chord, from the samples on either side of it.
     """
     if samples_per_turn < 16:
         raise ValueError("samples_per_turn must be >= 16")
     if w.letter_length() * samples_per_turn > MAX_CURVE_POINTS:
         raise ValueError(f"word curve exceeds {MAX_CURVE_POINTS} points; use fewer letters or samples")
-    pts, samples = [0j], {0j}
-    turns: dict[tuple[Generator, int], list[complex]] = {}
+    runs = [((0j,), 1)]
+    turns: dict[tuple[Generator, int], tuple[tuple[complex, ...], tuple[complex, ...]]] = {}
     for term in w.terms:
         sign = 1 if term.exponent > 0 else -1
-        turn = turns.get((term.gen, sign))
-        if turn is None:
+        if (pair := turns.get((term.gen, sign))) is None:
             center, phase = (-1.0, 0.0) if term.gen is Generator.A1 else (1.0, math.pi)
-            turn = turns[term.gen, sign] = [
-                center + cmath.exp(1j * (phase + sign * 2 * math.pi * j / samples_per_turn))
-                for j in range(1, samples_per_turn + 1)
-            ]
-            samples.update(turn[:-1])
-        if (n := abs(term.exponent)) > 1:
-            samples.add(turn[-1])
-        pts.extend(turn * n)
-        pts[-1] = 0j  # each term ends at the base point up to rounding; make it exact
+            turn = tuple(center + cmath.exp(1j * (phase + sign * 2 * math.pi * j / samples_per_turn))
+                         for j in range(1, samples_per_turn + 1))
+            pair = turns[term.gen, sign] = turn, turn[:-1] + (0j,)  # each term ends at the base point, exactly
+        n = abs(term.exponent)
+        runs += [(pair[0], n - 1), (pair[1], 1)][n < 2:]
     curve = object.__new__(PolyPath)  # checked by construction, see above
-    curve.__dict__.update(points=tuple(pts), plane=Plane.PUNCTURED, _samples=samples)
+    curve.__dict__.update(points=tuple(chain.from_iterable(unit * n for unit, n in runs)), plane=Plane.PUNCTURED,
+                          _runs=tuple(runs))
     return curve
 
 
@@ -338,5 +380,6 @@ def curve_to_word(path: PolyPath) -> FreeWord:
     if abs(path.start) > _FIBER_TOL or abs(path.end) > _FIBER_TOL:
         raise ValueError("curve_to_word expects a loop based at 0")
     imag = {u: _SIGNS[_sign(u.imag)] for u in path._samples}
-    crossings = _crossings(path.points, bytes(map(imag.__getitem__, path.points)), ValueError)
-    return reduce_word([(Generator.A1 if ray < 0 else Generator.A2, int(side) * ray) for _, side, ray in crossings])
+    runs = _copies(path, lambda us: list(_crossings(us, bytes(map(imag.__getitem__, us)), ValueError)))
+    return reduce_word([(Generator.A1 if ray < 0 else Generator.A2, int(side) * ray)
+                        for crossings, n in runs for _, side, ray in crossings * n])
