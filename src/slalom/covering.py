@@ -99,7 +99,7 @@ class PolyPath:
 
     @cached_property
     def _samples(self) -> set[complex]:
-        """The distinct points, those of the distinct units, found once for the point checks, the lift and the reader."""
+        """The distinct points, those of the distinct units, found once for the point checks, lift and reader."""
         return set().union(*{id(unit): unit for unit, _ in self._runs}.values())
 
     @property
@@ -306,7 +306,7 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
                          for j in range(1, samples_per_turn + 1))
             pair = turns[term.gen, sign] = turn, turn[:-1] + (0j,)  # each term ends at the base point, exactly
         n = abs(term.exponent)
-        runs += [(pair[0], n - 1), (pair[1], 1)][n < 2:]
+        runs += [(pair[0], n - 1), (pair[1], 1)][n < 2:]  # |n| - 1 copies of the turn, then its closing turn
     curve = object.__new__(PolyPath)  # checked by construction, see above
     curve.__dict__.update(points=tuple(chain.from_iterable(unit * n for unit, n in runs)), plane=Plane.PUNCTURED,
                           _runs=tuple(runs))
@@ -374,6 +374,8 @@ def curve_to_word(path: PolyPath) -> FreeWord:
     right ray upward a2, the reverse crossings their inverses.  A sample on
     the real axis is on the side of its zero's sign; touching a ray from the
     other side reads a crossing and its inverse, which reduction removes.
+    The crossings are walked once per plan, a unit of the path's runs after
+    one sample, and read again for each copy of the unit that follows it.
     """
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("curve_to_word expects a path in the punctured plane")

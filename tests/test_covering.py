@@ -574,8 +574,12 @@ def packed(points) -> bytes:
     return b"".join(struct.pack("<dd", z.real, z.imag) for z in points)
 
 
-def lift_and_read(curve: PolyPath) -> tuple:
-    lifted = lift_path(curve, BASE_LIFT_POINT)
+def lift_and_read(curve: PolyPath, start: complex = BASE_LIFT_POINT, tol: float = 1e-6) -> tuple:
+    """The lift's point bits, real signs and pieces, or its error, and the word read."""
+    try:
+        lifted = lift_path(curve, start, tol)
+    except ValueError as exc:
+        return type(exc), str(exc), curve_to_word(curve)
     return packed(lifted.points), lifted._real_signs, slalom_decompose(lifted), curve_to_word(curve)
 
 
@@ -595,6 +599,18 @@ class TestWordCurveRuns:
         assert packed(chain.from_iterable(unit * n for unit, n in curve._runs)) == packed(curve.points)
         assert lift_and_read(curve) == lift_and_read(oracle)
         assert curve_to_word(curve) == w
+
+    @settings(max_examples=40, deadline=None)
+    @given(reduced_words(max_terms=6, max_exp=12), st.sampled_from((16, 17, 64)),
+           st.sampled_from([(BASE_LIFT_POINT, 2e-16), (BASE_LIFT_POINT, 0.0), (BASE_LIFT_POINT, math.nan),
+                            (complex(3e-9, -2.5), 1e-15), (complex(0.0, 1e6 + 0.5), 1e-9),
+                            (complex(0.0, 1e7 + 0.5), 1e-6)]))
+    @example(parse_word("a1^5 a2^-3 a1"), 17, (complex(0.0, 1e6 + 0.5), 1e-9))
+    def test_runs_fail_as_one_run(self, w, samples, start_tol):
+        """With a tolerance below rounding, or far up the cover, where rounding grows with the offset, a lift by
+        runs raises the first fault in path order, as the lift of the one-run oracle does."""
+        curve = word_to_curve(w, samples)
+        assert lift_and_read(curve, *start_tol) == lift_and_read(checked_word_curve(curve), *start_tol)
 
     @pytest.mark.parametrize("text, samples, end", [("a1^62500", 16, 62499.5j), ("a2^-7812", 128, 7811.5j)])
     def test_lifts_at_the_point_budget(self, text, samples, end):
