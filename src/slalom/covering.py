@@ -12,8 +12,9 @@ A path is runs of copies of units: a word curve, checked by construction, is cop
 other path is one run, and PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.
 The point checks, atanh and the sign classes of Re atanh(u)/pi and Im u run once per distinct sample; bytes.find on
 their codes finds half-plane changes, crossings and pieces.  The lift's and the reader's crossing walks run once per
-plan, a unit after one sample, and the lifted points and their checks once per chunk, a plan on one branch m; only the
-points of samples whose code marks them within the tolerance of iR are checked against iZ.
+plan, a unit after one sample, and the lifted points and their checks once per chunk, a copy of a plan lifted on one
+branch m, which each later copy of the plan on that m reuses; only the points of samples whose code marks them within
+the tolerance of iR are checked against iZ.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain, compress, cycle, islice, repeat
+from functools import cached_property, reduce
+from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, attrgetter, eq, ge, mul, ne, sub, truediv
 from typing import Iterable, Sequence
 
@@ -197,34 +198,31 @@ def _plan(us: Sequence[complex], codes: dict[complex, int], atanh_pi: _AtanhTabl
             signs[1:].translate(_LIFT_REAL), {})
 
 
-def _chunks(plan: tuple, offsets: list[float], tol: float, last: complex, faults: dict) -> list:
-    """Consecutive copies of ``plan`` lifted on new branches after the point ``last``, ``offsets`` the m between
-    crossings, and checked in one pass; each check's first fault in path order stays in ``faults``."""
+def _chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> list[complex]:
+    """A copy of ``plan`` lifted on branch ``m`` after the point ``last``, and checked; each check's first fault in
+    path order stays in ``faults``."""
     us, sides, lengths, values, near, _, _ = plan
-    k, q = len(values), (len(offsets) - 1) // len(sides) if sides else 1
-    spans = [lengths[0], *[*lengths[1:-1], lengths[-1] + lengths[0]] * (q - 1), *lengths[1:]]  # copies meet in one m
-    lift = list(map(add, chain.from_iterable(repeat(values, q)),
-                    chain.from_iterable(map(repeat, map(complex, repeat(0.0), offsets), spans))))
-    samples = chain.from_iterable(map(islice, repeat(us, q), repeat(1), repeat(None)))  # us[1:] per copy
+    offsets = map(complex, repeat(0.0), accumulate(sides, sub, initial=m))  # the m between crossings
+    lift = list(map(add, values, chain.from_iterable(map(repeat, offsets, lengths))))
     # the residual is cover_map's; ge(tol, nan) is False, so NaN fails and every lifted point that passes is finite
     coth = map(truediv, repeat(1 + 0j), map(cmath.tanh, map(mul, lift, repeat(math.pi))))
     try:
-        close = all(map(ge, repeat(tol), map(abs, map(sub, coth, samples))))
+        close = all(map(ge, repeat(tol), map(abs, map(sub, coth, islice(us, 1, None)))))
     except ZeroDivisionError:  # a point lifted exactly onto 0, where coth has its pole
         close = False
     for i, z in enumerate(() if close else lift):  # the first point that fails
-        if not (t := cmath.tanh(math.pi * z)) or not abs(1 / t - (u := us[i % k + 1])) <= tol:
-            why = f"misses its image point {u} by more than {tol}" if t else f"of image point {us[i % k + 1]} is on iZ"
+        if not (t := cmath.tanh(math.pi * z)) or not abs(1 / t - (u := us[i + 1])) <= tol:
+            why = f"misses its image point {u} by more than {tol}" if t else f"of image point {us[i + 1]} is on iZ"
             faults.setdefault(0, LiftError(f"lifted point {z} {why}"))
             break
-    if not all(map(ne, chain((last,), lift), lift)):  # the sample of ``last`` is us[0], which is us[k] where q > 1
+    if not all(map(ne, chain((last,), lift), lift)):  # the sample of ``last`` is us[0]
         i = next(i for i, (a, b) in enumerate(zip(chain((last,), lift), lift)) if a == b)
-        faults.setdefault(1, LiftError(f"samples {us[i % k]} and {us[i % k + 1]} lift to the same point {lift[i]}"))
+        faults.setdefault(1, LiftError(f"samples {us[i]} and {us[i + 1]} lift to the same point {lift[i]}"))
     # adding the offset keeps Re atanh(u)/pi, so only the points of samples marked near iR can be near iZ
-    if not all(map(_off_lattice, compress(lift, cycle(near)))):
-        i = next(i for i, z in enumerate(lift) if near[i % k] and not _off_lattice(z))
+    if not all(map(_off_lattice, compress(lift, near))):
+        i = next(i for i, z in enumerate(lift) if near[i] and not _off_lattice(z))
         faults.setdefault(2, ValueError(f"path point {lift[i]} hits the excluded set of cover"))
-    return list(zip(*[iter(lift)] * k)) if q > 1 else [lift]
+    return lift
 
 
 def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
@@ -239,10 +237,11 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     onto iZ; raises a plain ``ValueError`` where a lifted point is within tolerance of iZ, as ``PolyPath`` would.
 
     atanh runs once per distinct sample and the crossing walk once per plan, a unit of the path's runs after one
-    sample.  The lifted points, residual, zero-length and near-iZ checks run once per chunk, a plan on one branch m,
-    a run's copies on new branches in one pass; chunks meet with a zero-length check.  A repeated chunk holds the same
-    floats, and each check depends on them alone, so every point is checked; as on a lift point by point, the earliest
-    check's first fault in path order is raised.
+    sample.  The lifted points, residual, zero-length and near-iZ checks run once per chunk, a copy of a plan lifted on
+    one branch m; a later copy of the plan on that m takes the same chunk, and m moves by each copy's net shift.  A
+    chunk holds the same floats wherever it is used, and each check depends on them alone; the point before it is its
+    plan's predecessor sample lifted on the same m, so that junction was checked where the chunk was built.  So every
+    point is checked, and as on a lift point by point the earliest check's first fault in path order is raised.
     """
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("lift_path expects a path in the punctured plane")
@@ -254,19 +253,12 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     m = round((start - cmath.atanh(path.start) / math.pi).imag - 0.5) + 0.5
     parts, faults, last = [], {}, start
     for plan, n in runs:
-        us, sides, _, values, _, _, built = plan
-        r, t = len(sides), 0  # the m of each stretch between crossings; a copy's branch is every r-th
-        offsets = list(accumulate(chain.from_iterable(repeat(sides, n)), sub, initial=m))
-        branches = offsets[::r] if r else [m] * (n + 1)
-        while values and t < n:
-            q = next((j for j in range(t, n) if branches[j] in built), n) - t  # the copies from t on new branches
-            got = _chunks(plan, offsets[t * r:(t + q) * r + 1], tol, last, faults) if q else [built[branches[t]]]
-            if not q and last == got[0][0]:
-                faults.setdefault(1, LiftError(f"samples {us[0]} and {us[1]} lift to the same point {last}"))
-            built.update(zip(branches[t:t + q], got))
-            parts += got
-            last, t = got[-1][-1], t + len(got)
-        m = branches[n]
+        sides, values, built = plan[1], plan[3], plan[6]
+        for _ in repeat(None, n if values else 0):  # a first unit of the start point alone lifts to nothing
+            if (chunk := built.get(m)) is None:
+                chunk = built[m] = _chunk(plan, m, tol, last, faults)
+            parts.append(chunk)
+            last, m = chunk[-1], reduce(sub, sides, m)  # the chunk's last offset
     if faults:  # as on a lift point by point, the first fault of the earliest check
         raise faults[min(faults)]
     lifted = object.__new__(PolyPath)  # checked above, so built without PolyPath's checks, and carrying the

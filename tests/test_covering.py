@@ -583,9 +583,61 @@ def lift_and_read(curve: PolyPath, start: complex = BASE_LIFT_POINT, tol: float 
     return packed(lifted.points), lifted._real_signs, slalom_decompose(lifted), curve_to_word(curve)
 
 
+def turn_leg(center: float, sign: int, radii) -> tuple[complex, ...]:
+    """A polygon turn from 0 about the puncture ``center`` and back to 0, a vertex at each of ``radii``; its steps are
+    under 2 pi / 3, so it crosses the puncture's ray once."""
+    k, phase = len(radii) + 1, 0.0 if center < 0 else math.pi
+    return (*(center + r * cmath.exp(1j * (phase + sign * 2 * math.pi * j / k)) for j, r in enumerate(radii, 1)), 0j)
+
+
+def runs_path(runs) -> PolyPath:
+    """The path of 0 then ``runs``, carrying them, built as ``word_to_curve`` builds a word curve."""
+    runs = (((0j,), 1), *runs)
+    path = object.__new__(PolyPath)
+    path.__dict__.update(points=tuple(chain.from_iterable(unit * n for unit, n in runs)), plane=Plane.PUNCTURED,
+                         _runs=runs)
+    return path
+
+
+# a leg goes from 0 back to 0: a turn crosses a ray once, a loop in the disk |z| < 0.85 never, wild vertices any number
+# of times, or come near a puncture; a unit of 1 to 3 legs crosses the rays 0, 1 or more times
+LEGS = st.one_of(
+    st.builds(turn_leg, st.sampled_from((-1.0, 1.0)), st.sampled_from((1, -1)),
+              st.lists(st.floats(0.3, 1.7), min_size=2, max_size=5)),
+    st.lists(st.builds(complex, st.floats(-0.6, 0.6), st.floats(-0.6, 0.6)), min_size=1, max_size=3).map(
+        lambda vertices: (*vertices, 0j)),
+    st.lists(loop_vertices(), min_size=1, max_size=3).map(lambda vertices: (*vertices, 0j)),
+)
+FIGURE_EIGHT = turn_leg(-1.0, 1, (1.0, 1.0, 1.0)) + turn_leg(1.0, 1, (1.0, 1.0, 1.0))  # sides -1 and 1, no net shift
+
+
 class TestWordCurveRuns:
     """A word curve carries its runs, and the lift and the reader work once per unit and predecessor sample; the
     oracle is the same points as one run, ``checked_word_curve``, which the lift and the reader take point by point."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.lists(LEGS, min_size=1, max_size=3).map(lambda legs: sum(legs, ())),
+                              st.integers(1, 5)), min_size=1, max_size=4),
+           st.sampled_from([(BASE_LIFT_POINT, 1e-6), (BASE_LIFT_POINT, math.inf), (BASE_LIFT_POINT, 2e-16),
+                            (complex(0.0, 1e6 + 0.5), 1e-9)]))
+    @example([(FIGURE_EIGHT, 3)], (BASE_LIFT_POINT, 1e-6))
+    @example([(turn_leg(-1.0, 1, (1.0, 1.0)) * 2, 2), (turn_leg(1.0, -1, (0.5, 1.5, 1.0)), 3)], (BASE_LIFT_POINT, 1e-6))
+    @example([((0.5j, 0j), 4), (FIGURE_EIGHT, 2)], (BASE_LIFT_POINT, 1e-6))
+    def test_units_crossing_the_rays_any_number_of_times(self, runs, start_tol):
+        """Each word-curve turn crosses a ray once; units that cross the rays 0, 1 or more times, with net shifts
+        other than their first crossing's, lift and read as the same points as one run."""
+        path = runs_path(runs)
+        try:
+            oracle = PolyPath(path.points, Plane.PUNCTURED)
+        except ValueError:
+            return
+        try:
+            expected = lift_and_read(oracle, *start_tol)
+        except ValueError as exc:  # the reader refuses a crossing near a puncture, as the lift does
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                lift_and_read(path, *start_tol)
+            return
+        assert lift_and_read(path, *start_tol) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(reduced_words(max_terms=10, max_exp=12), st.integers(16, 130))
@@ -615,7 +667,7 @@ class TestWordCurveRuns:
     @pytest.mark.parametrize("text, samples, end", [("a1^62500", 16, 62499.5j), ("a2^-7812", 128, 7811.5j)])
     def test_lifts_at_the_point_budget(self, text, samples, end):
         """The longest powers within the budget lift, so no word curve within it is refused; the traced peak, about
-        54.5 and 48.5 MiB on a 64-bit CPython 3.11, is mostly the 10^6 lifted points and their tuple."""
+        55.5 and 48.6 MiB on a 64-bit CPython 3.11, is mostly the 10^6 lifted points and their tuple."""
         w = parse_word(text)
         curve = word_to_curve(w, samples)
         assert len(curve.points) - 1 <= MAX_CURVE_POINTS < (w.letter_length() + 1) * samples
