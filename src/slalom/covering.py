@@ -10,11 +10,11 @@ to i(atan(y)/pi + m), so a piece ends in component m - 1/2.
 
 A path is runs of copies of units: a word curve, checked by construction, is copies of at most four turns and 0; any
 other path is one run, and PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.
-The point checks, atanh and the sign classes of Re atanh(u)/pi and Im u run once per distinct sample; bytes.find on
-their codes finds half-plane changes, crossings and pieces.  The lift's and the reader's crossing walks run once per
-plan, a unit after one sample, and the lifted points and their checks once per chunk, a copy of a plan lifted on one
-branch m, which each later copy of the plan on that m reuses; only the points of samples whose code marks them within
-the tolerance of iR are checked against iZ.
+The lift and the reader walk the crossings once per plan, a unit after one sample, and not once per copy; the lift's
+plan holds atanh(u)/pi and a code byte per point, the sign classes of Re atanh(u)/pi and Im u in which bytes.find finds
+half-plane changes, crossings and pieces.  The lifted points and their checks run once per chunk, a copy of a plan
+lifted on one branch m, which each later copy of the plan on that m reuses; only the points of samples whose code marks
+them within the tolerance of iR are checked against iZ.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, attrgetter, eq, ge, mul, ne, sub, truediv
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from slalom.words import FreeWord, Generator, reduce as reduce_word
 
@@ -38,7 +38,7 @@ _FIBER_TOL = 1e-8
 MAX_CURVE_POINTS = 10**6  # word_to_curve's budget, checked before any point is built
 
 _SIGNS = b"-0+"
-# these translate a string of code bytes (see _classify) into the b"-0+" string of one of their classes
+# these translate a string of code bytes (see _code) into the b"-0+" string of one of their classes
 _LIFT_REAL, _IMAG = (bytes(_SIGNS[c // d % 3] for c in range(256)) for d in (3, 1))
 _NEAR_IR = bytes(c >= 9 for c in range(256))  # 1 where the lifted point is within _PUNCTURE_TOL of iR
 _FLIPS = (b"-+", b"+-")
@@ -82,11 +82,10 @@ class PolyPath:
         if not (pts := self.points):
             raise ValueError("path needs at least one point")
         # only points within the tolerance of the real axis (of iR on the cover) can be excluded: C-level passes clear
-        # the others (over set(pts) if punctured), a scan names the first bad point; isfinite first: round(inf) raises
+        # the others, a scan names the first bad point; isfinite first: round(inf) raises
         check, part = (_off_punctures, "imag") if self.plane is Plane.PUNCTURED else (_off_lattice, "real")
-        pool = self._samples if self.plane is Plane.PUNCTURED else pts
-        near = compress(pool, map(_PUNCTURE_TOL.__ge__, map(abs, map(attrgetter(part), pool))))
-        if not (all(map(cmath.isfinite, pool)) and all(map(check, near))):
+        near = compress(pts, map(_PUNCTURE_TOL.__ge__, map(abs, map(attrgetter(part), pts))))
+        if not (all(map(cmath.isfinite, pts)) and all(map(check, near))):
             z = next(z for z in pts if not (cmath.isfinite(z) and check(z)))
             why = f"hits the excluded set of {self.plane.value}" if cmath.isfinite(z) else "is not finite"
             raise ValueError(f"path point {z} {why}")
@@ -97,11 +96,6 @@ class PolyPath:
     def _runs(self) -> tuple[tuple[tuple[complex, ...], int], ...]:
         """(unit, count) pairs, each unit repeated count times, that make up the points: one run but on a word curve."""
         return ((self.points, 1),)
-
-    @cached_property
-    def _samples(self) -> set[complex]:
-        """The distinct points, those of the distinct units, found once for the point checks, lift and reader."""
-        return set().union(*{id(unit): unit for unit, _ in self._runs}.values())
 
     @property
     def is_constant(self) -> bool:
@@ -151,51 +145,45 @@ def _pairs(signs: bytes, pairs: tuple[bytes, ...]) -> list[int]:
     return sorted(found)
 
 
-class _AtanhTable(dict):
-    def __missing__(self, u: complex) -> complex:  # atanh(u)/pi of a sample the table leaves out
-        return cmath.atanh(u) / math.pi
-
-
-def _classify(samples: Iterable[complex], codes: dict[complex, int], atanh_pi: _AtanhTable) -> None:
-    """Enter each sample's atanh(u)/pi and its code byte,
-    9 [|Re atanh(u)/pi| <= ``_PUNCTURE_TOL``] + 3 _sign(Re atanh(u)/pi) + _sign(Im u)."""
-    for u in samples:
-        v = cmath.atanh(u) / math.pi
-        codes[u] = 9 * (abs(v.real) <= _PUNCTURE_TOL) + 3 * _sign(v.real) + _sign(u.imag)
-        if u.imag or abs(u.real) <= 1:  # else atanh(u).imag takes the side of a zero that the key merges
-            atanh_pi[u] = v
+def _code(u: complex, v: complex) -> int:
+    """The code byte of sample u, v = atanh(u)/pi: 9 [|Re v| <= ``_PUNCTURE_TOL``] + 3 _sign(Re v) + _sign(Im u)."""
+    return 9 * (abs(v.real) <= _PUNCTURE_TOL) + 3 * _sign(v.real) + _sign(u.imag)
 
 
 def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
     """(plan(us), count) per stretch of copies of a unit after one sample, us that sample (none at the start) and the
     unit; ``plan`` runs once per unit and sample, in path order."""
-    plans, out = {}, []
-    for (unit, count), pred in zip(path._runs, [None, *(unit[-1] for unit, _ in path._runs)]):
-        for p, n in ((pred, 1), (unit[-1], count - 1))[:1 + (count > 1)]:
-            if (got := plans.get(key := (id(unit), id(p)))) is None:
-                got = plans[key] = plan(unit if p is None else (p, *unit))
-            out.append((got, n))
+    plans, out, pred = {}, [], None
+    for unit, count in path._runs:
+        for n in (1, count - 1):  # the first copy follows the sample before the run, the others the unit's last
+            if n > 0:
+                if (got := plans.get(key := (id(unit), id(pred)))) is None:
+                    got = plans[key] = plan(unit if pred is None else (pred, *unit))
+                out.append((got, n))
+                pred = unit[-1]
     return out
 
 
-def _plan(us: Sequence[complex], codes: dict[complex, int], atanh_pi: _AtanhTable) -> tuple:
+def _plan(us: Sequence[complex]) -> tuple:
     """A copy's lift but for its branch: us, an axis point inserted where Re atanh(u)/pi flips; the crossings' sides;
     the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks and real classes; a chunk per branch."""
-    signs = bytes(map(codes.__getitem__, us))
+    values = [cmath.atanh(u) / math.pi for u in us]  # PolyPath keeps the samples off -1 and 1, where atanh fails
+    signs = bytes(map(_code, us, values))
     # where the lift's real part Re atanh(u)/pi flips; where it underflows to 0 the lifted point is on iR already
     if flips := _pairs(signs.translate(_LIFT_REAL), _FLIPS):
-        pts, us = us, list(us[:flips[0]])
+        pts, vals, codes = us, values, signs
+        us, values, signs = list(pts[:flips[0]]), vals[:flips[0]], codes[:flips[0]]
         for i, j in zip(flips, [*flips[1:], len(pts)]):
             a, b = pts[i - 1], pts[i]
-            us.append(complex(0.0, a.imag + a.real / (a.real - b.real) * (b.imag - a.imag)))
-            us += pts[i:j]
-        _classify(set(us).difference(codes), codes, atanh_pi)
-        signs = bytes(map(codes.__getitem__, us))
+            u = complex(0.0, a.imag + a.real / (a.real - b.real) * (b.imag - a.imag))
+            v = cmath.atanh(u) / math.pi  # classified where it is inserted
+            us += u, *pts[i:j]
+            values += v, *vals[i:j]
+            signs += bytes((_code(u, v),)) + codes[i:j]
     crossings = list(_crossings(us, signs.translate(_IMAG), LiftError))
     cuts = [1, *(i for i, _, _ in crossings), len(us)]
-    return (us, [side for _, side, _ in crossings], list(map(sub, cuts[1:], cuts[:-1])),
-            tuple(map(atanh_pi.__getitem__, islice(us, 1, None))), signs[1:].translate(_NEAR_IR),
-            signs[1:].translate(_LIFT_REAL), {})
+    return (us, [side for _, side, _ in crossings], list(map(sub, cuts[1:], cuts[:-1])), values[1:],
+            signs[1:].translate(_NEAR_IR), signs[1:].translate(_LIFT_REAL), {})
 
 
 def _chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> list[complex]:
@@ -236,20 +224,18 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     puncture or runs along it past one, where two samples lift to one point, or where |f(z) - u| > tol or a point lifts
     onto iZ; raises a plain ``ValueError`` where a lifted point is within tolerance of iZ, as ``PolyPath`` would.
 
-    atanh runs once per distinct sample and the crossing walk once per plan, a unit of the path's runs after one
-    sample.  The lifted points, residual, zero-length and near-iZ checks run once per chunk, a copy of a plan lifted on
-    one branch m; a later copy of the plan on that m takes the same chunk, and m moves by each copy's net shift.  A
-    chunk holds the same floats wherever it is used, and each check depends on them alone; the point before it is its
-    plan's predecessor sample lifted on the same m, so that junction was checked where the chunk was built.  So every
-    point is checked, and as on a lift point by point the earliest check's first fault in path order is raised.
+    atanh, the code bytes and the crossing walk run once per plan, a unit of the path's runs after one sample.  The
+    lifted points, residual, zero-length and near-iZ checks run once per chunk, a copy of a plan lifted on one branch
+    m; a later copy of the plan on that m takes the same chunk, and m moves by each copy's net shift.  A chunk holds
+    the same floats wherever it is used, and each check depends on them alone; the point before it is its plan's
+    predecessor sample lifted on the same m, so that junction was checked where the chunk was built.  So every point is
+    checked, and as on a lift point by point the earliest check's first fault in path order is raised.
     """
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("lift_path expects a path in the punctured plane")
     if abs(cover_map(start) - path.start) > _FIBER_TOL:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
-    codes, atanh_pi = {}, _AtanhTable()  # PolyPath keeps the samples more than 1e-9 from -1 and 1, where atanh fails
-    _classify(path._samples, codes, atanh_pi)
-    runs = _copies(path, lambda us: _plan(us, codes, atanh_pi))  # all first: the crossing walk raises first
+    runs = _copies(path, _plan)  # all first: the crossing walk raises first
     m = round((start - cmath.atanh(path.start) / math.pi).imag - 0.5) + 0.5
     parts, faults, last = [], {}, start
     for plan, n in runs:
@@ -373,7 +359,6 @@ def curve_to_word(path: PolyPath) -> FreeWord:
         raise ValueError("curve_to_word expects a path in the punctured plane")
     if abs(path.start) > _FIBER_TOL or abs(path.end) > _FIBER_TOL:
         raise ValueError("curve_to_word expects a loop based at 0")
-    imag = {u: _SIGNS[_sign(u.imag)] for u in path._samples}
-    runs = _copies(path, lambda us: list(_crossings(us, bytes(map(imag.__getitem__, us)), ValueError)))
+    runs = _copies(path, lambda us: list(_crossings(us, bytes(_SIGNS[_sign(u.imag)] for u in us), ValueError)))
     return reduce_word([(Generator.A1 if ray < 0 else Generator.A2, int(side) * ray)
                         for crossings, n in runs for _, side, ray in crossings * n])

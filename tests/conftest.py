@@ -216,7 +216,7 @@ def reference_lift_points(path: PolyPath, start: complex, tol: float = 1e-6) -> 
 
 def checked_word_curve(curve: PolyPath) -> PolyPath:
     """Oracle for ``word_to_curve``, which builds its curve without ``PolyPath``'s checks: the same points
-    built through them, so that they are checked and their distinct samples found point by point."""
+    built through them, so that they are checked point by point."""
     return PolyPath(curve.points, Plane.PUNCTURED)
 
 

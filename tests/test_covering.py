@@ -227,7 +227,7 @@ class TestLiftPath:
     @settings(max_examples=40, deadline=None)
     @given(reduced_words(), st.sampled_from((16, 64, 128)))
     def test_word_curve_is_bit_equal_per_point(self, w, samples):
-        """atanh runs once per distinct sample; every lifted point has the bits of its own atanh(u)/pi + im."""
+        """atanh runs once per plan, not per copy; every lifted point has the bits of its own atanh(u)/pi + im."""
         self.assert_bit_equal_per_point(word_to_curve(w, samples))
 
     @settings(max_examples=20, deadline=None)
@@ -236,12 +236,15 @@ class TestLiftPath:
         self.assert_bit_equal_per_point(cross_ratio_curve(braid_to_strands(b)))
 
     def test_equal_samples_with_other_zeros_lift_apart(self):
-        """-5 + 0i and -5 - 0i are equal keys but lie on either side of the ray, one sheet apart."""
+        """-5 + 0i and -5 - 0i are equal but lie on either side of the ray, one sheet apart; 0.5i and -0 + 0.5i are
+        equal and differ only in the sign of a zero real part."""
         path = PolyPath((-5 + 0.5j, complex(-5, 0.0), -5.5 + 0.5j, complex(-5, -0.0), -5 - 0.5j), Plane.PUNCTURED)
         start = cmath.atanh(path.start) / math.pi + 0.5j
         lift = lift_path(path, start)
         assert bits(lift.points) == bits(per_point_lift(path, start))
         assert lift.points[1] == lift.points[3] == complex(lift.points[1].real, 1.0)
+        path = PolyPath((0j, 0.5j, 0.5 + 0.5j, complex(-0.0, 0.5), -0.5 + 0.5j, 0j), Plane.PUNCTURED)
+        assert bits(lift_path(path, BASE_LIFT_POINT).points) == bits(per_point_lift(path, BASE_LIFT_POINT))
 
     def test_collapsed_lift_raises_lift_error(self):
         """Samples closer than the rounding of their lifts, 0 and 1e-17i, lift to one point of the cover.  LiftError is
@@ -492,21 +495,21 @@ class TestWordToCurve:
 
 
 class TestWordCurveCheckedByConstruction:
-    """``word_to_curve`` builds its curve and its distinct samples without ``PolyPath``'s checks;
-    ``checked_word_curve`` runs them on the same points."""
+    """``word_to_curve`` builds its curve without ``PolyPath``'s checks; ``checked_word_curve`` runs them on the same
+    points."""
 
     def assert_matches_oracle(self, curve: PolyPath) -> PolyPath:
         oracle = checked_word_curve(curve)
         assert bits(curve.points) == bits(oracle.points)
-        assert sorted(bits(curve._samples)) == sorted(bits(oracle._samples))
+        assert sorted(bits(set(curve.points))) == sorted(bits(set(oracle.points)))
         assert curve == oracle and hash(curve) == hash(oracle)
         return oracle
 
     def assert_obligations(self, curve: PolyPath, samples: int):
         """The docstring's proof: samples finite and about 1 from both punctures, and chords of at least
         2 sin(pi / samples) between consecutive points, across each term's end at 0 too."""
-        assert all(map(cmath.isfinite, curve._samples))
-        assert min(abs(z - p) for z in curve._samples for p in (-1.0, 1.0)) >= 1 - 1e-12
+        assert all(map(cmath.isfinite, set(curve.points)))
+        assert min(abs(z - p) for z in set(curve.points) for p in (-1.0, 1.0)) >= 1 - 1e-12
         chords = list(map(abs, map(sub, curve.points[1:], curve.points[:-1])))
         assert min(chords, default=math.inf) >= 2 * math.sin(math.pi / samples) * (1 - 1e-9)
 
@@ -531,13 +534,13 @@ class TestWordCurveCheckedByConstruction:
     def test_turn_ends_only_where_a_term_repeats_its_turn(self, w, samples):
         """Each term's last point is 0, so a turn's last sample, within rounding of 0, is a sample only
         where a term of |exponent| >= 2 runs the turn again after it."""
-        ends = [z for z in word_to_curve(w, samples)._samples if z and abs(z) < 1e-12]
+        ends = [z for z in set(word_to_curve(w, samples).points) if z and abs(z) < 1e-12]
         assert bool(ends) == any(abs(t.exponent) >= 2 for t in w.terms)
 
     @pytest.mark.parametrize("samples", [16, 17, 128])
     def test_identity(self, samples):
         curve = word_to_curve(FreeWord(), samples)
-        assert curve.is_constant and curve._samples == {0j}
+        assert curve.is_constant and set(curve.points) == {0j}
         self.assert_matches_oracle(curve)
 
     def test_at_point_budget(self):
@@ -565,7 +568,7 @@ class TestWordCurveCheckedByConstruction:
         monkeypatch.undo()
         for copy in (pickle.loads(pickle.dumps(curve)), dataclasses.replace(curve)):
             assert copy == oracle and hash(copy) == hash(oracle)
-            assert sorted(bits(copy._samples)) == sorted(bits(oracle._samples))
+            assert sorted(bits(set(copy.points))) == sorted(bits(set(oracle.points)))
 
 
 def packed(points) -> bytes:
