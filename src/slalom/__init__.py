@@ -20,7 +20,7 @@ _EXPORTS = {
     "elliptic": "BoundCheckReport ModulusMethod QuadModulus agm rect_extremal_length verify_log_bounds",
     "covering": "ElementaryPiece HalfPlane Plane PolyPath SlalomDecomposition cover_map curve_to_word "
                 "lift_path slalom_decompose word_to_curve",
-    "braids": "BraidGenerator BraidLetter BraidWord StrandPaths braid_invariant braid_to_strands "
+    "braids": "BraidGenerator BraidLetter BraidWord braid_invariant braid_to_strands "
               "cross_ratio_curve cstar full_twist parse_braid permutation",
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

@@ -64,18 +64,6 @@ class BraidWord:
         return format_braid(self)
 
 
-@dataclass(frozen=True)
-class StrandPaths:
-    """Three strand trajectories over a common parameter grid; ``cross_ratio_curve`` rejects colliding strands."""
-
-    strands: tuple[tuple[complex, ...], tuple[complex, ...], tuple[complex, ...]]
-
-    def __post_init__(self):
-        n = len(self.strands[0])
-        if any(len(s) != n for s in self.strands):
-            raise ValueError("strands must share a parameter grid")
-
-
 _LETTERS = {(g.value, sign): BraidLetter(g, sign) for g in BraidGenerator for sign in (1, -1)}
 
 
@@ -115,8 +103,8 @@ def is_pure(b: BraidWord) -> bool:
     return permutation(b) == (0, 1, 2)
 
 
-def braid_to_strands(b: BraidWord, samples_per_crossing: int = 32) -> StrandPaths:
-    """Trace the strand motions of a pure braid from base point (-1, 0, 1).
+def braid_to_strands(b: BraidWord, samples_per_crossing: int = 32) -> tuple[tuple[complex, ...], ...]:
+    """Trace the strand motions of a pure braid from base point (-1, 0, 1), one tuple of points per strand.
 
     Each letter rotates the pair at the affected slots by a half-turn about
     their midpoint (counterclockwise for positive sign); the pair radius dips
@@ -146,14 +134,14 @@ def braid_to_strands(b: BraidWord, samples_per_crossing: int = 32) -> StrandPath
             paths[s].extend(center + arm * rot * r for rot, r in turns[letter.sign])
         paths[static].extend([paths[static][-1]] * samples_per_crossing)
         slot[moving[0]], slot[moving[1]] = slot[moving[1]], slot[moving[0]]
-    return StrandPaths(tuple(tuple(p) for p in paths))
+    return tuple(tuple(p) for p in paths)
 
 
-def cross_ratio_curve(s: StrandPaths) -> PolyPath:
-    """Pointwise 2 (g2 - g1)/(g3 - g1) - 1; a loop at 0 for pure braids."""
-    g1, g2, g3 = s.strands
+def cross_ratio_curve(strands: tuple[tuple[complex, ...], ...]) -> PolyPath:
+    """Pointwise 2 (g2 - g1)/(g3 - g1) - 1 over three strands of equal length; a loop at 0 for pure braids."""
+    g1, g2, g3 = strands
     pts = []
-    for a, b, c in zip(g1, g2, g3):
+    for a, b, c in zip(g1, g2, g3, strict=True):  # strands of unequal length raise ValueError
         den = c - a
         if abs(den) < 1e-9:
             raise ValueError("degenerate configuration: strands 1 and 3 collide")

@@ -21,29 +21,19 @@ MAX_ROUNDTRIP_WORDS = 10**5  # roundtrip's budget of --count
 MAX_ROUNDTRIP_POINTS = 10**7  # roundtrip's budget of curve points over all its words, which bounds its run time
 
 
-def _syllable_table(w: FreeWord) -> list[dict]:
-    return [
+def _word_report(w: FreeWord) -> dict:
+    """JSON-ready word, syllable table and Lambda of ``w``."""
+    syllables = [
         {"kind": s.kind.value, "terms": format_word(FreeWord(s.terms)), "degree": s.degree}
         for s in decompose(w).syllables
     ]
+    return {"word": format_word(w), "syllables": syllables, "lambda": lambda_invariant(w)}
 
 
-def _word_report(w: FreeWord) -> dict:
-    return {"word": format_word(w), "syllables": _syllable_table(w), "lambda": lambda_invariant(w)}
-
-
-def _bounds_report(w: FreeWord, bc: BoundaryCondition, k: BoundConstants) -> dict:
-    """JSON-ready report of ``lambda_bounds`` for one boundary condition."""
+def _bounds(w: FreeWord, bc: BoundaryCondition, k: BoundConstants) -> dict:
+    """JSON-ready ``lambda_bounds`` of ``w`` for one boundary condition, without its Lambda."""
     b = lambda_bounds(w, bc, k)
-    return {
-        "word": format_word(w),
-        "boundary": bc.value,
-        "syllables": _syllable_table(w),
-        "lambda": b.lambda_value,
-        "lower": b.lower,
-        "upper": b.upper,
-        "exceptional": b.exceptional,
-    }
+    return {"lower": b.lower, "upper": b.upper, "exceptional": b.exceptional}
 
 
 def _emit(args, result: dict, input_echo) -> int:
@@ -63,16 +53,17 @@ def _emit(args, result: dict, input_echo) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    w = parse_word(args.word)
+    w, k = parse_word(args.word), args.config_obj.bound_constants
+    report = _word_report(w)
     if args.boundary:
-        bc = BoundaryCondition(args.boundary)
-        return _emit(args, _bounds_report(w, bc, args.config_obj.bound_constants), args.word)
-    result = _word_report(w)
+        bounds = _bounds(w, BoundaryCondition(args.boundary), k)
+        result = {"word": report.pop("word"), "boundary": args.boundary, **report, **bounds}
+        return _emit(args, result, args.word)
     for bc in BoundaryCondition:
-        b = lambda_bounds(w, bc, args.config_obj.bound_constants)
-        result[f"exceptional_{bc.value}"] = b.exceptional
-        result[f"bounds_{bc.value}"] = {"lower": b.lower, "upper": b.upper}
-    return _emit(args, result, args.word)
+        bounds = _bounds(w, bc, k)
+        report[f"exceptional_{bc.value}"] = bounds.pop("exceptional")
+        report[f"bounds_{bc.value}"] = bounds
+    return _emit(args, report, args.word)
 
 
 def _cmd_syllables(args) -> int:
@@ -80,8 +71,7 @@ def _cmd_syllables(args) -> int:
 
 
 def _cmd_rectangle_module(args) -> int:
-    method = ModulusMethod.CLOSED_FORM if args.method == "closed" else ModulusMethod.QUADRATURE
-    qm = rect_extremal_length(args.M, method)
+    qm = rect_extremal_length(args.M, ModulusMethod(args.method))
     result = {
         "M": qm.m_param,
         "extremal_length": qm.extremal_length,
@@ -153,14 +143,15 @@ def _cmd_braid(args) -> int:
     from slalom.braids import braid_to_strands, cross_ratio_curve, cstar, parse_braid
 
     b = parse_braid(args.braidword)
-    rep = _bounds_report(cstar(b), BoundaryCondition(args.boundary), args.config_obj.bound_constants)
-    del rep["boundary"]
+    w = cstar(b)
+    bounds = _bounds(w, BoundaryCondition(args.boundary), args.config_obj.bound_constants)
+    result = {"braid": args.braidword, **_word_report(w), **bounds}
     if args.svg:
         _lift(args, cross_ratio_curve(braid_to_strands(b)))
-    return _emit(args, {"braid": args.braidword, **rep}, args.braidword)
+    return _emit(args, result, args.braidword)
 
 
-def random_reduced_word(rng: random.Random, max_letters: int) -> FreeWord:
+def _random_reduced_word(rng: random.Random, max_letters: int) -> FreeWord:
     """Random reduced word with letter length (sum of |exponents|) <= max_letters."""
     terms = []
     budget = rng.randint(0, max_letters)
@@ -186,7 +177,7 @@ def _cmd_roundtrip(args) -> int:
     rng = random.Random(args.seed)
     failures = []
     for _ in range(args.count):
-        w = random_reduced_word(rng, args.maxlen)
+        w = _random_reduced_word(rng, args.maxlen)
         got = curve_to_word(word_to_curve(w, cfg.samples_per_turn))
         if got != w:
             failures.append({"word": format_word(w), "got": format_word(got)})

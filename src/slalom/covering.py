@@ -98,10 +98,6 @@ class PolyPath:
         return ((self.points, 1),)
 
     @property
-    def is_constant(self) -> bool:
-        return len(self.points) == 1
-
-    @property
     def start(self) -> complex:
         return self.points[0]
 

@@ -29,11 +29,6 @@ class BoundaryCondition(enum.Enum):
     PERPENDICULAR_BISECTOR = "pb"
 
 
-class WordClass(enum.Enum):
-    GENERIC = "generic"
-    EXCEPTIONAL = "exceptional"
-
-
 @dataclass(frozen=True)
 class Syllable:
     terms: tuple[Term, ...]
@@ -59,7 +54,6 @@ class Syllable:
 @dataclass(frozen=True)
 class SyllableDecomposition:
     syllables: tuple[Syllable, ...]
-    source: FreeWord
 
 
 @dataclass(frozen=True)
@@ -98,25 +92,22 @@ def decompose(w: FreeWord) -> SyllableDecomposition:
             j += 1
         out.append(Syllable(terms[i:j], SyllableKind.ALTERNATING_RUN if j - i >= 2 else SyllableKind.SINGLETON))
         i = j
-    return SyllableDecomposition(tuple(out), w)
+    return SyllableDecomposition(tuple(out))
 
 
 def lambda_invariant(w: FreeWord) -> float:
     return sum(math.log(1 + s.degree) for s in decompose(w).syllables)
 
 
-def classify_exceptional(w: FreeWord, bc: BoundaryCondition) -> WordClass:
-    """Words whose extremal length vanishes for the given boundary condition."""
+def classify_exceptional(w: FreeWord, bc: BoundaryCondition) -> bool:
+    """Whether the extremal length of ``w`` vanishes for the given boundary condition."""
     if bc is BoundaryCondition.TOTALLY_REAL:
-        exceptional = len(w.terms) <= 1
-    else:
-        exps = {t.exponent for t in w.terms}
-        exceptional = exps in (set(), {1}, {-1})
-    return WordClass.EXCEPTIONAL if exceptional else WordClass.GENERIC
+        return len(w.terms) <= 1
+    return {t.exponent for t in w.terms} in (set(), {1}, {-1})
 
 
 def lambda_bounds(w: FreeWord, bc: BoundaryCondition, k: BoundConstants = BoundConstants()) -> LambdaBounds:
     lam = lambda_invariant(w)
-    if classify_exceptional(w, bc) is WordClass.EXCEPTIONAL:
+    if classify_exceptional(w, bc):
         return LambdaBounds(lam, 0.0, 0.0, True)
     return LambdaBounds(lam, k.c_minus * lam, k.c_plus * lam, False)

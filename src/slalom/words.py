@@ -57,10 +57,6 @@ class FreeWord:
             if prev.gen is cur.gen:
                 raise ValueError("word is not reduced: consecutive terms share a generator")
 
-    @property
-    def is_identity(self) -> bool:
-        return not self.terms
-
     def letter_length(self) -> int:
         """Total number of generator letters, sum of |exponent|."""
         return sum(abs(t.exponent) for t in self.terms)

@@ -39,7 +39,7 @@ def lift_read_word(path: PolyPath) -> FreeWord:
     A left piece moving up n components carries a1^n, a right piece moving
     down n components carries a2^n.
     """
-    if path.is_constant:
+    if len(path.points) == 1:
         return FreeWord()
     raw = []
     for p in slalom_decompose(lift_path(path, BASE_LIFT_POINT)).pieces:

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import FIGURE2_TEXT, lift_read_word, random_pure_braid, random_word_max_terms
 from slalom.braids import BraidWord, braid_to_strands, cross_ratio_curve, cstar, full_twist, parse_braid
-from slalom.cli import random_reduced_word
+from slalom.cli import _random_reduced_word
 from slalom.covering import curve_to_word, lift_path, word_to_curve, BASE_LIFT_POINT, cover_map
 from slalom.elliptic import ModulusMethod, rect_extremal_length, verify_log_bounds
 from slalom.syllables import (
@@ -133,7 +133,7 @@ def test_criterion_5_word_curve_round_trip():
     with Criterion(5, "word/curve round trip at two refinements", 60.0):
         rng = random.Random(2024)
         for _ in range(100):
-            w = random_reduced_word(rng, 12)
+            w = _random_reduced_word(rng, 12)
             for samples in (64, 128):
                 curve = word_to_curve(w, samples)
                 assert curve_to_word(curve) == w and lift_read_word(curve) == w
@@ -148,7 +148,7 @@ def checked_cstar(b: BraidWord) -> FreeWord:
 
 def test_criterion_6_braid_correspondence():
     with Criterion(6, "braid correspondence", 120.0):
-        assert checked_cstar(full_twist()).is_identity
+        assert checked_cstar(full_twist()) == FreeWord()
         rng = random.Random(4096)
         for _ in range(50):
             b = random_pure_braid(rng, 10)

@@ -13,7 +13,6 @@ from slalom.braids import (
     BraidSyntaxError,
     BraidWord,
     PurityError,
-    StrandPaths,
     _SCHREIER,
     braid_invariant,
     braid_to_strands,
@@ -27,7 +26,7 @@ from slalom.braids import (
 )
 from slalom.covering import MAX_CURVE_POINTS
 from slalom.syllables import BoundaryCondition
-from slalom.words import Term, WordSyntaxError, concat, parse_word
+from slalom.words import FreeWord, Term, WordSyntaxError, concat, parse_word
 
 # the coset representatives of the Reidemeister-Schreier table
 TRANSVERSAL = ("", "s1", "s2", "s1 s2", "s2 s1", "s1 s2 s1")
@@ -95,25 +94,25 @@ class TestPermutation:
 class TestStrands:
     def test_empty_braid_constant(self):
         s = braid_to_strands(BraidWord())
-        assert s.strands == ((-1 + 0j,), (0j,), (1 + 0j,))
+        assert s == ((-1 + 0j,), (0j,), (1 + 0j,))
 
     def test_sigma1_squared_full_turn(self):
         s = braid_to_strands(parse_braid("s1^2"), 32)
-        g1, g2, g3 = s.strands
+        g1, g2, g3 = s
         assert g1[0] == -1 and abs(g1[-1] - (-1)) < 1e-12
         assert g2[0] == 0 and abs(g2[-1]) < 1e-12
         assert all(z == 1 for z in g3)
 
     def test_full_twist_returns_and_separates(self):
         s = braid_to_strands(full_twist(), 32)
-        for strand, base in zip(s.strands, (-1, 0, 1)):
+        for strand, base in zip(s, (-1, 0, 1)):
             assert strand[0] == pytest.approx(base, abs=1e-12)
             assert strand[-1] == pytest.approx(base, abs=1e-9)
         mind = min(
             abs(a - b)
             for i in range(3)
             for j in range(i + 1, 3)
-            for a, b in zip(s.strands[i], s.strands[j])
+            for a, b in zip(s[i], s[j])
         )
         assert mind >= 0.2
 
@@ -123,7 +122,7 @@ class TestStrands:
         # the pair radius dips to 0.35 mid-turn; the static strand stays at least 1 from the moving pair
         s = braid_to_strands(b, samples)
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            assert min(abs(p - q) for p, q in zip(s.strands[i], s.strands[j])) >= 0.7 - 1e-12
+            assert min(abs(p - q) for p, q in zip(s[i], s[j])) >= 0.7 - 1e-12
 
     def test_rejects_non_pure(self):
         with pytest.raises(PurityError):
@@ -155,13 +154,13 @@ class TestStrands:
 
 class TestCrossRatioCurve:
     def test_constant_base_configuration(self):
-        curve = cross_ratio_curve(StrandPaths(((-1 + 0j,), (0j,), (1 + 0j,))))
-        assert curve.is_constant and curve.start == 0
+        curve = cross_ratio_curve(((-1 + 0j,), (0j,), (1 + 0j,)))
+        assert len(curve.points) == 1 and curve.start == 0
 
     def test_middle_strand_identity(self):
         zs = tuple(0.3 * complex(c, s) for c, s in [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 0)])
         n = len(zs)
-        curve = cross_ratio_curve(StrandPaths(((-1 + 0j,) * n, zs, (1 + 0j,) * n)))
+        curve = cross_ratio_curve(((-1 + 0j,) * n, zs, (1 + 0j,) * n))
         assert len(curve.points) == len(zs)
         for got, want in zip(curve.points, zs):
             assert abs(got - want) < 1e-14
@@ -172,12 +171,22 @@ class TestCrossRatioCurve:
     ])
     def test_collision_rejected(self, strands, message):
         with pytest.raises(ValueError, match=message):
-            cross_ratio_curve(StrandPaths(strands))
+            cross_ratio_curve(strands)
+
+    @pytest.mark.parametrize("strands", [
+        ((-1 + 0j,), (0j, 0.1j), (1 + 0j, 1 + 0j)),  # strand 1 shorter
+        ((-1 + 0j, -1 + 0j), (0j,), (1 + 0j, 1 + 0j)),  # strand 2 shorter
+        ((-1 + 0j, -1 + 0j), (0j, 0.1j), (1 + 0j, 1 + 0j, 1 + 0j)),  # strand 3 longer
+    ])
+    def test_unequal_strand_lengths_rejected(self, strands):
+        """Strands sampled on different grids are refused, not cut to the shortest."""
+        with pytest.raises(ValueError, match="zip"):
+            cross_ratio_curve(strands)
 
     @pytest.mark.parametrize("d, collides", [(0.5e-9, True), (2e-9, False)])
     def test_strand_distance_tolerance(self, d, collides):
         """Strands 1 and 3 closer than 1e-9 collide; the middle strand sits where the cross ratio is i."""
-        strands = StrandPaths(((0j,), (complex(d / 2, d / 2),), (complex(d, 0.0),)))
+        strands = ((0j,), (complex(d / 2, d / 2),), (complex(d, 0.0),))
         if collides:
             with pytest.raises(ValueError, match="strands 1 and 3 collide"):
                 cross_ratio_curve(strands)
@@ -186,7 +195,7 @@ class TestCrossRatioCurve:
 
     def test_affine_invariance(self):
         s = braid_to_strands(parse_braid("s1^2"), 16)
-        mapped = StrandPaths(tuple(tuple(2 * z + 5 for z in strand) for strand in s.strands))
+        mapped = tuple(tuple(2 * z + 5 for z in strand) for strand in s)
         a = cross_ratio_curve(s)
         b = cross_ratio_curve(mapped)
         assert len(a.points) == len(b.points)
@@ -207,7 +216,7 @@ class TestCstar:
             b = BraidWord()
             for _ in range(m):
                 b = b * full_twist()
-            assert cstar(b).is_identity
+            assert cstar(b) == FreeWord()
 
     def test_full_twist_absorbed(self):
         rng = random.Random(29)

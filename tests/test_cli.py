@@ -45,8 +45,8 @@ PUBLIC_NAMES = {
                  "verify_log_bounds"],
     "covering": ["ElementaryPiece", "HalfPlane", "Plane", "PolyPath", "SlalomDecomposition", "cover_map",
                  "curve_to_word", "lift_path", "slalom_decompose", "word_to_curve"],
-    "braids": ["BraidGenerator", "BraidLetter", "BraidWord", "StrandPaths", "braid_invariant", "braid_to_strands",
-               "cross_ratio_curve", "cstar", "full_twist", "parse_braid", "permutation"],
+    "braids": ["BraidGenerator", "BraidLetter", "BraidWord", "braid_invariant", "braid_to_strands", "cross_ratio_curve",
+               "cstar", "full_twist", "parse_braid", "permutation"],
 }
 
 
@@ -319,7 +319,7 @@ class TestInterfaceContract:
 
     def test_public_names_resolve(self):
         names = [name for names in PUBLIC_NAMES.values() for name in names]
-        assert len(names) == 43
+        assert len(names) == 42
         assert sorted(slalom.__all__) == sorted(names)
         for module, names_of_module in PUBLIC_NAMES.items():
             mod = importlib.import_module(f"slalom.{module}")

@@ -19,6 +19,31 @@ def unused_imports(source: str) -> list[str]:
     return sorted(bound - {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)})
 
 
+def unread_private_names(sources: dict[str, str]) -> list[str]:
+    """``module.name`` for each module-level private name (``_x``, not dunder) that a module of ``sources``
+    defines and that no module of them reads, as a name or as an attribute."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    read = set()
+    for node in (node for tree in trees.values() for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+            else:
+                continue
+            private = [name for name in names if name.startswith("_") and not (name[:2] == name[-2:] == "__")]
+            unread += [f"{module}.{name}" for name in private if name not in read]
+    return sorted(unread)
+
+
 def test_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nfrom typing import Iterable, Sequence\nx: Sequence\n"
     assert unused_imports(source) == ["Iterable", "os"]
@@ -27,3 +52,15 @@ def test_finds_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_finds_an_unread_private_name():
+    sources = {
+        "a": "_SHARED = 1\n_LOCAL, _UNREAD = 2, 3\n__all__ = []\ndef _helper():\n    return _LOCAL\nx = _helper()\n",
+        "b": "from a import _SHARED\nclass _Unused:\n    pass\ndef f(m):\n    return _SHARED + m._ATTR\n_ATTR = 0\n",
+    }
+    assert unread_private_names(sources) == ["a._UNREAD", "b._Unused"]
+
+
+def test_every_private_name_is_read():
+    assert unread_private_names({path.stem: path.read_text() for path in MODULES}) == []

@@ -10,7 +10,6 @@ from slalom.syllables import (
     BoundConstants,
     SyllableDecomposition,
     SyllableKind,
-    WordClass,
     classify_exceptional,
     decompose,
     lambda_bounds,
@@ -22,10 +21,10 @@ TR = BoundaryCondition.TOTALLY_REAL
 PB = BoundaryCondition.PERPENDICULAR_BISECTOR
 
 
-def check_partition(dec: SyllableDecomposition) -> None:
-    """Rule-checking oracle: validates the partition invariants directly."""
+def check_partition(dec: SyllableDecomposition, w: FreeWord) -> None:
+    """Rule-checking oracle: validates the invariants of ``dec`` as a partition of ``w`` directly."""
     flat = tuple(t for s in dec.syllables for t in s.terms)
-    assert flat == dec.source.terms
+    assert flat == w.terms
     for s in dec.syllables:
         if s.kind is SyllableKind.BIG_POWER:
             assert len(s.terms) == 1 and abs(s.terms[0].exponent) >= 2
@@ -41,7 +40,7 @@ def check_partition(dec: SyllableDecomposition) -> None:
     for s in dec.syllables:
         boundaries.append((idx, idx + len(s.terms), s))
         idx += len(s.terms)
-    terms = dec.source.terms
+    terms = w.terms
     for start, stop, s in boundaries:
         if s.kind is SyllableKind.ALTERNATING_RUN:
             e = s.terms[0].exponent
@@ -61,24 +60,26 @@ class TestDecompose:
             (SyllableKind.SINGLETON, 1),
             (SyllableKind.SINGLETON, 1),
         ]
-        check_partition(dec)
+        check_partition(dec, figure2_word)
 
     def test_single_big_power(self):
         dec = decompose(parse_word("a1^5"))
         assert [(s.kind, s.degree) for s in dec.syllables] == [(SyllableKind.BIG_POWER, 5)]
 
     def test_run_then_singleton(self):
-        dec = decompose(parse_word("a1 a2 a1^-1"))
+        w = parse_word("a1 a2 a1^-1")
+        dec = decompose(w)
         assert [(s.kind, s.degree) for s in dec.syllables] == [
             (SyllableKind.ALTERNATING_RUN, 2),
             (SyllableKind.SINGLETON, 1),
         ]
-        check_partition(dec)
+        check_partition(dec, w)
 
     def test_partition_property_random(self):
         rng = random.Random(20240817)
         for _ in range(1000):
-            check_partition(decompose(random_word_max_terms(rng, 30)))
+            w = random_word_max_terms(rng, 30)
+            check_partition(decompose(w), w)
 
 
 class TestReferenceDecompose:
@@ -124,19 +125,19 @@ class TestLambda:
 
 class TestExceptional:
     def test_tr_single_generator_powers(self):
-        assert classify_exceptional(parse_word("a1^5"), TR) is WordClass.EXCEPTIONAL
-        assert classify_exceptional(parse_word("a2^-7"), TR) is WordClass.EXCEPTIONAL
-        assert classify_exceptional(FreeWord(), TR) is WordClass.EXCEPTIONAL
-        assert classify_exceptional(parse_word("a1 a2"), TR) is WordClass.GENERIC
+        assert classify_exceptional(parse_word("a1^5"), TR) is True
+        assert classify_exceptional(parse_word("a2^-7"), TR) is True
+        assert classify_exceptional(FreeWord(), TR) is True
+        assert classify_exceptional(parse_word("a1 a2"), TR) is False
 
     def test_pb_sign_constant(self):
-        assert classify_exceptional(parse_word("a1 a2 a1"), PB) is WordClass.EXCEPTIONAL
-        assert classify_exceptional(parse_word("a1^-1 a2^-1"), PB) is WordClass.EXCEPTIONAL
-        assert classify_exceptional(FreeWord(), PB) is WordClass.EXCEPTIONAL
-        assert classify_exceptional(parse_word("a1^5"), PB) is WordClass.GENERIC
+        assert classify_exceptional(parse_word("a1 a2 a1"), PB) is True
+        assert classify_exceptional(parse_word("a1^-1 a2^-1"), PB) is True
+        assert classify_exceptional(FreeWord(), PB) is True
+        assert classify_exceptional(parse_word("a1^5"), PB) is False
 
     def test_figure2_generic_pb(self, figure2_word):
-        assert classify_exceptional(figure2_word, PB) is WordClass.GENERIC
+        assert classify_exceptional(figure2_word, PB) is False
 
 
 class TestBounds:
