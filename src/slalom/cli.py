@@ -22,7 +22,6 @@ MAX_ROUNDTRIP_POINTS = 10**7  # roundtrip's budget of curve points over all its 
 
 
 def _word_report(w: FreeWord) -> dict:
-    """JSON-ready word, syllable table and Lambda of ``w``."""
     syllables = [
         {"kind": s.kind.value, "terms": format_word(FreeWord(s.terms)), "degree": s.degree}
         for s in decompose(w).syllables
