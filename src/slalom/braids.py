@@ -60,9 +60,6 @@ class BraidWord:
     def inverse(self) -> "BraidWord":
         return BraidWord(tuple(BraidLetter(l.gen, -l.sign) for l in reversed(self.letters)))
 
-    def __str__(self) -> str:
-        return format_braid(self)
-
 
 _LETTERS = {(g.value, sign): BraidLetter(g, sign) for g in BraidGenerator for sign in (1, -1)}
 
@@ -99,10 +96,6 @@ def permutation(b: BraidWord) -> tuple[int, int, int]:
     return tuple(slot)
 
 
-def is_pure(b: BraidWord) -> bool:
-    return permutation(b) == (0, 1, 2)
-
-
 def braid_to_strands(b: BraidWord, samples_per_crossing: int = 32) -> tuple[tuple[complex, ...], ...]:
     """Trace the strand motions of a pure braid from base point (-1, 0, 1), one tuple of points per strand.
 
@@ -116,8 +109,8 @@ def braid_to_strands(b: BraidWord, samples_per_crossing: int = 32) -> tuple[tupl
         raise ValueError("samples_per_crossing must be >= 16")
     if max(len(b.letters), 1) * samples_per_crossing > MAX_CURVE_POINTS:
         raise ValueError(f"strands exceed {MAX_CURVE_POINTS} points; use fewer letters or samples")
-    if not is_pure(b):
-        raise PurityError(f"braid {format_braid(b)!r} is not pure: permutation {permutation(b)}")
+    if (perm := permutation(b)) != (0, 1, 2):
+        raise PurityError(f"braid {format_braid(b)!r} is not pure: permutation {perm}")
     # the half-turn factors (rotation, radius scale) depend only on the sign and the sample
     ts = [j / samples_per_crossing for j in range(1, samples_per_crossing + 1)]
     scales = [(_HALF_GAP - (_HALF_GAP - _TURN_RADIUS_MIN) * math.sin(math.pi * t)) / _HALF_GAP for t in ts]

@@ -72,10 +72,10 @@ def _cmd_syllables(args) -> int:
 def _cmd_rectangle_module(args) -> int:
     qm = rect_extremal_length(args.M, ModulusMethod(args.method))
     result = {
-        "M": qm.m_param,
+        "M": args.M,
         "extremal_length": qm.extremal_length,
         "conformal_module": qm.conformal_module if math.isfinite(qm.conformal_module) else "inf",
-        "method": qm.method.value,
+        "method": args.method,
     }
     return _emit(args, result, {"M": args.M, "method": args.method})
 
@@ -95,18 +95,6 @@ def _cmd_verify_bounds(args) -> int:
         "ratio_max": rep.ratio_max,
     }
     return _emit(args, result, {"from": args.frm, "to": args.to, "samples": args.samples})
-
-
-def _piece_table(pieces) -> list[dict]:
-    return [
-        {
-            "half_plane": p.half_plane.value,
-            "start_component": p.start_component,
-            "end_component": p.end_component,
-            "trivial": p.trivial,
-        }
-        for p in pieces
-    ]
 
 
 def _lift(args, curve):
@@ -133,7 +121,15 @@ def _cmd_lift(args) -> int:
     result = {
         "word": format_word(w),
         "lift_endpoint": {"re": end.real, "im": end.imag},
-        "pieces": _piece_table(pieces),
+        "pieces": [
+            {
+                "half_plane": p.half_plane.value,
+                "start_component": p.start_component,
+                "end_component": p.end_component,
+                "trivial": p.trivial,
+            }
+            for p in pieces
+        ],
     }
     return _emit(args, result, args.word)
 

@@ -49,7 +49,7 @@ def _sign(x: float) -> int:  # the index in b"-0+" of x's sign class
     return (x > 0) - (x < 0) + 1
 
 
-class LiftError(ValueError, RuntimeError):  # a RuntimeError too, so that `except RuntimeError` still catches it
+class LiftError(ValueError):
     """Lifting failed: start off fiber, residual above the tolerance, or a lift ending or changing half-plane off iR."""
 
 

@@ -49,10 +49,8 @@ class ModulusMethod(enum.Enum):
 
 @dataclass(frozen=True)
 class QuadModulus:
-    m_param: float
     extremal_length: float
     conformal_module: float
-    method: ModulusMethod
 
 
 @dataclass(frozen=True)
@@ -89,14 +87,14 @@ def rect_extremal_length(m_param: float, method: ModulusMethod = ModulusMethod.C
     if not 0 <= m_param <= _M_MAX:
         raise ValueError(f"M must be in [0, {_M_MAX!r}], where 2M + 1 is finite; got {m_param}")
     if m_param == 0:
-        return QuadModulus(0.0, 0.0, math.inf, method)
+        return QuadModulus(0.0, math.inf)
     # k and its complement k', each computed exactly: no 1 - k^2 cancellation
     k, k_c = m_param / (m_param + 1), math.sqrt(2 * m_param + 1) / (m_param + 1)
     if method is ModulusMethod.CLOSED_FORM:
         lam = 2 * agm(1.0, k) / agm(1.0, k_c)  # 2 K(k) / K(k') by DLMF 19.8.5
     else:
         lam = 2 * _arc(k_c) / _arc(k)
-    return QuadModulus(m_param, lam, 1 / lam, method)
+    return QuadModulus(lam, 1 / lam)
 
 
 def verify_log_bounds(m_values: Sequence[float]) -> BoundCheckReport:

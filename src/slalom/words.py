@@ -30,9 +30,6 @@ class Generator(enum.Enum):
     A1 = "a1"
     A2 = "a2"
 
-    def __str__(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Term:
@@ -61,15 +58,11 @@ class FreeWord:
         """Total number of generator letters, sum of |exponent|."""
         return sum(abs(t.exponent) for t in self.terms)
 
-    def __str__(self) -> str:
-        return format_word(self)
 
-
-def reduce(raw: Iterable[tuple[Generator, int] | Term]) -> FreeWord:
-    """Merge adjacent equal-generator terms and drop zero exponents, to a fixed point."""
+def reduce(raw: Iterable[tuple[Generator, int]]) -> FreeWord:
+    """Merge adjacent equal-generator (generator, exponent) pairs and drop zero exponents, to a fixed point."""
     stack: list[list] = []
-    for item in raw:
-        gen, exp = (item.gen, item.exponent) if isinstance(item, Term) else item
+    for gen, exp in raw:
         if exp == 0:
             continue
         if stack and stack[-1][0] is gen:
@@ -106,7 +99,7 @@ def parse_word(text: str) -> FreeWord:
 
 
 def concat(u: FreeWord, v: FreeWord) -> FreeWord:
-    return reduce(u.terms + v.terms)
+    return reduce((t.gen, t.exponent) for t in u.terms + v.terms)
 
 
 def invert(u: FreeWord) -> FreeWord:

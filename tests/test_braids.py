@@ -20,7 +20,6 @@ from slalom.braids import (
     cstar,
     format_braid,
     full_twist,
-    is_pure,
     parse_braid,
     permutation,
 )
@@ -85,7 +84,6 @@ class TestPermutation:
 
     def test_full_twist_pure(self):
         assert permutation(full_twist()) == (0, 1, 2)
-        assert is_pure(full_twist())
 
     def test_inverse_sign_irrelevant(self):
         assert permutation(parse_braid("s1^-1")) == permutation(parse_braid("s1"))

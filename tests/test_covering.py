@@ -248,8 +248,8 @@ class TestLiftPath:
 
     def test_collapsed_lift_raises_lift_error(self):
         """Samples closer than the rounding of their lifts, 0 and 1e-17i, lift to one point of the cover.  LiftError is
-        a ValueError, as the package's other errors are, and a RuntimeError for handlers that catch that."""
-        assert issubclass(LiftError, ValueError) and issubclass(LiftError, RuntimeError)
+        a ValueError, as the package's other errors are."""
+        assert issubclass(LiftError, ValueError)
         with pytest.raises(LiftError, match=re.escape("samples 0j and 1e-17j lift to the same point -0.5j")):
             lift_path(PolyPath((0j, 1e-17j, 0j), Plane.PUNCTURED), BASE_LIFT_POINT)
 
