@@ -5,7 +5,7 @@ import sys
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import slalom.elliptic
@@ -56,6 +56,25 @@ class TestAgm:
             agm(0.0, 1.0)
         with pytest.raises(ValueError):
             agm(1.0, -2.0)
+
+    @pytest.mark.parametrize("a, b", [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf)])
+    def test_rejects_non_finite(self, a, b):
+        with pytest.raises(ValueError, match="finite"):
+            agm(a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(min_value=5e-324, allow_infinity=False), st.floats(min_value=5e-324, allow_infinity=False))
+    @example(5e-324, 5e-324)
+    @example(1.7e308, 5e-324)
+    @example(sys.float_info.max, sys.float_info.max)
+    @example(1e200, 2e200)  # a * b overflows
+    @example(1e-200, 2e-200)  # a * b underflows
+    @example(1.5e-323, 1e-323)  # adjacent subnormals, whose arithmetic mean rounds back to the larger
+    def test_within_stated_accuracy_of_mpmath(self, a, b):
+        """The docstring's bound, 1e-15 relative plus 5e-324, against a 40-digit AGM, over all positive floats."""
+        with mpmath.workdps(40):
+            exact = mpmath.agm(a, b)
+            assert abs(agm(a, b) - exact) <= 1e-15 * exact + 5e-324
 
 
 class TestRectExtremalLength:
