@@ -88,6 +88,8 @@ def rect_extremal_length(m_param: float, method: ModulusMethod = ModulusMethod.C
     """Extremal length a/b of the rectangle R^M; M = 0 degenerates to 0."""
     if not 0 <= m_param <= _M_MAX:
         raise ValueError(f"M must be in [0, {_M_MAX!r}], where 2M + 1 is finite; got {m_param}")
+    if not isinstance(method, ModulusMethod):
+        raise ValueError(f"method must be a ModulusMethod member; got {method!r}")
     if m_param == 0:
         return QuadModulus(0.0, math.inf)
     # k and its complement k', each computed exactly: no 1 - k^2 cancellation

@@ -104,7 +104,9 @@ def classify_exceptional(w: FreeWord, bc: BoundaryCondition) -> bool:
     """Whether the extremal length of ``w`` vanishes for the given boundary condition."""
     if bc is BoundaryCondition.TOTALLY_REAL:
         return len(w.terms) <= 1
-    return {t.exponent for t in w.terms} in (set(), {1}, {-1})
+    if bc is BoundaryCondition.PERPENDICULAR_BISECTOR:
+        return {t.exponent for t in w.terms} in (set(), {1}, {-1})
+    raise ValueError(f"boundary condition must be a BoundaryCondition member; got {bc!r}")
 
 
 def lambda_bounds(w: FreeWord, bc: BoundaryCondition, k: BoundConstants = BoundConstants()) -> LambdaBounds:

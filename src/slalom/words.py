@@ -60,15 +60,13 @@ class FreeWord:
 
 
 def reduce(raw: Iterable[tuple[Generator, int]]) -> FreeWord:
-    """Merge adjacent equal-generator (generator, exponent) pairs and drop zero exponents, to a fixed point."""
+    """Merge adjacent (generator, exponent) pairs of one generator and drop zeros; a result past 64 bits overflows."""
     stack: list[list] = []
     for gen, exp in raw:
         if exp == 0:
             continue
         if stack and stack[-1][0] is gen:
             stack[-1][1] += exp
-            if not (_INT64_MIN <= stack[-1][1] <= _INT64_MAX):
-                raise OverflowError("exponent overflow while reducing")
             if stack[-1][1] == 0:
                 stack.pop()
         else:

@@ -75,6 +75,13 @@ class TestParse:
                 parse_braid(text)
 
 
+class TestLetter:
+    @pytest.mark.parametrize("sign", [0, 2, -2])
+    def test_sign_is_checked(self, sign):
+        with pytest.raises(ValueError, match="sign must be"):
+            BraidLetter(BraidGenerator.SIGMA1, sign)
+
+
 class TestPermutation:
     def test_sigma1_transposition(self):
         assert permutation(parse_braid("s1")) == (1, 0, 2)
@@ -265,6 +272,11 @@ class TestCstar:
 
 
 class TestBraidInvariant:
+    @pytest.mark.parametrize("bc", ["tr", "pb"])
+    def test_boundary_must_be_a_member(self, bc):
+        with pytest.raises(ValueError, match="must be a BoundaryCondition member"):
+            braid_invariant(parse_braid("s1^2 s2^2"), bc)
+
     def test_full_twist_exceptional(self):
         b = braid_invariant(full_twist(), PB)
         assert (b.lambda_value, b.lower, b.upper, b.exceptional) == (0.0, 0.0, 0.0, True)

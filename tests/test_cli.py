@@ -26,7 +26,7 @@ from slalom.braids import MAX_BRAID_LETTERS, format_braid
 from slalom.cli import MAX_ROUNDTRIP_POINTS, MAX_ROUNDTRIP_WORDS, MAX_SWEEP_SAMPLES, main
 from slalom.config import ENV_VAR, Config, load_config
 from slalom.covering import MAX_CURVE_POINTS, Plane, PolyPath
-from slalom.words import format_word
+from slalom.words import concat, format_word, parse_word
 
 from conftest import pure_braids, reduced_words
 
@@ -252,6 +252,16 @@ class TestRoundtripCommand:
         code, out, _ = run_cli(capsys, "roundtrip", "--count", "10", "--maxlen", "6")
         assert code == 0
         assert json.loads(out)["result"]["failures"] == 0
+
+    def test_failed_word_is_reported(self, capsys, monkeypatch):
+        """A reader that returns a wrong word is reported, with exit 0: the report is the command's output."""
+        read = slalom.covering.curve_to_word
+        monkeypatch.setattr(slalom.covering, "curve_to_word", lambda path: concat(read(path), parse_word("a2")))
+        code, out, _ = run_cli(capsys, "roundtrip", "--count", "1", "--maxlen", "4", "--seed", "3")
+        result = json.loads(out)["result"]
+        assert (code, result["failures"]) == (0, 1)
+        [failed] = result["failed_words"]
+        assert parse_word(failed["got"]) == concat(parse_word(failed["word"]), parse_word("a2"))
 
 
 class TestInterfaceContract:

@@ -124,6 +124,11 @@ class TestCoverMap:
 
 
 class TestLiftPath:
+    def test_rejects_cover_plane_path(self):
+        path = PolyPath((-0.5j, 0.5 + 0.5j), Plane.COVER)
+        with pytest.raises(ValueError, match="lift_path expects a path in the punctured plane"):
+            lift_path(path, BASE_LIFT_POINT)
+
     def test_alpha1_endpoint(self):
         lift = lift_path(word_to_curve(parse_word("a1"), 64), BASE_LIFT_POINT)
         assert abs(lift.end - 0.5j) < 1e-6

@@ -93,6 +93,13 @@ class TestRectExtremalLength:
         with pytest.raises(ValueError):
             rect_extremal_length(m, method)
 
+    @pytest.mark.parametrize("method", ["closed", "quad", None])
+    @pytest.mark.parametrize("m", [0.0, 2.0])
+    def test_method_must_be_a_member(self, m, method):
+        """A value or a name in place of the member is refused, not run as quadrature."""
+        with pytest.raises(ValueError, match="must be a ModulusMethod member"):
+            rect_extremal_length(m, method)
+
     @pytest.mark.parametrize("m", [9e307, sys.float_info.max])
     @pytest.mark.parametrize("method", [CLOSED, QUAD])
     def test_m_above_bound_rejected(self, m, method):

@@ -44,6 +44,11 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     return sorted(unread)
 
 
+def long_lines(source: str, limit: int = 120) -> list[int]:
+    """The 1-based numbers of the lines of ``source`` longer than ``limit`` characters."""
+    return [n for n, line in enumerate(source.splitlines(), 1) if len(line) > limit]
+
+
 def test_finds_an_unused_import():
     source = "from __future__ import annotations\nimport os.path\nfrom typing import Iterable, Sequence\nx: Sequence\n"
     assert unused_imports(source) == ["Iterable", "os"]
@@ -60,6 +65,16 @@ def test_finds_an_unread_private_name():
         "b": "from a import _SHARED\nclass _Unused:\n    pass\ndef f(m):\n    return _SHARED + m._ATTR\n_ATTR = 0\n",
     }
     assert unread_private_names(sources) == ["a._UNREAD", "b._Unused"]
+
+
+def test_finds_a_long_line():
+    source = "x = 1\n" + "y = " + "1" * 116 + "\n" + "z = " + "2" * 117 + "\n"
+    assert long_lines(source) == [3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+def test_no_line_over_120_characters(path):
+    assert long_lines(path.read_text()) == []
 
 
 def test_every_private_name_is_read():

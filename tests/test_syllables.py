@@ -9,6 +9,7 @@ from conftest import random_word_max_terms, reduced_words, reference_decompose
 from slalom.syllables import (
     BoundaryCondition,
     BoundConstants,
+    Syllable,
     SyllableDecomposition,
     SyllableKind,
     classify_exceptional,
@@ -83,6 +84,28 @@ class TestDecompose:
             check_partition(decompose(w), w)
 
 
+class TestSyllableChecks:
+    A1, A1_INV, A1_SQ, A2 = Term(Generator.A1, 1), Term(Generator.A1, -1), Term(Generator.A1, 2), Term(Generator.A2, 1)
+
+    @pytest.mark.parametrize("terms, kind, message", [
+        ((A1,), SyllableKind.BIG_POWER, "big power must be one term"),
+        ((A1_SQ, A2), SyllableKind.BIG_POWER, "big power must be one term"),
+        ((A1,), SyllableKind.ALTERNATING_RUN, "alternating run needs"),
+        ((A1, A2, A1_INV), SyllableKind.ALTERNATING_RUN, "alternating run needs"),
+        ((A1_SQ, Term(Generator.A2, 2)), SyllableKind.ALTERNATING_RUN, "alternating run needs"),
+        ((A1_SQ,), SyllableKind.SINGLETON, "singleton must be one term"),
+        ((A1, A2), SyllableKind.SINGLETON, "singleton must be one term"),
+    ])
+    def test_kind_is_checked(self, terms, kind, message):
+        with pytest.raises(ValueError, match=message):
+            Syllable(terms, kind)
+
+    def test_each_kind_accepts_its_shape(self):
+        Syllable((self.A1_SQ,), SyllableKind.BIG_POWER)
+        Syllable((self.A1, self.A2, self.A1), SyllableKind.ALTERNATING_RUN)
+        Syllable((self.A1_INV,), SyllableKind.SINGLETON)
+
+
 class TestReferenceDecompose:
     @settings(max_examples=300)
     @given(reduced_words(max_terms=30, max_exp=3))
@@ -150,6 +173,15 @@ class TestExceptional:
 
     def test_figure2_generic_pb(self, figure2_word):
         assert classify_exceptional(figure2_word, PB) is False
+
+    @pytest.mark.parametrize("bc", ["tr", "pb", None, 0])
+    def test_boundary_must_be_a_member(self, bc):
+        """A value or a name in place of the member is refused, not read as the pb condition."""
+        w = parse_word("a1 a2")
+        with pytest.raises(ValueError, match="must be a BoundaryCondition member"):
+            classify_exceptional(w, bc)
+        with pytest.raises(ValueError, match="must be a BoundaryCondition member"):
+            lambda_bounds(w, bc)
 
 
 class TestBounds:

@@ -68,6 +68,22 @@ class TestReduce:
         with pytest.raises(OverflowError):
             reduce([(Generator.A1, big), (Generator.A1, big)])
 
+    def test_only_the_result_must_fit_64_bits(self):
+        big = 2**63 - 1
+        assert reduce([(Generator.A1, big), (Generator.A1, 1), (Generator.A1, -1)]).terms == (Term(Generator.A1, big),)
+
+
+class TestTypes:
+    @pytest.mark.parametrize("exponent", [2**63, -(2**63) - 1])
+    def test_term_exponent_fits_64_bits(self, exponent):
+        with pytest.raises(OverflowError, match="64-bit"):
+            Term(Generator.A1, exponent)
+        assert Term(Generator.A1, exponent - (1 if exponent > 0 else -1)).exponent
+
+    def test_word_must_be_reduced(self):
+        with pytest.raises(ValueError, match="not reduced"):
+            FreeWord((Term(Generator.A1, 1), Term(Generator.A1, 2)))
+
 
 class TestAlgebra:
     def test_concat_cancel(self):
