@@ -100,11 +100,6 @@ class TestSyllableChecks:
         with pytest.raises(ValueError, match=message):
             Syllable(terms, kind)
 
-    def test_each_kind_accepts_its_shape(self):
-        Syllable((self.A1_SQ,), SyllableKind.BIG_POWER)
-        Syllable((self.A1, self.A2, self.A1), SyllableKind.ALTERNATING_RUN)
-        Syllable((self.A1_INV,), SyllableKind.SINGLETON)
-
 
 class TestReferenceDecompose:
     @settings(max_examples=300)

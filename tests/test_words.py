@@ -74,11 +74,11 @@ class TestReduce:
 
 
 class TestTypes:
-    @pytest.mark.parametrize("exponent", [2**63, -(2**63) - 1])
-    def test_term_exponent_fits_64_bits(self, exponent):
+    @pytest.mark.parametrize("largest", [2**63 - 1, -(2**63)])
+    def test_term_exponent_fits_64_bits(self, largest):
+        assert Term(Generator.A1, largest).exponent == largest
         with pytest.raises(OverflowError, match="64-bit"):
-            Term(Generator.A1, exponent)
-        assert Term(Generator.A1, exponent - (1 if exponent > 0 else -1)).exponent
+            Term(Generator.A1, largest + (1 if largest > 0 else -1))
 
     def test_word_must_be_reduced(self):
         with pytest.raises(ValueError, match="not reduced"):
