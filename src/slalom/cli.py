@@ -87,7 +87,8 @@ def _cmd_verify_bounds(args) -> int:
         if not 0 < m < math.inf:
             raise ValueError(f"{flag} must be positive and finite; got {m}")
     lo, hi = math.log(args.frm), math.log(args.to)
-    ms = [math.exp(lo + (hi - lo) * j / max(args.samples - 1, 1)) for j in range(args.samples)]
+    inner = (math.exp(lo + (hi - lo) * j / (args.samples - 1)) for j in range(1, args.samples - 1))
+    ms = [args.frm, *inner, args.to][:args.samples]  # the ends exactly: exp(log(x)) may round past x, or the bound
     rep = verify_log_bounds(ms)
     result = {
         "m_range": list(rep.m_range),

@@ -79,6 +79,8 @@ class PolyPath:
     plane: Plane
 
     def __post_init__(self):
+        if not isinstance(self.plane, Plane):
+            raise ValueError(f"plane must be a Plane member; got {self.plane!r}")
         if not (pts := self.points):
             raise ValueError("path needs at least one point")
         # only points within the tolerance of the real axis (of iR on the cover) can be excluded: C-level passes clear

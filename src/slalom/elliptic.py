@@ -19,10 +19,14 @@ k' = sqrt(2M+1)/(M+1), each passed to the AGM exactly.  The quadrature route
 never calls the AGM.  Each side is K(sqrt(1 - eps^2)) for eps = k' or k, and
 tan(theta) = eps sinh(s) turns it into I(eps) = int_0^inf ds / sqrt(1 +
 (eps sinh s)^2), summed by the trapezoidal rule (Trefethen and Weideman,
-SIAM Review 56, 2014); lambda = 2 I(k') / I(k).  It raises ArithmeticError
-if the sums at steps h and 2h differ by over 1e-6 relative.  Both routes
-raise ValueError for M above float max / 2, where 2M+1 overflows.  Against
-mpmath the tests hold the closed form within 2e-15 relative on [1e-30,
+SIAM Review 56, 2014); lambda = 2 I(k') / I(k).  The nodes stop at s =
+log(2/eps) + T, T = 13; past there each node is e^-h times the last within
+e^-2T, so each sum adds its own tail, about e^-T of I, as a geometric series
+that errs by about e^-3T.  It raises ArithmeticError if the sums at steps h
+and 2h differ by over 1e-6 relative, which cannot see the tail's error: the
+1e-13 below rests on the e^-3T argument and the full-range mpmath test.  Both
+routes raise ValueError for M above float max / 2, where 2M+1 overflows.
+Against mpmath the tests hold the closed form within 2e-15 relative on [1e-30,
 1e30], and the quadrature within 1e-13 on [1e-300, 1e300] and at 5e-324.
 """
 
@@ -32,13 +36,14 @@ import enum
 import math
 import sys
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 _AGM_RTOL = 1e-15
 # The integrand is analytic in |Im s| < pi/2, so the step-h sum errs by about exp(-pi^2 / h) = 7e-18.
-# The h-versus-2h difference measures the 2h sum's error instead (up to 1.1e-8), hence the loose bound.
+# The h-versus-2h difference measures the 2h sum's error instead (up to 1.07e-8, at eps = 1), hence the loose bound.
 _QUAD_STEP = 0.25
 _QUAD_TOL = 1e-6
+_QUAD_TAIL = 13  # T: below about 11 the tail rule's e^-3T error shows
 _M_MAX = sys.float_info.max / 2  # above it 2M + 1 overflows
 
 
@@ -74,11 +79,13 @@ def agm(a: float, b: float) -> float:
 def _arc(eps: float) -> float:
     """I(eps) = int_0^inf ds / sqrt(1 + (eps sinh s)^2) = K(sqrt(1 - eps^2)), 0 < eps <= 1."""
     log_half = math.log(eps) - math.log(2)  # not log(eps / 2): that underflows for a subnormal eps
-    n = math.ceil((37 - log_half) / _QUAD_STEP)  # the tail past s = log(2/eps) + 37 is below e^-37
+    n = 2 * math.ceil((_QUAD_TAIL - log_half) / (2 * _QUAD_STEP))  # even, so that the 2h sum also ends on node n
     f = [1 / math.hypot(1, math.exp(j * _QUAD_STEP + log_half) - math.exp(log_half - j * _QUAD_STEP))
          for j in range(n + 1)]  # eps sinh s, without math.sinh's overflow past s = 710
     f[0] /= 2
-    fine, coarse = _QUAD_STEP * math.fsum(f), 2 * _QUAD_STEP * math.fsum(f[::2])
+    r = math.exp(-_QUAD_STEP)  # past node n each node is r times the last, within e^(-2 T): the tails are geometric
+    fine = _QUAD_STEP * (math.fsum(f) + f[n] * r / (1 - r))
+    coarse = 2 * _QUAD_STEP * (math.fsum(f[::2]) + f[n] * r * r / (1 - r * r))
     if abs(fine - coarse) > _QUAD_TOL * fine:
         raise ArithmeticError(f"quadrature did not converge at modulus {eps}")
     return fine
@@ -101,12 +108,12 @@ def rect_extremal_length(m_param: float, method: ModulusMethod = ModulusMethod.C
     return QuadModulus(lam, 1 / lam)
 
 
-def verify_log_bounds(m_values: Sequence[float]) -> BoundCheckReport:
+def verify_log_bounds(m_values: Iterable[float]) -> BoundCheckReport:
     """Extrema of lambda(R^M) / log(1+M) by the closed form over the sample set, M >= 1/2."""
-    if not m_values:
+    if not (m_values := tuple(m_values)):
         raise ValueError("empty sample list")
     if any(m < 0.5 for m in m_values):
         raise ValueError("log-bound check requires M >= 1/2")
     ratios = [rect_extremal_length(m).extremal_length / math.log1p(m) for m in m_values]
-    return BoundCheckReport(tuple(m_values), min(ratios), max(ratios))
+    return BoundCheckReport(m_values, min(ratios), max(ratios))
 

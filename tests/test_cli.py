@@ -194,6 +194,18 @@ class TestNumericCommands:
         assert (code, out) == (1, "")
         assert f"{flag} must be positive and finite" in err
 
+    @pytest.mark.parametrize("frm, to, samples, ends", [
+        (1.0, sys.float_info.max / 2, 3, (1.0, sys.float_info.max / 2)),  # exp(log(to)) rounds past the bound
+        (0.5, 1e4, 7, (0.5, 1e4)),  # exp(log(to)) rounds to 10000.00000000001
+        (5.0, 2.0, 2, (5.0, 2.0)),
+        (2.0, 5.0, 1, (2.0, 2.0)),  # one sample: --from
+    ])
+    def test_verify_bounds_hits_its_ends_exactly(self, capsys, frm, to, samples, ends):
+        code, out, _ = run_cli(capsys, "verify-bounds", "--from", repr(frm), "--to", repr(to), "--samples", str(samples))
+        assert code == 0
+        m_range = json.loads(out)["result"]["m_range"]
+        assert (len(m_range), m_range[0], m_range[-1]) == (samples, *ends)
+
     def test_verify_bounds_descending_range(self, capsys):
         code, out, _ = run_cli(capsys, "verify-bounds", "--from", "5", "--to", "2", "--samples", "3")
         assert code == 0

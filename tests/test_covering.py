@@ -358,6 +358,15 @@ def path_points():
 
 
 class TestPolyPath:
+    @pytest.mark.parametrize("points, plane", [
+        ((-1 + 0j, 0.5j), "punctured"),  # checked against iZ, the puncture -1 would get through
+        ((0j, 1j), "cover"),             # .value of a str: AttributeError
+        ((0.5j, 1 + 1j), None),
+    ])
+    def test_plane_must_be_a_member(self, points, plane):
+        with pytest.raises(ValueError, match="plane must be a Plane member"):
+            PolyPath(points, plane)
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError, match="at least one point"):
             PolyPath((), Plane.PUNCTURED)

@@ -180,7 +180,24 @@ class TestRectExtremalLength:
             assert qm.extremal_length * qm.conformal_module == pytest.approx(1.0, rel=1e-12)
 
 
+class TestArc:
+    def test_unit_modulus_is_half_pi(self):
+        # I(1) = int_0^inf ds / cosh s = pi/2: an oracle that needs neither mpmath nor the AGM
+        assert abs(slalom.elliptic._arc(1.0) - math.pi / 2) <= 2 * math.ulp(math.pi / 2)
+
+    @pytest.mark.parametrize("eps", [5e-324, 1e-300, 1e-8, 0.5])
+    def test_mpmath_oracle(self, eps):
+        # I(eps) = K(sqrt(1 - eps^2)) = pi / (2 agm(1, eps))
+        with mpmath.workdps(60):
+            expected = mpmath.pi / (2 * mpmath.agm(1, eps))
+            rel = abs(slalom.elliptic._arc(eps) - expected) / expected
+        assert rel < 1e-15, f"relative error {float(rel)}"
+
+
 class TestVerifyLogBounds:
+    def test_reads_an_iterator_once(self):
+        assert verify_log_bounds(iter([1.0, 2.0])) == verify_log_bounds([1.0, 2.0])
+
     def test_single_sample(self):
         rep = verify_log_bounds([0.5])
         expected = rect_extremal_length(0.5).extremal_length / math.log(1.5)
