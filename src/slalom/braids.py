@@ -1,17 +1,21 @@
 """Pure 3-braids, their induced words in the free group, and the strand picture.
 
-``cstar`` rewrites a pure braid into the free group on a1, a2 letter by
-letter through a Reidemeister-Schreier table for P3 inside B3 (Birman 1974);
-its kernel is generated by the full twist (s1 s2 s1)^2.  The picture traces
-three strands from (-1, 0, 1), each letter a half-turn of the pair at its
-slots, and maps them to the cross-ratio curve 2 (g2 - g1)/(g3 - g1) - 1,
-whose word, read through the covering, is the tests' oracle for the table.
+``cstar`` rewrites a pure braid into the free group on a1, a2 letter by letter
+through a Reidemeister-Schreier table for P3 inside B3 (Birman 1974) over the
+transversal 1, s1, s2, s1 s2, s2 s1, s1 s2 s1.  Six of its images are written
+out, and two rules give the other 18 rows: a letter swaps the slots at its two
+places, and s^-1 taken from p s returns to p with the inverse image.  Its
+kernel is generated by the full twist (s1 s2 s1)^2.  The picture traces three
+strands from (-1, 0, 1), each letter a half-turn of the pair at its slots, and
+maps them to the cross-ratio curve 2 (g2 - g1)/(g3 - g1) - 1, whose word, read
+through the covering, is the tests' oracle for the table.
 """
 
 from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -20,6 +24,7 @@ from slalom.syllables import BoundaryCondition, BoundConstants, LambdaBounds, la
 from slalom.words import FreeWord, Generator, WordSyntaxError, reduce, scan_tokens
 
 _SLOTS = (-1.0, 0.0, 1.0)
+_ID = (0, 1, 2)  # the identity permutation, where the walk of a pure braid starts and ends
 _HALF_GAP = 0.5          # half the distance between adjacent slots
 _TURN_RADIUS_MIN = 0.35  # pair radius at mid-turn, keeps strands apart
 MAX_BRAID_LETTERS = 10**4  # parse_braid's budget, checked before a power is expanded
@@ -46,6 +51,8 @@ class BraidLetter:
     sign: int
 
     def __post_init__(self):
+        if not isinstance(self.gen, BraidGenerator):
+            raise ValueError(f"letter generator must be a BraidGenerator member; got {self.gen!r}")
         if self.sign not in (1, -1):
             raise ValueError("letter sign must be +-1")
 
@@ -83,17 +90,36 @@ def full_twist() -> BraidWord:
     return parse_braid("s1 s2 s1 s1 s2 s1")
 
 
+def _schreier_table(images: dict) -> dict:
+    """(state, generator's ``_value_``, sign) -> (next state, image): each row from ``images`` by the two rules."""
+    states = {p: p for p in itertools.permutations(range(3))}  # one tuple per state: key compares stop at ``is``
+    table = {}
+    for i, gen in enumerate(g.value for g in BraidGenerator):
+        for p in states:
+            q = states[tuple(i + 1 if s == i else i if s == i + 1 else s for s in p)]
+            image = images.get((p, gen), ())
+            table[p, gen, 1] = (q, image)
+            table[q, gen, -1] = (p, tuple((g, -e) for g, e in reversed(image)))
+    return table
+
+
+# nonempty images rep(p) s rep(p s)^-1 by (p, s), keyed by ``_value_``: hashing the member more than doubles the walk
+_SCHREIER = _schreier_table({
+    ((0, 2, 1), "s2"): ((Generator.A2, 1),),
+    ((1, 0, 2), "s1"): ((Generator.A1, 1),),
+    ((1, 2, 0), "s1"): ((Generator.A1, -1), (Generator.A2, -1)),
+    ((2, 0, 1), "s2"): ((Generator.A2, -1), (Generator.A1, -1)),
+    ((2, 1, 0), "s1"): ((Generator.A2, 1),),
+    ((2, 1, 0), "s2"): ((Generator.A1, 1),),
+})
+
+
 def permutation(b: BraidWord) -> tuple[int, int, int]:
-    """Image in S3 as the tuple (slot of strand 1, 2, 3); sigma_i maps to (i, i+1)."""
-    slot = [0, 1, 2]
+    """Image in S3 as the tuple (slot of strand 1, 2, 3): the state in which the ``_SCHREIER`` walk ends."""
+    state = _ID
     for letter in b.letters:
-        i = 0 if letter.gen is BraidGenerator.SIGMA1 else 1
-        for s in range(3):
-            if slot[s] == i:
-                slot[s] = i + 1
-            elif slot[s] == i + 1:
-                slot[s] = i
-    return tuple(slot)
+        state = _SCHREIER[state, letter.gen._value_, letter.sign][0]
+    return state
 
 
 def braid_to_strands(b: BraidWord, samples_per_crossing: int = 32) -> tuple[tuple[complex, ...], ...]:
@@ -109,7 +135,7 @@ def braid_to_strands(b: BraidWord, samples_per_crossing: int = 32) -> tuple[tupl
         raise ValueError("samples_per_crossing must be >= 16")
     if max(len(b.letters), 1) * samples_per_crossing > MAX_CURVE_POINTS:
         raise ValueError(f"strands exceed {MAX_CURVE_POINTS} points; use fewer letters or samples")
-    if (perm := permutation(b)) != (0, 1, 2):
+    if (perm := permutation(b)) != _ID:
         raise PurityError(f"braid {format_braid(b)!r} is not pure: permutation {perm}")
     # the half-turn factors (rotation, radius scale) depend only on the sign and the sample
     ts = [j / samples_per_crossing for j in range(1, samples_per_crossing + 1)]
@@ -140,39 +166,6 @@ def cross_ratio_curve(strands: tuple[tuple[complex, ...], ...]) -> PolyPath:
             raise ValueError("degenerate configuration: strands 1 and 3 collide")
         pts.append(2 * (b - a) / den - 1)  # strand 2 meeting strand 1 or 3 gives -1 or 1, which PolyPath rejects
     return PolyPath(tuple(pts), Plane.PUNCTURED)
-
-
-_A1, _A2 = Generator.A1, Generator.A2
-_ID = (0, 1, 2)
-# (state, generator, sign) -> (next state, image of rep(state) x rep(next)^-1), states as
-# ``permutation`` returns them, rep over the transversal 1, s1, s2, s1 s2, s2 s1, s1 s2 s1.
-# Keyed by the generator's ``_value_``: hashing the enum member, or ``.value``, more than doubles the walk.
-_SCHREIER = {
-    (_ID, "s1", 1): ((1, 0, 2), ()),
-    (_ID, "s1", -1): ((1, 0, 2), ((_A1, -1),)),
-    (_ID, "s2", 1): ((0, 2, 1), ()),
-    (_ID, "s2", -1): ((0, 2, 1), ((_A2, -1),)),
-    ((0, 2, 1), "s1", 1): ((1, 2, 0), ()),
-    ((0, 2, 1), "s1", -1): ((1, 2, 0), ((_A2, 1), (_A1, 1))),
-    ((0, 2, 1), "s2", 1): (_ID, ((_A2, 1),)),
-    ((0, 2, 1), "s2", -1): (_ID, ()),
-    ((1, 0, 2), "s1", 1): (_ID, ((_A1, 1),)),
-    ((1, 0, 2), "s1", -1): (_ID, ()),
-    ((1, 0, 2), "s2", 1): ((2, 0, 1), ()),
-    ((1, 0, 2), "s2", -1): ((2, 0, 1), ((_A1, 1), (_A2, 1))),
-    ((1, 2, 0), "s1", 1): ((0, 2, 1), ((_A1, -1), (_A2, -1))),
-    ((1, 2, 0), "s1", -1): ((0, 2, 1), ()),
-    ((1, 2, 0), "s2", 1): ((2, 1, 0), ()),
-    ((1, 2, 0), "s2", -1): ((2, 1, 0), ((_A1, -1),)),
-    ((2, 0, 1), "s1", 1): ((2, 1, 0), ()),
-    ((2, 0, 1), "s1", -1): ((2, 1, 0), ((_A2, -1),)),
-    ((2, 0, 1), "s2", 1): ((1, 0, 2), ((_A2, -1), (_A1, -1))),
-    ((2, 0, 1), "s2", -1): ((1, 0, 2), ()),
-    ((2, 1, 0), "s1", 1): ((2, 0, 1), ((_A2, 1),)),
-    ((2, 1, 0), "s1", -1): ((2, 0, 1), ()),
-    ((2, 1, 0), "s2", 1): ((1, 2, 0), ((_A1, 1),)),
-    ((2, 1, 0), "s2", -1): ((1, 2, 0), ()),
-}
 
 
 def cstar(b: BraidWord) -> FreeWord:

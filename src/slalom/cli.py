@@ -194,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("lambda", help="Lambda invariant and bounds of a word")
     p.add_argument("word")
-    p.add_argument("--boundary", choices=["tr", "pb"])
+    p.add_argument("--boundary", choices=[bc.value for bc in BoundaryCondition])
     p.set_defaults(func=_cmd_lambda)
 
     p = sub.add_parser("syllables", help="syllable decomposition of a word")
@@ -203,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rectangle-module", help="extremal length of the M-rectangle")
     p.add_argument("--M", type=float, required=True)
-    p.add_argument("--method", choices=["closed", "quad"], default="closed")
+    p.add_argument("--method", choices=[m.value for m in ModulusMethod], default="closed")
     p.set_defaults(func=_cmd_rectangle_module)
 
     p = sub.add_parser("verify-bounds", help="logarithmic bound sweep")
@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("braid", help="invariant of a pure 3-braid")
     p.add_argument("braidword")
-    p.add_argument("--boundary", choices=["tr", "pb"], default="pb")
+    p.add_argument("--boundary", choices=[bc.value for bc in BoundaryCondition], default="pb")
     p.add_argument("--svg")
     p.set_defaults(func=_cmd_braid)
 

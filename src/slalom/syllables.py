@@ -42,9 +42,11 @@ class Syllable:
             exps = {t.exponent for t in self.terms}
             if len(self.terms) < 2 or exps not in ({1}, {-1}):
                 raise ValueError("alternating run needs >= 2 terms of equal exponent +-1")
-        else:
+        elif self.kind is SyllableKind.SINGLETON:
             if len(self.terms) != 1 or abs(self.terms[0].exponent) != 1:
                 raise ValueError("singleton must be one term with exponent +-1")
+        else:
+            raise ValueError(f"syllable kind must be a SyllableKind member; got {self.kind!r}")
 
     @property
     def degree(self) -> int:
@@ -110,7 +112,10 @@ def classify_exceptional(w: FreeWord, bc: BoundaryCondition) -> bool:
 
 
 def lambda_bounds(w: FreeWord, bc: BoundaryCondition, k: BoundConstants = BoundConstants()) -> LambdaBounds:
+    """Lambda of ``w`` and its bracket [c_minus Lambda, c_plus Lambda]; ``OverflowError`` if c_plus Lambda is inf."""
     lam = lambda_invariant(w)
     if classify_exceptional(w, bc):
         return LambdaBounds(lam, 0.0, 0.0, True)
-    return LambdaBounds(lam, k.c_minus * lam, k.c_plus * lam, False)
+    if math.isinf(upper := k.c_plus * lam):
+        raise OverflowError(f"upper bound c_plus x Lambda = {k.c_plus!r} x {lam!r} exceeds the float range")
+    return LambdaBounds(lam, k.c_minus * lam, upper, False)

@@ -37,8 +37,8 @@ class Term:
     exponent: int
 
     def __post_init__(self):
-        if self.exponent == 0:
-            raise ValueError("term exponent must be nonzero")
+        if not isinstance(self.gen, Generator) or not isinstance(self.exponent, int) or self.exponent == 0:
+            raise ValueError(f"term needs a Generator member and a nonzero int exponent; got {self!r}")
         if not (_INT64_MIN <= self.exponent <= _INT64_MAX):
             raise OverflowError("term exponent exceeds 64-bit range")
 

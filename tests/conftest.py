@@ -8,7 +8,7 @@ from typing import Iterable
 import pytest
 from hypothesis import strategies as st
 
-from slalom.braids import BraidWord, braid_to_strands, cross_ratio_curve, full_twist, parse_braid
+from slalom.braids import BraidGenerator, BraidWord, braid_to_strands, cross_ratio_curve, full_twist, parse_braid
 from slalom.covering import (
     BASE_LIFT_POINT,
     PUNCTURES,
@@ -253,6 +253,19 @@ def reference_decompose(w: FreeWord) -> list[tuple[SyllableKind, tuple[Term, ...
         else:
             out.append((SyllableKind.ALTERNATING_RUN if len(group) >= 2 else SyllableKind.SINGLETON, group))
     return out
+
+
+def reference_permutation(b: BraidWord) -> tuple[int, int, int]:
+    """Oracle for ``permutation``: the slot of strand 1, 2, 3 after each letter sigma_i swaps slots i - 1 and i."""
+    slot = [0, 1, 2]
+    for letter in b.letters:
+        i = 0 if letter.gen is BraidGenerator.SIGMA1 else 1
+        for s in range(3):
+            if slot[s] == i:
+                slot[s] = i + 1
+            elif slot[s] == i + 1:
+                slot[s] = i
+    return tuple(slot)
 
 
 def numeric_cstar(b: BraidWord) -> FreeWord:

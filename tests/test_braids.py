@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lift_read_word, numeric_cstar, pure_braids, random_pure_braid
+from conftest import lift_read_word, numeric_cstar, pure_braids, random_pure_braid, reference_permutation
 from slalom.braids import (
     MAX_BRAID_LETTERS,
     BraidGenerator,
@@ -25,7 +26,7 @@ from slalom.braids import (
 )
 from slalom.covering import MAX_CURVE_POINTS
 from slalom.syllables import BoundaryCondition
-from slalom.words import FreeWord, Term, WordSyntaxError, concat, parse_word
+from slalom.words import FreeWord, Generator, Term, WordSyntaxError, concat, parse_word
 
 # the coset representatives of the Reidemeister-Schreier table
 TRANSVERSAL = ("", "s1", "s2", "s1 s2", "s2 s1", "s1 s2 s1")
@@ -81,6 +82,12 @@ class TestLetter:
         with pytest.raises(ValueError, match="sign must be"):
             BraidLetter(BraidGenerator.SIGMA1, sign)
 
+    @pytest.mark.parametrize("gen", ["s1", Generator.A1])
+    def test_gen_must_be_a_member(self, gen):
+        """A value in place of the member is refused, not read as sigma2."""
+        with pytest.raises(ValueError, match="must be a BraidGenerator member"):
+            BraidLetter(gen, 1)
+
 
 class TestPermutation:
     def test_sigma1_transposition(self):
@@ -94,6 +101,12 @@ class TestPermutation:
 
     def test_inverse_sign_irrelevant(self):
         assert permutation(parse_braid("s1^-1")) == permutation(parse_braid("s1"))
+
+    def test_matches_the_slot_swaps_on_every_short_word(self):
+        words = [BraidWord(w) for n in range(7) for w in itertools.product(UNIT_LETTERS, repeat=n)]
+        assert len(words) == 5461
+        for b in words:
+            assert permutation(b) == reference_permutation(b)
 
 
 class TestStrands:
@@ -249,14 +262,14 @@ class TestCstar:
             cstar(parse_braid("s1 s2"))
 
     def test_schreier_table_rederived(self):
-        # every entry is (permutation(rep(p) x), numeric image of rep(p) x rep(next)^-1)
-        reps = {permutation(parse_braid(t)): parse_braid(t) for t in TRANSVERSAL}
+        # every entry is (reference_permutation(rep(p) x), numeric image of rep(p) x rep(next)^-1)
+        reps = {reference_permutation(parse_braid(t)): parse_braid(t) for t in TRANSVERSAL}
         assert len(reps) == 6
         expected = {}
         for p, rep in reps.items():
             for letter in UNIT_LETTERS:
                 x = BraidWord((letter,))
-                nxt = permutation(rep * x)
+                nxt = reference_permutation(rep * x)
                 image = numeric_cstar(rep * x * reps[nxt].inverse())
                 expected[p, letter.gen.value, letter.sign] = (nxt, image.terms)
         got = {key: (nxt, tuple(Term(g, e) for g, e in image)) for key, (nxt, image) in _SCHREIER.items()}

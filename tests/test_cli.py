@@ -115,6 +115,14 @@ class TestConfig:
         assert "finite" in err
         assert not (tmp_path / "lift.svg").exists()
 
+    @pytest.mark.parametrize("argv", [("lambda", "a1^3 a2^2"), ("braid", "s1^6 s2^4", "--boundary", "tr")])
+    def test_upper_bound_past_float_range(self, capsys, tmp_path, argv):
+        """c_plus = 1e308 times Lambda = log 12 overflows: the error names c_plus, not the JSON encoder."""
+        (tmp_path / "cfg").write_text("c_plus = 1e308\n")
+        code, out, err = run_cli(capsys, "--config", str(tmp_path / "cfg"), *argv)
+        assert (code, out) == (1, "")
+        assert "c_plus" in err
+
     def test_lift_tolerance_governs(self, capsys, tmp_path):
         p = tmp_path / "cfg"
         p.write_text("lift_tolerance = 1e-16\n")

@@ -95,6 +95,7 @@ class TestSyllableChecks:
         ((A1_SQ, Term(Generator.A2, 2)), SyllableKind.ALTERNATING_RUN, "alternating run needs"),
         ((A1_SQ,), SyllableKind.SINGLETON, "singleton must be one term"),
         ((A1, A2), SyllableKind.SINGLETON, "singleton must be one term"),
+        ((A1,), "big_power", "must be a SyllableKind member"),  # would pass as a singleton
     ])
     def test_kind_is_checked(self, terms, kind, message):
         with pytest.raises(ValueError, match=message):
@@ -195,6 +196,12 @@ class TestBounds:
         assert b.lambda_value == pytest.approx(5.9506, abs=1e-4)
         assert b.lower == pytest.approx(0.59506, abs=1e-5)
         assert b.upper == pytest.approx(59.506, abs=1e-3)
+
+    def test_upper_bound_past_float_range_raises(self):
+        """c_plus x Lambda = 1e308 x log 12 is not a float: an error naming c_plus, not upper = inf."""
+        with pytest.raises(OverflowError, match="c_plus"):
+            lambda_bounds(parse_word("a1^3 a2^2"), TR, BoundConstants(0.1, 1e308))
+        assert lambda_bounds(parse_word("a1^3 a2^2"), TR, BoundConstants(0.1, 1e307)).upper < math.inf
 
     def test_bound_constants_validation(self):
         with pytest.raises(ValueError):

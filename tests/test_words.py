@@ -80,6 +80,15 @@ class TestTypes:
         with pytest.raises(OverflowError, match="64-bit"):
             Term(Generator.A1, largest + (1 if largest > 0 else -1))
 
+    @pytest.mark.parametrize("gen, exponent, message", [
+        (Generator.A1, 0, "nonzero int exponent"),
+        ("a1", 1, "Generator member"),  # word_to_curve would draw it as a2
+        (Generator.A1, 2.5, "nonzero int exponent"),  # Lambda would read log 3.5
+    ])
+    def test_term_values_are_checked(self, gen, exponent, message):
+        with pytest.raises(ValueError, match=message):
+            Term(gen, exponent)
+
     def test_word_must_be_reduced(self):
         with pytest.raises(ValueError, match="not reduced"):
             FreeWord((Term(Generator.A1, 1), Term(Generator.A1, 2)))
