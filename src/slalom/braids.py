@@ -29,7 +29,7 @@ _HALF_GAP = 0.5          # half the distance between adjacent slots
 _TURN_RADIUS_MIN = 0.35  # pair radius at mid-turn, keeps strands apart
 MAX_BRAID_LETTERS = 10**4  # parse_braid's budget, checked before a power is expanded
 
-_BRAID_TOKEN_RE = re.compile(r"(s[12])(?:\^([+-]?\d+))?$")
+_BRAID_TOKEN_RE = re.compile(r"(s[12])(?:\^([+-]?\d+))?(?!\S)|\S+")
 
 
 class BraidSyntaxError(WordSyntaxError):
@@ -60,6 +60,11 @@ class BraidLetter:
 @dataclass(frozen=True)
 class BraidWord:
     letters: tuple[BraidLetter, ...] = ()
+
+    def __post_init__(self):
+        for letter in self.letters:
+            if not isinstance(letter, BraidLetter):
+                raise ValueError(f"braid letters must be BraidLetter values; got {letter!r}")
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         return BraidWord(self.letters + other.letters)

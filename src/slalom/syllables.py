@@ -4,8 +4,12 @@ Syllables partition a reduced word into three kinds: a single term with
 |exponent| >= 2 (big power), a maximal run of >= 2 consecutive terms all
 carrying the same exponent +1 or all -1 (alternating run), and remaining
 +-1 terms (singletons).  Lambda(w) is the sum of log(1 + degree) over the
-syllables.  The two-sided comparison with the extremal lengths lambda_tr
-and lambda_pb holds up to configurable positive constants, outside the
+syllables.  One private scan over the terms writes this rule, with each
+syllable's degree: |exponent| for a big power, the number of terms for a
+run or singleton.  ``decompose`` builds its syllables from the scan, and
+``lambda_invariant`` reads the degrees straight from it, with no syllable
+built.  The two-sided comparison with the extremal lengths lambda_tr and
+lambda_pb holds up to configurable positive constants, outside the
 exceptional words where the extremal length vanishes.
 """
 
@@ -35,6 +39,9 @@ class Syllable:
     kind: SyllableKind
 
     def __post_init__(self):
+        for t in self.terms:
+            if not isinstance(t, Term):
+                raise ValueError(f"syllable terms must be Term values; got {t!r}")
         if self.kind is SyllableKind.BIG_POWER:
             if len(self.terms) != 1 or abs(self.terms[0].exponent) < 2:
                 raise ValueError("big power must be one term with |exponent| >= 2")
@@ -79,27 +86,29 @@ class LambdaBounds:
     exceptional: bool
 
 
-def decompose(w: FreeWord) -> SyllableDecomposition:
-    """Unique partition of ``w`` into syllables, scanning left to right."""
-    terms = w.terms
-    out: list[Syllable] = []
-    i = 0
-    while i < len(terms):
-        if abs(terms[i].exponent) >= 2:
-            out.append(Syllable((terms[i],), SyllableKind.BIG_POWER))
-            i += 1
-            continue
-        j = i + 1
-        while j < len(terms) and terms[j].exponent == terms[i].exponent:
-            j += 1
-        out.append(Syllable(terms[i:j], SyllableKind.ALTERNATING_RUN if j - i >= 2 else SyllableKind.SINGLETON))
+def _spans(terms: tuple[Term, ...]):
+    """(start, stop, kind, degree) of each syllable of ``terms``, scanning left to right."""
+    i, n = 0, len(terms)
+    while i < n:
+        e, j = terms[i].exponent, i + 1
+        if abs(e) >= 2:
+            yield i, j, SyllableKind.BIG_POWER, abs(e)
+        else:
+            while j < n and terms[j].exponent == e:
+                j += 1
+            yield i, j, SyllableKind.ALTERNATING_RUN if j - i >= 2 else SyllableKind.SINGLETON, j - i
         i = j
-    return SyllableDecomposition(tuple(out))
+
+
+def decompose(w: FreeWord) -> SyllableDecomposition:
+    """Unique partition of ``w`` into syllables."""
+    terms = w.terms
+    return SyllableDecomposition(tuple(Syllable(terms[i:j], kind) for i, j, kind, _ in _spans(terms)))
 
 
 def lambda_invariant(w: FreeWord) -> float:
     """Sum of log(1 + degree) over the syllables of ``w``, within 4.5e-16 relative of the exact sum."""
-    return math.fsum(math.log(1 + s.degree) for s in decompose(w).syllables)
+    return math.fsum(math.log(1 + d) for _, _, _, d in _spans(w.terms))
 
 
 def classify_exceptional(w: FreeWord, bc: BoundaryCondition) -> bool:

@@ -15,7 +15,7 @@ from typing import Iterable, Iterator
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
-_TOKEN_RE = re.compile(r"(a[12])(?:\^([+-]?\d+))?$")
+_TOKEN_RE = re.compile(r"(a[12])(?:\^([+-]?\d+))?(?!\S)|\S+")
 
 
 class WordSyntaxError(ValueError):
@@ -50,6 +50,9 @@ class FreeWord:
     terms: tuple[Term, ...] = ()
 
     def __post_init__(self):
+        for t in self.terms:
+            if not isinstance(t, Term):
+                raise ValueError(f"word terms must be Term values; got {t!r}")
         for prev, cur in zip(self.terms, self.terms[1:]):
             if prev.gen is cur.gen:
                 raise ValueError("word is not reduced: consecutive terms share a generator")
@@ -75,20 +78,22 @@ def reduce(raw: Iterable[tuple[Generator, int]]) -> FreeWord:
 
 
 def scan_tokens(text: str, token_re: re.Pattern, error=WordSyntaxError) -> Iterator[tuple[str, int, int]]:
-    """Yield (name, exponent, column) for each whitespace-separated token of ``text``.
+    """Yield (name, exponent, column) for each whitespace-separated token of ``text``, lazily, in one regex pass.
 
-    ``token_re`` matches a token with the name as group 1 and the exponent as
-    group 2; a token it rejects, or an exponent outside 64 bits, raises ``error``.
+    ``token_re`` is a good token, with the name as group 1 and the exponent as
+    group 2, followed by whitespace or the end, or else the catch-all ``\\S+``,
+    which matches a whole bad token with no name; a bad token, or an exponent
+    outside 64 bits, raises ``error``.
     """
-    for m in re.finditer(r"\S+", text):
-        tok, col = m.group(0), m.start() + 1
-        tm = token_re.match(tok)
-        if tm is None:
-            raise error(f"bad token {tok!r}", col)
-        exp = 1 if tm.group(2) is None else int(tm.group(2))
+    for m in token_re.finditer(text):
+        name, digits = m.groups()
+        col = m.start() + 1
+        if name is None:
+            raise error(f"bad token {m.group()!r}", col)
+        exp = 1 if digits is None else int(digits)
         if not (_INT64_MIN <= exp <= _INT64_MAX):
-            raise error(f"exponent out of range in {tok!r}", col)
-        yield tm.group(1), exp, col
+            raise error(f"exponent out of range in {m.group()!r}", col)
+        yield name, exp, col
 
 
 def parse_word(text: str) -> FreeWord:

@@ -1,6 +1,8 @@
 import cmath
+import contextlib
 import math
 import random
+import re
 from itertools import accumulate, compress, count, groupby, repeat, tee
 from operator import attrgetter, ge, mul
 from typing import Iterable
@@ -8,6 +10,7 @@ from typing import Iterable
 import pytest
 from hypothesis import strategies as st
 
+from slalom import braids, words
 from slalom.braids import BraidGenerator, BraidWord, braid_to_strands, cross_ratio_curve, full_twist, parse_braid
 from slalom.covering import (
     BASE_LIFT_POINT,
@@ -23,7 +26,7 @@ from slalom.covering import (
     slalom_decompose,
 )
 from slalom.syllables import SyllableKind
-from slalom.words import FreeWord, Generator, Term, parse_word, reduce
+from slalom.words import FreeWord, Generator, Term, WordSyntaxError, parse_word, reduce
 
 FIGURE2_TEXT = "a2^-1 a1^2 a2^-3 a1^-1 a2^-1 a1^-1 a2 a1^-1"
 
@@ -240,6 +243,31 @@ def reference_path_error(points, plane: Plane) -> str | None:
     if any(a == b for a, b in zip(points, points[1:])):
         return "zero-length segment in path"
     return None
+
+
+def reference_scan_tokens(text: str, token_re: re.Pattern, error=WordSyntaxError):
+    """Oracle for ``scan_tokens``: the two-step scan, which finds each token as a run of ``\\S+`` and then
+    matches it against ``token_re``, anchored by ``$``, with the name as group 1 and the exponent as group 2."""
+    for m in re.finditer(r"\S+", text):
+        tok, col = m.group(0), m.start() + 1
+        tm = token_re.match(tok)
+        if tm is None:
+            raise error(f"bad token {tok!r}", col)
+        exp = 1 if tm.group(2) is None else int(tm.group(2))
+        if not (-(2**63) <= exp <= 2**63 - 1):
+            raise error(f"exponent out of range in {tok!r}", col)
+        yield tm.group(1), exp, col
+
+
+@contextlib.contextmanager
+def reference_scanner():
+    """``parse_word`` and ``parse_braid`` run on ``reference_scan_tokens`` and anchored token patterns inside."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(words, "scan_tokens", reference_scan_tokens)
+        mp.setattr(braids, "scan_tokens", reference_scan_tokens)
+        mp.setattr(words, "_TOKEN_RE", re.compile(r"(a[12])(?:\^([+-]?\d+))?$"))
+        mp.setattr(braids, "_BRAID_TOKEN_RE", re.compile(r"(s[12])(?:\^([+-]?\d+))?$"))
+        yield
 
 
 def reference_decompose(w: FreeWord) -> list[tuple[SyllableKind, tuple[Term, ...]]]:

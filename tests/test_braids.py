@@ -75,12 +75,24 @@ class TestParse:
             with pytest.raises(ValueError, match="exceeds"):
                 parse_braid(text)
 
+    def test_letter_budget_stops_the_scan(self):
+        """The token past the budget is refused before the scan reaches the bad token after it."""
+        with pytest.raises(ValueError, match="exceeds") as exc:
+            parse_braid("s1 " * (MAX_BRAID_LETTERS + 1) + "s3")
+        assert not isinstance(exc.value, BraidSyntaxError)
+
 
 class TestLetter:
     @pytest.mark.parametrize("sign", [0, 2, -2])
     def test_sign_is_checked(self, sign):
         with pytest.raises(ValueError, match="sign must be"):
             BraidLetter(BraidGenerator.SIGMA1, sign)
+
+    @pytest.mark.parametrize("letters", [("s1",), (BraidLetter(BraidGenerator.SIGMA1, 1), (BraidGenerator.SIGMA1, 1))])
+    def test_word_letters_must_be_letters(self, letters):
+        """Anything but a BraidLetter is refused, not left to fail in cstar or permutation as an AttributeError."""
+        with pytest.raises(ValueError, match="must be BraidLetter values"):
+            BraidWord(letters)
 
     @pytest.mark.parametrize("gen", ["s1", Generator.A1])
     def test_gen_must_be_a_member(self, gen):

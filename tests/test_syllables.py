@@ -3,7 +3,8 @@ import random
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import random_word_max_terms, reduced_words, reference_decompose
 from slalom.syllables import (
@@ -96,6 +97,8 @@ class TestSyllableChecks:
         ((A1_SQ,), SyllableKind.SINGLETON, "singleton must be one term"),
         ((A1, A2), SyllableKind.SINGLETON, "singleton must be one term"),
         ((A1,), "big_power", "must be a SyllableKind member"),  # would pass as a singleton
+        (("a1",), SyllableKind.SINGLETON, "must be Term values"),
+        ((A1, (Generator.A2, 1)), SyllableKind.ALTERNATING_RUN, "must be Term values"),
     ])
     def test_kind_is_checked(self, terms, kind, message):
         with pytest.raises(ValueError, match=message):
@@ -141,6 +144,19 @@ class TestLambda:
         with mpmath.workdps(50):  # one log per distinct degree
             exact = mpmath.fsum(degrees.count(d) * mpmath.log(1 + d) for d in set(degrees))
             assert abs(got - exact) <= 4.5e-16 * exact
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from((1, -1)) | st.integers(-(2**63 - 1), 2**63 - 1).filter(bool), max_size=12),
+           st.sampled_from(list(Generator)))
+    @example([], Generator.A1)
+    @example([2**63 - 1], Generator.A2)
+    @example([-(2**63 - 1)], Generator.A1)
+    @example([1], Generator.A1)
+    def test_equals_the_sum_over_the_syllable_table(self, exponents, first):
+        """The degrees Lambda reads are those of ``decompose``'s syllables: equal with ``==``, not within a tolerance."""
+        other = Generator.A2 if first is Generator.A1 else Generator.A1
+        w = FreeWord(tuple(Term(first if i % 2 == 0 else other, e) for i, e in enumerate(exponents)))
+        assert lambda_invariant(w) == math.fsum(math.log(1 + s.degree) for s in decompose(w).syllables)
 
     @given(reduced_words())
     def test_invariant_under_inversion(self, w):

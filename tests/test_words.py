@@ -1,8 +1,9 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reduced_words
+from conftest import reduced_words, reference_scanner
+from slalom.braids import parse_braid
 from slalom.words import (
     FreeWord,
     Generator,
@@ -50,6 +51,38 @@ class TestParse:
             parse_word(f"a1^{2**70}")
 
 
+# token parts: names good and bad, exponent marks, ASCII and Unicode digits, digit strings past 2^63, and
+# ASCII, Unicode or no whitespace after each token
+NAMES = ("a1", "a2", "s1", "s2", "a", "s3", "x", "")
+MARKS = ("", "^", "^+", "^-", "^^", "-")
+DIGITS = ("", "0", "1", "12", "\u0663", "\uff11\uff12", str(2**63 - 1), str(2**63), "9" * 25)
+SPACES = (" ", "  ", "\t", "\n", "\u3000", "\u00a0", "\x1f", "")
+TOKENS = st.tuples(*map(st.sampled_from, (NAMES, MARKS, DIGITS, SPACES))).map("".join)
+
+
+def parse_outcome(parse, text):
+    """The parsed value, or the error's type, message and column."""
+    try:
+        return parse(text)
+    except (ValueError, OverflowError) as e:
+        return type(e), str(e), getattr(e, "column", None)
+
+
+class TestScanner:
+    @settings(max_examples=400)
+    @given(text=st.lists(TOKENS, max_size=10).map("".join))
+    @example(text="a1^-12 a2\u3000a1^\u0663")
+    @example(text="s1^+\uff11\uff12\ts2\x1fs1^-\u0663")
+    @example(text=f"a1^{2**63} s1^{2**63 - 1}")
+    @example(text="a1a2 s1s2")
+    @pytest.mark.parametrize("parse", [parse_word, parse_braid])
+    def test_matches_the_two_step_scan(self, parse, text):
+        """One regex pass per text gives what a match per whitespace-separated token gave."""
+        got = parse_outcome(parse, text)
+        with reference_scanner():
+            assert got == parse_outcome(parse, text)
+
+
 class TestReduce:
     def test_merge(self):
         w = reduce([(Generator.A1, 1), (Generator.A1, 1)])
@@ -88,6 +121,12 @@ class TestTypes:
     def test_term_values_are_checked(self, gen, exponent, message):
         with pytest.raises(ValueError, match=message):
             Term(gen, exponent)
+
+    @pytest.mark.parametrize("terms", [("a1",), ("a1", "a2"), (Term(Generator.A1, 1), (Generator.A2, 1))])
+    def test_word_terms_must_be_terms(self, terms):
+        """Anything but a Term is refused, not accepted or left to fail later as an AttributeError."""
+        with pytest.raises(ValueError, match="must be Term values"):
+            FreeWord(terms)
 
     def test_word_must_be_reduced(self):
         with pytest.raises(ValueError, match="not reduced"):
