@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from slalom.covering import MAX_CURVE_POINTS, Plane, PolyPath
 from slalom.syllables import BoundaryCondition, BoundConstants, LambdaBounds, lambda_bounds
-from slalom.words import FreeWord, Generator, WordSyntaxError, reduce, scan_tokens
+from slalom.words import FreeWord, Generator, WordSyntaxError, _new, reduce, scan_tokens
 
 _SLOTS = (-1.0, 0.0, 1.0)
 _ID = (0, 1, 2)  # the identity permutation, where the walk of a pure braid starts and ends
@@ -53,7 +53,7 @@ class BraidLetter:
     def __post_init__(self):
         if not isinstance(self.gen, BraidGenerator):
             raise ValueError(f"letter generator must be a BraidGenerator member; got {self.gen!r}")
-        if self.sign not in (1, -1):
+        if isinstance(self.sign, bool) or self.sign not in (1, -1):
             raise ValueError("letter sign must be +-1")
 
 
@@ -62,6 +62,8 @@ class BraidWord:
     letters: tuple[BraidLetter, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.letters, tuple):
+            raise ValueError(f"braid letters must be a tuple; got {type(self.letters).__name__}")
         for letter in self.letters:
             if not isinstance(letter, BraidLetter):
                 raise ValueError(f"braid letters must be BraidLetter values; got {letter!r}")
@@ -77,13 +79,16 @@ _LETTERS = {(g.value, sign): BraidLetter(g, sign) for g in BraidGenerator for si
 
 
 def parse_braid(text: str) -> BraidWord:
-    """Tokens ``s1``/``s2`` with optional ``^<int>``, expanded to at most ``MAX_BRAID_LETTERS`` unit letters."""
+    """Tokens ``s1``/``s2`` with optional ``^<int>``, expanded to at most ``MAX_BRAID_LETTERS`` unit letters.
+
+    Checked by construction: ``BraidWord`` checks for a tuple of ``BraidLetter`` values, built here from ``_LETTERS``.
+    """
     letters: list[BraidLetter] = []
     for name, exp, col in scan_tokens(text, _BRAID_TOKEN_RE, BraidSyntaxError):
         if len(letters) + abs(exp) > MAX_BRAID_LETTERS:
             raise ValueError(f"braid exceeds {MAX_BRAID_LETTERS} letters at column {col}")
         letters.extend([_LETTERS[name, 1 if exp > 0 else -1]] * abs(exp))
-    return BraidWord(tuple(letters))
+    return _new(BraidWord, letters=tuple(letters))
 
 
 def format_braid(b: BraidWord) -> str:
@@ -136,8 +141,8 @@ def braid_to_strands(b: BraidWord, samples_per_crossing: int = 32) -> tuple[tupl
     Letters x ``samples_per_crossing``, and ``samples_per_crossing`` itself, are at most
     ``MAX_CURVE_POINTS``, checked before anything is built.
     """
-    if samples_per_crossing < 16:
-        raise ValueError("samples_per_crossing must be >= 16")
+    if not isinstance(samples_per_crossing, int) or samples_per_crossing < 16:
+        raise ValueError(f"samples_per_crossing must be an int >= 16; got {samples_per_crossing!r}")
     if max(len(b.letters), 1) * samples_per_crossing > MAX_CURVE_POINTS:
         raise ValueError(f"strands exceed {MAX_CURVE_POINTS} points; use fewer letters or samples")
     if (perm := permutation(b)) != _ID:

@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from slalom.words import FreeWord, Term
+from slalom.words import FreeWord, Term, _new
 
 
 class SyllableKind(enum.Enum):
@@ -39,6 +39,8 @@ class Syllable:
     kind: SyllableKind
 
     def __post_init__(self):
+        if not isinstance(self.terms, tuple):
+            raise ValueError(f"syllable terms must be a tuple; got {type(self.terms).__name__}")
         for t in self.terms:
             if not isinstance(t, Term):
                 raise ValueError(f"syllable terms must be Term values; got {t!r}")
@@ -101,9 +103,14 @@ def _spans(terms: tuple[Term, ...]):
 
 
 def decompose(w: FreeWord) -> SyllableDecomposition:
-    """Unique partition of ``w`` into syllables."""
+    """Unique partition of ``w`` into syllables.
+
+    Checked by construction: each syllable is a slice of the word's tuple of terms, of the kind ``_spans`` gives it
+    by the rule that ``Syllable`` checks.
+    """
     terms = w.terms
-    return SyllableDecomposition(tuple(Syllable(terms[i:j], kind) for i, j, kind, _ in _spans(terms)))
+    return SyllableDecomposition(tuple([_new(Syllable, terms=terms[i:j], kind=kind)
+                                        for i, j, kind, _ in _spans(terms)]))
 
 
 def lambda_invariant(w: FreeWord) -> float:
@@ -122,6 +129,8 @@ def classify_exceptional(w: FreeWord, bc: BoundaryCondition) -> bool:
 
 def lambda_bounds(w: FreeWord, bc: BoundaryCondition, k: BoundConstants = BoundConstants()) -> LambdaBounds:
     """Lambda of ``w`` and its bracket [c_minus Lambda, c_plus Lambda]; ``OverflowError`` if c_plus Lambda is inf."""
+    if not isinstance(k, BoundConstants):
+        raise ValueError(f"bound constants must be a BoundConstants value; got {k!r}")
     lam = lambda_invariant(w)
     if classify_exceptional(w, bc):
         return LambdaBounds(lam, 0.0, 0.0, True)

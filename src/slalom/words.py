@@ -37,9 +37,10 @@ class Term:
     exponent: int
 
     def __post_init__(self):
-        if not isinstance(self.gen, Generator) or not isinstance(self.exponent, int) or self.exponent == 0:
+        e = self.exponent
+        if not isinstance(self.gen, Generator) or not isinstance(e, int) or isinstance(e, bool) or e == 0:
             raise ValueError(f"term needs a Generator member and a nonzero int exponent; got {self!r}")
-        if not (_INT64_MIN <= self.exponent <= _INT64_MAX):
+        if not (_INT64_MIN <= e <= _INT64_MAX):
             raise OverflowError("term exponent exceeds 64-bit range")
 
 
@@ -50,6 +51,8 @@ class FreeWord:
     terms: tuple[Term, ...] = ()
 
     def __post_init__(self):
+        if not isinstance(self.terms, tuple):
+            raise ValueError(f"word terms must be a tuple; got {type(self.terms).__name__}")
         for t in self.terms:
             if not isinstance(t, Term):
                 raise ValueError(f"word terms must be Term values; got {t!r}")
@@ -62,8 +65,21 @@ class FreeWord:
         return sum(abs(t.exponent) for t in self.terms)
 
 
+def _new(cls, **fields):
+    """A ``cls`` of ``fields`` built unchecked: only for a value known to pass every check its constructor runs."""
+    value = object.__new__(cls)
+    value.__dict__.update(fields)
+    return value
+
+
 def reduce(raw: Iterable[tuple[Generator, int]]) -> FreeWord:
-    """Merge adjacent (generator, exponent) pairs of one generator and drop zeros; a result past 64 bits overflows."""
+    """Merge adjacent (generator, exponent) pairs of one generator and drop zeros; a result past 64 bits overflows.
+
+    Checked by construction: the merge leaves a tuple of terms with no zero and no two adjacent of one generator,
+    which ``FreeWord`` checks; a ``Generator`` member and an ``int`` within 64 bits pass ``Term``'s checks, and
+    ``Term`` itself builds any other pair, so it raises what it would raise.  Each unchecked term gets its two
+    fields by ``object.__setattr__``, which keeps its attributes inline, so later reads of them stay fast.
+    """
     stack: list[list] = []
     for gen, exp in raw:
         if exp == 0:
@@ -74,7 +90,18 @@ def reduce(raw: Iterable[tuple[Generator, int]]) -> FreeWord:
                 stack.pop()
         else:
             stack.append([gen, exp])
-    return FreeWord(tuple(Term(g, e) for g, e in stack))
+    terms = []
+    for g, e in stack:
+        # must pass only what Term accepts (type() is stricter than isinstance: no bool, no int subclass);
+        # TestReduce::test_builds_what_the_constructors_build pins it against the checked build
+        if type(g) is Generator and type(e) is int and _INT64_MIN <= e <= _INT64_MAX:
+            t = object.__new__(Term)
+            object.__setattr__(t, "gen", g)
+            object.__setattr__(t, "exponent", e)
+        else:
+            t = Term(g, e)
+        terms.append(t)
+    return _new(FreeWord, terms=tuple(terms))
 
 
 def scan_tokens(text: str, token_re: re.Pattern, error=WordSyntaxError) -> Iterator[tuple[str, int, int]]:
@@ -106,6 +133,7 @@ def concat(u: FreeWord, v: FreeWord) -> FreeWord:
 
 
 def invert(u: FreeWord) -> FreeWord:
+    # checked: negating -2^63 leaves 64 bits, and Term's check is what raises the OverflowError
     return FreeWord(tuple(Term(t.gen, -t.exponent) for t in reversed(u.terms)))
 
 

@@ -270,6 +270,22 @@ def reference_scanner():
         yield
 
 
+def checked_reduce(raw) -> FreeWord:
+    """Oracle for ``reduce``, which builds its result without the constructors' checks: the same merge, with the
+    word and each of its terms built through them."""
+    stack: list[list] = []
+    for gen, exp in raw:
+        if exp == 0:
+            continue
+        if stack and stack[-1][0] is gen:
+            stack[-1][1] += exp
+            if stack[-1][1] == 0:
+                stack.pop()
+        else:
+            stack.append([gen, exp])
+    return FreeWord(tuple(Term(g, e) for g, e in stack))
+
+
 def reference_decompose(w: FreeWord) -> list[tuple[SyllableKind, tuple[Term, ...]]]:
     """Oracle for ``syllables.decompose``: the terms grouped by equal exponent, each term of
     |exponent| >= 2 a big power on its own, a group of +-1 terms a run if it has two or more."""

@@ -25,8 +25,8 @@ from slalom.braids import (
     permutation,
 )
 from slalom.covering import MAX_CURVE_POINTS
-from slalom.syllables import BoundaryCondition
-from slalom.words import FreeWord, Generator, Term, WordSyntaxError, concat, parse_word
+from slalom.syllables import BoundaryCondition, Syllable, decompose
+from slalom.words import FreeWord, Generator, Term, WordSyntaxError, concat, format_word, parse_word
 
 # the coset representatives of the Reidemeister-Schreier table
 TRANSVERSAL = ("", "s1", "s2", "s1 s2", "s2 s1", "s1 s2 s1")
@@ -75,6 +75,14 @@ class TestParse:
             with pytest.raises(ValueError, match="exceeds"):
                 parse_braid(text)
 
+    @settings(max_examples=200)
+    @given(tokens=st.lists(st.tuples(st.sampled_from(("s1", "s2")), st.integers(-4, 4)), max_size=12))
+    def test_builds_what_the_constructor_builds(self, tokens):
+        """The unchecked build equals the checked one in ==, hash and repr."""
+        b = parse_braid(" ".join(f"{name}^{e}" for name, e in tokens))
+        rebuilt = BraidWord(tuple(b.letters))
+        assert (b, hash(b), repr(b)) == (rebuilt, hash(rebuilt), repr(rebuilt))
+
     def test_letter_budget_stops_the_scan(self):
         """The token past the budget is refused before the scan reaches the bad token after it."""
         with pytest.raises(ValueError, match="exceeds") as exc:
@@ -83,7 +91,7 @@ class TestParse:
 
 
 class TestLetter:
-    @pytest.mark.parametrize("sign", [0, 2, -2])
+    @pytest.mark.parametrize("sign", [0, 2, -2, True])
     def test_sign_is_checked(self, sign):
         with pytest.raises(ValueError, match="sign must be"):
             BraidLetter(BraidGenerator.SIGMA1, sign)
@@ -92,6 +100,12 @@ class TestLetter:
     def test_word_letters_must_be_letters(self, letters):
         """Anything but a BraidLetter is refused, not left to fail in cstar or permutation as an AttributeError."""
         with pytest.raises(ValueError, match="must be BraidLetter values"):
+            BraidWord(letters)
+
+    @pytest.mark.parametrize("letters", [[], [BraidLetter(BraidGenerator.SIGMA1, 1)]])
+    def test_word_letters_must_be_a_tuple(self, letters):
+        """A list is refused, not kept as an unhashable braid unequal to the same letters in a tuple."""
+        with pytest.raises(ValueError, match="must be a tuple"):
             BraidWord(letters)
 
     @pytest.mark.parametrize("gen", ["s1", Generator.A1])
@@ -161,6 +175,12 @@ class TestStrands:
     def test_rejects_coarse_sampling(self):
         with pytest.raises(ValueError):
             braid_to_strands(parse_braid("s1^2"), 8)
+
+    @pytest.mark.parametrize("samples", [16.5, "32", None])
+    def test_rejects_a_sampling_that_is_not_an_int(self, samples):
+        """Refused up front, not left to fail in range() as an untyped TypeError."""
+        with pytest.raises(ValueError, match="must be an int"):
+            braid_to_strands(parse_braid("s1^2"), samples)
 
     @pytest.mark.parametrize("b, samples", [
         (BraidWord(), 10**15),
@@ -302,6 +322,13 @@ class TestBraidInvariant:
         with pytest.raises(ValueError, match="must be a BoundaryCondition member"):
             braid_invariant(parse_braid("s1^2 s2^2"), bc)
 
+    @pytest.mark.parametrize("k", [None, (0.1, 10.0)])
+    @pytest.mark.parametrize("text", ["s1^2 s2^2", "s1 s2 s1 s1 s2 s1"])
+    def test_bound_constants_must_be_a_value(self, text, k):
+        """Refused on every braid: not an AttributeError on a generic one, nor ignored on an exceptional one."""
+        with pytest.raises(ValueError, match="must be a BoundConstants value"):
+            braid_invariant(parse_braid(text), BoundaryCondition.TOTALLY_REAL, k)
+
     def test_full_twist_exceptional(self):
         b = braid_invariant(full_twist(), PB)
         assert (b.lambda_value, b.lower, b.upper, b.exceptional) == (0.0, 0.0, 0.0, True)
@@ -326,3 +353,24 @@ class TestBraidInvariant:
                 found = True
                 break
         assert found, "randomized search found no conjugation changing the invariant"
+
+
+class TestCheckedByConstruction:
+    def test_hot_paths_run_no_constructor_check(self, monkeypatch):
+        """cstar, parse_braid, parse_word and decompose build their values without the constructors' checks."""
+        rng = random.Random(26)
+        braid_words = [random_pure_braid(rng, 40) for _ in range(20)]
+        texts = [format_braid(b) for b in braid_words]
+        calls = []
+        for cls in (Term, FreeWord, BraidLetter, BraidWord, Syllable):
+            check = cls.__post_init__
+            monkeypatch.setattr(cls, "__post_init__", lambda self, check=check: calls.append(self) or check(self))
+        FreeWord((Term(Generator.A1, 1),))
+        assert len(calls) == 2  # the counters see a checked build
+        calls.clear()
+        images = [cstar(b) for b in braid_words]
+        assert sum(len(w.terms) for w in images) > 50 and calls == []
+        for text, w in zip(texts, images):
+            parse_braid(text)
+            decompose(parse_word(format_word(w)))
+        assert calls == []

@@ -99,10 +99,23 @@ class TestSyllableChecks:
         ((A1,), "big_power", "must be a SyllableKind member"),  # would pass as a singleton
         (("a1",), SyllableKind.SINGLETON, "must be Term values"),
         ((A1, (Generator.A2, 1)), SyllableKind.ALTERNATING_RUN, "must be Term values"),
+        ([A1], SyllableKind.SINGLETON, "must be a tuple"),  # unhashable, and unequal to the same syllable
     ])
     def test_kind_is_checked(self, terms, kind, message):
         with pytest.raises(ValueError, match=message):
             Syllable(terms, kind)
+
+
+class TestDecomposeBuild:
+    @settings(max_examples=300)
+    @given(reduced_words(max_terms=30, max_exp=3))
+    @example(FreeWord((Term(Generator.A1, -(2**63)), Term(Generator.A2, 1), Term(Generator.A1, 1))))
+    def test_builds_what_the_constructors_build(self, w):
+        """Each unchecked syllable equals the checked one in ==, hash and repr, and so does the decomposition."""
+        dec = decompose(w)
+        rebuilt = SyllableDecomposition(tuple(Syllable(s.terms, s.kind) for s in dec.syllables))
+        for got, want in zip(dec.syllables + (dec,), rebuilt.syllables + (rebuilt,), strict=True):
+            assert (got, hash(got), repr(got)) == (want, hash(want), repr(want))
 
 
 class TestReferenceDecompose:
@@ -218,6 +231,13 @@ class TestBounds:
         with pytest.raises(OverflowError, match="c_plus"):
             lambda_bounds(parse_word("a1^3 a2^2"), TR, BoundConstants(0.1, 1e308))
         assert lambda_bounds(parse_word("a1^3 a2^2"), TR, BoundConstants(0.1, 1e307)).upper < math.inf
+
+    @pytest.mark.parametrize("k", [None, (0.1, 10.0), 0.5])
+    @pytest.mark.parametrize("text", ["a1^3 a2^2", "a1^5", ""])
+    def test_bound_constants_must_be_a_value(self, text, k):
+        """Refused on every word: not an AttributeError on a generic one, nor ignored on an exceptional one."""
+        with pytest.raises(ValueError, match="must be a BoundConstants value"):
+            lambda_bounds(parse_word(text), TR, k)
 
     def test_bound_constants_validation(self):
         with pytest.raises(ValueError):

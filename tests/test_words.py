@@ -2,8 +2,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import reduced_words, reference_scanner
-from slalom.braids import parse_braid
+from conftest import checked_reduce, reduced_words, reference_scanner
+from slalom.braids import BraidGenerator, parse_braid
 from slalom.words import (
     FreeWord,
     Generator,
@@ -68,6 +68,14 @@ def parse_outcome(parse, text):
         return type(e), str(e), getattr(e, "column", None)
 
 
+def reduce_outcome(build, raw):
+    """The built word, or the error's type and message; a ``TypeError`` too, as from merging a str exponent."""
+    try:
+        return build(raw)
+    except (ValueError, OverflowError, TypeError) as e:
+        return type(e), str(e)
+
+
 class TestScanner:
     @settings(max_examples=400)
     @given(text=st.lists(TOKENS, max_size=10).map("".join))
@@ -83,7 +91,32 @@ class TestScanner:
             assert got == parse_outcome(parse, text)
 
 
+# raw pairs for reduce: mostly members and small ints, which merge, plus exponents at and past the 64-bit ends
+# and values of the wrong type
+GENS = st.sampled_from((Generator.A1, Generator.A2) * 4 + ("a1", None, BraidGenerator.SIGMA1))
+EXPONENTS = st.one_of(
+    st.integers(-3, 3), st.integers(-3, 3), st.integers(),
+    st.sampled_from((2**63 - 1, 2**63, -(2**63), -(2**63) - 1, 2**64, True, False, 2.5, 1.0, "1", None)),
+)
+
+
 class TestReduce:
+    @settings(max_examples=400)
+    @given(raw=st.lists(st.tuples(GENS, EXPONENTS), max_size=12))
+    @example(raw=[(Generator.A1, 2**63 - 1), (Generator.A2, 1), (Generator.A2, -1), (Generator.A1, 1)])
+    @example(raw=[(Generator.A1, -(2**63)), (Generator.A2, -(2**63) - 1)])
+    @example(raw=[(Generator.A1, True), (Generator.A2, 1)])
+    @example(raw=[(Generator.A1, True), (Generator.A1, True)])
+    @example(raw=[(Generator.A1, 1), ("a2", 2)])
+    @example(raw=[(Generator.A1, 2.5), (Generator.A1, -2.5), (Generator.A2, 1.0)])
+    def test_builds_what_the_constructors_build(self, raw):
+        """The unchecked build equals the checked one in ==, hash and repr, or raises its error and message."""
+        got = reduce_outcome(reduce, raw)
+        assert got == reduce_outcome(checked_reduce, raw)
+        if isinstance(got, FreeWord):
+            rebuilt = FreeWord(tuple(Term(t.gen, t.exponent) for t in got.terms))
+            assert (got, hash(got), repr(got)) == (rebuilt, hash(rebuilt), repr(rebuilt))
+
     def test_merge(self):
         w = reduce([(Generator.A1, 1), (Generator.A1, 1)])
         assert w.terms == (Term(Generator.A1, 2),)
@@ -117,6 +150,7 @@ class TestTypes:
         (Generator.A1, 0, "nonzero int exponent"),
         ("a1", 1, "Generator member"),  # word_to_curve would draw it as a2
         (Generator.A1, 2.5, "nonzero int exponent"),  # Lambda would read log 3.5
+        (Generator.A1, True, "nonzero int exponent"),  # a bool is not a count
     ])
     def test_term_values_are_checked(self, gen, exponent, message):
         with pytest.raises(ValueError, match=message):
@@ -126,6 +160,12 @@ class TestTypes:
     def test_word_terms_must_be_terms(self, terms):
         """Anything but a Term is refused, not accepted or left to fail later as an AttributeError."""
         with pytest.raises(ValueError, match="must be Term values"):
+            FreeWord(terms)
+
+    @pytest.mark.parametrize("terms", [[], [Term(Generator.A1, 1)]])
+    def test_word_terms_must_be_a_tuple(self, terms):
+        """A list is refused, not kept as an unhashable word unequal to the same terms in a tuple."""
+        with pytest.raises(ValueError, match="must be a tuple"):
             FreeWord(terms)
 
     def test_word_must_be_reduced(self):
