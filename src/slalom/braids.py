@@ -21,7 +21,7 @@ import re
 from dataclasses import dataclass
 from slalom.covering import MAX_CURVE_POINTS, Plane, PolyPath
 from slalom.syllables import BoundaryCondition, BoundConstants, LambdaBounds, lambda_bounds
-from slalom.words import FreeWord, Generator, WordSyntaxError, _new, reduce, scan_tokens
+from slalom.words import FreeWord, Generator, WordSyntaxError, _check_tuple, _new, reduce, scan_tokens
 
 _SLOTS = (-1.0, 0.0, 1.0)
 _ID = (0, 1, 2)  # the identity permutation, where the walk of a pure braid starts and ends
@@ -62,11 +62,7 @@ class BraidWord:
     letters: tuple[BraidLetter, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.letters, tuple):
-            raise ValueError(f"braid letters must be a tuple; got {type(self.letters).__name__}")
-        for letter in self.letters:
-            if not isinstance(letter, BraidLetter):
-                raise ValueError(f"braid letters must be BraidLetter values; got {letter!r}")
+        _check_tuple(self.letters, "braid letters", BraidLetter)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         return BraidWord(self.letters + other.letters)

@@ -25,11 +25,11 @@ class Config:
             raise ValueError("samples_per_turn must be >= 16")
         if not (0 < self.lift_tolerance < math.inf and 0 < self.svg_scale < math.inf):
             raise ValueError("lift_tolerance and svg_scale must be positive and finite")
-        object.__setattr__(self, "_bound_constants", BoundConstants(self.c_minus, self.c_plus))
+        self.bound_constants  # bad constants fail here, at load time, on every command
 
     @property
     def bound_constants(self) -> BoundConstants:
-        return self._bound_constants
+        return BoundConstants(self.c_minus, self.c_plus)
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

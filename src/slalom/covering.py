@@ -28,7 +28,7 @@ from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, attrgetter, eq, ge, mul, ne, sub, truediv
 from typing import Sequence
 
-from slalom.words import FreeWord, Generator, reduce as reduce_word
+from slalom.words import FreeWord, Generator, _check_tuple, _new, reduce as reduce_word
 
 PUNCTURES = (-1.0, 1.0)
 BASE_LIFT_POINT = complex(0.0, -0.5)
@@ -64,7 +64,7 @@ class HalfPlane(enum.Enum):
 
 
 def _off_punctures(z: complex) -> bool:
-    return all(abs(z - p) > _PUNCTURE_TOL for p in PUNCTURES)
+    return abs(z.imag) > _PUNCTURE_TOL or all(abs(z - p) > _PUNCTURE_TOL for p in PUNCTURES)  # first: abs can overflow
 
 
 def _off_lattice(z: complex) -> bool:
@@ -81,6 +81,7 @@ class PolyPath:
     def __post_init__(self):
         if not isinstance(self.plane, Plane):
             raise ValueError(f"plane must be a Plane member; got {self.plane!r}")
+        _check_tuple(self.points, "path points")  # not its elements: a float point is accepted
         if not (pts := self.points):
             raise ValueError("path needs at least one point")
         # only points within the tolerance of the real axis (of iR on the cover) can be excluded: C-level passes clear
@@ -164,7 +165,8 @@ def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
 
 def _plan(us: Sequence[complex]) -> tuple:
     """A copy's lift but for its branch: us, an axis point inserted where Re atanh(u)/pi flips; the crossings' sides;
-    the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks and real classes; a chunk per branch."""
+    the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks and real classes; a chunk per branch.
+    The insertion's difference overflows only past |Re u| = 2^970, where no sample lifts within a finite tol < 1e290."""
     values = [cmath.atanh(u) / math.pi for u in us]  # PolyPath keeps the samples off -1 and 1, where atanh fails
     signs = bytes(map(_code, us, values))
     # where the lift's real part Re atanh(u)/pi flips; where it underflows to 0 the lifted point is on iR already
@@ -221,6 +223,7 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     of its zero's sign, as atanh does.  Raises ``LiftError``, a ``ValueError``, where the path meets the axis near a
     puncture or runs along it past one, where two samples lift to one point, or where |f(z) - u| > tol or a point lifts
     onto iZ; raises a plain ``ValueError`` where a lifted point is within tolerance of iZ, as ``PolyPath`` would.
+    ``tol`` > 0; ``math.inf`` turns off the residual check alone, as the tests use it; the config refuses it.
 
     atanh, the code bytes and the crossing walk run once per plan, a unit of the path's runs after one sample.  The
     lifted points, residual, zero-length and near-iZ checks run once per chunk, a copy of a plan lifted on one branch
@@ -245,10 +248,8 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
             last, m = chunk[-1], reduce(sub, sides, m)  # the chunk's last offset
     if faults:  # as on a lift point by point, the first fault of the earliest check
         raise faults[min(faults)]
-    lifted = object.__new__(PolyPath)  # checked above, so built without PolyPath's checks, and carrying the
-    lifted.__dict__.update(points=tuple(chain((start,), chain.from_iterable(parts))), plane=Plane.COVER,  # real signs
-                           _real_signs=bytes([_SIGNS[_sign(start.real)]]) + b"".join(p[5] * n for p, n in runs))
-    return lifted
+    return _new(PolyPath, points=tuple(chain((start,), chain.from_iterable(parts))), plane=Plane.COVER,
+                _real_signs=bytes([_SIGNS[_sign(start.real)]]) + b"".join(p[5] * n for p, n in runs))  # checked above
 
 
 def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
@@ -268,8 +269,8 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
       (samples_per_turn <= ``MAX_CURVE_POINTS``) keeps above 6e-6;
     - a term's end 0 differs, by about that chord, from the samples on either side of it.
     """
-    if samples_per_turn < 16:
-        raise ValueError("samples_per_turn must be >= 16")
+    if not isinstance(samples_per_turn, int) or samples_per_turn < 16:
+        raise ValueError(f"samples_per_turn must be an int >= 16; got {samples_per_turn!r}")
     if w.letter_length() * samples_per_turn > MAX_CURVE_POINTS:
         raise ValueError(f"word curve exceeds {MAX_CURVE_POINTS} points; use fewer letters or samples")
     runs = [((0j,), 1)]
@@ -283,10 +284,8 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
             pair = turns[term.gen, sign] = turn, turn[:-1] + (0j,)  # each term ends at the base point, exactly
         n = abs(term.exponent)
         runs += [(pair[0], n - 1), (pair[1], 1)][n < 2:]  # |n| - 1 copies of the turn, then its closing turn
-    curve = object.__new__(PolyPath)  # checked by construction, see above
-    curve.__dict__.update(points=tuple(chain.from_iterable(unit * n for unit, n in runs)), plane=Plane.PUNCTURED,
-                          _runs=tuple(runs))
-    return curve
+    return _new(PolyPath, points=tuple(chain.from_iterable(unit * n for unit, n in runs)), plane=Plane.PUNCTURED,
+                _runs=tuple(runs))  # checked by construction, see above
 
 
 def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
@@ -324,7 +323,7 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
 def _ray(x: float, error: type[Exception] = ValueError) -> int:
     """-1 on (-inf, -1), 1 on (1, inf), 0 on (-1, 1); raises ``error`` within tolerance of a puncture."""
     if abs(abs(x) - 1) < _PUNCTURE_TOL:
-        raise error(f"path meets the real axis at {x}, within tolerance of a puncture")
+        raise error(f"path meets the real axis at {float(x)}, within tolerance of a puncture")
     return (x > 1) - (x < -1)
 
 
@@ -338,6 +337,11 @@ def _crossings(us: Sequence[complex], imag_signs: bytes, error: type[Exception])
             raise error(f"path runs along the real axis through a puncture near {b.real}")
         if (side := math.copysign(1.0, b.imag)) != math.copysign(1.0, a.imag):
             x = b.real if b.imag == 0 else a.real + a.imag / (a.imag - b.imag) * (b.real - a.real)
+            # x errs < 2^-50 (|a.real| + |b.real|) if a.imag - b.imag is finite; exact where that nears a tolerance edge
+            err = (abs(a.real) + abs(b.real)) * 2**-50 if math.isfinite(a.imag - b.imag) else math.inf
+            if b.imag and not abs(abs(abs(x) - 1) - _PUNCTURE_TOL) > err:  # not: a NaN x is placed exactly too
+                from fractions import Fraction as F
+                x = F(a.real) + F(a.imag) / (F(a.imag) - F(b.imag)) * (F(b.real) - F(a.real))
             if ray := _ray(x, error):
                 yield i, side, ray
 

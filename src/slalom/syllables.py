@@ -19,7 +19,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from slalom.words import FreeWord, Term, _new
+from slalom.words import FreeWord, Term, _check_tuple, _new
 
 
 class SyllableKind(enum.Enum):
@@ -39,11 +39,7 @@ class Syllable:
     kind: SyllableKind
 
     def __post_init__(self):
-        if not isinstance(self.terms, tuple):
-            raise ValueError(f"syllable terms must be a tuple; got {type(self.terms).__name__}")
-        for t in self.terms:
-            if not isinstance(t, Term):
-                raise ValueError(f"syllable terms must be Term values; got {t!r}")
+        _check_tuple(self.terms, "syllable terms", Term)
         if self.kind is SyllableKind.BIG_POWER:
             if len(self.terms) != 1 or abs(self.terms[0].exponent) < 2:
                 raise ValueError("big power must be one term with |exponent| >= 2")

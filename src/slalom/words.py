@@ -44,6 +44,14 @@ class Term:
             raise OverflowError("term exponent exceeds 64-bit range")
 
 
+def _check_tuple(values, what: str, cls: type | None = None) -> None:
+    """Refuse ``values``, the field ``what``, with ``ValueError`` unless it is a tuple, of ``cls`` values if given."""
+    if not isinstance(values, tuple):
+        raise ValueError(f"{what} must be a tuple; got {type(values).__name__}")
+    if cls and (bad := [v for v in values if not isinstance(v, cls)]):
+        raise ValueError(f"{what} must be {cls.__name__} values; got {bad[0]!r}")
+
+
 @dataclass(frozen=True)
 class FreeWord:
     """Reduced word; the empty tuple is the identity."""
@@ -51,11 +59,7 @@ class FreeWord:
     terms: tuple[Term, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.terms, tuple):
-            raise ValueError(f"word terms must be a tuple; got {type(self.terms).__name__}")
-        for t in self.terms:
-            if not isinstance(t, Term):
-                raise ValueError(f"word terms must be Term values; got {t!r}")
+        _check_tuple(self.terms, "word terms", Term)
         for prev, cur in zip(self.terms, self.terms[1:]):
             if prev.gen is cur.gen:
                 raise ValueError("word is not reduced: consecutive terms share a generator")
@@ -133,8 +137,7 @@ def concat(u: FreeWord, v: FreeWord) -> FreeWord:
 
 
 def invert(u: FreeWord) -> FreeWord:
-    # checked: negating -2^63 leaves 64 bits, and Term's check is what raises the OverflowError
-    return FreeWord(tuple(Term(t.gen, -t.exponent) for t in reversed(u.terms)))
+    return reduce((t.gen, -t.exponent) for t in reversed(u.terms))  # negating -2^63 overflows there
 
 
 def format_word(u: FreeWord) -> str:

@@ -3,6 +3,7 @@ import contextlib
 import math
 import random
 import re
+from fractions import Fraction
 from itertools import accumulate, compress, count, groupby, repeat, tee
 from operator import attrgetter, ge, mul
 from typing import Iterable
@@ -60,12 +61,28 @@ def reference_ray(x: float, error: type[Exception] = ValueError) -> int:
     return (x > 1) - (x < -1)
 
 
-def reference_read_word(path: PolyPath) -> FreeWord:
+def float_crossing(a: complex, b: complex) -> float:
+    """Where the segment from a to b meets the real axis, by the float formula, whose differences can overflow."""
+    return a.real + a.imag / (a.imag - b.imag) * (b.real - a.real)
+
+
+def exact_crossing(a: complex, b: complex) -> Fraction:
+    """Where the segment from a to b meets the real axis, exactly: every float converts to a Fraction as it is."""
+    (ax, ay), (bx, by) = ((Fraction(z.real), Fraction(z.imag)) for z in (a, b))
+    return ax + ay / (ay - by) * (bx - ax)
+
+
+def reference_read_word(path: PolyPath, crossing=float_crossing) -> FreeWord:
     """Oracle for ``curve_to_word``: the cutting sequence read sample by sample.
 
     Samples on the real axis are skipped; a crossing between the off-axis samples
     around them is located at the last of them, and a run of them must not pass
     a puncture.  Crossing the left ray downward reads a1, the right ray upward a2.
+    ``crossing`` locates the other crossings: ``float_crossing`` is the route's
+    float formula, so on loops of modest coordinates the errors, which print the
+    crossing, read alike; ``exact_crossing`` makes this the exact oracle for the
+    route's geometry over every finite point, with the same 1e-9 rule about the
+    punctures, applied to the exact distance.
     """
     if abs(path.start) > 1e-8 or abs(path.end) > 1e-8:
         raise ValueError("curve_to_word expects a loop based at 0")
@@ -78,7 +95,7 @@ def reference_read_word(path: PolyPath) -> FreeWord:
             axis_x = z.real
             continue
         if prev is not None and (z.imag > 0) != (prev.imag > 0):
-            x = axis_x if axis_x is not None else prev.real + prev.imag / (prev.imag - z.imag) * (z.real - prev.real)
+            x = axis_x if axis_x is not None else crossing(prev, z)
             ray = reference_ray(x)
             if ray:
                 raw.append((Generator.A1 if ray < 0 else Generator.A2, ray if z.imag > 0 else -ray))

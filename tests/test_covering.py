@@ -18,6 +18,7 @@ from conftest import (
     FIGURE2_TEXT,
     axis_samples,
     checked_word_curve,
+    exact_crossing,
     lift_read_word,
     pure_braids,
     reduced_words,
@@ -86,6 +87,23 @@ def loop_vertices():
         st.builds(lambda c, log_r, theta: c + 10**log_r * cmath.exp(1j * theta),
                   st.sampled_from((-1.0, 1.0)), st.floats(-8, math.log10(0.3)), st.floats(0, 2 * math.pi)),
         st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+    )
+
+
+def log_uniform(lo: int = -1074, hi: int = 1024):
+    """Floats of either sign, log-uniform from 2^lo to 2^hi: 5e-324 to the largest finite float by default."""
+    return st.builds(lambda sign, m, e: sign * math.ldexp(m, e), st.sampled_from((1.0, -1.0)),
+                     st.floats(0.5, 1, exclude_max=True), st.integers(lo, hi))
+
+
+def wide_vertices():
+    """Points with coordinates log-uniform over the float range, points on and near the real axis, and points near
+    a puncture, at offsets from 5e-324 to 0.5."""
+    return st.one_of(
+        st.builds(complex, log_uniform(), log_uniform()),
+        st.builds(complex, log_uniform(), st.one_of(st.sampled_from((0.0, -0.0)), log_uniform(hi=-1))),
+        st.builds(lambda c, d, y: complex(c + d, y), st.sampled_from((-1.0, 1.0)), log_uniform(hi=-1),
+                  log_uniform(hi=-1)),
     )
 
 
@@ -371,6 +389,12 @@ class TestPolyPath:
         with pytest.raises(ValueError, match="at least one point"):
             PolyPath((), Plane.PUNCTURED)
 
+    @pytest.mark.parametrize("points", [[0j, 1j], iter((0j, 1j))])
+    def test_points_must_be_a_tuple(self, points):
+        """A list was accepted, and the path could not be hashed."""
+        with pytest.raises(ValueError, match=f"path points must be a tuple; got {type(points).__name__}$"):
+            PolyPath(points, Plane.PUNCTURED)
+
     @pytest.mark.parametrize("z", [-1 + 0j, 1 + 0j, -1 + 9e-10, 1 - 9e-10j, 1 + 6e-10 + 6e-10j])
     def test_rejects_point_near_puncture(self, z):
         with pytest.raises(ValueError, match="excluded set of punctured"):
@@ -384,6 +408,11 @@ class TestPolyPath:
     def test_accepts_points_just_outside_tolerance(self):
         assert len(PolyPath((0j, 1 + 2e-9, -1 - 2e-9j), Plane.PUNCTURED).points) == 3
         assert len(PolyPath((2e-9 + 1j, 1j + 2e-9j), Plane.COVER).points) == 2
+
+    def test_names_the_bad_point_past_a_point_whose_abs_overflows(self):
+        """The scan for the first bad point measured |z - 1| of every point: OverflowError at 1.3e308 (1 + i)."""
+        with pytest.raises(ValueError, match="path point .* hits the excluded set of punctured"):
+            PolyPath((0j, complex(1.3e308, 1.3e308), -1 + 2e-10j, 0j), Plane.PUNCTURED)
 
     def test_rejects_zero_length_segment(self):
         with pytest.raises(ValueError, match="zero-length"):
@@ -506,6 +535,12 @@ class TestWordToCurve:
     def test_point_budget(self, text, samples):
         with pytest.raises(ValueError, match="exceeds"):
             word_to_curve(parse_word(text), samples)
+
+    @pytest.mark.parametrize("samples", [16.5, "64", None])
+    def test_rejects_a_sampling_that_is_not_an_int(self, samples):
+        """Refused up front, not left to fail in range() as an untyped TypeError."""
+        with pytest.raises(ValueError, match="must be an int"):
+            word_to_curve(parse_word("a1"), samples)
 
 
 class TestWordCurveCheckedByConstruction:
@@ -843,6 +878,28 @@ class TestRayReader:
             assert str(got.value) == str(exc)
             return
         assert curve_to_word(path) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(wide_vertices(), min_size=1, max_size=6))
+    @example([2j, 1e308 + 1e-300j, -1e308 - 1j, -2j])    # b.real - a.real overflowed: read a1, not a2^-1
+    @example([1e308 + 1.7e308j, -1e308 - 3e307j])        # a.imag - b.imag overflowed: read the identity, not a1
+    @example([1j, 1e308 + 0j, -1e308 - 1j, -1j])        # 0 times an overflowed difference: no crossing, not a2^-1
+    @example([2.0**52 - 0.5j, complex(0.5, 2.0**-54)])  # t rounds to 1, x to 0.5: at 1 - 1.1e-16, not an error
+    @example([1.5 + 5e-324j, -0.5 - 5e-324j, 1j])        # Im's halves round to 0: a halved formula divides 0 by 0
+    def test_matches_exact_oracle(self, vertices):
+        """Over the whole float range, the reader reads the word, or the error type, of the cutting sequence with
+        each crossing located exactly."""
+        try:
+            path = PolyPath((0j, *vertices, 0j), Plane.PUNCTURED)
+        except ValueError:
+            return
+        outcomes = []
+        for read in (curve_to_word, lambda p: reference_read_word(p, exact_crossing)):
+            try:
+                outcomes.append(read(path))
+            except ValueError as exc:
+                outcomes.append(type(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestSlalomDecompose:

@@ -44,6 +44,21 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     return sorted(unread)
 
 
+def unchecked_builds(source: str) -> list[str]:
+    """The names of the module-level functions and classes of ``source`` that call ``object.__new__``,
+    ``object.__setattr__`` or the ``update`` of a ``__dict__``: the builds that skip a constructor's checks.
+    A call outside them is named ``<module>``."""
+    names = set()
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and isinstance(func := node.func, ast.Attribute):
+                owner = func.value
+                if (isinstance(owner, ast.Name) and owner.id == "object" and func.attr in ("__new__", "__setattr__")
+                        or isinstance(owner, ast.Attribute) and owner.attr == "__dict__" and func.attr == "update"):
+                    names.add(getattr(top, "name", "<module>"))
+    return sorted(names)
+
+
 def long_lines(source: str, limit: int = 120) -> list[int]:
     """The 1-based numbers of the lines of ``source`` longer than ``limit`` characters."""
     return [n for n, line in enumerate(source.splitlines(), 1) if len(line) > limit]
@@ -65,6 +80,23 @@ def test_finds_an_unread_private_name():
         "b": "from a import _SHARED\nclass _Unused:\n    pass\ndef f(m):\n    return _SHARED + m._ATTR\n_ATTR = 0\n",
     }
     assert unread_private_names(sources) == ["a._UNREAD", "b._Unused"]
+
+
+def test_finds_an_unchecked_build():
+    source = (
+        "def build(cls):\n    v = object.__new__(cls)\n    v.__dict__.update(x=1)\n    return v\n"
+        "class C:\n    def __post_init__(self):\n        object.__setattr__(self, 'y', 2)\n"
+        "def fine(v):\n    v.__dict__.get('x')\n    return type.__new__, cls.__new__(cls), v.update(x=1)\n"
+        "object.__new__(C)\n"
+    )
+    assert unchecked_builds(source) == ["<module>", "C", "build"]
+
+
+def test_unchecked_builds_only_in_words():
+    """Only ``words._new`` and ``reduce``'s term build skip a constructor's checks; every other unchecked build
+    goes through ``_new``."""
+    found = {path.stem: unchecked_builds(path.read_text()) for path in MODULES}
+    assert {module: names for module, names in found.items() if names} == {"words": ["_new", "reduce"]}
 
 
 def test_finds_a_long_line():
