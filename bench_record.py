@@ -10,6 +10,15 @@ per workload, the seeds run, the operations attempted and failed, and the
 median and quartiles of each end-to-end metric; where traced records of the
 workload exist, a ``layers`` block holds their seeds and the median of each
 per-layer metric.
+
+With both a ``parent`` and a ``change`` side, a ``pairs`` block pairs their
+untraced runs by seed.  For each workload and end-to-end metric it holds the
+number of pairs, how many the change won in the direction that
+``BENCHMARK.json``'s ``better`` gives (a tie counts for neither side), the
+change's median minus the parent's and the interquartile range of the
+parent's runs, both over the paired runs, and whether a gain may be claimed:
+at least 10 pairs, at least nine tenths of them won, and the medians apart
+by more than that range, in the better direction.
 """
 
 from __future__ import annotations
@@ -20,6 +29,7 @@ import sys
 from pathlib import Path
 
 METRICS = ("setup_s", "ops_per_s", "peak_rss_mb")
+BENCHMARK = Path(__file__).resolve().with_name("BENCHMARK.json")
 ENVIRONMENT = ("commit", "python", "numpy", "scipy", "mpmath", "nproc")
 
 
@@ -56,19 +66,45 @@ def summarize(records: list[dict], traced: list[dict] = ()) -> dict:
     return side
 
 
+def pairs(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
+    """The ``pairs`` block: per workload run on both sides, per metric of ``better`` (its name to "higher" or
+    "lower"), the pairs of runs of one seed and how the change fared in them."""
+    block = {}
+    for workload in sorted({r["workload"] for r in parent} & {r["workload"] for r in change}):
+        sides = [{r["seed"]: r["metrics"] for r in side if r["workload"] == workload} for side in (parent, change)]
+        seeds = sorted(sides[0].keys() & sides[1].keys())
+        if not seeds:
+            continue
+        block[workload] = {}
+        for name, direction in better.items():
+            sign = 1 if direction == "higher" else -1
+            was, now = ([side[seed][name]["value"] for seed in seeds] for side in sides)
+            q1, _, q3 = statistics.quantiles(was, n=4) if len(was) > 1 else was * 3
+            difference = statistics.median(now) - statistics.median(was)
+            won = sum(sign * (b - a) > 0 for a, b in zip(was, now))
+            block[workload][name] = {
+                "pairs": len(seeds), "won": won, "median_difference": difference, "parent_iqr": q3 - q1,
+                "gain_claimable": len(seeds) >= 10 and won >= 0.9 * len(seeds) and sign * difference > q3 - q1,
+            }
+    return block
+
+
 def main(argv: list[str]) -> int:
     if len(argv) < 2 or not all("=" in spec for spec in argv[1:]):
         print(__doc__, file=sys.stderr)
         return 2
-    bench = {}
+    bench, untraced = {}, {}
     for spec in argv[1:]:
         label, directory = spec.split("=", 1)
-        records = [json.loads(p.read_text()) for p in sorted(Path(directory).glob("*-t0.json"))]
+        records = untraced[label] = [json.loads(p.read_text()) for p in sorted(Path(directory).glob("*-t0.json"))]
         if not records:
             print(f"bench_record.py: no *-t0.json records in {directory}", file=sys.stderr)
             return 1
         traced = [json.loads(p.read_text()) for p in sorted(Path(directory).glob("*-t1.json"))]
         bench[label] = summarize(records, traced)
+    if {"parent", "change"} <= untraced.keys():
+        declared = json.loads(BENCHMARK.read_text())["end_to_end"]
+        bench["pairs"] = pairs(untraced["parent"], untraced["change"], {m["name"]: m["better"] for m in declared})
     Path(argv[0]).write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 

@@ -18,10 +18,10 @@ import enum
 import itertools
 import math
 import re
-from dataclasses import dataclass
+
 from slalom.covering import MAX_CURVE_POINTS, Plane, PolyPath
 from slalom.syllables import BoundaryCondition, BoundConstants, LambdaBounds, lambda_bounds
-from slalom.words import FreeWord, Generator, WordSyntaxError, _check_tuple, _new, reduce, scan_tokens
+from slalom.words import FreeWord, Generator, WordSyntaxError, _check_tuple, _new, _set, _Value, reduce, scan_tokens
 
 _SLOTS = (-1.0, 0.0, 1.0)
 _ID = (0, 1, 2)  # the identity permutation, where the walk of a pure braid starts and ends
@@ -45,10 +45,12 @@ class BraidGenerator(enum.Enum):
     SIGMA2 = "s2"
 
 
-@dataclass(frozen=True)
-class BraidLetter:
-    gen: BraidGenerator
-    sign: int
+class BraidLetter(_Value):
+    __match_args__ = ("gen", "sign")
+
+    def __init__(self, gen: BraidGenerator, sign: int):
+        _set(self, ("gen", "sign"), (gen, sign))
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.gen, BraidGenerator):
@@ -57,9 +59,12 @@ class BraidLetter:
             raise ValueError("letter sign must be +-1")
 
 
-@dataclass(frozen=True)
-class BraidWord:
-    letters: tuple[BraidLetter, ...] = ()
+class BraidWord(_Value):
+    __match_args__ = ("letters",)
+
+    def __init__(self, letters: tuple[BraidLetter, ...] = ()):
+        _set(self, ("letters",), (letters,))
+        self.__post_init__()
 
     def __post_init__(self):
         _check_tuple(self.letters, "braid letters", BraidLetter)

@@ -1,24 +1,25 @@
 """Runtime configuration: key = value files, environment override, defaults."""
 
-import dataclasses
 import math
 import os
-from dataclasses import dataclass
 
 from slalom.syllables import BoundConstants
+from slalom.words import _set, _Value
 
 ENV_VAR = "SLALOM_CONFIG"
+_CONSTANTS = BoundConstants()
 
 
-@dataclass(frozen=True)
-class Config:
-    """The configuration keys, in the order the CLI echoes them; each field's type casts its file value."""
+class Config(_Value):
+    """The configuration keys, in the order the CLI echoes them; the type of each default casts its file value."""
 
-    c_minus: float = BoundConstants.c_minus
-    c_plus: float = BoundConstants.c_plus
-    samples_per_turn: int = 128
-    lift_tolerance: float = 1e-6
-    svg_scale: float = 40.0
+    __match_args__ = ("c_minus", "c_plus", "samples_per_turn", "lift_tolerance", "svg_scale")
+
+    def __init__(self, c_minus: float = _CONSTANTS.c_minus, c_plus: float = _CONSTANTS.c_plus,
+                 samples_per_turn: int = 128, lift_tolerance: float = 1e-6, svg_scale: float = 40.0):
+        _set(self, ("c_minus", "c_plus", "samples_per_turn", "lift_tolerance", "svg_scale"),
+             (c_minus, c_plus, samples_per_turn, lift_tolerance, svg_scale))
+        self.__post_init__()
 
     def __post_init__(self):
         if self.samples_per_turn < 16:
@@ -32,14 +33,14 @@ class Config:
         return BoundConstants(self.c_minus, self.c_plus)
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        return {name: getattr(self, name) for name in self.__match_args__}
 
 
 def load_config(path: str | None = None) -> Config:
     """Defaults, overridden by the file at ``path`` or at $SLALOM_CONFIG."""
     if path is None:
         path = os.environ.get(ENV_VAR)
-    casts = {f.name: f.type for f in dataclasses.fields(Config)}
+    casts = {key: type(value) for key, value in Config().as_dict().items()}
     values: dict = {}
     if path:
         with open(path) as fh:

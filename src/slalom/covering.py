@@ -22,13 +22,12 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, attrgetter, eq, ge, mul, ne, sub, truediv
 from typing import Sequence
 
-from slalom.words import FreeWord, Generator, _check_tuple, _new, reduce as reduce_word
+from slalom.words import FreeWord, Generator, _check_tuple, _new, _set, _Value, reduce as reduce_word
 
 PUNCTURES = (-1.0, 1.0)
 BASE_LIFT_POINT = complex(0.0, -0.5)
@@ -67,16 +66,22 @@ def _off_punctures(z: complex) -> bool:
     return abs(z.imag) > _PUNCTURE_TOL or all(abs(z - p) > _PUNCTURE_TOL for p in PUNCTURES)  # first: abs can overflow
 
 
+def _off_fiber(z: complex) -> bool:  # abs(z) > _FIBER_TOL; a part decides first where abs(z) overflows
+    return abs(z.real) > _FIBER_TOL or abs(z.imag) > _FIBER_TOL or abs(z) > _FIBER_TOL
+
+
 def _off_lattice(z: complex) -> bool:
     return not (abs(z.real) <= _PUNCTURE_TOL and abs(z.imag - round(z.imag)) <= _PUNCTURE_TOL)
 
 
-@dataclass(frozen=True)
-class PolyPath:
+class PolyPath(_Value):
     """Discretized curve; a single point represents a constant path.  ``_runs`` holds its points as copies of units."""
 
-    points: tuple[complex, ...]
-    plane: Plane
+    __match_args__ = ("points", "plane")
+
+    def __init__(self, points: tuple[complex, ...], plane: Plane):
+        _set(self, ("points", "plane"), (points, plane))
+        self.__post_init__()
 
     def __post_init__(self):
         if not isinstance(self.plane, Plane):
@@ -109,20 +114,22 @@ class PolyPath:
         return self.points[-1]
 
 
-@dataclass(frozen=True)
-class ElementaryPiece:
-    half_plane: HalfPlane
-    start_component: int
-    end_component: int
+class ElementaryPiece(_Value):
+    __match_args__ = ("half_plane", "start_component", "end_component")
+
+    def __init__(self, half_plane: HalfPlane, start_component: int, end_component: int):
+        _set(self, ("half_plane", "start_component", "end_component"), (half_plane, start_component, end_component))
 
     @property
     def trivial(self) -> bool:
         return abs(self.start_component - self.end_component) <= 1
 
 
-@dataclass(frozen=True)
-class SlalomDecomposition:
-    pieces: tuple[ElementaryPiece, ...]
+class SlalomDecomposition(_Value):
+    __match_args__ = ("pieces",)
+
+    def __init__(self, pieces: tuple[ElementaryPiece, ...]):
+        _set(self, ("pieces",), (pieces,))
 
 
 def cover_map(z: complex) -> complex:
@@ -234,7 +241,7 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     """
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("lift_path expects a path in the punctured plane")
-    if abs(cover_map(start) - path.start) > _FIBER_TOL:
+    if _off_fiber(cover_map(start) - path.start):
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
     runs = _copies(path, _plan)  # all first: the crossing walk raises first
     m = round((start - cmath.atanh(path.start) / math.pi).imag - 0.5) + 0.5
@@ -359,7 +366,7 @@ def curve_to_word(path: PolyPath) -> FreeWord:
     """
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("curve_to_word expects a path in the punctured plane")
-    if abs(path.start) > _FIBER_TOL or abs(path.end) > _FIBER_TOL:
+    if _off_fiber(path.start) or _off_fiber(path.end):
         raise ValueError("curve_to_word expects a loop based at 0")
     runs = _copies(path, lambda us: list(_crossings(us, bytes(_SIGNS[_sign(u.imag)] for u in us), ValueError)))
     return reduce_word([(Generator.A1 if ray < 0 else Generator.A2, int(side) * ray)

@@ -35,8 +35,9 @@ from __future__ import annotations
 import enum
 import math
 import sys
-from dataclasses import dataclass
 from typing import Iterable
+
+from slalom.words import _set, _Value
 
 _AGM_RTOL = 1e-15
 # The integrand is analytic in |Im s| < pi/2, so the step-h sum errs by about exp(-pi^2 / h) = 7e-18.
@@ -52,17 +53,18 @@ class ModulusMethod(enum.Enum):
     QUADRATURE = "quad"
 
 
-@dataclass(frozen=True)
-class QuadModulus:
-    extremal_length: float
-    conformal_module: float
+class QuadModulus(_Value):
+    __match_args__ = ("extremal_length", "conformal_module")
+
+    def __init__(self, extremal_length: float, conformal_module: float):
+        _set(self, ("extremal_length", "conformal_module"), (extremal_length, conformal_module))
 
 
-@dataclass(frozen=True)
-class BoundCheckReport:
-    m_range: tuple[float, ...]
-    ratio_min: float
-    ratio_max: float
+class BoundCheckReport(_Value):
+    __match_args__ = ("m_range", "ratio_min", "ratio_max")
+
+    def __init__(self, m_range: tuple[float, ...], ratio_min: float, ratio_max: float):
+        _set(self, ("m_range", "ratio_min", "ratio_max"), (m_range, ratio_min, ratio_max))
 
 
 def agm(a: float, b: float) -> float:

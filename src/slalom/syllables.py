@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
-from slalom.words import FreeWord, Term, _check_tuple, _new
+from slalom.words import FreeWord, Term, _check_tuple, _new, _set, _Value
 
 
 class SyllableKind(enum.Enum):
@@ -33,10 +32,12 @@ class BoundaryCondition(enum.Enum):
     PERPENDICULAR_BISECTOR = "pb"
 
 
-@dataclass(frozen=True)
-class Syllable:
-    terms: tuple[Term, ...]
-    kind: SyllableKind
+class Syllable(_Value):
+    __match_args__ = ("terms", "kind")
+
+    def __init__(self, terms: tuple[Term, ...], kind: SyllableKind):
+        _set(self, ("terms", "kind"), (terms, kind))
+        self.__post_init__()
 
     def __post_init__(self):
         _check_tuple(self.terms, "syllable terms", Term)
@@ -58,30 +59,33 @@ class Syllable:
         return sum(abs(t.exponent) for t in self.terms)
 
 
-@dataclass(frozen=True)
-class SyllableDecomposition:
-    syllables: tuple[Syllable, ...]
+class SyllableDecomposition(_Value):
+    __match_args__ = ("syllables",)
+
+    def __init__(self, syllables: tuple[Syllable, ...]):
+        _set(self, ("syllables",), (syllables,))
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(_Value):
     """Empirical bracket for the comparison constants; the theory asserts
     existence only, so the defaults are declared placeholders."""
 
-    c_minus: float = 0.1
-    c_plus: float = 10.0
+    __match_args__ = ("c_minus", "c_plus")
+
+    def __init__(self, c_minus: float = 0.1, c_plus: float = 10.0):
+        _set(self, ("c_minus", "c_plus"), (c_minus, c_plus))
+        self.__post_init__()
 
     def __post_init__(self):
         if not (0 < self.c_minus <= self.c_plus < math.inf):
             raise ValueError("need 0 < c_minus <= c_plus, both finite")
 
 
-@dataclass(frozen=True)
-class LambdaBounds:
-    lambda_value: float
-    lower: float
-    upper: float
-    exceptional: bool
+class LambdaBounds(_Value):
+    __match_args__ = ("lambda_value", "lower", "upper", "exceptional")
+
+    def __init__(self, lambda_value: float, lower: float, upper: float, exceptional: bool):
+        _set(self, ("lambda_value", "lower", "upper", "exceptional"), (lambda_value, lower, upper, exceptional))
 
 
 def _spans(terms: tuple[Term, ...]):

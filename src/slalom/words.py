@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable, Iterator
 
 _INT64_MIN = -(2**63)
@@ -31,10 +31,50 @@ class Generator(enum.Enum):
     A2 = "a2"
 
 
-@dataclass(frozen=True)
-class Term:
-    gen: Generator
-    exponent: int
+class _Value:
+    """Base of slalom's value types, which behave as frozen dataclasses without loading ``dataclasses``.
+
+    A type names its fields in ``__match_args__``; its ``__init__`` sets them with ``_set`` and then runs its
+    ``__post_init__`` check, if it has one.  Values are immutable, equal when of one class with equal field tuples,
+    hashed by that tuple, and shown as ``Type(field=value, ...)``.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        get = attrgetter(*cls.__match_args__)  # the fields, read in C; one field it returns bare
+        cls._astuple = staticmethod(get if len(cls.__match_args__) > 1 else lambda value: (get(value),))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        return self._astuple(self) == other._astuple(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple(self))
+
+    def __repr__(self):
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({fields})"
+
+
+def _set(value: _Value, names: tuple[str, ...], values: tuple) -> None:
+    """Set the fields ``names`` of a new ``value`` to ``values``, one ``object.__setattr__`` each, as the
+    generated ``__init__`` of a frozen dataclass does; this keeps the fields inline, so later reads stay fast."""
+    for i, name in enumerate(names):
+        object.__setattr__(value, name, values[i])
+
+
+class Term(_Value):
+    __match_args__ = ("gen", "exponent")
+
+    def __init__(self, gen: Generator, exponent: int):
+        _set(self, ("gen", "exponent"), (gen, exponent))
+        self.__post_init__()
 
     def __post_init__(self):
         e = self.exponent
@@ -52,11 +92,14 @@ def _check_tuple(values, what: str, cls: type | None = None) -> None:
         raise ValueError(f"{what} must be {cls.__name__} values; got {bad[0]!r}")
 
 
-@dataclass(frozen=True)
-class FreeWord:
+class FreeWord(_Value):
     """Reduced word; the empty tuple is the identity."""
 
-    terms: tuple[Term, ...] = ()
+    __match_args__ = ("terms",)
+
+    def __init__(self, terms: tuple[Term, ...] = ()):
+        _set(self, ("terms",), (terms,))
+        self.__post_init__()
 
     def __post_init__(self):
         _check_tuple(self.terms, "word terms", Term)
@@ -108,6 +151,16 @@ def reduce(raw: Iterable[tuple[Generator, int]]) -> FreeWord:
     return _new(FreeWord, terms=tuple(terms))
 
 
+def _short(digits: str) -> str:
+    """``digits``, a sign and decimal digits, in at most 20 characters, of the same value or else past 64 bits.
+
+    2^63 has 19 digits, and int() refuses a text of over 4300 digits, with no column: a digit before the last 19
+    other than a zero puts the value past 64 bits, and zeros there keep it.
+    """
+    head = digits[:-19]
+    return "9" * 20 if any(map(int, head.lstrip("+-"))) else head[:1] + digits[-19:]
+
+
 def scan_tokens(text: str, token_re: re.Pattern, error=WordSyntaxError) -> Iterator[tuple[str, int, int]]:
     """Yield (name, exponent, column) for each whitespace-separated token of ``text``, lazily, in one regex pass.
 
@@ -121,7 +174,7 @@ def scan_tokens(text: str, token_re: re.Pattern, error=WordSyntaxError) -> Itera
         col = m.start() + 1
         if name is None:
             raise error(f"bad token {m.group()!r}", col)
-        exp = 1 if digits is None else int(digits)
+        exp = 1 if digits is None else int(digits if len(digits) <= 20 else _short(digits))
         if not (_INT64_MIN <= exp <= _INT64_MAX):
             raise error(f"exponent out of range in {m.group()!r}", col)
         yield name, exp, col

@@ -1,8 +1,10 @@
 import cmath
 import contextlib
+import dataclasses
 import math
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, compress, count, groupby, repeat, tee
 from operator import attrgetter, ge, mul
@@ -30,6 +32,32 @@ from slalom.syllables import SyllableKind
 from slalom.words import FreeWord, Generator, Term, WordSyntaxError, parse_word, reduce
 
 FIGURE2_TEXT = "a2^-1 a1^2 a2^-3 a1^-1 a2^-1 a1^-1 a2 a1^-1"
+
+
+def _default(value):
+    return dataclasses.field(default=value)
+
+
+# Oracle for the value types' semantics: each type's twin is the frozen dataclass it was declared as, with its
+# fields and defaults written out here, and no checks.
+VALUE_TWINS = {name: dataclasses.make_dataclass(name, fields, frozen=True) for name, fields in {
+    "Term": ["gen", "exponent"],
+    "FreeWord": [("terms", tuple, _default(()))],
+    "Syllable": ["terms", "kind"],
+    "SyllableDecomposition": ["syllables"],
+    "BoundConstants": [("c_minus", float, _default(0.1)), ("c_plus", float, _default(10.0))],
+    "LambdaBounds": ["lambda_value", "lower", "upper", "exceptional"],
+    "Config": [("c_minus", float, _default(0.1)), ("c_plus", float, _default(10.0)),
+               ("samples_per_turn", int, _default(128)), ("lift_tolerance", float, _default(1e-6)),
+               ("svg_scale", float, _default(40.0))],
+    "QuadModulus": ["extremal_length", "conformal_module"],
+    "BoundCheckReport": ["m_range", "ratio_min", "ratio_max"],
+    "PolyPath": ["points", "plane"],
+    "ElementaryPiece": ["half_plane", "start_component", "end_component"],
+    "SlalomDecomposition": ["pieces"],
+    "BraidLetter": ["gen", "sign"],
+    "BraidWord": [("letters", tuple, _default(()))],
+}.items()}
 
 
 @pytest.fixture
@@ -270,10 +298,10 @@ def reference_scan_tokens(text: str, token_re: re.Pattern, error=WordSyntaxError
         tm = token_re.match(tok)
         if tm is None:
             raise error(f"bad token {tok!r}", col)
-        exp = 1 if tm.group(2) is None else int(tm.group(2))
+        exp = 1 if tm.group(2) is None else Decimal(tm.group(2))  # exact, with no limit on its digits, as int() has
         if not (-(2**63) <= exp <= 2**63 - 1):
             raise error(f"exponent out of range in {tok!r}", col)
-        yield tm.group(1), exp, col
+        yield tm.group(1), int(exp), col
 
 
 @contextlib.contextmanager

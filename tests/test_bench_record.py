@@ -71,3 +71,44 @@ def test_missing_records_or_labels(tmp_path):
     assert script.main([str(tmp_path / "BENCH.json"), f"empty={tmp_path}"]) == 1
     assert script.main([str(tmp_path / "BENCH.json"), str(tmp_path)]) == 2
     assert not (tmp_path / "BENCH.json").exists()
+
+
+def test_pairs_by_seed_in_the_declared_direction(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    for seed in range(1, 11):
+        write_record(parent, "cli", seed, 0, 8.0 + seed / 100)
+        write_record(change, "cli", seed, 0, 10.0 if seed < 10 else 8.1)  # seed 10 ties
+    write_record(parent, "cli", 11, 0, 1.0)  # no change run of seed 11: not a pair
+    for seed in range(1, 4):
+        write_record(parent, "braids", seed, 0, 1.0)
+        write_record(change, "braids", seed, 0, 2.0)
+    write_record(change, "invariants", 1, 0, 2.0)  # no parent side: no pairs
+    out = tmp_path / "BENCH.json"
+    assert load_script().main([str(out), f"parent={parent}", f"change={change}"]) == 0
+    pairs = json.loads(out.read_text())["pairs"]
+    assert set(pairs) == {"cli", "braids"}
+    cli = pairs["cli"]["ops_per_s"]
+    assert (cli["pairs"], cli["won"], cli["gain_claimable"]) == (10, 9, True)
+    assert cli["median_difference"] == 10.0 - 8.055 and abs(cli["parent_iqr"] - 0.055) < 1e-12
+    # setup_s (lower is better) and peak_rss_mb are equal in every pair: ties, no pair won
+    assert [(m["won"], m["gain_claimable"]) for m in (pairs["cli"]["setup_s"], pairs["cli"]["peak_rss_mb"])] == [
+        (0, False), (0, False)]
+    assert (pairs["braids"]["ops_per_s"]["won"], pairs["braids"]["ops_per_s"]["gain_claimable"]) == (3, False)
+
+
+def test_lower_is_better_where_declared(tmp_path):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    for seed in range(1, 11):
+        write_record(parent, "cli", seed, 0, 8.0 + seed / 10)
+        write_record(change, "cli", seed, 0, 8.01 + seed / 10)  # every pair won, by less than the spread
+    for record in change.glob("*.json"):  # set-up (0.1 s per seed) a second faster on the change side
+        data = json.loads(record.read_text())
+        data["metrics"]["setup_s"]["value"] -= 1.0
+        record.write_text(json.dumps(data))
+    out = tmp_path / "BENCH.json"
+    assert load_script().main([str(out), f"parent={parent}", f"change={change}"]) == 0
+    cli = json.loads(out.read_text())["pairs"]["cli"]
+    assert (cli["setup_s"]["won"], cli["setup_s"]["gain_claimable"]) == (10, True)
+    assert (cli["ops_per_s"]["won"], cli["ops_per_s"]["gain_claimable"]) == (10, False)

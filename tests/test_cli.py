@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import importlib
 import io
@@ -36,6 +35,9 @@ README_COMMANDS = [
 ]
 
 
+# the fields of Config, in the order the CLI echoes them
+CONFIG_KEYS = ["c_minus", "c_plus", "samples_per_turn", "lift_tolerance", "svg_scale"]
+
 # the names `slalom` exports, by submodule
 PUBLIC_NAMES = {
     "words": ["FreeWord", "Generator", "Term", "concat", "format_word", "invert", "parse_word"],
@@ -54,6 +56,37 @@ def run_fresh_interpreter(code):
     src = str(Path(slalom.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+# each subcommand, the slalom modules it loads and the ones it must not load
+SUBCOMMANDS = [
+    pytest.param(["lambda", "a1^2 a2^-3"], [], ["covering", "braids", "svg"], id="lambda"),
+    pytest.param(["syllables", "a1 a2^-1"], [], ["covering", "braids", "svg"], id="syllables"),
+    pytest.param(["rectangle-module", "--M", "2", "--method", "quad"], [], ["covering", "braids", "svg"],
+                 id="rectangle-module"),
+    pytest.param(["verify-bounds", "--from", "0.5", "--to", "100", "--samples", "5"], [], ["covering", "braids", "svg"],
+                 id="verify-bounds"),
+    pytest.param(["lift", "a1 a2^-1"], ["covering"], ["braids", "svg"], id="lift"),
+    pytest.param(["lift", "a1 a2^-1", "--svg", "lift.svg"], ["covering", "svg"], ["braids"], id="lift-svg"),
+    pytest.param(["roundtrip", "--count", "3", "--maxlen", "4"], ["covering"], ["braids", "svg"], id="roundtrip"),
+    pytest.param(["braid", "s1^2 s2^-2"], ["braids"], ["svg"], id="braid"),
+]
+
+
+def modules_after_main(tmp_path, argv) -> set[str]:
+    """The modules that a fresh interpreter holds after ``import slalom.cli`` and, unless ``argv`` is None, a
+    ``main(argv)`` that exits 0, run in ``tmp_path``."""
+    main = "0" if argv is None else f"slalom.cli.main({argv!r})"
+    code = (
+        "import json, os, sys, slalom.cli\n"
+        f"os.chdir({str(tmp_path)!r})\n"
+        f"print(json.dumps([{main}, sorted(sys.modules)]))"
+    )
+    proc = run_fresh_interpreter(code)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert exit_code == 0
+    return set(modules)
 
 
 def run_cli(capsys, *argv):
@@ -100,7 +133,7 @@ class TestConfig:
 
     def test_echo_lists_the_fields(self, capsys):
         _, out, _ = run_cli(capsys, "syllables", "a1")
-        assert list(json.loads(out)["config"]) == [f.name for f in dataclasses.fields(Config)]
+        assert list(json.loads(out)["config"]) == CONFIG_KEYS
 
     @pytest.mark.parametrize("line, argv", [
         ("lift_tolerance = nan", ("lift", "a1")),
@@ -311,29 +344,17 @@ class TestInterfaceContract:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["result"]["extremal_length"] == pytest.approx(1.5634019226961113, abs=1e-12)
 
-    @pytest.mark.parametrize("argv, loaded, not_loaded", [
-        (["lambda", "a1^2 a2^-3"], [], ["covering", "braids", "svg"]),
-        (["syllables", "a1 a2^-1"], [], ["covering", "braids", "svg"]),
-        (["rectangle-module", "--M", "2", "--method", "quad"], [], ["covering", "braids", "svg"]),
-        (["verify-bounds", "--from", "0.5", "--to", "100", "--samples", "5"], [], ["covering", "braids", "svg"]),
-        (["lift", "a1 a2^-1"], ["covering"], ["braids", "svg"]),
-        (["lift", "a1 a2^-1", "--svg", "lift.svg"], ["covering", "svg"], ["braids"]),
-        (["roundtrip", "--count", "3", "--maxlen", "4"], ["covering"], ["braids", "svg"]),
-        (["braid", "s1^2 s2^-2"], ["braids"], ["svg"]),
-    ], ids=["lambda", "syllables", "rectangle-module", "verify-bounds", "lift", "lift-svg", "roundtrip", "braid"])
+    @pytest.mark.parametrize("argv, loaded, not_loaded", SUBCOMMANDS)
     def test_subcommand_loads_only_its_modules(self, tmp_path, argv, loaded, not_loaded):
-        code = (
-            "import json, os, sys, slalom.cli\n"
-            f"os.chdir({str(tmp_path)!r})\n"
-            f"code = slalom.cli.main({argv!r})\n"
-            "print(json.dumps([code, sorted(m for m in sys.modules if m.startswith('slalom.'))]))"
-        )
-        proc = run_fresh_interpreter(code)
-        assert proc.returncode == 0, proc.stderr
-        exit_code, modules = json.loads(proc.stdout.splitlines()[-1])
-        assert exit_code == 0
-        assert {f"slalom.{m}" for m in loaded} <= set(modules)
-        assert not {f"slalom.{m}" for m in not_loaded} & set(modules)
+        modules = modules_after_main(tmp_path, argv)
+        assert {f"slalom.{m}" for m in loaded} <= modules
+        assert not {f"slalom.{m}" for m in not_loaded} & modules
+
+    @pytest.mark.parametrize("argv", [pytest.param(None, id="import")] + [
+        pytest.param(p.values[0], id=p.id) for p in SUBCOMMANDS])
+    def test_loads_neither_dataclasses_nor_inspect(self, tmp_path, argv):
+        # together they took longer to import than the rest of slalom.cli, and the value types need neither
+        assert not {"dataclasses", "inspect"} & modules_after_main(tmp_path, argv)
 
     def test_import_slalom_loads_no_submodule(self):
         proc = run_fresh_interpreter("import sys, slalom\nprint(sorted(m for m in sys.modules if m.startswith('slalom')))")
@@ -471,7 +492,7 @@ def tokens(kinds):
 
 
 CONFIG_LINES = st.one_of(
-    st.builds("{} = {}".format, st.sampled_from([f.name for f in dataclasses.fields(Config)]), tokens(NUMBERS)),
+    st.builds("{} = {}".format, st.sampled_from(CONFIG_KEYS), tokens(NUMBERS)),
     st.sampled_from(("# a comment", "", "no equals sign", "unknown = 1", "samples_per_turn = 1_000")),
 )
 

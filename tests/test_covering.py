@@ -1,5 +1,4 @@
 import cmath
-import dataclasses
 import math
 import pickle
 import random
@@ -615,7 +614,7 @@ class TestWordCurveCheckedByConstruction:
         assert curve_to_word(curve) == w
         assert slalom_decompose(lift_path(curve, BASE_LIFT_POINT)).pieces == word_pieces(w)
         monkeypatch.undo()
-        for copy in (pickle.loads(pickle.dumps(curve)), dataclasses.replace(curve)):
+        for copy in (pickle.loads(pickle.dumps(curve)), PolyPath(curve.points, curve.plane)):
             assert copy == oracle and hash(copy) == hash(oracle)
             assert sorted(bits(set(copy.points))) == sorted(bits(set(oracle.points)))
 
@@ -736,9 +735,9 @@ class TestWordCurveRuns:
         curve = word_to_curve(parse_word(FIGURE2_TEXT), 64)
         pickled = pickle.loads(pickle.dumps(curve))
         assert pickled._runs == curve._runs
-        for copy in (dataclasses.replace(curve), PolyPath(curve.points, Plane.PUNCTURED)):
+        for copy in (PolyPath(curve.points, curve.plane), PolyPath(curve.points, Plane.PUNCTURED)):
             assert copy._runs == ((copy.points, 1),)
-        for copy in (pickled, dataclasses.replace(curve), PolyPath(curve.points, Plane.PUNCTURED)):
+        for copy in (pickled, PolyPath(curve.points, curve.plane), PolyPath(curve.points, Plane.PUNCTURED)):
             assert copy == curve and hash(copy) == hash(curve)
             assert lift_and_read(copy) == lift_and_read(curve)
 

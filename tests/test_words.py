@@ -83,6 +83,10 @@ class TestScanner:
     @example(text="s1^+\uff11\uff12\ts2\x1fs1^-\u0663")
     @example(text=f"a1^{2**63} s1^{2**63 - 1}")
     @example(text="a1a2 s1s2")
+    @example(text="a1 a2^" + "9" * 4301)  # more digits than int() converts
+    @example(text="s1 s2^-" + "9" * 4301)
+    @example(text="a2^-" + "0" * 4400 + str(2**63) + " a1^" + "\u0660" * 30 + "\u0663 a2^+" + "0" * 30 + str(2**63))
+    @example(text="s2^+" + "0" * 4400 + "7 s1^" + "\u0660" * 30 + "\u0663")
     @pytest.mark.parametrize("parse", [parse_word, parse_braid])
     def test_matches_the_two_step_scan(self, parse, text):
         """One regex pass per text gives what a match per whitespace-separated token gave."""
