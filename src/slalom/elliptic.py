@@ -20,14 +20,16 @@ never calls the AGM.  Each side is K(sqrt(1 - eps^2)) for eps = k' or k, and
 tan(theta) = eps sinh(s) turns it into I(eps) = int_0^inf ds / sqrt(1 +
 (eps sinh s)^2), summed by the trapezoidal rule (Trefethen and Weideman,
 SIAM Review 56, 2014); lambda = 2 I(k') / I(k).  The nodes stop at s =
-log(2/eps) + T, T = 13; past there each node is e^-h times the last within
-e^-2T, so each sum adds its own tail, about e^-T of I, as a geometric series
-that errs by about e^-3T.  It raises ArithmeticError if the sums at steps h
-and 2h differ by over 1e-6 relative, which cannot see the tail's error: the
-1e-13 below rests on the e^-3T argument and the full-range mpmath test.  Both
-routes raise ValueError for M above float max / 2, where 2M+1 overflows.
-Against mpmath the tests hold the closed form within 2e-15 relative on [1e-30,
-1e30], and the quadrature within 1e-13 on [1e-300, 1e300] and at 5e-324.
+log(2/eps) + T, T = 6.  Past there, in w = e^-(s + log(eps/2)) and q2 =
+e^-2s, the integrand is w + (w q2 - w^3/2) + (w q2^2 - 3/2 w^3 q2 + 3/8 w^5)
++ O(w^7), and w is about e^-T, so each sum adds its own tail as three
+geometric series, with ratios e^-h, e^-3h and e^-5h a step, that err by about
+e^-7T.  It raises ArithmeticError if the sums at steps h and 2h differ by over
+1e-6 relative, which cannot see the tail's error: the 1e-13 below rests on the
+e^-7T argument and the full-range mpmath test.  Both routes raise ValueError
+for M above float max / 2, where 2M+1 overflows.  Against mpmath the tests
+hold the closed form within 2e-15 relative on [1e-30, 1e30], and the
+quadrature within 1e-13 on [1e-300, 1e300] and at 5e-324.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ _AGM_RTOL = 1e-15
 # The h-versus-2h difference measures the 2h sum's error instead (up to 1.07e-8, at eps = 1), hence the loose bound.
 _QUAD_STEP = 0.25
 _QUAD_TOL = 1e-6
-_QUAD_TAIL = 13  # T: below about 11 the tail rule's e^-3T error shows
+_QUAD_TAIL = 6  # T: at 4 the tail series' e^-7T error shows
 _M_MAX = sys.float_info.max / 2  # above it 2M + 1 overflows
 
 
@@ -78,6 +80,14 @@ def agm(a: float, b: float) -> float:
     return a + (b - a) / 2
 
 
+def _tail(series: tuple[float, float, float], r: float) -> float:
+    """Sum over j >= 1 of c1 r^j + c3 r^3j + c5 r^5j, for ``series`` = (c1, c3, c5)."""
+    c1, c3, c5 = series
+    r3 = r * r * r
+    r5 = r3 * r * r
+    return c1 * r / (1 - r) + c3 * r3 / (1 - r3) + c5 * r5 / (1 - r5)
+
+
 def _arc(eps: float) -> float:
     """I(eps) = int_0^inf ds / sqrt(1 + (eps sinh s)^2) = K(sqrt(1 - eps^2)), 0 < eps <= 1."""
     log_half = math.log(eps) - math.log(2)  # not log(eps / 2): that underflows for a subnormal eps
@@ -85,9 +95,14 @@ def _arc(eps: float) -> float:
     f = [1 / math.hypot(1, math.exp(j * _QUAD_STEP + log_half) - math.exp(log_half - j * _QUAD_STEP))
          for j in range(n + 1)]  # eps sinh s, without math.sinh's overflow past s = 710
     f[0] /= 2
-    r = math.exp(-_QUAD_STEP)  # past node n each node is r times the last, within e^(-2 T): the tails are geometric
-    fine = _QUAD_STEP * (math.fsum(f) + f[n] * r / (1 - r))
-    coarse = 2 * _QUAD_STEP * (math.fsum(f[::2]) + f[n] * r * r / (1 - r * r))
+    # the nodes past n, in w and q2 at node n, as three geometric series (module docstring)
+    w = math.exp(-(n * _QUAD_STEP + log_half))  # about e^-T: it cannot overflow
+    q2 = math.exp(-2 * n * _QUAD_STEP)  # underflows to 0 for a small eps, harmlessly
+    w3 = w * w * w
+    series = (w, w * q2 - w3 / 2, w * q2 * q2 - 1.5 * w3 * q2 + 0.375 * w3 * w * w)
+    r = math.exp(-_QUAD_STEP)
+    fine = _QUAD_STEP * (math.fsum(f) + _tail(series, r))
+    coarse = 2 * _QUAD_STEP * (math.fsum(f[::2]) + _tail(series, r * r))
     if abs(fine - coarse) > _QUAD_TOL * fine:
         raise ArithmeticError(f"quadrature did not converge at modulus {eps}")
     return fine

@@ -31,6 +31,9 @@ class Generator(enum.Enum):
     A2 = "a2"
 
 
+_GENERATORS = {g.value: g for g in Generator}  # by name: a dict lookup, not the Enum metaclass call
+
+
 class _Value:
     """Base of slalom's value types, which behave as frozen dataclasses without loading ``dataclasses``.
 
@@ -182,7 +185,7 @@ def scan_tokens(text: str, token_re: re.Pattern, error=WordSyntaxError) -> Itera
 
 def parse_word(text: str) -> FreeWord:
     """Parse whitespace-separated tokens ``a1``/``a2`` with optional ``^<int>``."""
-    return reduce((Generator(name), exp) for name, exp, _ in scan_tokens(text, _TOKEN_RE))
+    return reduce((_GENERATORS[name], exp) for name, exp, _ in scan_tokens(text, _TOKEN_RE))
 
 
 def concat(u: FreeWord, v: FreeWord) -> FreeWord:
@@ -195,4 +198,4 @@ def invert(u: FreeWord) -> FreeWord:
 
 def format_word(u: FreeWord) -> str:
     """Canonical string; ``parse_word`` round-trips it. Identity formats as ''."""
-    return " ".join(t.gen.value if t.exponent == 1 else f"{t.gen.value}^{t.exponent}" for t in u.terms)
+    return " ".join(t.gen._value_ if t.exponent == 1 else f"{t.gen._value_}^{t.exponent}" for t in u.terms)

@@ -193,6 +193,19 @@ class TestArc:
             rel = abs(slalom.elliptic._arc(eps) - expected) / expected
         assert rel < 1e-15, f"relative error {float(rel)}"
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(min_value=-1074, max_value=0).map(lambda x: 2.0**x))  # log-uniform on [5e-324, 1]
+    @example(1.0)
+    @example(1 - 2**-53)
+    @example(0.5)
+    @example(5e-324)
+    def test_tail_series_within_1e15_of_mpmath(self, eps):
+        # a tail closed by the first-order series alone errs by about e^-3T, which 1e-15 sees at T = 6
+        with mpmath.workdps(60):
+            expected = mpmath.pi / (2 * mpmath.agm(1, eps))
+            rel = abs(slalom.elliptic._arc(eps) - expected) / expected
+        assert rel < 1e-15, f"eps={eps!r}: relative error {float(rel)}"
+
 
 class TestVerifyLogBounds:
     def test_reads_an_iterator_once(self):
