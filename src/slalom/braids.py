@@ -49,13 +49,10 @@ class BraidLetter(_Value):
     __match_args__ = ("gen", "sign")
 
     def __init__(self, gen: BraidGenerator, sign: int):
-        _set(self, ("gen", "sign"), (gen, sign))
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not isinstance(self.gen, BraidGenerator):
-            raise ValueError(f"letter generator must be a BraidGenerator member; got {self.gen!r}")
-        if isinstance(self.sign, bool) or self.sign not in (1, -1):
+        _set(self, gen, sign)
+        if not isinstance(gen, BraidGenerator):
+            raise ValueError(f"letter generator must be a BraidGenerator member; got {gen!r}")
+        if isinstance(sign, bool) or sign not in (1, -1):
             raise ValueError("letter sign must be +-1")
 
 
@@ -63,11 +60,8 @@ class BraidWord(_Value):
     __match_args__ = ("letters",)
 
     def __init__(self, letters: tuple[BraidLetter, ...] = ()):
-        _set(self, ("letters",), (letters,))
-        self.__post_init__()
-
-    def __post_init__(self):
-        _check_tuple(self.letters, "braid letters", BraidLetter)
+        _set(self, letters)
+        _check_tuple(letters, "braid letters", BraidLetter)
 
     def __mul__(self, other: "BraidWord") -> "BraidWord":
         return BraidWord(self.letters + other.letters)

@@ -17,14 +17,10 @@ class Config(_Value):
 
     def __init__(self, c_minus: float = _CONSTANTS.c_minus, c_plus: float = _CONSTANTS.c_plus,
                  samples_per_turn: int = 128, lift_tolerance: float = 1e-6, svg_scale: float = 40.0):
-        _set(self, ("c_minus", "c_plus", "samples_per_turn", "lift_tolerance", "svg_scale"),
-             (c_minus, c_plus, samples_per_turn, lift_tolerance, svg_scale))
-        self.__post_init__()
-
-    def __post_init__(self):
-        if self.samples_per_turn < 16:
+        _set(self, c_minus, c_plus, samples_per_turn, lift_tolerance, svg_scale)
+        if samples_per_turn < 16:
             raise ValueError("samples_per_turn must be >= 16")
-        if not (0 < self.lift_tolerance < math.inf and 0 < self.svg_scale < math.inf):
+        if not (0 < lift_tolerance < math.inf and 0 < svg_scale < math.inf):
             raise ValueError("lift_tolerance and svg_scale must be positive and finite")
         self.bound_constants  # bad constants fail here, at load time, on every command
 

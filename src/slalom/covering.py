@@ -80,24 +80,21 @@ class PolyPath(_Value):
     __match_args__ = ("points", "plane")
 
     def __init__(self, points: tuple[complex, ...], plane: Plane):
-        _set(self, ("points", "plane"), (points, plane))
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not isinstance(self.plane, Plane):
-            raise ValueError(f"plane must be a Plane member; got {self.plane!r}")
-        _check_tuple(self.points, "path points")  # not its elements: a float point is accepted
-        if not (pts := self.points):
+        _set(self, points, plane)
+        if not isinstance(plane, Plane):
+            raise ValueError(f"plane must be a Plane member; got {plane!r}")
+        _check_tuple(points, "path points")  # not its elements: a float point is accepted
+        if not points:
             raise ValueError("path needs at least one point")
         # only points within the tolerance of the real axis (of iR on the cover) can be excluded: C-level passes clear
         # the others, a scan names the first bad point; isfinite first: round(inf) raises
-        check, part = (_off_punctures, "imag") if self.plane is Plane.PUNCTURED else (_off_lattice, "real")
-        near = compress(pts, map(_PUNCTURE_TOL.__ge__, map(abs, map(attrgetter(part), pts))))
-        if not (all(map(cmath.isfinite, pts)) and all(map(check, near))):
-            z = next(z for z in pts if not (cmath.isfinite(z) and check(z)))
-            why = f"hits the excluded set of {self.plane.value}" if cmath.isfinite(z) else "is not finite"
+        check, part = (_off_punctures, "imag") if plane is Plane.PUNCTURED else (_off_lattice, "real")
+        near = compress(points, map(_PUNCTURE_TOL.__ge__, map(abs, map(attrgetter(part), points))))
+        if not (all(map(cmath.isfinite, points)) and all(map(check, near))):
+            z = next(z for z in points if not (cmath.isfinite(z) and check(z)))
+            why = f"hits the excluded set of {plane.value}" if cmath.isfinite(z) else "is not finite"
             raise ValueError(f"path point {z} {why}")
-        if any(map(eq, pts, islice(pts, 1, None))):
+        if any(map(eq, points, islice(points, 1, None))):
             raise ValueError("zero-length segment in path")
 
     @cached_property
@@ -118,7 +115,7 @@ class ElementaryPiece(_Value):
     __match_args__ = ("half_plane", "start_component", "end_component")
 
     def __init__(self, half_plane: HalfPlane, start_component: int, end_component: int):
-        _set(self, ("half_plane", "start_component", "end_component"), (half_plane, start_component, end_component))
+        _set(self, half_plane, start_component, end_component)
 
     @property
     def trivial(self) -> bool:
@@ -129,16 +126,17 @@ class SlalomDecomposition(_Value):
     __match_args__ = ("pieces",)
 
     def __init__(self, pieces: tuple[ElementaryPiece, ...]):
-        _set(self, ("pieces",), (pieces,))
+        _set(self, pieces)
 
 
 def cover_map(z: complex) -> complex:
-    """f1(f2(z)) = coth(pi z) for z off iZ, since (t + 1/t)/2 = coth(2x) for t = tanh(x)."""
+    """f1(f2(z)) = coth(pi z) for z off iZ, since (t + 1/t)/2 = coth(2x) for t = tanh(x); of period i, it is taken at
+    z - i round(Im z), exactly, so within 1e-15 max(1, |coth(pi z)|) of the exact value however large |Im z| is."""
     if not cmath.isfinite(z):
         raise ValueError(f"{z} is not finite")
     if not _off_lattice(z):
         raise ValueError(f"{z} is within tolerance of iZ")
-    return 1 / cmath.tanh(cmath.pi * z)
+    return 1 / cmath.tanh(cmath.pi * complex(z.real, z.imag - round(z.imag)))
 
 
 def _pairs(signs: bytes, pairs: tuple[bytes, ...]) -> list[int]:
@@ -307,8 +305,6 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
     if lifted.plane is not Plane.COVER:
         raise ValueError("slalom_decompose expects a path on the cover")
     pts = lifted.points
-    if len(pts) < 2:
-        return SlalomDecomposition(())
     for z in (pts[0], pts[-1]):
         if z.real:
             raise LiftError(f"path endpoint {z} is not on the imaginary axis")

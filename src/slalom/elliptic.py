@@ -59,14 +59,14 @@ class QuadModulus(_Value):
     __match_args__ = ("extremal_length", "conformal_module")
 
     def __init__(self, extremal_length: float, conformal_module: float):
-        _set(self, ("extremal_length", "conformal_module"), (extremal_length, conformal_module))
+        _set(self, extremal_length, conformal_module)
 
 
 class BoundCheckReport(_Value):
     __match_args__ = ("m_range", "ratio_min", "ratio_max")
 
     def __init__(self, m_range: tuple[float, ...], ratio_min: float, ratio_max: float):
-        _set(self, ("m_range", "ratio_min", "ratio_max"), (m_range, ratio_min, ratio_max))
+        _set(self, m_range, ratio_min, ratio_max)
 
 
 def agm(a: float, b: float) -> float:

@@ -36,23 +36,20 @@ class Syllable(_Value):
     __match_args__ = ("terms", "kind")
 
     def __init__(self, terms: tuple[Term, ...], kind: SyllableKind):
-        _set(self, ("terms", "kind"), (terms, kind))
-        self.__post_init__()
-
-    def __post_init__(self):
-        _check_tuple(self.terms, "syllable terms", Term)
-        if self.kind is SyllableKind.BIG_POWER:
-            if len(self.terms) != 1 or abs(self.terms[0].exponent) < 2:
+        _set(self, terms, kind)
+        _check_tuple(terms, "syllable terms", Term)
+        if kind is SyllableKind.BIG_POWER:
+            if len(terms) != 1 or abs(terms[0].exponent) < 2:
                 raise ValueError("big power must be one term with |exponent| >= 2")
-        elif self.kind is SyllableKind.ALTERNATING_RUN:
-            exps = {t.exponent for t in self.terms}
-            if len(self.terms) < 2 or exps not in ({1}, {-1}):
+        elif kind is SyllableKind.ALTERNATING_RUN:
+            exps = {t.exponent for t in terms}
+            if len(terms) < 2 or exps not in ({1}, {-1}):
                 raise ValueError("alternating run needs >= 2 terms of equal exponent +-1")
-        elif self.kind is SyllableKind.SINGLETON:
-            if len(self.terms) != 1 or abs(self.terms[0].exponent) != 1:
+        elif kind is SyllableKind.SINGLETON:
+            if len(terms) != 1 or abs(terms[0].exponent) != 1:
                 raise ValueError("singleton must be one term with exponent +-1")
         else:
-            raise ValueError(f"syllable kind must be a SyllableKind member; got {self.kind!r}")
+            raise ValueError(f"syllable kind must be a SyllableKind member; got {kind!r}")
 
     @property
     def degree(self) -> int:
@@ -63,7 +60,7 @@ class SyllableDecomposition(_Value):
     __match_args__ = ("syllables",)
 
     def __init__(self, syllables: tuple[Syllable, ...]):
-        _set(self, ("syllables",), (syllables,))
+        _set(self, syllables)
 
 
 class BoundConstants(_Value):
@@ -73,11 +70,8 @@ class BoundConstants(_Value):
     __match_args__ = ("c_minus", "c_plus")
 
     def __init__(self, c_minus: float = 0.1, c_plus: float = 10.0):
-        _set(self, ("c_minus", "c_plus"), (c_minus, c_plus))
-        self.__post_init__()
-
-    def __post_init__(self):
-        if not (0 < self.c_minus <= self.c_plus < math.inf):
+        _set(self, c_minus, c_plus)
+        if not (0 < c_minus <= c_plus < math.inf):
             raise ValueError("need 0 < c_minus <= c_plus, both finite")
 
 
@@ -85,7 +79,7 @@ class LambdaBounds(_Value):
     __match_args__ = ("lambda_value", "lower", "upper", "exceptional")
 
     def __init__(self, lambda_value: float, lower: float, upper: float, exceptional: bool):
-        _set(self, ("lambda_value", "lower", "upper", "exceptional"), (lambda_value, lower, upper, exceptional))
+        _set(self, lambda_value, lower, upper, exceptional)
 
 
 def _spans(terms: tuple[Term, ...]):

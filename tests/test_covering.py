@@ -6,11 +6,13 @@ import re
 import struct
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import chain
-from operator import sub
+from operator import add, sub
 
+import mpmath
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -138,6 +140,28 @@ class TestCoverMap:
     def test_rejects_non_finite(self, z):
         with pytest.raises(ValueError, match=f"^{re.escape(f'{z} is not finite')}$"):
             cover_map(z)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.builds(complex, log_uniform(), st.one_of(
+        log_uniform(),
+        st.builds(add, st.integers(-2**53, 2**53).map(float), log_uniform(hi=-1)),
+    )))
+    @example(complex(0.3, 1e15 + 0.5))
+    @example(complex(0.3, 1e8 + 0.25))
+    @example(complex(1e-3, 1e300))
+    @example(BASE_LIFT_POINT)
+    def test_within_1e15_of_mpmath(self, z):
+        """Within 1e-15 max(1, |coth(pi z)|) of 50-digit mpmath at any |Im z|, where pi Im z rounds away its
+        fraction.  The oracle reduces y = Im z modulo 1 exactly, as a ``Fraction``, since coth(pi z) has period i and
+        at 50 digits mpmath cannot reduce pi 1e300 on its own; it then takes coth(a + ib) = (sinh 2a - i sin 2b) /
+        (2 (sinh^2 a + sin^2 b)), which cancels nowhere, unlike mpmath's coth near its zeros."""
+        assume(covering._off_lattice(z))
+        y = Fraction(z.imag) % 1
+        with mpmath.workdps(50):
+            a, b = mpmath.pi * z.real, mpmath.pi * y.numerator / y.denominator
+            den = 2 * (mpmath.sinh(a) ** 2 + mpmath.sin(b) ** 2)
+            exact = mpmath.mpc(mpmath.sinh(2 * a), -mpmath.sin(2 * b)) / den
+            assert abs(cover_map(z) - exact) <= 1e-15 * max(1, abs(exact))
 
 
 class TestLiftPath:
@@ -604,10 +628,10 @@ class TestWordCurveCheckedByConstruction:
         w = parse_word(FIGURE2_TEXT)
         oracle = checked_word_curve(word_to_curve(w, 64))
 
-        def refuse(self):
+        def refuse(self, *args, **kwargs):
             raise AssertionError("PolyPath's checks ran")
 
-        monkeypatch.setattr(PolyPath, "__post_init__", refuse)
+        monkeypatch.setattr(PolyPath, "__init__", refuse)  # an unchecked build calls no __init__
         with pytest.raises(AssertionError):
             PolyPath((0j,), Plane.PUNCTURED)
         curve = word_to_curve(w, 64)
@@ -626,12 +650,14 @@ def packed(points) -> bytes:
 
 
 def lift_and_read(curve: PolyPath, start: complex = BASE_LIFT_POINT, tol: float = 1e-6) -> tuple:
-    """The lift's point bits, real signs and pieces, or its error, and the word read."""
+    """The lift's point bits, real signs and pieces, or the error of the lift or of its pieces (a start off iR), and
+    the word read."""
     try:
         lifted = lift_path(curve, start, tol)
+        pieces = slalom_decompose(lifted)
     except ValueError as exc:
         return type(exc), str(exc), curve_to_word(curve)
-    return packed(lifted.points), lifted._real_signs, slalom_decompose(lifted), curve_to_word(curve)
+    return packed(lifted.points), lifted._real_signs, pieces, curve_to_word(curve)
 
 
 def turn_leg(center: float, sign: int, radii) -> tuple[complex, ...]:
@@ -709,6 +735,7 @@ class TestWordCurveRuns:
                             (complex(3e-9, -2.5), 1e-15), (complex(0.0, 1e6 + 0.5), 1e-9),
                             (complex(0.0, 1e7 + 0.5), 1e-6)]))
     @example(parse_word("a1^5 a2^-3 a1"), 17, (complex(0.0, 1e6 + 0.5), 1e-9))
+    @example(FreeWord(), 16, (complex(3e-9, -2.5), 1e-15))  # a one-point lift off iR, which slalom_decompose refuses
     def test_runs_fail_as_one_run(self, w, samples, start_tol):
         """With a tolerance below rounding, or far up the cover, where rounding grows with the offset, a lift by
         runs raises the first fault in path order, as the lift of the one-run oracle does."""
@@ -930,6 +957,13 @@ class TestSlalomDecompose:
         pieces = [p for p in slalom_decompose(lift).pieces if not p.trivial]
         for a, b in zip(pieces, pieces[1:]):
             assert a.half_plane is not b.half_plane
+
+    @pytest.mark.parametrize("points", [(0.3 + 0.5j,), (-5e-324 - 0.5j,), (0.3 + 0.5j, 0.3j)])
+    def test_endpoint_off_the_axis_refused(self, points):
+        """A path of one point off iR is refused as a longer one is; the identity's lift, on iR, has no pieces."""
+        with pytest.raises(LiftError, match=f"^path endpoint {re.escape(str(points[0]))} is not on the imaginary"):
+            slalom_decompose(PolyPath(points, Plane.COVER))
+        assert slalom_decompose(lift_path(word_to_curve(FreeWord(), 64), BASE_LIFT_POINT)).pieces == ()
 
     @settings(max_examples=60, deadline=None)
     @given(reduced_words(), st.sampled_from((16, 64, 128)))
