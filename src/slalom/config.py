@@ -18,8 +18,8 @@ class Config(_Value):
     def __init__(self, c_minus: float = _CONSTANTS.c_minus, c_plus: float = _CONSTANTS.c_plus,
                  samples_per_turn: int = 128, lift_tolerance: float = 1e-6, svg_scale: float = 40.0):
         _set(self, c_minus, c_plus, samples_per_turn, lift_tolerance, svg_scale)
-        if samples_per_turn < 16:
-            raise ValueError("samples_per_turn must be >= 16")
+        if not isinstance(samples_per_turn, int) or samples_per_turn < 16:
+            raise ValueError(f"samples_per_turn must be an int >= 16; got {samples_per_turn!r}")
         if not (0 < lift_tolerance < math.inf and 0 < svg_scale < math.inf):
             raise ValueError("lift_tolerance and svg_scale must be positive and finite")
         self.bound_constants  # bad constants fail here, at load time, on every command

@@ -12,9 +12,9 @@ A path is runs of copies of units: a word curve, checked by construction, is cop
 other path is one run, and PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.
 The lift and the reader walk the crossings once per plan, a unit after one sample, and not once per copy; the lift's
 plan holds atanh(u)/pi and a code byte per point, the sign classes of Re atanh(u)/pi and Im u in which bytes.find finds
-half-plane changes, crossings and pieces.  The lifted points and their checks run once per chunk, a copy of a plan
-lifted on one branch m, which each later copy of the plan on that m reuses; only the points of samples whose code marks
-them within the tolerance of iR are checked against iZ.
+half-plane changes, crossings and pieces.  The lifted points are built once per chunk, a copy of a plan lifted on
+one branch m, which each later copy of the plan on that m reuses, and checked once per class, the chunks of a plan
+whose branches round alike; only points of samples whose code marks them near iR are checked against iZ.
 """
 
 from __future__ import annotations
@@ -170,8 +170,8 @@ def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
 
 def _plan(us: Sequence[complex]) -> tuple:
     """A copy's lift but for its branch: us, an axis point inserted where Re atanh(u)/pi flips; the crossings' sides;
-    the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks and real classes; a chunk per branch.
-    The insertion's difference overflows only past |Re u| = 2^970, where no sample lifts within a finite tol < 1e290."""
+    the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks, real classes and signs of Im as +-i/2; a
+    dict for chunks.  The insertion overflows only past |Re u| = 2^970, where no sample lifts within tol < 1e290."""
     values = [cmath.atanh(u) / math.pi for u in us]  # PolyPath keeps the samples off -1 and 1, where atanh fails
     signs = bytes(map(_code, us, values))
     # where the lift's real part Re atanh(u)/pi flips; where it underflows to 0 the lifted point is on iR already
@@ -188,25 +188,38 @@ def _plan(us: Sequence[complex]) -> tuple:
     crossings = list(_crossings(us, signs.translate(_IMAG), LiftError))
     cuts = [1, *(i for i, _, _ in crossings), len(us)]
     return (us, [side for _, side, _ in crossings], list(map(sub, cuts[1:], cuts[:-1])), values[1:],
-            signs[1:].translate(_NEAR_IR), signs[1:].translate(_LIFT_REAL), {})
+            signs[1:].translate(_NEAR_IR), signs[1:].translate(_LIFT_REAL), {},
+            [complex(0.0, math.copysign(0.5, v.imag)) for v in values[1:]])
 
 
 def _chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> list[complex]:
-    """A copy of ``plan`` lifted on branch ``m`` after the point ``last``, and checked; each check's first fault in
-    path order stays in ``faults``."""
-    us, sides, lengths, values, near, _, _ = plan
-    offsets = map(complex, repeat(0.0), accumulate(sides, sub, initial=m))  # the m between crossings
-    lift = list(map(add, values, chain.from_iterable(map(repeat, offsets, lengths))))
-    # the residual is cover_map's; ge(tol, nan) is False, so NaN fails and every lifted point that passes is finite
-    coth = map(truediv, repeat(1 + 0j), map(cmath.tanh, map(mul, lift, repeat(math.pi))))
-    try:
+    """A copy of ``plan`` lifted on branch ``m`` after the point ``last``, checked at the first chunk of each class,
+    which the plan's dict holds; each check's first fault in path order stays in ``faults``.  A point on offset o is
+    z = Re v + i fl(Im v + o), |Im v| <= 1/2, so d = Im z - o is exact (Sterbenz), and the checks read z only through
+    Re v and d: the residual at z - i fl(o +- 1/2), the integer nearest Im z on Im v's side; the near-iZ test at
+    |d -+ 1/2|; equal points, whose d differ by the sides.  So a class is whether ``last`` is the first point and,
+    while |m| < 2^51, each o's sign and binade, ulp(o): for |o| >= 3/2, Im v + o is in [|o| - 1/2, |o| + 1/2], which
+    no power of two splits, so in one binade, of floats the multiples of 2^(e-52) and o of a parity e fixes, where d
+    is one function of Im v.  +-1/2 are alone in theirs; past 2^51, o is, and fl(o +- 1/2) is an integer too."""
+    us, sides, lengths, values, near, _, built, halves = plan
+    offsets = list(accumulate(sides, sub, initial=m))  # the m between crossings, each its own class past 2^51
+    steps = list(chain.from_iterable(map(repeat, map(complex, repeat(0.0), offsets), lengths)))
+    lift = list(map(add, values, steps))
+    key = tuple(map(math.copysign, map(math.ulp, offsets), offsets)) if abs(m) < 2**51 else tuple(offsets)
+    if built.setdefault((last == lift[0], key), lift) is not lift:  # an earlier chunk of the class was checked
+        return lift
+    reduced = list(map(sub, lift, map(add, steps, halves))) if tol < math.inf else ()  # exact, see above
+    coth = map(truediv, repeat(1 + 0j), map(cmath.tanh, map(mul, repeat(cmath.pi), reduced)))
+    try:  # the residual is cover_map's; ge(tol, nan) is False, so NaN fails
         close = all(map(ge, repeat(tol), map(abs, map(sub, coth, islice(us, 1, None)))))
-    except ZeroDivisionError:  # a point lifted exactly onto 0, where coth has its pole
+    except ZeroDivisionError:  # a point lifted onto iZ, where coth has its pole
         close = False
-    for i, z in enumerate(() if close else lift):  # the first point that fails
-        if not (t := cmath.tanh(math.pi * z)) or not abs(1 / t - (u := us[i + 1])) <= tol:
-            why = f"misses its image point {u} by more than {tol}" if t else f"of image point {us[i + 1]} is on iZ"
-            faults.setdefault(0, LiftError(f"lifted point {z} {why}"))
+    for z, r, o, u in zip(() if close else lift, reduced, steps, us[1:]):  # the first point that fails
+        if not (t := cmath.tanh(cmath.pi * r)) or not abs(1 / t - u) <= tol:
+            why = f"misses its image point {u} by more than {tol}" if t else f"of image point {u} is on iZ"
+            grid = math.pi * abs(1 - u * u) * math.ulp(o.imag) > tol  # rounding Im z moves its image as far
+            grid = f": Im z on branch {o.imag} is good only to {math.ulp(o.imag)}" if t and grid else ""
+            faults.setdefault(0, LiftError(f"lifted point {z} {why}{grid}"))
             break
     if not all(map(ne, chain((last,), lift), lift)):  # the sample of ``last`` is us[0]
         i = next(i for i, (a, b) in enumerate(zip(chain((last,), lift), lift)) if a == b)
@@ -228,15 +241,17 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     of its zero's sign, as atanh does.  Raises ``LiftError``, a ``ValueError``, where the path meets the axis near a
     puncture or runs along it past one, where two samples lift to one point, or where |f(z) - u| > tol or a point lifts
     onto iZ; raises a plain ``ValueError`` where a lifted point is within tolerance of iZ, as ``PolyPath`` would.
-    ``tol`` > 0; ``math.inf`` turns off the residual check alone, as the tests use it; the config refuses it.
+    ``tol`` > 0, else ``ValueError``; ``math.inf`` turns off the residual check alone, as the tests use it; the config
+    refuses it.  The residual is ``cover_map``'s; far up, Im z holds branch m only to ulp(m), which moves the image by
+    pi |1 - u^2| ulp(m): word curves lift within 1e-6 while |m| < 2^30; a refusal names ulp(m) where that passes tol.
 
-    atanh, the code bytes and the crossing walk run once per plan, a unit of the path's runs after one sample.  The
-    lifted points, residual, zero-length and near-iZ checks run once per chunk, a copy of a plan lifted on one branch
-    m; a later copy of the plan on that m takes the same chunk, and m moves by each copy's net shift.  A chunk holds
-    the same floats wherever it is used, and each check depends on them alone; the point before it is its plan's
-    predecessor sample lifted on the same m, so that junction was checked where the chunk was built.  So every point is
-    checked, and as on a lift point by point the earliest check's first fault in path order is raised.
+    atanh, the code bytes and the crossing walk run once per plan, a unit of the path's runs after one sample; the
+    lifted points once per chunk, the plan on one branch m, which a later copy on that m takes, m moving by each copy's
+    net shift; the checks once per class of chunks (``_chunk``).  So as on a lift point by point every point is
+    checked, and the earliest check's first fault in path order is raised.
     """
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0; got {tol!r}")
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("lift_path expects a path in the punctured plane")
     if _off_fiber(cover_map(start) - path.start):

@@ -231,9 +231,9 @@ def reference_lift_points(path: PolyPath, start: complex, tol: float = 1e-6) -> 
 
     Each of ``axis_samples`` u lifts on its own to atanh(u)/pi + im.  m starts at ``start``'s branch and, pair by
     pair of samples, moves by one where their segment crosses a ray: up going down, down going up (a sample on
-    the real axis is on the side of its zero's sign).  The fiber test, the crossings and each point's residual
-    come first; then two consecutive equal points raise ``LiftError``, and then ``PolyPath(points, Plane.COVER)``
-    refuses whatever it refuses.
+    the real axis is on the side of its zero's sign).  The fiber test, the crossings and each point's residual, taken
+    as ``cover_map`` takes it and not at all where ``tol`` is inf, come first; then two consecutive equal points raise
+    ``LiftError``, and then ``PolyPath(points, Plane.COVER)`` refuses whatever it refuses.
     """
     if abs(cover_map(start) - path.start) > 1e-8:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
@@ -249,17 +249,52 @@ def reference_lift_points(path: PolyPath, start: complex, tol: float = 1e-6) -> 
                 m -= side
         offsets.append(m)
     lift = [start] + [cmath.atanh(u) / math.pi + complex(0.0, k) for u, k in zip(us[1:], offsets[1:])]
-    for z, u in zip(lift[1:], us[1:]):
+    for z, u, k in zip(lift[1:], us[1:], offsets[1:]) if tol < math.inf else ():
         try:
-            residual = abs(1 / cmath.tanh(math.pi * z) - u)
+            residual = abs(1 / cmath.tanh(math.pi * complex(z.real, z.imag - round(z.imag))) - u)
         except ZeroDivisionError:
             raise LiftError(f"lifted point {z} of image point {u} is on iZ") from None
         if not residual <= tol:
-            raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}")
+            grid = math.pi * abs(1 - u * u) * math.ulp(k) > tol  # the rounding of Im z can move its image as far
+            grid = f": Im z on branch {k} is good only to {math.ulp(k)}" if grid else ""
+            raise LiftError(f"lifted point {z} misses its image point {u} by more than {tol}{grid}")
     for i in range(1, len(lift)):
         if lift[i - 1] == lift[i]:
             raise LiftError(f"samples {us[i - 1]} and {us[i]} lift to the same point {lift[i]}")
     return PolyPath(tuple(lift), Plane.COVER).points
+
+
+def reference_chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> list[complex]:
+    """Oracle for ``covering._chunk``, which runs its checks once per class of chunks: the same copy of ``plan``
+    lifted on branch ``m`` after the point ``last``, with every check run on it, point by point.  The residual is
+    taken as ``_chunk`` takes it, at z - i fl(o +- 1/2), o the offset and +-1/2 the plan's half for the sample; each
+    check's first fault in path order stays in ``faults``."""
+    us, sides, lengths, values, near, _, _, halves = plan
+    offsets = list(accumulate(sides, lambda o, side: o - side, initial=m))
+    steps = [complex(0.0, o) for o, n in zip(offsets, lengths) for _ in range(n)]
+    lift = [v + step for v, step in zip(values, steps)]
+    for z, step, half, u in zip(lift, steps, halves, us[1:]) if tol < math.inf else ():
+        try:
+            t = cmath.tanh(cmath.pi * (z - (step + half)))
+            residual = abs(1 / t - u)
+        except ZeroDivisionError:
+            faults.setdefault(0, LiftError(f"lifted point {z} of image point {u} is on iZ"))
+            break
+        if not residual <= tol:
+            o = step.imag  # the rounding of Im z to ulp(o) can move its image by pi |1 - u^2| ulp(o)
+            grid = f": Im z on branch {o} is good only to {math.ulp(o)}"
+            grid = grid if math.pi * abs(1 - u * u) * math.ulp(o) > tol else ""
+            faults.setdefault(0, LiftError(f"lifted point {z} misses its image point {u} by more than {tol}{grid}"))
+            break
+    for i, (a, b) in enumerate(zip([last, *lift], lift)):
+        if a == b:
+            faults.setdefault(1, LiftError(f"samples {us[i]} and {us[i + 1]} lift to the same point {b}"))
+            break
+    for z, marked in zip(lift, near):
+        if marked and abs(z.real) <= 1e-9 and abs(z.imag - round(z.imag)) <= 1e-9:
+            faults.setdefault(2, ValueError(f"path point {z} hits the excluded set of cover"))
+            break
+    return lift
 
 
 def checked_word_curve(curve: PolyPath) -> PolyPath:

@@ -125,6 +125,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             Config(samples_per_turn=4)
 
+    @pytest.mark.parametrize("samples", [16.5, 128.0, "128", None])
+    def test_samples_per_turn_must_be_an_int(self, samples):
+        """load_config casts the file's value to int; a Config built directly refuses any other type."""
+        with pytest.raises(ValueError, match=f"^samples_per_turn must be an int >= 16; got {samples!r}$"):
+            Config(samples_per_turn=samples)
+
     def test_all_keys_round_trip(self, tmp_path):
         values = {"c_minus": 0.25, "c_plus": 4.0, "samples_per_turn": 32, "lift_tolerance": 1e-10, "svg_scale": 12.5}
         p = tmp_path / "cfg"

@@ -24,6 +24,7 @@ from conftest import (
     pure_braids,
     reduced_words,
     reference_lift,
+    reference_chunk,
     reference_lift_points,
     reference_path_error,
     reference_read_word,
@@ -307,6 +308,48 @@ class TestLiftPath:
         """A sample iy lifts within 1/(pi y) of iZ; far up the axis the residual check refuses it."""
         with pytest.raises(LiftError, match="misses"):
             lift_path(PolyPath((0j, 1e10j, 0j), Plane.PUNCTURED), BASE_LIFT_POINT)
+
+    @pytest.mark.parametrize("tol", [math.nan, 0.0, 0, -1.0, -math.inf])
+    def test_tolerance_refused_up_front(self, tol):
+        """tol must be > 0; it is checked before anything else, here a start off the fiber."""
+        with pytest.raises(ValueError, match=f"^{re.escape(f'tol must be > 0; got {tol!r}')}$"):
+            lift_path(word_to_curve(parse_word("a1"), 16), complex(0.3, 0.0), tol)
+
+    def test_infinite_tolerance_accepted(self):
+        curve = word_to_curve(parse_word("a1 a2^-2"), 16)
+        assert lift_path(curve, BASE_LIFT_POINT, math.inf) == lift_path(curve, BASE_LIFT_POINT)
+
+    @pytest.mark.parametrize("m, point, grid", [
+        (1e15 - 0.5, "(-0.0015181747412651334+999999999999999.5j)",
+         "on branch 999999999999999.5 is good only to 0.125"),
+        (2.0**40 - 0.5, "(-0.0015181747412651334+1099511627775.5311j)",
+         "on branch 1099511627775.5 is good only to 0.0001220703125"),
+    ])
+    def test_far_up_the_cover_names_the_branch_grid(self, m, point, grid):
+        """Far up the cover Im z holds the branch only to ulp(m), which moves each image by far more than tol: the
+        refusal names that, as the residual, taken as cover_map takes it, is no longer what fails."""
+        message = f"lifted point {point} misses its image point (-0.004815273327803071+0.0980171403295606j) by more"
+        with pytest.raises(LiftError, match=f"^{re.escape(f'{message} than 1e-06: Im z {grid}')}$"):
+            lift_path(word_to_curve(parse_word("a1 a2"), 64), complex(0.0, m))
+
+    @pytest.mark.parametrize("k", [52, 53, 60])
+    def test_integer_branch_lifts_onto_the_images(self, k):
+        """Past 2^52 the branch m rounds to an integer.  From Re atanh(2)/pi + 2^k i, in the fiber over 2, the samples
+        3 and 2.5 on the same ray lift onto points whose images they are, and the residual, taken at z less an integer
+        near Im z, passes them."""
+        path = PolyPath((2 + 0j, 3 + 0j, 2.5 + 0j), Plane.PUNCTURED)
+        lifted = lift_path(path, complex((cmath.atanh(2 + 0j) / math.pi).real, 2.0**k))
+        assert [z.imag for z in lifted.points] == [2.0**k] * 3
+        assert all(abs(cover_map(z) - u) <= 1e-15 for z, u in zip(lifted.points, path.points))
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_word_curves_lift_while_branch_below_2_to_30(self, sign):
+        """Word curves lift within 1e-6 while |m| < 2^30, where ulp(m) is 2^-23; past it Im z rounds too coarsely."""
+        for w in ("a1^5 a2^-5", "a2^5 a1^-5"):
+            lifted = lift_path(word_to_curve(parse_word(w), 64), complex(0.0, sign * (2.0**30 - 10.5)))
+            assert max(abs(z.imag) for z in lifted.points) < 2**30
+        with pytest.raises(LiftError, match=re.escape("is good only to 2.384185791015625e-07")):
+            lift_path(word_to_curve(parse_word("a1 a2"), 64), complex(0.0, sign * (2.0**30 + 0.5)))
 
     @pytest.mark.parametrize("d, lifts", [(0.5e-8, True), (2e-8, False)])
     def test_fiber_tolerance_at_start(self, d, lifts):
@@ -1127,3 +1170,77 @@ class TestCoverRoute:
         with pytest.raises(LiftError, match=re.escape(f"lifted point 0j of image point {points[1]} is on iZ")):
             lift_path(path, BASE_LIFT_POINT)
         self.assert_route_matches_full_check(path)
+
+
+
+def branches():
+    """Lists of branches m, most in one binade or its neighbours near a drawn 2^k, so that classes repeat: half-integers
+    of either sign, next to a power of two or anywhere in the binade, and past 2^52, where they round to integers."""
+    def branch(k, dk, j, f, s):
+        base = 2.0 ** max(k + dk, 0)
+        return s * (base + j + 0.5 if f is None else math.floor(base * (1 + f)) + 0.5)
+    one = lambda k: st.builds(branch, st.just(k), st.sampled_from((-1, 0, 0, 1)), st.integers(-3, 2),
+                              st.one_of(st.none(), st.floats(0, 1, exclude_max=True)), st.sampled_from((1, -1)))
+    return st.integers(0, 60).flatmap(lambda k: st.lists(one(k), min_size=1, max_size=8))
+
+
+def word_plan(w: FreeWord, samples: int, i: int) -> tuple:
+    runs = covering._copies(word_to_curve(w, samples), covering._plan)
+    return runs[i % len(runs)][0]
+
+
+def residuals(plan: tuple, m: float) -> list[float]:
+    """The residual of each point of ``plan`` lifted on ``m``, by ``cover_map``; inf within tolerance of iZ."""
+    out = []
+    for z, u in zip(reference_chunk(plan, m, math.inf, math.nan, {}), plan[0][1:]):
+        try:
+            out.append(abs(cover_map(z) - u))
+        except ValueError:
+            out.append(math.inf)
+    return out
+
+
+class TestChunkMemo:
+    """``_chunk`` runs its checks once per class of chunks; ``reference_chunk``, the oracle, at every chunk."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.builds(word_plan, reduced_words(max_terms=3, max_exp=3), st.sampled_from((16, 17, 64)),
+                               st.integers(0, 10)),
+                     st.lists(loop_vertices(), min_size=1, max_size=6).map(lambda vertices: (0j, *vertices, 0j))),
+           branches(), st.integers(0, 7),
+           st.one_of(st.sampled_from((1e-6, 2e-16, math.inf)),
+                     st.tuples(st.integers(0, 10**6), st.sampled_from((0.5, 1 - 2**-40, 1.0, 1 + 2**-40, 2.0)))),
+           st.lists(st.integers(0, 2), min_size=8, max_size=8))
+    @example((0j, 0.5j, 2 + 0j, -0.5j, 0j), [0.5, -0.5, 1.5, 4.5, 2.0**52 + 1, 2.0**53, 4.5], 2, 1e-6,
+             [0, 1, 2, 0, 1, 2, 0, 0])
+    def test_memo_matches_per_chunk_checks(self, unit, ms, bits, tol, ways):
+        """The same point bits, and after each chunk the same faults, by check, type and message, in the order the
+        first fault of each check was found.  The plans come from word curves and polygon units; Im atanh(u)/pi
+        rounded to a few bits makes ties; tol is drawn on either side of a residual of the first chunk; the point
+        before each chunk is its predecessor sample lifted on m, its first point, or the last chunk's end."""
+        if isinstance(unit[0], complex):  # a polygon unit after the sample 0, not a plan
+            try:
+                PolyPath(unit, Plane.PUNCTURED)
+                unit = covering._plan(unit)
+            except ValueError:
+                return
+        us, sides, lengths, values, near, real = unit[:6]
+        if not values:
+            return
+        if bits:
+            values = [complex(v.real, round(v.imag * 2**bits) / 2**bits) for v in values]
+        halves = [complex(0.0, math.copysign(0.5, v.imag)) for v in values]
+        memo, oracle = ((us, sides, lengths, values, near, real, {}, halves) for _ in range(2))
+        if isinstance(tol, tuple):
+            found = residuals(oracle, ms[0])
+            tol = found[tol[0] % len(found)] * tol[1] or 2e-16
+        memo_faults, oracle_faults = {}, {}
+        last = BASE_LIFT_POINT
+        for m, way in zip(ms, ways):
+            last = (cmath.atanh(us[0]) / math.pi + complex(0.0, m), values[0] + complex(0.0, m), last)[way]
+            got = covering._chunk(memo, m, tol, last, memo_faults)
+            expected = reference_chunk(oracle, m, tol, last, oracle_faults)
+            assert packed(got) == packed(expected)
+            assert [(k, type(e), str(e)) for k, e in memo_faults.items()] == [
+                (k, type(e), str(e)) for k, e in oracle_faults.items()]
+            last = got[-1]
