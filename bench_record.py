@@ -16,9 +16,11 @@ untraced runs by seed.  For each workload and end-to-end metric it holds the
 number of pairs, how many the change won in the direction that
 ``BENCHMARK.json``'s ``better`` gives (a tie counts for neither side), the
 change's median minus the parent's and the interquartile range of the
-parent's runs, both over the paired runs, and whether a gain may be claimed:
+parent's runs, both over the paired runs, whether a gain may be claimed:
 at least 10 pairs, at least nine tenths of them won, and the medians apart
-by more than that range, in the better direction.
+by more than that range, in the better direction, and whether the change's
+median is within the metric's ``bound``: no worse than the parent's by more
+than that fraction of the parent's median.
 """
 
 from __future__ import annotations
@@ -66,9 +68,10 @@ def summarize(records: list[dict], traced: list[dict] = ()) -> dict:
     return side
 
 
-def pairs(parent: list[dict], change: list[dict], better: dict[str, str]) -> dict:
-    """The ``pairs`` block: per workload run on both sides, per metric of ``better`` (its name to "higher" or
-    "lower"), the pairs of runs of one seed and how the change fared in them."""
+def pairs(parent: list[dict], change: list[dict], declared: list[dict]) -> dict:
+    """The ``pairs`` block: per workload run on both sides, per metric ``declared`` (``BENCHMARK.json``'s
+    ``end_to_end`` entries: name, better "higher" or "lower", bound), the pairs of runs of one seed and how the
+    change fared in them."""
     block = {}
     for workload in sorted({r["workload"] for r in parent} & {r["workload"] for r in change}):
         sides = [{r["seed"]: r["metrics"] for r in side if r["workload"] == workload} for side in (parent, change)]
@@ -76,15 +79,17 @@ def pairs(parent: list[dict], change: list[dict], better: dict[str, str]) -> dic
         if not seeds:
             continue
         block[workload] = {}
-        for name, direction in better.items():
-            sign = 1 if direction == "higher" else -1
+        for metric in declared:
+            name, sign = metric["name"], 1 if metric["better"] == "higher" else -1
             was, now = ([side[seed][name]["value"] for seed in seeds] for side in sides)
             q1, _, q3 = statistics.quantiles(was, n=4) if len(was) > 1 else was * 3
-            difference = statistics.median(now) - statistics.median(was)
+            before = statistics.median(was)
+            difference = statistics.median(now) - before
             won = sum(sign * (b - a) > 0 for a, b in zip(was, now))
             block[workload][name] = {
                 "pairs": len(seeds), "won": won, "median_difference": difference, "parent_iqr": q3 - q1,
                 "gain_claimable": len(seeds) >= 10 and won >= 0.9 * len(seeds) and sign * difference > q3 - q1,
+                "within_bound": sign * difference >= -metric["bound"] * abs(before),
             }
     return block
 
@@ -104,7 +109,7 @@ def main(argv: list[str]) -> int:
         bench[label] = summarize(records, traced)
     if {"parent", "change"} <= untraced.keys():
         declared = json.loads(BENCHMARK.read_text())["end_to_end"]
-        bench["pairs"] = pairs(untraced["parent"], untraced["change"], {m["name"]: m["better"] for m in declared})
+        bench["pairs"] = pairs(untraced["parent"], untraced["change"], declared)
     Path(argv[0]).write_text(json.dumps(bench, indent=1) + "\n")
     return 0
 

@@ -11,10 +11,10 @@ to i(atan(y)/pi + m), so a piece ends in component m - 1/2.
 A path is runs of copies of units: a word curve, checked by construction, is copies of at most four turns and 0; any
 other path is one run, and PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.
 The lift and the reader walk the crossings once per plan, a unit after one sample, and not once per copy; the lift's
-plan holds atanh(u)/pi and a code byte per point, the sign classes of Re atanh(u)/pi and Im u in which bytes.find finds
-half-plane changes, crossings and pieces.  The lifted points are built once per chunk, a copy of a plan lifted on
-one branch m, which each later copy of the plan on that m reuses, and checked once per class, the chunks of a plan
-whose branches round alike; only points of samples whose code marks them near iR are checked against iZ.
+plan holds atanh(u)/pi per point, and b"-0+" strings of the sign classes of Re atanh(u)/pi and Im u, in which
+bytes.find finds half-plane changes, crossings and pieces.  The lifted points are built once per chunk, a copy of a
+plan lifted on one branch m, which each later copy of the plan on that m reuses, and checked once per class, the chunks
+of a plan whose branches round alike; only points of samples the plan marks near iR are checked against iZ.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ import enum
 import math
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, attrgetter, eq, ge, mul, ne, sub, truediv
-from typing import Sequence
+from operator import add, attrgetter, eq, sub
+from typing import Iterable, Sequence
 
 from slalom.words import FreeWord, Generator, _check_tuple, _new, _set, _Value, reduce as reduce_word
 
@@ -36,16 +36,13 @@ _PUNCTURE_TOL = 1e-9
 _FIBER_TOL = 1e-8
 MAX_CURVE_POINTS = 10**6  # word_to_curve's budget, checked before any point is built
 
-_SIGNS = b"-0+"
-# these translate a string of code bytes (see _code) into the b"-0+" string of one of their classes
-_LIFT_REAL, _IMAG = (bytes(_SIGNS[c // d % 3] for c in range(256)) for d in (3, 1))
-_NEAR_IR = bytes(c >= 9 for c in range(256))  # 1 where the lifted point is within _PUNCTURE_TOL of iR
 _FLIPS = (b"-+", b"+-")
 _TOUCHING = (b"-0", b"00", b"+0", b"0-", b"0+", *_FLIPS)  # a zero class at either end, or strictly opposite ones
 
 
-def _sign(x: float) -> int:  # the index in b"-0+" of x's sign class
-    return (x > 0) - (x < 0) + 1
+def _signs(xs: Iterable[float]) -> bytes:
+    """The b"-0+" class of each float: - below 0, + above it, else 0 (a zero of either sign, or NaN)."""
+    return bytes([45 if x < 0 else 43 if x > 0 else 48 for x in xs])  # the bytes of "-", "+" and "0"
 
 
 class LiftError(ValueError):
@@ -149,11 +146,6 @@ def _pairs(signs: bytes, pairs: tuple[bytes, ...]) -> list[int]:
     return sorted(found)
 
 
-def _code(u: complex, v: complex) -> int:
-    """The code byte of sample u, v = atanh(u)/pi: 9 [|Re v| <= ``_PUNCTURE_TOL``] + 3 _sign(Re v) + _sign(Im u)."""
-    return 9 * (abs(v.real) <= _PUNCTURE_TOL) + 3 * _sign(v.real) + _sign(u.imag)
-
-
 def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
     """(plan(us), count) per stretch of copies of a unit after one sample, us that sample (none at the start) and the
     unit; ``plan`` runs once per unit and sample, in path order."""
@@ -173,22 +165,21 @@ def _plan(us: Sequence[complex]) -> tuple:
     the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks, real classes and signs of Im as +-i/2; a
     dict for chunks.  The insertion overflows only past |Re u| = 2^970, where no sample lifts within tol < 1e290."""
     values = [cmath.atanh(u) / math.pi for u in us]  # PolyPath keeps the samples off -1 and 1, where atanh fails
-    signs = bytes(map(_code, us, values))
+    real = _signs(v.real for v in values)
     # where the lift's real part Re atanh(u)/pi flips; where it underflows to 0 the lifted point is on iR already
-    if flips := _pairs(signs.translate(_LIFT_REAL), _FLIPS):
-        pts, vals, codes = us, values, signs
-        us, values, signs = list(pts[:flips[0]]), vals[:flips[0]], codes[:flips[0]]
+    if flips := _pairs(real, _FLIPS):
+        pts, vals, reals = us, values, real
+        us, values, real = list(pts[:flips[0]]), vals[:flips[0]], reals[:flips[0]]
         for i, j in zip(flips, [*flips[1:], len(pts)]):
             a, b = pts[i - 1], pts[i]
             u = complex(0.0, a.imag + a.real / (a.real - b.real) * (b.imag - a.imag))
-            v = cmath.atanh(u) / math.pi  # classified where it is inserted
             us += u, *pts[i:j]
-            values += v, *vals[i:j]
-            signs += bytes((_code(u, v),)) + codes[i:j]
-    crossings = list(_crossings(us, signs.translate(_IMAG), LiftError))
+            values += cmath.atanh(u) / math.pi, *vals[i:j]
+            real += b"0" + reals[i:j]  # Re atanh(iy) is 0, or NaN where y is
+    crossings = list(_crossings(us, _signs(u.imag for u in us), LiftError))
     cuts = [1, *(i for i, _, _ in crossings), len(us)]
     return (us, [side for _, side, _ in crossings], list(map(sub, cuts[1:], cuts[:-1])), values[1:],
-            signs[1:].translate(_NEAR_IR), signs[1:].translate(_LIFT_REAL), {},
+            bytes([abs(v.real) <= _PUNCTURE_TOL for v in values[1:]]), real[1:], {},
             [complex(0.0, math.copysign(0.5, v.imag)) for v in values[1:]])
 
 
@@ -208,26 +199,22 @@ def _chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> li
     key = tuple(map(math.copysign, map(math.ulp, offsets), offsets)) if abs(m) < 2**51 else tuple(offsets)
     if built.setdefault((last == lift[0], key), lift) is not lift:  # an earlier chunk of the class was checked
         return lift
-    reduced = list(map(sub, lift, map(add, steps, halves))) if tol < math.inf else ()  # exact, see above
-    coth = map(truediv, repeat(1 + 0j), map(cmath.tanh, map(mul, repeat(cmath.pi), reduced)))
-    try:  # the residual is cover_map's; ge(tol, nan) is False, so NaN fails
-        close = all(map(ge, repeat(tol), map(abs, map(sub, coth, islice(us, 1, None)))))
-    except ZeroDivisionError:  # a point lifted onto iZ, where coth has its pole
-        close = False
-    for z, r, o, u in zip(() if close else lift, reduced, steps, us[1:]):  # the first point that fails
-        if not (t := cmath.tanh(cmath.pi * r)) or not abs(1 / t - u) <= tol:
+    for z, o, half, u in zip(lift, steps, halves, us[1:]) if tol < math.inf else ():  # the residual is cover_map's
+        if not (t := cmath.tanh(cmath.pi * (z - (o + half)))) or not abs(1 / t - u) <= tol:  # exact, see above
             why = f"misses its image point {u} by more than {tol}" if t else f"of image point {u} is on iZ"
             grid = math.pi * abs(1 - u * u) * math.ulp(o.imag) > tol  # rounding Im z moves its image as far
             grid = f": Im z on branch {o.imag} is good only to {math.ulp(o.imag)}" if t and grid else ""
             faults.setdefault(0, LiftError(f"lifted point {z} {why}{grid}"))
             break
-    if not all(map(ne, chain((last,), lift), lift)):  # the sample of ``last`` is us[0]
-        i = next(i for i, (a, b) in enumerate(zip(chain((last,), lift), lift)) if a == b)
-        faults.setdefault(1, LiftError(f"samples {us[i]} and {us[i + 1]} lift to the same point {lift[i]}"))
+    for i, (a, b) in enumerate(zip(chain((last,), lift), lift)):  # the sample of ``last`` is us[0]
+        if a == b:
+            faults.setdefault(1, LiftError(f"samples {us[i]} and {us[i + 1]} lift to the same point {b}"))
+            break
     # adding the offset keeps Re atanh(u)/pi, so only the points of samples marked near iR can be near iZ
-    if not all(map(_off_lattice, compress(lift, near))):
-        i = next(i for i, z in enumerate(lift) if near[i] and not _off_lattice(z))
-        faults.setdefault(2, ValueError(f"path point {lift[i]} hits the excluded set of cover"))
+    for z, marked in zip(lift, near):
+        if marked and not _off_lattice(z):
+            faults.setdefault(2, ValueError(f"path point {z} hits the excluded set of cover"))
+            break
     return lift
 
 
@@ -245,7 +232,7 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     refuses it.  The residual is ``cover_map``'s; far up, Im z holds branch m only to ulp(m), which moves the image by
     pi |1 - u^2| ulp(m): word curves lift within 1e-6 while |m| < 2^30; a refusal names ulp(m) where that passes tol.
 
-    atanh, the code bytes and the crossing walk run once per plan, a unit of the path's runs after one sample; the
+    atanh, the sign classes and the crossing walk run once per plan, a unit of the path's runs after one sample; the
     lifted points once per chunk, the plan on one branch m, which a later copy on that m takes, m moving by each copy's
     net shift; the checks once per class of chunks (``_chunk``).  So as on a lift point by point every point is
     checked, and the earliest check's first fault in path order is raised.
@@ -269,7 +256,7 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     if faults:  # as on a lift point by point, the first fault of the earliest check
         raise faults[min(faults)]
     return _new(PolyPath, points=tuple(chain((start,), chain.from_iterable(parts))), plane=Plane.COVER,
-                _real_signs=bytes([_SIGNS[_sign(start.real)]]) + b"".join(p[5] * n for p, n in runs))  # checked above
+                _real_signs=_signs((start.real,)) + b"".join(p[5] * n for p, n in runs))  # checked above
 
 
 def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
@@ -323,7 +310,7 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
     for z in (pts[0], pts[-1]):
         if z.real:
             raise LiftError(f"path endpoint {z} is not on the imaginary axis")
-    signs = lifted.__dict__.get("_real_signs") or bytes(_SIGNS[_sign(z.real)] for z in pts)  # a lift's, or b"-0+"
+    signs = lifted.__dict__.get("_real_signs") or _signs(z.real for z in pts)  # a lift's, or its own
     sides, ends = [], [math.floor(pts[0].imag)]  # the sign of each excursion; the components between them
     for i in _pairs(signs, _TOUCHING):
         if (s := signs[i:i + 1]) == b"0" or sides and s == sides[-1]:
@@ -379,6 +366,6 @@ def curve_to_word(path: PolyPath) -> FreeWord:
         raise ValueError("curve_to_word expects a path in the punctured plane")
     if _off_fiber(path.start) or _off_fiber(path.end):
         raise ValueError("curve_to_word expects a loop based at 0")
-    runs = _copies(path, lambda us: list(_crossings(us, bytes(_SIGNS[_sign(u.imag)] for u in us), ValueError)))
+    runs = _copies(path, lambda us: list(_crossings(us, _signs(u.imag for u in us), ValueError)))
     return reduce_word([(Generator.A1 if ray < 0 else Generator.A2, int(side) * ray)
                         for crossings, n in runs for _, side, ray in crossings * n])

@@ -112,3 +112,26 @@ def test_lower_is_better_where_declared(tmp_path):
     cli = json.loads(out.read_text())["pairs"]["cli"]
     assert (cli["setup_s"]["won"], cli["setup_s"]["gain_claimable"]) == (10, True)
     assert (cli["ops_per_s"]["won"], cli["ops_per_s"]["gain_claimable"]) == (10, False)
+
+
+def test_within_bound_on_either_side_of_the_bound(tmp_path):
+    """``within_bound`` holds where the change's median is worse than the parent's by at most the metric's bound, a
+    fraction of the parent's median, in the declared direction."""
+    script = load_script()
+    bound = {m["name"]: m["bound"] for m in json.loads(script.BENCHMARK.read_text())["end_to_end"]}
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    parent.mkdir(), change.mkdir()
+    for workload, margin in (("cli", 0.01), ("braids", -0.01)):  # just inside the bound, just outside it
+        for seed in range(1, 4):
+            write_record(parent, workload, seed, 0, 10.0)
+            write_record(change, workload, seed, 0, 10.0 * (1 - bound["ops_per_s"] + margin))
+    for record in change.glob("cli-*.json"):  # set-up slower by more than its bound of the median 0.2 s
+        data = json.loads(record.read_text())
+        data["metrics"]["setup_s"]["value"] += 0.2 * (bound["setup_s"] + 0.01)
+        record.write_text(json.dumps(data))
+    out = tmp_path / "BENCH.json"
+    assert script.main([str(out), f"parent={parent}", f"change={change}"]) == 0
+    pairs = json.loads(out.read_text())["pairs"]
+    assert [pairs[w]["ops_per_s"]["within_bound"] for w in ("cli", "braids")] == [True, False]
+    assert [pairs[w]["setup_s"]["within_bound"] for w in ("cli", "braids")] == [False, True]
+    assert pairs["cli"]["peak_rss_mb"]["within_bound"] and pairs["braids"]["peak_rss_mb"]["within_bound"]

@@ -1054,7 +1054,7 @@ class TestSlalomReading:
 
 def sign_string(parts) -> bytes:
     """The b"-0+" class of each of ``parts``, through the covering's own classifier."""
-    return bytes(covering._SIGNS[covering._sign(x)] for x in parts)
+    return covering._signs(parts)
 
 
 # zeros of both signs, the smallest subnormal, and values whose products with each other underflow to 0
