@@ -8,13 +8,14 @@ loop is read without lifting, from the same ray crossings.  A lifted point keeps
 the sign of Re u or underflows to 0, on iR; a lift changes half-plane where that sign does, and a sample iy on iR lifts
 to i(atan(y)/pi + m), so a piece ends in component m - 1/2.
 
-A path is runs of copies of units: a word curve, checked by construction, is copies of at most four turns and 0; any
-other path is one run, and PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.
-The lift and the reader walk the crossings once per plan, a unit after one sample, and not once per copy; the lift's
-plan holds atanh(u)/pi per point, and b"-0+" strings of the sign classes of Re atanh(u)/pi and Im u, in which
-bytes.find finds half-plane changes, crossings and pieces.  The lifted points are built once per chunk, a copy of a
-plan lifted on one branch m, which each later copy of the plan on that m reuses, and checked once per class, the chunks
-of a plan whose branches round alike; only points of samples the plan marks near iR are checked against iZ.
+A path is runs of copies of units: a word curve, checked by construction, is copies of at most four turns and 0, and
+builds its points only when they are read; any other path is one run, and PolyPath(points, Plane.PUNCTURED), the
+tests' oracle, checks a word curve point by point.  The lift and the reader walk the crossings once per plan, a unit
+after one sample; the lift's plan holds atanh(u)/pi per point, and b"-0+" strings of the sign classes of
+Re atanh(u)/pi and Im u, where bytes.find finds half-plane changes and crossings, and a regex the pieces.  The lifted
+points are built once per chunk, a plan lifted on one branch m, which each later copy of the plan on that m reuses; the
+residual and the iZ test run once per segment, a unit's samples between crossings, and class of its branch, the
+zero-length check once per class of a plan's chunks; only points of samples marked near iR are checked against iZ.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from __future__ import annotations
 import cmath
 import enum
 import math
+import re
 from functools import cached_property, reduce
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, attrgetter, eq, sub
@@ -38,6 +40,7 @@ MAX_CURVE_POINTS = 10**6  # word_to_curve's budget, checked before any point is 
 
 _FLIPS = (b"-+", b"+-")
 _TOUCHING = (b"-0", b"00", b"+0", b"0-", b"0+", *_FLIPS)  # a zero class at either end, or strictly opposite ones
+_EXCURSION = re.compile(rb"-+|\++")  # a maximal run of one nonzero class
 
 
 def _signs(xs: Iterable[float]) -> bytes:
@@ -95,17 +98,21 @@ class PolyPath(_Value):
             raise ValueError("zero-length segment in path")
 
     @cached_property
+    def points(self) -> tuple[complex, ...]:  # only a word curve comes here: any other path sets its points
+        return tuple(chain.from_iterable(unit * n for unit, n in self._runs))
+
+    @cached_property
     def _runs(self) -> tuple[tuple[tuple[complex, ...], int], ...]:
         """(unit, count) pairs, each unit repeated count times, that make up the points: one run but on a word curve."""
         return ((self.points, 1),)
 
     @property
     def start(self) -> complex:
-        return self.points[0]
+        return self._runs[0][0][0]
 
     @property
     def end(self) -> complex:
-        return self.points[-1]
+        return self._runs[-1][0][-1]
 
 
 class ElementaryPiece(_Value):
@@ -147,23 +154,25 @@ def _pairs(signs: bytes, pairs: tuple[bytes, ...]) -> list[int]:
 
 
 def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
-    """(plan(us), count) per stretch of copies of a unit after one sample, us that sample (none at the start) and the
-    unit; ``plan`` runs once per unit and sample, in path order."""
+    """(plan(us, memo), count) per stretch of copies of a unit after one sample, us that sample (none at the start) and
+    the unit, memo a dict that the unit's plans share, kept under its id alone; ``plan`` runs once per unit and sample,
+    in path order."""
     plans, out, pred = {}, [], None
     for unit, count in path._runs:
         for n in (1, count - 1):  # the first copy follows the sample before the run, the others the unit's last
             if n > 0:
                 if (got := plans.get(key := (id(unit), id(pred)))) is None:
-                    got = plans[key] = plan(unit if pred is None else (pred, *unit))
+                    got = plans[key] = plan(unit if pred is None else (pred, *unit), plans.setdefault(id(unit), {}))
                 out.append((got, n))
                 pred = unit[-1]
     return out
 
 
-def _plan(us: Sequence[complex]) -> tuple:
+def _plan(us: Sequence[complex], checked: dict) -> tuple:
     """A copy's lift but for its branch: us, an axis point inserted where Re atanh(u)/pi flips; the crossings' sides;
     the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks, real classes and signs of Im as +-i/2; a
-    dict for chunks.  The insertion overflows only past |Re u| = 2^970, where no sample lifts within tol < 1e290."""
+    dict for chunks; per nonempty segment, its offset's index and key in ``checked``, which the unit's plans share.
+    The insertion overflows only past |Re u| = 2^970, where no sample lifts within tol < 1e290."""
     values = [cmath.atanh(u) / math.pi for u in us]  # PolyPath keeps the samples off -1 and 1, where atanh fails
     real = _signs(v.real for v in values)
     # where the lift's real part Re atanh(u)/pi flips; where it underflows to 0 the lifted point is on iR already
@@ -177,29 +186,36 @@ def _plan(us: Sequence[complex]) -> tuple:
             values += cmath.atanh(u) / math.pi, *vals[i:j]
             real += b"0" + reals[i:j]  # Re atanh(iy) is 0, or NaN where y is
     crossings = list(_crossings(us, _signs(u.imag for u in us), LiftError))
-    cuts = [1, *(i for i, _, _ in crossings), len(us)]
+    cuts, n = [1, *(i for i, _, _ in crossings), len(us)], len(us)
+    # a segment's samples: its place from the unit's end, which slices us and us[1:]'s lists alike, and us[1]'s bits
+    segments = [(k, (i - n, j - n or None, i == 1 and us[1].imag.hex()))
+                for k, (i, j) in enumerate(zip(cuts, cuts[1:])) if i < j]
     return (us, [side for _, side, _ in crossings], list(map(sub, cuts[1:], cuts[:-1])), values[1:],
             bytes([abs(v.real) <= _PUNCTURE_TOL for v in values[1:]]), real[1:], {},
-            [complex(0.0, math.copysign(0.5, v.imag)) for v in values[1:]])
+            [complex(0.0, math.copysign(0.5, v.imag)) for v in values[1:]], segments, checked)
 
 
 def _chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> list[complex]:
     """A copy of ``plan`` lifted on branch ``m`` after the point ``last``, checked at the first chunk of each class,
-    which the plan's dict holds; each check's first fault in path order stays in ``faults``.  A point on offset o is
-    z = Re v + i fl(Im v + o), |Im v| <= 1/2, so d = Im z - o is exact (Sterbenz), and the checks read z only through
-    Re v and d: the residual at z - i fl(o +- 1/2), the integer nearest Im z on Im v's side; the near-iZ test at
-    |d -+ 1/2|; equal points, whose d differ by the sides.  So a class is whether ``last`` is the first point and,
-    while |m| < 2^51, each o's sign and binade, ulp(o): for |o| >= 3/2, Im v + o is in [|o| - 1/2, |o| + 1/2], which
-    no power of two splits, so in one binade, of floats the multiples of 2^(e-52) and o of a parity e fixes, where d
-    is one function of Im v.  +-1/2 are alone in theirs; past 2^51, o is, and fl(o +- 1/2) is an integer too."""
-    us, sides, lengths, values, near, _, built, halves = plan
-    offsets = list(accumulate(sides, sub, initial=m))  # the m between crossings, each its own class past 2^51
+    which the plan's dict holds: the zero-length check there, the residual and the near-iZ test on each of its segments
+    at the first of its class, which the plan's ``checked`` holds; each check's first fault in path order stays in
+    ``faults``.  A point on offset o is z = Re v + i fl(Im v + o), |Im v| <= 1/2, so d = Im z - o is exact (Sterbenz),
+    and the checks read z only through Re v and d: the residual at z - i fl(o +- 1/2), the integer nearest Im z on
+    Im v's side; the near-iZ test at |d -+ 1/2|; equal points, whose d differ by the sides.  So a segment's class is
+    its samples and, while |m| < 2^51, o's sign and binade, ulp(o): for |o| >= 3/2, Im v + o is in [|o| - 1/2,
+    |o| + 1/2], which no power of two splits, so in one binade, of floats the multiples of 2^(e-52) and o of a parity e
+    fixes, where d is one function of Im v.  +-1/2 are alone in theirs; past 2^51, o is, and fl(o +- 1/2) is an integer
+    too.  A chunk's class is whether ``last`` is its first point and its offsets' classes, which fix its segments'."""
+    us, sides, lengths, values, near, _, built, halves, segments, checked = plan
+    offsets = list(accumulate(sides, sub, initial=m))  # the m between crossings
     steps = list(chain.from_iterable(map(repeat, map(complex, repeat(0.0), offsets), lengths)))
     lift = list(map(add, values, steps))
-    key = tuple(map(math.copysign, map(math.ulp, offsets), offsets)) if abs(m) < 2**51 else tuple(offsets)
-    if built.setdefault((last == lift[0], key), lift) is not lift:  # an earlier chunk of the class was checked
+    classes = tuple(map(math.copysign, map(math.ulp, offsets), offsets)) if abs(m) < 2**51 else tuple(offsets)
+    if built.setdefault((last == lift[0], classes), lift) is not lift:  # an earlier chunk of the class was checked
         return lift
-    for z, o, half, u in zip(lift, steps, halves, us[1:]) if tol < math.inf else ():  # the residual is cover_map's
+    todo = [where[:2] for k, where in segments if checked.setdefault((where, classes[k]), lift) is lift]  # path order
+    for z, o, half, u in chain.from_iterable(zip(lift[i:j], steps[i:j], halves[i:j], us[i:j]) for i, j in todo
+                                             ) if tol < math.inf else ():  # the residual is cover_map's, see above
         if not (t := cmath.tanh(cmath.pi * (z - (o + half)))) or not abs(1 / t - u) <= tol:  # exact, see above
             why = f"misses its image point {u} by more than {tol}" if t else f"of image point {u} is on iZ"
             grid = math.pi * abs(1 - u * u) * math.ulp(o.imag) > tol  # rounding Im z moves its image as far
@@ -211,7 +227,7 @@ def _chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> li
             faults.setdefault(1, LiftError(f"samples {us[i]} and {us[i + 1]} lift to the same point {b}"))
             break
     # adding the offset keeps Re atanh(u)/pi, so only the points of samples marked near iR can be near iZ
-    for z, marked in zip(lift, near):
+    for z, marked in chain.from_iterable(zip(lift[i:j], near[i:j]) for i, j in todo):
         if marked and not _off_lattice(z):
             faults.setdefault(2, ValueError(f"path point {z} hits the excluded set of cover"))
             break
@@ -234,8 +250,10 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
 
     atanh, the sign classes and the crossing walk run once per plan, a unit of the path's runs after one sample; the
     lifted points once per chunk, the plan on one branch m, which a later copy on that m takes, m moving by each copy's
-    net shift; the checks once per class of chunks (``_chunk``).  So as on a lift point by point every point is
-    checked, and the earliest check's first fault in path order is raised.
+    net shift; the residual and the iZ test once per segment of a unit between crossings and class of its branch,
+    whatever the sample before the unit, the zero-length check once per class of a plan's chunks (``_chunk``).  Chunks
+    and segments are walked in path order, so as on a lift point by point every point is checked, and the earliest
+    check's first fault in path order is raised.  A word curve is lifted from its runs: its points are never built.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0; got {tol!r}")
@@ -291,8 +309,7 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
             pair = turns[term.gen, sign] = turn, turn[:-1] + (0j,)  # each term ends at the base point, exactly
         n = abs(term.exponent)
         runs += [(pair[0], n - 1), (pair[1], 1)][n < 2:]  # |n| - 1 copies of the turn, then its closing turn
-    return _new(PolyPath, points=tuple(chain.from_iterable(unit * n for unit, n in runs)), plane=Plane.PUNCTURED,
-                _runs=tuple(runs))  # checked by construction, see above
+    return _new(PolyPath, plane=Plane.PUNCTURED, _runs=tuple(runs))  # checked by construction; points on first read
 
 
 def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
@@ -312,9 +329,10 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
             raise LiftError(f"path endpoint {z} is not on the imaginary axis")
     signs = lifted.__dict__.get("_real_signs") or _signs(z.real for z in pts)  # a lift's, or its own
     sides, ends = [], [math.floor(pts[0].imag)]  # the sign of each excursion; the components between them
-    for i in _pairs(signs, _TOUCHING):
-        if (s := signs[i:i + 1]) == b"0" or sides and s == sides[-1]:
+    for run in _EXCURSION.finditer(signs):  # signs[0] is b"0", so each run follows a 0 or the other sign
+        if (s := run[0][:1]) in sides[-1:]:
             continue
+        i = run.start()
         if sides:
             if signs[i - 1:i] != b"0":
                 raise LiftError(f"lift changes half-plane between {pts[i - 1]} and {pts[i]}, off the imaginary axis")
@@ -366,6 +384,6 @@ def curve_to_word(path: PolyPath) -> FreeWord:
         raise ValueError("curve_to_word expects a path in the punctured plane")
     if _off_fiber(path.start) or _off_fiber(path.end):
         raise ValueError("curve_to_word expects a loop based at 0")
-    runs = _copies(path, lambda us: list(_crossings(us, _signs(u.imag for u in us), ValueError)))
+    runs = _copies(path, lambda us, _: list(_crossings(us, _signs(u.imag for u in us), ValueError)))
     return reduce_word([(Generator.A1 if ray < 0 else Generator.A2, int(side) * ray)
                         for crossings, n in runs for _, side, ray in crossings * n])

@@ -269,7 +269,7 @@ def reference_chunk(plan: tuple, m: float, tol: float, last: complex, faults: di
     lifted on branch ``m`` after the point ``last``, with every check run on it, point by point.  The residual is
     taken as ``_chunk`` takes it, at z - i fl(o +- 1/2), o the offset and +-1/2 the plan's half for the sample; each
     check's first fault in path order stays in ``faults``."""
-    us, sides, lengths, values, near, _, _, halves = plan
+    us, sides, lengths, values, near, _, _, halves = plan[:8]
     offsets = list(accumulate(sides, lambda o, side: o - side, initial=m))
     steps = [complex(0.0, o) for o, n in zip(offsets, lengths) for _ in range(n)]
     lift = [v + step for v, step in zip(values, steps)]

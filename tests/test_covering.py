@@ -801,6 +801,25 @@ class TestWordCurveRuns:
         assert lifted.end == end and len(lifted.points) == len(curve.points)
         assert peak < 60 * 2**20
 
+    @settings(max_examples=30, deadline=None)
+    @given(reduced_words(max_terms=6, max_exp=4), st.sampled_from((16, 17, 64)))
+    @example(FreeWord(), 16)
+    def test_word_routes_leave_the_points_unbuilt(self, w, samples):
+        """A word curve holds its runs alone: the reader, the lift and ``slalom_decompose``'s refusal build no points;
+        read, they are the oracle's, and the curve and its pickled copy equal it in ==, hash and repr."""
+        curve = word_to_curve(w, samples)
+        assert curve_to_word(curve) == w
+        lift_path(curve, BASE_LIFT_POINT)
+        with pytest.raises(ValueError, match="expects a path on the cover"):
+            slalom_decompose(curve)
+        copy = pickle.loads(pickle.dumps(curve))
+        assert "points" not in vars(curve) and "points" not in vars(copy)
+        oracle = checked_word_curve(word_to_curve(w, samples))
+        assert (curve.start, curve.end) == (oracle.start, oracle.end)
+        for value in (curve, copy):
+            assert value == oracle and (hash(value), repr(value)) == (hash(oracle), repr(oracle))
+            assert len(value.points) == len(oracle.points) and "points" in vars(value)
+
     def test_copies_take_one_run(self):
         curve = word_to_curve(parse_word(FIGURE2_TEXT), 64)
         pickled = pickle.loads(pickle.dumps(curve))
@@ -1200,8 +1219,21 @@ def residuals(plan: tuple, m: float) -> list[float]:
     return out
 
 
+# a unit that crosses the ray [1, inf) once, and predecessors of its first sample: across iR, so that an axis point is
+# inserted at the junction (at 0.5i, and far up iR, where its lift is within 1e-9 of iZ), across the ray, and neither
+JUNCTION_UNIT = (0.5 + 0.5j, 1.5 + 0.5j, 1.5 - 0.5j, 0.5 - 0.5j, 0j)
+JUNCTIONS = (-0.5 + 0.5j, -0.5 + 1e9j, 3 - 1j, 0.5 + 0.25j)
+# the same start, across the ray and back, with a sample whose residual on the binade [4, 8) tops, at the tol of the
+# examples below, that of every other point lifted there: the first unit's third segment faults only on 4.5, a class its
+# second segment met first, and the second unit's second segment only on 4.5, after its first met 3.5
+CLASS_UNITS = ((0.5 + 0.5j, 1.5 + 0.5j, 1.5 - 0.5j, 1.5 + 0.5j, 3.165295427719368 + 1.6794003492886458j, 0j),
+               (0.5 + 0.5j, 1.5 + 0.5j, 5.782369645851785 - 5.697399424944226j, 1.5 + 0.5j, 0j))
+
+
 class TestChunkMemo:
-    """``_chunk`` runs its checks once per class of chunks; ``reference_chunk``, the oracle, at every chunk."""
+    """``_chunk`` runs the zero-length check once per class of chunks, and the residual and the near-iZ test once per
+    class of segments of a unit, whatever the sample before it; ``reference_chunk``, the oracle, runs all at every
+    chunk."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(st.builds(word_plan, reduced_words(max_terms=3, max_exp=3), st.sampled_from((16, 17, 64)),
@@ -1221,16 +1253,16 @@ class TestChunkMemo:
         if isinstance(unit[0], complex):  # a polygon unit after the sample 0, not a plan
             try:
                 PolyPath(unit, Plane.PUNCTURED)
-                unit = covering._plan(unit)
+                unit = covering._plan(unit, {})
             except ValueError:
                 return
-        us, sides, lengths, values, near, real = unit[:6]
+        us, sides, lengths, values, near, real, _, _, segments, _ = unit
         if not values:
             return
         if bits:
             values = [complex(v.real, round(v.imag * 2**bits) / 2**bits) for v in values]
         halves = [complex(0.0, math.copysign(0.5, v.imag)) for v in values]
-        memo, oracle = ((us, sides, lengths, values, near, real, {}, halves) for _ in range(2))
+        memo, oracle = ((us, sides, lengths, values, near, real, {}, halves, segments, {}) for _ in range(2))
         if isinstance(tol, tuple):
             found = residuals(oracle, ms[0])
             tol = found[tol[0] % len(found)] * tol[1] or 2e-16
@@ -1240,6 +1272,54 @@ class TestChunkMemo:
             last = (cmath.atanh(us[0]) / math.pi + complex(0.0, m), values[0] + complex(0.0, m), last)[way]
             got = covering._chunk(memo, m, tol, last, memo_faults)
             expected = reference_chunk(oracle, m, tol, last, oracle_faults)
+            assert packed(got) == packed(expected)
+            assert [(k, type(e), str(e)) for k, e in memo_faults.items()] == [
+                (k, type(e), str(e)) for k, e in oracle_faults.items()]
+            last = got[-1]
+
+    def test_junctions_insert_cross_or_neither(self):
+        """The predecessors of ``JUNCTIONS`` insert an axis point (the first two), cross the ray at the junction, and
+        do neither."""
+        plans = [covering._plan((pred, *JUNCTION_UNIT), {}) for pred in JUNCTIONS]
+        assert [len(plan[0]) - len(JUNCTION_UNIT) for plan in plans] == [2, 2, 1, 1]
+        assert [plan[0][1] for plan in plans[:2]] == [0.5j, (5e8 + 0.25) * 1j]
+        assert [plan[2][0] for plan in plans] == [3, 3, 0, 2]  # the samples before the first crossing
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(st.sampled_from((JUNCTION_UNIT, *CLASS_UNITS)),
+                     st.lists(LEGS, min_size=1, max_size=2).map(lambda legs: sum(legs, ()))),
+           st.lists(st.one_of(st.sampled_from(JUNCTIONS), loop_vertices()), min_size=2, max_size=5),
+           branches(), st.lists(st.integers(0, 4), min_size=8, max_size=8),
+           st.lists(st.integers(0, 2), min_size=8, max_size=8),
+           st.one_of(st.sampled_from((1e-6, 2e-16, math.inf)),
+                     st.tuples(st.integers(0, 10**6), st.sampled_from((0.5, 1 - 2**-40, 1.0, 1 + 2**-40, 2.0)))))
+    @example(JUNCTION_UNIT, list(JUNCTIONS), [0.5] * 4, [0, 1, 2, 3], [0] * 4, 1e-6)
+    @example(JUNCTION_UNIT, list(JUNCTIONS), [2.5, -1.5, 2.5, 3.5, 2.5], [3, 2, 0, 1, 1], [2, 0, 1, 0, 2], math.inf)
+    @example(CLASS_UNITS[0], [0.5 + 0.25j], [3.5, 4.5], [0, 0], [0, 2], 8e-15)
+    @example(CLASS_UNITS[1], [0.5 + 0.25j], [2.5, 3.5], [0, 0], [0, 2], 4e-14)
+    def test_segment_memo_matches_per_chunk_checks(self, unit, preds, ms, picks, ways, tol):
+        """Chunks of several plans of one unit, after different predecessor samples and sharing one memo of checked
+        segments, give the oracle's point bits and, after each chunk, its faults, by check, type and message, in the
+        order the first fault of each check was found.  The point before each chunk is its predecessor sample lifted on
+        m, its first point, or the last chunk's end; tol is drawn on either side of a residual of the first chunk."""
+        checked, plans = {}, []
+        for pred in preds:
+            try:
+                PolyPath((pred, *unit), Plane.PUNCTURED)
+                plans.append(covering._plan((pred, *unit), checked))
+            except ValueError:
+                continue
+        if not plans:
+            return
+        if isinstance(tol, tuple):
+            found = residuals(plans[picks[0] % len(plans)], ms[0])
+            tol = found[tol[0] % len(found)] * tol[1] or 2e-16
+        memo_faults, oracle_faults, last = {}, {}, BASE_LIFT_POINT
+        for m, pick, way in zip(ms, picks, ways):
+            plan = plans[pick % len(plans)]
+            last = (cmath.atanh(plan[0][0]) / math.pi + complex(0.0, m), plan[3][0] + complex(0.0, m), last)[way]
+            got = covering._chunk(plan, m, tol, last, memo_faults)
+            expected = reference_chunk(plan, m, tol, last, oracle_faults)
             assert packed(got) == packed(expected)
             assert [(k, type(e), str(e)) for k, e in memo_faults.items()] == [
                 (k, type(e), str(e)) for k, e in oracle_faults.items()]

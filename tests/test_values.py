@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from slalom.braids import BraidGenerator, BraidLetter, BraidWord
 from slalom.config import Config
-from slalom.covering import ElementaryPiece, HalfPlane, Plane, PolyPath, SlalomDecomposition
+from slalom.covering import ElementaryPiece, HalfPlane, Plane, PolyPath, SlalomDecomposition, word_to_curve
 from slalom.elliptic import BoundCheckReport, QuadModulus
 from slalom.syllables import BoundConstants, LambdaBounds, Syllable, SyllableDecomposition, decompose
 from slalom.words import FreeWord, Generator, Term
@@ -44,8 +44,10 @@ FIELDS = {
     .map(lambda f: (*f[0], *f[1:])),
     QuadModulus: st.tuples(FLOATS, FLOATS),
     BoundCheckReport: st.tuples(st.lists(FLOATS, max_size=4).map(tuple), FLOATS, FLOATS),
-    PolyPath: st.tuples(st.lists(st.complex_numbers(max_magnitude=4), min_size=1, max_size=5).map(tuple),
-                        st.sampled_from(Plane)).filter(valid(PolyPath)),
+    PolyPath: st.one_of(st.tuples(st.lists(st.complex_numbers(max_magnitude=4), min_size=1, max_size=5).map(tuple),
+                                  st.sampled_from(Plane)).filter(valid(PolyPath)),
+                        st.builds(lambda w, samples: (word_to_curve(w, samples).points, Plane.PUNCTURED),
+                                  reduced_words(max_terms=3, max_exp=2), st.sampled_from((16, 17)))),
     ElementaryPiece: st.tuples(st.sampled_from(HalfPlane), st.integers(), st.integers()),
     SlalomDecomposition: st.lists(PIECES, max_size=4).map(lambda pieces: (tuple(pieces),)),
     BraidLetter: st.tuples(st.sampled_from(BraidGenerator), st.sampled_from((1, -1))),
