@@ -19,8 +19,10 @@ A ladder read op's outcome is the word ``curve_to_word`` reads, or its error's t
 is the lift's point bits, its ``_real_signs`` and its pieces, or the type and message of the error raised on the way,
 by ``PolyPath``, ``lift_path`` or ``slalom_decompose``, and the word read.  The cases are drawn in this process, with
 the ``perfbench/`` beside this file, and handed to both trees, so only the covering can differ.  The gate prints, per
-corpus, the cases, the changed outcomes and the change's outcomes by kind, and the first changed cases; it exits 1
-where any outcome changed.  ``--quick`` runs a few cases of each corpus.
+corpus, the cases, the changed outcomes and the change's outcomes by kind, and the first changed cases; where a case
+changed but kept its kind, it names the parts that differ: the lift's point bits (how many points moved and the largest
+|dz|, read from both trees again for those cases alone), ``_real_signs``, pieces, the error, or the word read.  It
+exits 1 where any outcome changed.  ``--quick`` runs a few cases of each corpus.
 """
 
 from __future__ import annotations
@@ -69,9 +71,10 @@ def corpora(quick: bool = False) -> dict[str, list[tuple]]:
             "far-up": far_up}
 
 
-def outcomes(cases: dict[str, list[tuple]]) -> dict[str, list[tuple[str, str]]]:
-    """(digest of the outcome, its kind: "lifted", "read", "PolyPath" or the lift's error type) per case of each
-    corpus, by the ``slalom`` on ``sys.path``."""
+def outcomes(cases: dict[str, list[tuple]], points: bool = False) -> dict[str, list]:
+    """(digest of the outcome, its kind: "lifted", "read", "PolyPath" or the lift's error type, and the digest of each
+    of its parts) per case of each corpus, by the ``slalom`` on ``sys.path``; with ``points``, the lift's packed point
+    bits alone (b"" where it did not lift)."""
     from slalom import covering
     from slalom.braids import braid_to_strands, cross_ratio_curve, parse_braid
     from slalom.words import parse_word
@@ -92,51 +95,88 @@ def outcomes(cases: dict[str, list[tuple]]) -> dict[str, list[tuple[str, str]]]:
         return attempt(lambda: [(t.gen.value, t.exponent) for t in covering.curve_to_word(curve).terms])
 
     def run(case):
-        """The kind of the case's outcome, and the outcome."""
+        """The kind of the case's outcome, and its parts by name."""
         if case[0] == "word":
             _, text, samples, route, start, tol = case
             curve = covering.word_to_curve(parse_word(text), samples)
             if route == "read":
-                return "read", read(curve)
+                return "read", {"word": read(curve)}
         elif case[0] == "braid":
             curve, start, tol = cross_ratio_curve(braid_to_strands(parse_braid(case[1]))), complex(0.0, -0.5), 1e-6
         else:
             curve = attempt(lambda: covering.PolyPath((0j, *case[1], 0j), covering.Plane.PUNCTURED))
             if isinstance(curve, tuple):
-                return "PolyPath", curve
+                return "PolyPath", {"error": curve}
             start, tol = complex(0.0, -0.5), case[2]
         lifted = attempt(lambda: lift(curve, start, tol))
-        return lifted[0] if isinstance(lifted[0], str) else "lifted", (lifted, read(curve))
+        if isinstance(lifted[0], str):
+            return lifted[0], {"error": lifted, "word": read(curve)}
+        return "lifted", {**dict(zip(("points", "_real_signs", "pieces"), lifted)), "word": read(curve)}
+
+    def digest(value) -> str:
+        return hashlib.sha256(pickle.dumps(value)).hexdigest()
 
     out = {}
     for name, corpus in cases.items():
         out[name] = []
         for case in corpus:
-            kind, got = run(case)
-            out[name].append((hashlib.sha256(pickle.dumps(got)).hexdigest(), kind))
+            kind, parts = run(case)
+            out[name].append(parts.get("points", b"") if points else
+                             (digest(parts), kind, {part: digest(value) for part, value in parts.items()}))
     return out
 
 
-def in_tree(root: Path, cases: dict) -> dict:
+def in_tree(root: Path, cases: dict, points: bool = False) -> dict:
     """``outcomes`` of ``cases`` in a subprocess that imports the ``slalom`` of ``root/src``."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker"], input=pickle.dumps(cases),
-                          capture_output=True, env=env, check=True)
+    done = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--worker"],
+                          input=pickle.dumps((cases, points)), capture_output=True, env=env, check=True)
     return pickle.loads(done.stdout)
 
 
-def report(cases: dict, parent: dict, change: dict) -> int:
-    """Print the table of changed outcomes and the first changed cases; the number of changed outcomes."""
+def moved(was: bytes, now: bytes) -> tuple[int, float] | None:
+    """How many points of two lifts' packed point bits differ, and the largest |dz| between them; None where the
+    lifts differ in length."""
+    if len(was) != len(now):
+        return None
+    at = [i for i in range(0, len(was), 16) if was[i:i + 16] != now[i:i + 16]]
+    return len(at), max((abs(complex(*struct.unpack_from("<dd", was, i)) - complex(*struct.unpack_from("<dd", now, i)))
+                         for i in at), default=0.0)
+
+
+def differing(was: dict, now: dict, move: tuple[int, float] | None = None) -> list[str]:
+    """The parts in which two outcomes of one kind differ; the point bits with ``move``, as ``moved`` gives it."""
+    parts = [part for part in was if was[part] != now[part]]
+    if move is None:
+        return parts
+    return [f"points: {move[0]} moved, largest |dz| {move[1]:.3g}" if part == "points" else part for part in parts]
+
+
+def report(cases: dict, parent: dict, change: dict, moves: dict | None = None) -> int:
+    """Print the table of changed outcomes, the parts of those that kept their kind, and the first changed cases; the
+    number of changed outcomes.  ``moves`` holds ``moved`` per (corpus, index) of a case whose point bits differ."""
+    moves = moves or {}
     print(f"{'corpus':<12} {'cases':>6} {'changed':>8}  outcomes of the change")
-    total, shown = 0, []
+    total, shown, kept = 0, [], []
     for name, corpus in cases.items():
         changed = [i for i, (a, b) in enumerate(zip(parent[name], change[name])) if a[0] != b[0]]
-        kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(Counter(k for _, k in change[name]).items()))
+        kinds = ", ".join(f"{kind} {n}" for kind, n in sorted(Counter(k for _, k, *_ in change[name]).items()))
         print(f"{name:<12} {len(corpus):>6} {len(changed):>8}  {kinds}")
         total += len(changed)
-        shown += [(name, corpus[i], parent[name][i][1], change[name][i][1]) for i in changed[:3]]
-    for name, case, was, now in shown:
-        print(f"changed in {name}: {case!r}: {was} -> {now}")
+        same = [i for i in changed if parent[name][i][1] == change[name][i][1]]
+        if same:
+            parts = Counter(part for i in same for part in differing(parent[name][i][2], change[name][i][2]))
+            found = [moves[name, i] for i in same if moves.get((name, i))]
+            points = f" ({sum(n for n, _ in found)} points moved, largest |dz| {max(d for _, d in found):.3g})"
+            kept.append(f"{name}: {len(same)} kept their kind and differ in " + ", ".join(
+                f"{part} {n}" + (points if part == "points" and found else "") for part, n in parts.items()))
+        shown += [(name, i) for i in changed[:3]]
+    for line in kept:
+        print(line)
+    for name, i in shown:
+        a, b = parent[name][i], change[name][i]
+        parts = differing(a[2], b[2], moves.get((name, i))) if a[1] == b[1] else []
+        print(f"changed in {name}: {cases[name][i]!r}: {a[1]} -> {b[1]}" + (f" ({'; '.join(parts)})" if parts else ""))
     return total
 
 
@@ -148,12 +188,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--worker", action="store_true", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
     if args.worker:
-        sys.stdout.buffer.write(pickle.dumps(outcomes(pickle.loads(sys.stdin.buffer.read()))))
+        sys.stdout.buffer.write(pickle.dumps(outcomes(*pickle.loads(sys.stdin.buffer.read()))))
         return 0
     if args.parent is None or args.change is None:
         parser.error("PARENT_ROOT and CHANGE_ROOT are required")
     cases = corpora(args.quick)
-    return 1 if report(cases, in_tree(args.parent.resolve(), cases), in_tree(args.change.resolve(), cases)) else 0
+    parent, change = (in_tree(root.resolve(), cases) for root in (args.parent, args.change))
+    at = {name: [i for i, (a, b) in enumerate(zip(parent[name], change[name]))
+                 if a[1] == b[1] and a[2].get("points") != b[2].get("points")] for name in cases}
+    subset = {name: [cases[name][i] for i in at[name]] for name in cases}
+    was, now = (in_tree(root.resolve(), subset, points=True) for root in (args.parent, args.change))
+    moves = {(name, i): moved(a, b) for name in cases for i, a, b in zip(at[name], was[name], now[name])}
+    return 1 if report(cases, parent, change, moves) else 0
 
 
 if __name__ == "__main__":

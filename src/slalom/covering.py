@@ -8,14 +8,14 @@ loop is read without lifting, from the same ray crossings.  A lifted point keeps
 the sign of Re u or underflows to 0, on iR; a lift changes half-plane where that sign does, and a sample iy on iR lifts
 to i(atan(y)/pi + m), so a piece ends in component m - 1/2.
 
-A path is runs of copies of units: a word curve, checked by construction, is copies of at most four turns and 0, and
-builds its points only when they are read; any other path is one run, and PolyPath(points, Plane.PUNCTURED), the
-tests' oracle, checks a word curve point by point.  The lift and the reader walk the crossings once per plan, a unit
-after one sample; the lift's plan holds atanh(u)/pi per point, and b"-0+" strings of the sign classes of
-Re atanh(u)/pi and Im u, where bytes.find finds half-plane changes and crossings, and a regex the pieces.  The lifted
-points are built once per chunk, a plan lifted on one branch m, which each later copy of the plan on that m reuses; the
-residual and the iZ test run once per segment, a unit's samples between crossings, and class of its branch, the
-zero-length check once per class of a plan's chunks; only points of samples marked near iR are checked against iZ.
+A path is runs of copies of units: a word curve, checked by construction, is 0, then per term a^n |n| copies of a turn
+from 0 to 0 exactly, one per generator and sign, and builds its points only when read; any other path is one run, and
+PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.  The lift and the reader walk
+the crossings once per plan, a unit after one sample; the lift's plan holds atanh(u)/pi per point, and b"-0+" strings
+of the sign classes of Re atanh(u)/pi and Im u, where bytes.find finds half-plane changes and crossings, and a regex the
+pieces.  The lifted points are built once per chunk, a plan lifted on one branch m, which each later copy of the plan on
+that m reuses; the residual and the iZ test run once per segment, a unit's samples between crossings, and class of its
+branch, the zero-length check once per class of a plan's chunks; only points of samples near iR are checked against iZ.
 """
 
 from __future__ import annotations
@@ -155,8 +155,7 @@ def _pairs(signs: bytes, pairs: tuple[bytes, ...]) -> list[int]:
 
 def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
     """(plan(us, memo), count) per stretch of copies of a unit after one sample, us that sample (none at the start) and
-    the unit, memo a dict that the unit's plans share, kept under its id alone; ``plan`` runs once per unit and sample,
-    in path order."""
+    the unit, memo a dict that the unit's plans share; ``plan`` runs once per unit and sample, by id, in path order."""
     plans, out, pred = {}, [], None
     for unit, count in path._runs:
         for n in (1, count - 1):  # the first copy follows the sample before the run, the others the unit's last
@@ -172,7 +171,7 @@ def _plan(us: Sequence[complex], checked: dict) -> tuple:
     """A copy's lift but for its branch: us, an axis point inserted where Re atanh(u)/pi flips; the crossings' sides;
     the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks, real classes and signs of Im as +-i/2; a
     dict for chunks; per nonempty segment, its offset's index and key in ``checked``, which the unit's plans share.
-    The insertion overflows only past |Re u| = 2^970, where no sample lifts within tol < 1e290."""
+    An insertion that overflows, only past |Re u| = 2^970, is refused after the faults of the samples before it."""
     values = [cmath.atanh(u) / math.pi for u in us]  # PolyPath keeps the samples off -1 and 1, where atanh fails
     real = _signs(v.real for v in values)
     # where the lift's real part Re atanh(u)/pi flips; where it underflows to 0 the lifted point is on iR already
@@ -182,9 +181,12 @@ def _plan(us: Sequence[complex], checked: dict) -> tuple:
         for i, j in zip(flips, [*flips[1:], len(pts)]):
             a, b = pts[i - 1], pts[i]
             u = complex(0.0, a.imag + a.real / (a.real - b.real) * (b.imag - a.imag))
+            if not cmath.isfinite(u):
+                list(_crossings(us, _signs(u.imag for u in us), LiftError))
+                raise LiftError(f"the segment from {a} to {b} meets the imaginary axis at a point that overflows")
             us += u, *pts[i:j]
             values += cmath.atanh(u) / math.pi, *vals[i:j]
-            real += b"0" + reals[i:j]  # Re atanh(iy) is 0, or NaN where y is
+            real += b"0" + reals[i:j]  # Re atanh(iy) is 0
     crossings = list(_crossings(us, _signs(u.imag for u in us), LiftError))
     cuts, n = [1, *(i for i, _, _ in crossings), len(us)], len(us)
     # a segment's samples: its place from the unit's end, which slices us and us[1:]'s lists alike, and us[1]'s bits
@@ -283,32 +285,30 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
     The standard loop of a_j^n is the unit circle about the puncture, based at 0 and sampled ``samples_per_turn`` times
     per turn: a1 surrounds -1 counterclockwise inside the closed left half-plane, a2 surrounds +1 counterclockwise
     inside the closed right half-plane, and a negative n traverses the reversed circle |n| times.  The identity gives a
-    constant path.  The curve carries its runs: 0, then per term |n| - 1 copies of its turn and one closing turn, the
-    turn with its last sample set to 0, both built once per generator and sign.  It is checked by construction, so it is
-    built without ``PolyPath``'s point checks; ``PolyPath(points, Plane.PUNCTURED)``, the tests' oracle, accepts it and
-    finds the same samples, because:
+    constant path.  The curve carries its runs: 0, then per term |n| copies of its turn, built once per generator and
+    sign, whose last sample is the base point 0 exactly.  It is checked by construction, so it is built without
+    ``PolyPath``'s point checks; ``PolyPath(points, Plane.PUNCTURED)``, the tests' oracle, accepts it and finds the same
+    samples, because:
 
     - every sample is center + e^{it} with center = -1 or 1, so it is finite, about 1 from its own puncture and at
       least about 1 from the other;
     - consecutive samples differ by a chord of at least 2 sin(pi / samples_per_turn), which the budget
       (samples_per_turn <= ``MAX_CURVE_POINTS``) keeps above 6e-6;
-    - a term's end 0 differs, by about that chord, from the samples on either side of it.
+    - every turn's end 0 differs, by about that chord, from the samples on either side of it.
     """
     if not isinstance(samples_per_turn, int) or samples_per_turn < 16:
         raise ValueError(f"samples_per_turn must be an int >= 16; got {samples_per_turn!r}")
     if w.letter_length() * samples_per_turn > MAX_CURVE_POINTS:
         raise ValueError(f"word curve exceeds {MAX_CURVE_POINTS} points; use fewer letters or samples")
-    runs = [((0j,), 1)]
-    turns: dict[tuple[Generator, int], tuple[tuple[complex, ...], tuple[complex, ...]]] = {}
+    runs, turns = [((0j,), 1)], {}  # turns by (generator, sign)
     for term in w.terms:
         sign = 1 if term.exponent > 0 else -1
-        if (pair := turns.get((term.gen, sign))) is None:
+        if (turn := turns.get((term.gen, sign))) is None:
             center, phase = (-1.0, 0.0) if term.gen is Generator.A1 else (1.0, math.pi)
-            turn = tuple(center + cmath.exp(1j * (phase + sign * 2 * math.pi * j / samples_per_turn))
-                         for j in range(1, samples_per_turn + 1))
-            pair = turns[term.gen, sign] = turn, turn[:-1] + (0j,)  # each term ends at the base point, exactly
-        n = abs(term.exponent)
-        runs += [(pair[0], n - 1), (pair[1], 1)][n < 2:]  # |n| - 1 copies of the turn, then its closing turn
+            arc = (center + cmath.exp(1j * (phase + sign * 2 * math.pi * j / samples_per_turn))
+                   for j in range(1, samples_per_turn))
+            turn = turns[term.gen, sign] = (*arc, 0j)  # each turn ends at the base point, exactly
+        runs.append((turn, abs(term.exponent)))
     return _new(PolyPath, plane=Plane.PUNCTURED, _runs=tuple(runs))  # checked by construction; points on first read
 
 

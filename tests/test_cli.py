@@ -295,7 +295,7 @@ class TestLiftCommand:
         assert svg.read_text().startswith("<svg")
 
     @pytest.mark.parametrize("argv, digest", [
-        (("lift", "a1^2 a2^-3"), "0a6b4b75186fab084eec2c8c93cb5c7d0446bba841d444b43a7f1a2c755bb6df"),
+        (("lift", "a1^2 a2^-3"), "e7235841bd51bc2ca12c71641908b470a2a56f7d0e008fad05f14f2233e0a174"),
         (("braid", "s1^2 s2^-2"), "e3ba50db2b45f736e4bfa54715cefbfbc4570944b4475918bd3b95ce1e5445e0"),
     ])
     def test_svg_bytes_are_pinned(self, capsys, tmp_path, monkeypatch, argv, digest):

@@ -7,8 +7,9 @@ import struct
 import sys
 import tracemalloc
 from fractions import Fraction
-from itertools import chain
-from operator import add, sub
+from itertools import chain, starmap
+from operator import add, attrgetter, sub
+from unittest import mock
 
 import mpmath
 import pytest
@@ -53,9 +54,15 @@ from slalom.covering import (
 from slalom.words import FreeWord, Generator, Term, concat, parse_word
 
 
-def bits(points) -> list[tuple[str, str]]:
-    """The exact floats of ``points``, so that 0.0 and -0.0 differ."""
-    return [(z.real.hex(), z.imag.hex()) for z in points]
+def packed(points) -> bytes:
+    """The exact floats of ``points``, one value at a time.  Unlike ``pickle.dumps``, which memoizes a repeated
+    object, it gives equal bytes for equal values however the points share objects."""
+    return b"".join(starmap(struct.Struct("<dd").pack, map(attrgetter("real", "imag"), points)))
+
+
+def bits(points) -> list[tuple[bytes]]:
+    """The exact floats of ``points``, 16 bytes a point, so that 0.0 and -0.0 differ."""
+    return list(struct.iter_unpack("16s", packed(points)))
 
 
 def per_point_lift(path: PolyPath, start: complex) -> list[complex]:
@@ -390,6 +397,21 @@ class TestLiftPath:
             assert lift_path(path, BASE_LIFT_POINT).end == complex(0.0, k - 0.5)
             assert lift_read_word(path) == curve_to_word(path) == parse_word(word)
 
+    @pytest.mark.parametrize("points, message", [
+        # Re a - Re b and Im b - Im a both overflow, so the point where the segment meets iR is NaN
+        ((0j, 3.634698112347587e295 - 1.205167748024748j, -1.3e308 + 1.3e308j, 1.7e308 - 1.3e308j, 0j),
+         "the segment from (-1.3e+308+1.3e+308j) to (1.7e+308-1.3e+308j) meets the imaginary axis at a point that "
+         "overflows"),
+        # a crossing at a puncture earlier in the path is refused first
+        ((0j, -1 + 1j, -1 - 1j, -1.3e308 + 1.3e308j, 1.7e308 - 1.3e308j, 0j),
+         "path meets the real axis at -1.0, within tolerance of a puncture"),
+    ])
+    def test_overflowing_axis_point_refused_in_path_order(self, points, message):
+        """An axis point that overflows, NaN here, is refused by name, after the faults of the samples before it."""
+        for tol in (1e-6, math.inf):
+            with pytest.raises(LiftError, match=f"^{re.escape(message)}$"):
+                lift_path(PolyPath(points, Plane.PUNCTURED), BASE_LIFT_POINT, tol)
+
     @staticmethod
     def assert_half_planes_kept(curve):
         """Re atanh(u)/pi has the sign of Re u or underflows to 0: every lifted point is in the closed half-plane of its
@@ -615,16 +637,17 @@ class TestWordCurveCheckedByConstruction:
 
     def assert_matches_oracle(self, curve: PolyPath) -> PolyPath:
         oracle = checked_word_curve(curve)
-        assert bits(curve.points) == bits(oracle.points)
-        assert sorted(bits(set(curve.points))) == sorted(bits(set(oracle.points)))
+        assert packed(curve.points) == packed(oracle.points)
+        assert set(bits(set(curve.points))) == set(bits(set(oracle.points)))  # distinct, so as sorted lists
         assert curve == oracle and hash(curve) == hash(oracle)
         return oracle
 
     def assert_obligations(self, curve: PolyPath, samples: int):
         """The docstring's proof: samples finite and about 1 from both punctures, and chords of at least
-        2 sin(pi / samples) between consecutive points, across each term's end at 0 too."""
-        assert all(map(cmath.isfinite, set(curve.points)))
-        assert min(abs(z - p) for z in set(curve.points) for p in (-1.0, 1.0)) >= 1 - 1e-12
+        2 sin(pi / samples) between consecutive points, across each turn's end at 0 too."""
+        distinct = set(curve.points)
+        assert all(map(cmath.isfinite, distinct))
+        assert min(abs(z - p) for z in distinct for p in (-1.0, 1.0)) >= 1 - 1e-12
         chords = list(map(abs, map(sub, curve.points[1:], curve.points[:-1])))
         assert min(chords, default=math.inf) >= 2 * math.sin(math.pi / samples) * (1 - 1e-9)
 
@@ -646,11 +669,10 @@ class TestWordCurveCheckedByConstruction:
     @settings(max_examples=40, deadline=None)
     @given(st.one_of(reduced_words(max_terms=8, max_exp=1), reduced_words(max_terms=8, max_exp=4)),
            st.integers(16, 130))
-    def test_turn_ends_only_where_a_term_repeats_its_turn(self, w, samples):
-        """Each term's last point is 0, so a turn's last sample, within rounding of 0, is a sample only
-        where a term of |exponent| >= 2 runs the turn again after it."""
-        ends = [z for z in set(word_to_curve(w, samples).points) if z and abs(z) < 1e-12]
-        assert bool(ends) == any(abs(t.exponent) >= 2 for t in w.terms)
+    def test_every_turn_ends_at_the_base_point(self, w, samples):
+        """Each turn's last sample is 0j exactly, so the points within 1e-12 of 0 are the start and one a letter."""
+        ends = [z for z in word_to_curve(w, samples).points if abs(z) < 1e-12]
+        assert bits(ends) == bits([0j] * (w.letter_length() + 1))
 
     @pytest.mark.parametrize("samples", [16, 17, 128])
     def test_identity(self, samples):
@@ -684,12 +706,6 @@ class TestWordCurveCheckedByConstruction:
         for copy in (pickle.loads(pickle.dumps(curve)), PolyPath(curve.points, curve.plane)):
             assert copy == oracle and hash(copy) == hash(oracle)
             assert sorted(bits(set(copy.points))) == sorted(bits(set(oracle.points)))
-
-
-def packed(points) -> bytes:
-    """The exact floats of ``points``, one value at a time.  Unlike ``pickle.dumps``, which memoizes a repeated
-    object, it gives equal bytes for equal values however the points share objects."""
-    return b"".join(struct.pack("<dd", z.real, z.imag) for z in points)
 
 
 def lift_and_read(curve: PolyPath, start: complex = BASE_LIFT_POINT, tol: float = 1e-6) -> tuple:
@@ -766,8 +782,7 @@ class TestWordCurveRuns:
     def test_runs_lift_and_read_as_one_run(self, w, samples):
         curve = word_to_curve(w, samples)
         oracle = checked_word_curve(curve)
-        assert oracle._runs == ((oracle.points, 1),) and len(curve._runs) == 1 + len(w.terms) + sum(
-            abs(t.exponent) > 1 for t in w.terms)
+        assert oracle._runs == ((oracle.points, 1),) and len(curve._runs) == 1 + len(w.terms)
         assert packed(chain.from_iterable(unit * n for unit, n in curve._runs)) == packed(curve.points)
         assert lift_and_read(curve) == lift_and_read(oracle)
         assert curve_to_word(curve) == w
@@ -784,6 +799,16 @@ class TestWordCurveRuns:
         runs raises the first fault in path order, as the lift of the one-run oracle does."""
         curve = word_to_curve(w, samples)
         assert lift_and_read(curve, *start_tol) == lift_and_read(checked_word_curve(curve), *start_tol)
+
+    @settings(max_examples=40, deadline=None)
+    @given(reduced_words(max_terms=10, max_exp=12), st.sampled_from((16, 17, 64)))
+    @example(parse_word("a1^3 a2^-2 a1^-1 a2^4 a1 a2^-5 a1^-2 a2"), 64)
+    def test_one_plan_per_generator_and_sign(self, w, samples):
+        """A term a^n is n copies of one turn from 0 to 0, so the lift plans once per (generator, sign), and once for
+        the start."""
+        with mock.patch.object(covering, "_plan", wraps=covering._plan) as plan:
+            lift_path(word_to_curve(w, samples), BASE_LIFT_POINT)
+        assert plan.call_count <= 1 + len({(t.gen, t.exponent > 0) for t in w.terms})
 
     @pytest.mark.parametrize("text, samples, end", [("a1^62500", 16, 62499.5j), ("a2^-7812", 128, 7811.5j)])
     def test_lifts_at_the_point_budget(self, text, samples, end):
