@@ -1,9 +1,9 @@
-"""Compare the covering's outcomes in two source trees, case by case.
+"""Compare the covering's and the text readers' outcomes in two source trees, case by case.
 
     python3 covering_gate.py PARENT_ROOT CHANGE_ROOT [--quick]
 
 Each root is a checkout of this repository.  Each tree's ``src/`` is imported in a subprocess of its own, which
-runs every case of four corpora through that tree's ``slalom.covering``:
+runs every case of five corpora through that tree's ``slalom``; the first four go through ``slalom.covering``:
 
 - ``word-ladder``: the ops of the benchmark's ``word-ladder`` workload, seeds 1-3, rounds 0-2 (126 ops): the read
   route gives the word that ``curve_to_word`` reads, the lift route the lift from ``BASE_LIFT_POINT``;
@@ -13,15 +13,20 @@ runs every case of four corpora through that tree's ``slalom.covering``:
   log-uniform from 1e-3 to 1e2 or from 1e-300 to 1.6e308, or one of 0, 1, 1e-9, 2e-9, 1.3e308, 1.7e308 and 5e-324, at
   a tolerance of 1e-6, inf or 2e-16;
 - ``far-up``: four word curves at 16 and 64 samples per turn lifted from +-(2^k - 1/2)i, k < 62, at tolerances 1e-6,
-  1e-9 and inf (2976 lifts).
+  1e-9 and inf (2976 lifts);
+- ``parses``: 20000 texts of 0 to 10 tokens drawn with seed 35 from ``TOKEN_PARTS``, the token parts of
+  ``tests/test_words.py``, each read by ``parse_word`` and by ``parse_braid``, and the 150 braids of ``braids``, each
+  read by ``parse_braid`` and then by ``cstar`` and by ``braid_invariant`` at both boundary conditions.
 
-A ladder read op's outcome is the word ``curve_to_word`` reads, or its error's type and message.  Every other case's
-is the lift's point bits, its ``_real_signs`` and its pieces, or the type and message of the error raised on the way,
-by ``PolyPath``, ``lift_path`` or ``slalom_decompose``, and the word read.  The cases are drawn in this process, with
-the ``perfbench/`` beside this file, and handed to both trees, so only the covering can differ.  The gate prints, per
-corpus, the cases, the changed outcomes and the change's outcomes by kind, and the first changed cases; where a case
-changed but kept its kind, it names the parts that differ: the lift's point bits (how many points moved and the largest
-|dz|, read from both trees again for those cases alone), ``_real_signs``, pieces, the error, or the word read.  It
+A ladder read op's outcome is the word ``curve_to_word`` reads, or its error's type and message.  A text's is the
+value each reader gives, or its error's type, message and column; a braid's in ``parses`` is its ``cstar`` word and
+both bounds.  Every other case's is the lift's point bits, its ``_real_signs`` and its pieces, or the type and message
+of the error raised on the way, by ``PolyPath``, ``lift_path`` or ``slalom_decompose``, and the word read.  The cases
+are drawn in this process, with the ``perfbench/`` beside this file, and handed to both trees, so only ``slalom`` can
+differ.  The gate prints, per corpus, the cases, the changed outcomes and the change's outcomes by kind, and the first
+changed cases; where a case changed but kept its kind, it names the parts that differ: the lift's point bits (how many
+points moved and the largest |dz|, read from both trees again for those cases alone), ``_real_signs``, pieces, the
+error, the word read, or a text's ``word`` or ``braid`` reading, or a braid's ``cstar``, ``tr`` or ``pb``.  It
 exits 1 where any outcome changed.  ``--quick`` runs a few cases of each corpus.
 """
 
@@ -41,11 +46,19 @@ from pathlib import Path
 
 FAR_UP_WORDS = ("a1", "a2^-2", "a1^3 a2^-1 a1^-2", "a2 a1^-1 a2^2 a1")
 SPECIAL = (0.0, 1.0, 1e-9, 2e-9, 1.3e308, 1.7e308, 5e-324)
+# a token is a name, a mark, digits and a space after it, each drawn from these: names good and bad, ASCII and Unicode
+# digits, digit strings past 2^63, ASCII and Unicode whitespace or none
+TOKEN_PARTS = (
+    ("a1", "a2", "s1", "s2", "a", "s3", "x", ""),
+    ("", "^", "^+", "^-", "^^", "-"),
+    ("", "0", "1", "12", "\u0663", "\uff11\uff12", str(2**63 - 1), str(2**63), "9" * 25),
+    (" ", "  ", "\t", "\n", "\u3000", "\u00a0", "\x1f", ""),
+)
 
 
 def corpora(quick: bool = False) -> dict[str, list[tuple]]:
-    """The cases of each corpus, as plain data: ("word", text, samples, route, start, tol), ("braid", text) or
-    ("polygon", vertices, tol)."""
+    """The cases of each corpus, as plain data: ("word", text, samples, route, start, tol), ("braid", text),
+    ("polygon", vertices, tol), ("text", text) or ("cstar", text)."""
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     from perfbench import inputs
 
@@ -67,8 +80,12 @@ def corpora(quick: bool = False) -> dict[str, list[tuple]]:
     far_up = [("word", text, samples, "lift", complex(0.0, sign * (2.0**k - 0.5)), tol)
               for text in FAR_UP_WORDS[:1 if quick else None] for samples in (16, 64) for sign in (1, -1)
               for k in ((0, 29, 53) if quick else range(62)) for tol in (1e-6, 1e-9, math.inf)]
-    return {"word-ladder": ladder, "braids": braids[:5 if quick else 150], "polygons": polygons,
-            "far-up": far_up}
+    rng = random.Random(35)
+    texts = [("text", "".join(rng.choice(part) for _ in range(rng.randint(0, 10)) for part in TOKEN_PARTS))
+             for _ in range(200 if quick else 20000)]
+    braids = braids[:5 if quick else 150]
+    return {"word-ladder": ladder, "braids": braids, "polygons": polygons, "far-up": far_up,
+            "parses": texts + [("cstar", text) for _, text in braids]}
 
 
 def outcomes(cases: dict[str, list[tuple]], points: bool = False) -> dict[str, list]:
@@ -76,7 +93,8 @@ def outcomes(cases: dict[str, list[tuple]], points: bool = False) -> dict[str, l
     of its parts) per case of each corpus, by the ``slalom`` on ``sys.path``; with ``points``, the lift's packed point
     bits alone (b"" where it did not lift)."""
     from slalom import covering
-    from slalom.braids import braid_to_strands, cross_ratio_curve, parse_braid
+    from slalom.braids import braid_invariant, braid_to_strands, cross_ratio_curve, cstar, parse_braid
+    from slalom.syllables import BoundaryCondition
     from slalom.words import parse_word
 
     def attempt(action):
@@ -91,11 +109,30 @@ def outcomes(cases: dict[str, list[tuple]], points: bool = False) -> dict[str, l
                   for p in covering.slalom_decompose(lifted).pieces]
         return b"".join(struct.pack("<dd", z.real, z.imag) for z in lifted.points), lifted._real_signs, pieces
 
+    def terms(w):
+        return [(t.gen.value, t.exponent) for t in w.terms]
+
     def read(curve):
-        return attempt(lambda: [(t.gen.value, t.exponent) for t in covering.curve_to_word(curve).terms])
+        return attempt(lambda: terms(covering.curve_to_word(curve)))
+
+    def parse(text, reader, plain):
+        """``plain`` of the value ``reader`` reads from ``text``, a list, or the error's type, message and column."""
+        try:
+            return plain(reader(text))
+        except Exception as exc:  # every error is an outcome: its type, message and column
+            return type(exc).__name__, str(exc), getattr(exc, "column", None)
 
     def run(case):
         """The kind of the case's outcome, and its parts by name."""
+        if case[0] == "text":
+            parts = {"word": parse(case[1], parse_word, terms),
+                     "braid": parse(case[1], parse_braid, lambda b: [(x.gen.value, x.sign) for x in b.letters])}
+            return "+".join("read" if isinstance(v, list) else v[0] for v in parts.values()), parts
+        if case[0] == "cstar":
+            b = parse_braid(case[1])
+            bounds = {bc.value: braid_invariant(b, bc) for bc in BoundaryCondition}
+            return "cstar", {"cstar": terms(cstar(b)),
+                             **{name: (v.lambda_value, v.lower, v.upper, v.exceptional) for name, v in bounds.items()}}
         if case[0] == "word":
             _, text, samples, route, start, tol = case
             curve = covering.word_to_curve(parse_word(text), samples)

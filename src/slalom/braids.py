@@ -21,7 +21,8 @@ import re
 
 from slalom.covering import MAX_CURVE_POINTS, Plane, PolyPath
 from slalom.syllables import BoundaryCondition, BoundConstants, LambdaBounds, lambda_bounds
-from slalom.words import FreeWord, Generator, WordSyntaxError, _check_tuple, _new, _set, _Value, reduce, scan_tokens
+from slalom.words import (FreeWord, Generator, WordSyntaxError, _check_tuple, _column, _new, _set, _Value, reduce,
+                          scan_tokens)
 
 _SLOTS = (-1.0, 0.0, 1.0)
 _ID = (0, 1, 2)  # the identity permutation, where the walk of a pure braid starts and ends
@@ -29,7 +30,7 @@ _HALF_GAP = 0.5          # half the distance between adjacent slots
 _TURN_RADIUS_MIN = 0.35  # pair radius at mid-turn, keeps strands apart
 MAX_BRAID_LETTERS = 10**4  # parse_braid's budget, checked before a power is expanded
 
-_BRAID_TOKEN_RE = re.compile(r"(s[12])(?:\^([+-]?\d+))?(?!\S)|\S+")
+_BRAID_TOKEN_RE = re.compile(r"(s[12])(?:\^([+-]?\d+))?")
 
 
 class BraidSyntaxError(WordSyntaxError):
@@ -70,7 +71,7 @@ class BraidWord(_Value):
         return BraidWord(tuple(BraidLetter(l.gen, -l.sign) for l in reversed(self.letters)))
 
 
-_LETTERS = {(g.value, sign): BraidLetter(g, sign) for g in BraidGenerator for sign in (1, -1)}
+_LETTERS = {g.value: (BraidLetter(g, 1), BraidLetter(g, -1)) for g in BraidGenerator}  # by name, then sign < 0
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -79,10 +80,10 @@ def parse_braid(text: str) -> BraidWord:
     Checked by construction: ``BraidWord`` checks for a tuple of ``BraidLetter`` values, built here from ``_LETTERS``.
     """
     letters: list[BraidLetter] = []
-    for name, exp, col in scan_tokens(text, _BRAID_TOKEN_RE, BraidSyntaxError):
+    for i, (name, exp) in enumerate(scan_tokens(text, _BRAID_TOKEN_RE, BraidSyntaxError)):
         if len(letters) + abs(exp) > MAX_BRAID_LETTERS:
-            raise ValueError(f"braid exceeds {MAX_BRAID_LETTERS} letters at column {col}")
-        letters.extend([_LETTERS[name, 1 if exp > 0 else -1]] * abs(exp))
+            raise ValueError(f"braid exceeds {MAX_BRAID_LETTERS} letters at column {_column(text, i)}")
+        letters.extend([_LETTERS[name][exp < 0]] * abs(exp))
     return _new(BraidWord, letters=tuple(letters))
 
 

@@ -8,6 +8,8 @@ immutable; the operations are pure functions.
 from __future__ import annotations
 
 import enum
+import functools
+import itertools
 import re
 from operator import attrgetter
 from typing import Iterable, Iterator
@@ -15,7 +17,10 @@ from typing import Iterable, Iterator
 _INT64_MIN = -(2**63)
 _INT64_MAX = 2**63 - 1
 
-_TOKEN_RE = re.compile(r"(a[12])(?:\^([+-]?\d+))?(?!\S)|\S+")
+_TOKEN_RE = re.compile(r"(a[12])(?:\^([+-]?\d+))?")
+_RUN = re.compile(r"\S+")
+# characters a scan splits at a time; the longest token a memo keeps; the largest |exponent| of a shared term
+_SLICE, _MEMO_TOKEN, _SMALL = 4096, 32, 64
 
 
 class WordSyntaxError(ValueError):
@@ -32,6 +37,7 @@ class Generator(enum.Enum):
 
 
 _GENERATORS = {g.value: g for g in Generator}  # by name: a dict lookup, not the Enum metaclass call
+_TERMS: dict[str, dict[int, "Term"]] = {name: {} for name in _GENERATORS}  # reduce's shared terms, by name and int
 
 
 class _Value:
@@ -123,6 +129,8 @@ def reduce(raw: Iterable[tuple[Generator, int]]) -> FreeWord:
     which ``FreeWord`` checks; a ``Generator`` member and an ``int`` within 64 bits pass ``Term``'s checks, and
     ``Term`` itself builds any other pair, so it raises what it would raise.  A term is the one unchecked build not
     through ``_new``, whose ``__dict__.update`` would give it a dict of its own: 248 bytes, not 96, and slower reads.
+    A term of |exponent| <= ``_SMALL`` is built by ``Term`` once and shared, as values are immutable: ``_TERMS`` keys
+    it by ``_value_`` and the int, not by the member, whose Python-level ``__hash__`` costs more than the build.
     """
     stack: list[list] = []
     for gen, exp in raw:
@@ -138,12 +146,14 @@ def reduce(raw: Iterable[tuple[Generator, int]]) -> FreeWord:
     for g, e in stack:
         # must pass only what Term accepts (type() is stricter than isinstance: no bool, no int subclass);
         # TestReduce::test_builds_what_the_constructors_build pins it against the checked build
-        if type(g) is Generator and type(e) is int and _INT64_MIN <= e <= _INT64_MAX:
+        if type(g) is not Generator or type(e) is not int or not _INT64_MIN <= e <= _INT64_MAX:
+            t = Term(g, e)
+        elif -_SMALL <= e <= _SMALL:
+            t = (table := _TERMS[g._value_]).get(e) or table.setdefault(e, Term(g, e))
+        else:
             t = object.__new__(Term)
             object.__setattr__(t, "gen", g)
             object.__setattr__(t, "exponent", e)
-        else:
-            t = Term(g, e)
         terms.append(t)
     return _new(FreeWord, terms=tuple(terms))
 
@@ -158,28 +168,47 @@ def _short(digits: str) -> str:
     return "9" * 20 if any(map(int, head.lstrip("+-"))) else head[:1] + digits[-19:]
 
 
-def scan_tokens(text: str, token_re: re.Pattern, error=WordSyntaxError) -> Iterator[tuple[str, int, int]]:
-    """Yield (name, exponent, column) for each whitespace-separated token of ``text``, lazily, in one regex pass.
-
-    ``token_re`` is a good token, with the name as group 1 and the exponent as
-    group 2, followed by whitespace or the end, or else the catch-all ``\\S+``,
-    which matches a whole bad token with no name; a bad token, or an exponent
-    outside 64 bits, raises ``error``.
-    """
-    for m in token_re.finditer(text):
+@functools.lru_cache(maxsize=4)
+def _reader(token_re: re.Pattern):
+    """The memo of ``token_re``'s answer per token: (name, exponent) or the refusal; ``__wrapped__`` keeps none."""
+    @functools.lru_cache(maxsize=1024)
+    def read(tok: str):
+        m = token_re.fullmatch(tok)
+        if m is None:
+            return f"bad token {tok!r}"
         name, digits = m.groups()
-        col = m.start() + 1
-        if name is None:
-            raise error(f"bad token {m.group()!r}", col)
         exp = 1 if digits is None else int(digits if len(digits) <= 20 else _short(digits))
-        if not (_INT64_MIN <= exp <= _INT64_MAX):
-            raise error(f"exponent out of range in {m.group()!r}", col)
-        yield name, exp, col
+        return (name, exp) if _INT64_MIN <= exp <= _INT64_MAX else f"exponent out of range in {tok!r}"
+    return read
+
+
+def _column(text: str, index: int, start: int = 0) -> int:
+    """The 1-based column of token ``index``, counting from 0, of ``text[start:]``, found only for a refusal."""
+    return next(itertools.islice(_RUN.finditer(text, start), index, None)).start() + 1
+
+
+def scan_tokens(text: str, token_re: re.Pattern, error=WordSyntaxError) -> Iterator[tuple[str, int]]:
+    """Yield (name, exponent) for each whitespace-separated token of ``text``, lazily, read once per distinct token.
+
+    ``token_re`` matches a whole good token, name as group 1 and exponent as group 2; any other, or an exponent past
+    64 bits, raises ``error`` at its column.  ``_reader`` memoises tokens of at most ``_MEMO_TOKEN`` characters; the
+    text is split ``_SLICE`` characters at a time, cut at whitespace, so the scan holds a bounded list of tokens.
+    """
+    read, start = _reader(token_re), 0
+    while start < len(text):
+        end = m.end() if (m := _RUN.match(text, start + _SLICE)) else start + _SLICE  # the end of a token, or a space
+        toks = text[start:end].split()
+        for tok in toks:
+            got = read(tok) if len(tok) <= _MEMO_TOKEN else read.__wrapped__(tok)
+            if got.__class__ is str:
+                raise error(got, _column(text, toks.index(tok), start))  # an earlier place of tok would have raised
+            yield got
+        start = end
 
 
 def parse_word(text: str) -> FreeWord:
-    """Parse whitespace-separated tokens ``a1``/``a2`` with optional ``^<int>``."""
-    return reduce((_GENERATORS[name], exp) for name, exp, _ in scan_tokens(text, _TOKEN_RE))
+    """Parse whitespace-separated tokens ``a1``/``a2`` with optional ``^<int>``, each distinct one read once."""
+    return reduce((_GENERATORS[name], exp) for name, exp in scan_tokens(text, _TOKEN_RE))
 
 
 def concat(u: FreeWord, v: FreeWord) -> FreeWord:

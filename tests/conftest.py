@@ -336,7 +336,7 @@ def reference_scan_tokens(text: str, token_re: re.Pattern, error=WordSyntaxError
         exp = 1 if tm.group(2) is None else Decimal(tm.group(2))  # exact, with no limit on its digits, as int() has
         if not (-(2**63) <= exp <= 2**63 - 1):
             raise error(f"exponent out of range in {tok!r}", col)
-        yield tm.group(1), int(exp), col
+        yield tm.group(1), int(exp)
 
 
 @contextlib.contextmanager

@@ -83,6 +83,25 @@ class TestParse:
         rebuilt = BraidWord(tuple(b.letters))
         assert (b, hash(b), repr(b)) == (rebuilt, hash(rebuilt), repr(rebuilt))
 
+    def test_letter_budget_names_the_column_of_the_token_past_it(self):
+        with pytest.raises(ValueError) as exc:
+            parse_braid("s2 s1^9999 s2^2")
+        assert str(exc.value) == "braid exceeds 10000 letters at column 12"
+        with pytest.raises(ValueError, match="at column 30001$"):
+            parse_braid("s1 " * (MAX_BRAID_LETTERS + 1))  # the token past the budget is in the scan's eighth slice
+
+    def test_letter_budget_refuses_a_long_text_in_bounded_memory(self):
+        """The scan splits a bounded slice of the text at a time: a whole-text split would take about 59 MB."""
+        text = "s1 " * 10**6
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="exceeds"):
+                parse_braid(text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_letter_budget_stops_the_scan(self):
         """The token past the budget is refused before the scan reaches the bad token after it."""
         with pytest.raises(ValueError, match="exceeds") as exc:

@@ -24,7 +24,8 @@ def test_this_tree_against_itself_changes_nothing():
     assert done.returncode == 0, done.stdout + done.stderr
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
     assert [(row[0], int(row[1]) > 0, row[2]) for row in rows] == [
-        ("word-ladder", True, "0"), ("braids", True, "0"), ("polygons", True, "0"), ("far-up", True, "0")]
+        ("word-ladder", True, "0"), ("braids", True, "0"), ("polygons", True, "0"), ("far-up", True, "0"),
+        ("parses", True, "0")]
 
 
 def test_report_counts_and_names_the_changed_cases(capsys):
@@ -73,3 +74,22 @@ def test_outcomes_split_into_parts_and_give_point_bits():
     assert got["polygons"][0][1] == "PolyPath" and list(got["polygons"][0][2]) == ["error"]
     points = gate.outcomes(cases, points=True)
     assert len(points["far-up"][0]) == 17 * 16 and points["polygons"] == [b""]
+
+
+def test_parse_outcomes_hold_values_errors_and_columns():
+    gate = load_script()
+    cases = {"parses": [("text", "a1^2 a2"), ("text", "s1 s3"), ("text", "s2 s1^9999 s2^2"), ("cstar", "s1^2")]}
+    got = [(kind, list(parts)) for _, kind, parts in gate.outcomes(cases)["parses"]]
+    assert got == [("read+BraidSyntaxError", ["word", "braid"]), ("WordSyntaxError+BraidSyntaxError", ["word", "braid"]),
+                   ("WordSyntaxError+ValueError", ["word", "braid"]), ("cstar", ["cstar", "tr", "pb"])]
+    parent, change = gate.outcomes(cases), gate.outcomes({"parses": [("text", "a1^2 a2"), ("text", "s3 s1")]})
+    assert [a[0] == b[0] for a, b in zip(parent["parses"], change["parses"])] == [True, False]  # the column differs
+
+
+def test_texts_are_drawn_from_the_token_parts_of_the_word_tests():
+    from test_words import DIGITS, MARKS, NAMES, SPACES
+
+    gate = load_script()
+    assert gate.TOKEN_PARTS == (NAMES, MARKS, DIGITS, SPACES)
+    texts = [case for case in gate.corpora(quick=True)["parses"] if case[0] == "text"]
+    assert len(texts) == 200 and len({text for _, text in texts}) > 150

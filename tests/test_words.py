@@ -3,6 +3,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import checked_reduce, reduced_words, reference_scanner
+from slalom import braids, words
 from slalom.braids import BraidGenerator, parse_braid
 from slalom.words import (
     FreeWord,
@@ -60,6 +61,9 @@ SPACES = (" ", "  ", "\t", "\n", "\u3000", "\u00a0", "\x1f", "")
 TOKENS = st.tuples(*map(st.sampled_from, (NAMES, MARKS, DIGITS, SPACES))).map("".join)
 
 
+READERS = (words._reader(words._TOKEN_RE), words._reader(braids._BRAID_TOKEN_RE))
+
+
 def parse_outcome(parse, text):
     """The parsed value, or the error's type, message and column."""
     try:
@@ -87,12 +91,42 @@ class TestScanner:
     @example(text="s1 s2^-" + "9" * 4301)
     @example(text="a2^-" + "0" * 4400 + str(2**63) + " a1^" + "\u0660" * 30 + "\u0663 a2^+" + "0" * 30 + str(2**63))
     @example(text="s2^+" + "0" * 4400 + "7 s1^" + "\u0660" * 30 + "\u0663")
+    @example(text="a1\u3000" * 1500 + "a2^x")  # texts past the scan's slice of 4096 characters
+    @example(text="s2^-12 " * 700 + "s1 s1^x")
+    @example(text="a2" + " " * 5000 + "a1 x")
+    @example(text="a1 " * 1364 + "a2^1 b2")  # whitespace at the slice's end
     @pytest.mark.parametrize("parse", [parse_word, parse_braid])
     def test_matches_the_two_step_scan(self, parse, text):
-        """One regex pass per text gives what a match per whitespace-separated token gave."""
-        got = parse_outcome(parse, text)
+        """A memoised read of each distinct token gives what a match per whitespace-separated token gave, whether
+        the memo starts empty or holds the text's tokens already."""
         with reference_scanner():
-            assert got == parse_outcome(parse, text)
+            want = parse_outcome(parse, text)
+        for read in READERS:
+            read.cache_clear()
+        assert parse_outcome(parse, text) == want
+        assert parse_outcome(parse, text) == want
+
+    @pytest.mark.parametrize("parse, texts", [
+        (parse_braid, [("s1 s3", 4), ("s3 s1", 1), ("s1\u3000s2 s3 s3", 7)]),
+        (parse_braid, [(f"s1 s2^{2**63}", 4), (f"s2^{2**63} s1", 1)]),
+        (parse_word, [("a1 b2", 4), ("b2 a1", 1), (f"a1^{2**64} a2", 1), (f"a2 a1^{2**64}", 4)]),
+        (parse_word, [("a1 " * 2000 + "b2 b2", 6001), ("a2 b2 " + "a1 " * 2000 + "b2", 4)]),  # past a split slice
+    ])
+    def test_a_memoised_refusal_reports_each_place(self, parse, texts):
+        for text, column in texts:
+            with pytest.raises(WordSyntaxError) as exc:
+                parse(text)
+            assert exc.value.column == column
+
+    def test_the_memo_is_bounded(self):
+        read = READERS[0]
+        read.cache_clear()
+        parse_word(" ".join(f"a{1 + k % 2}^{k}" for k in range(3000)))
+        assert read.cache_info().currsize == read.cache_info().maxsize == 1024
+        read.cache_clear()
+        long = "a1^" + "0" * 40 + "7"
+        assert parse_word(long) == FreeWord((Term(Generator.A1, 7),))
+        assert read.cache_info().currsize == 0  # a token longer than the memo keeps is read, not memoised
 
 
 # raw pairs for reduce: mostly members and small ints, which merge, plus exponents at and past the 64-bit ends
@@ -114,12 +148,24 @@ class TestReduce:
     @example(raw=[(Generator.A1, 1), ("a2", 2)])
     @example(raw=[(Generator.A1, 2.5), (Generator.A1, -2.5), (Generator.A2, 1.0)])
     def test_builds_what_the_constructors_build(self, raw):
-        """The unchecked build equals the checked one in ==, hash and repr, or raises its error and message."""
+        """The unchecked build, the terms from the table or not, equals the checked one in ==, hash and repr, or
+        raises its error and message."""
         got = reduce_outcome(reduce, raw)
-        assert got == reduce_outcome(checked_reduce, raw)
+        want = reduce_outcome(checked_reduce, raw)
+        assert got == want
         if isinstance(got, FreeWord):
             rebuilt = FreeWord(tuple(Term(t.gen, t.exponent) for t in got.terms))
             assert (got, hash(got), repr(got)) == (rebuilt, hash(rebuilt), repr(rebuilt))
+            assert [(t, hash(t), repr(t)) for t in got.terms] == [(t, hash(t), repr(t)) for t in want.terms]
+
+    def test_small_terms_are_shared_and_the_table_is_bounded(self):
+        raw = [(g, e) for e in (1, -1, 64, -64, 65, -65, 2**40) for g in Generator]
+        first, again = reduce(raw), reduce(raw)
+        small = [i for i, t in enumerate(first.terms) if abs(t.exponent) <= words._SMALL]
+        assert [first.terms[i] is again.terms[i] for i in range(len(raw))] == [i in small for i in range(len(raw))]
+        assert again == checked_reduce(raw)
+        assert all(abs(e) <= words._SMALL and e for table in words._TERMS.values() for e in table)
+        assert [len(table) <= 2 * words._SMALL for table in words._TERMS.values()] == [True, True]
 
     def test_merge(self):
         w = reduce([(Generator.A1, 1), (Generator.A1, 1)])
