@@ -3,7 +3,7 @@
     python3 covering_gate.py PARENT_ROOT CHANGE_ROOT [--quick]
 
 Each root is a checkout of this repository.  Each tree's ``src/`` is imported in a subprocess of its own, which
-runs every case of five corpora through that tree's ``slalom``; the first four go through ``slalom.covering``:
+runs every case of six corpora through that tree's ``slalom``; the first five go through ``slalom.covering``:
 
 - ``word-ladder``: the ops of the benchmark's ``word-ladder`` workload, seeds 1-3, rounds 0-2 (126 ops): the read
   route gives the word that ``curve_to_word`` reads, the lift route the lift from ``BASE_LIFT_POINT``;
@@ -14,6 +14,11 @@ runs every case of five corpora through that tree's ``slalom``; the first four g
   a tolerance of 1e-6, inf or 2e-16;
 - ``far-up``: four word curves at 16 and 64 samples per turn lifted from +-(2^k - 1/2)i, k < 62, at tolerances 1e-6,
   1e-9 and inf (2976 lifts);
+- ``runs``: 4000 paths drawn with seed 36, each 0 and then 1 to 4 runs of 2 to 5 copies of a unit, built as
+  ``runs_path`` of ``tests/test_covering.py`` builds them, so that the lift and the reader take them by their runs;
+  a unit is 1 to 3 legs from 0 back to 0, each a turn about a puncture (crossing its ray once), a loop inside
+  |z| < 0.85 (crossing none) or 1 to 3 vertices near a puncture or in [-3, 3]^2 (crossing any number of times),
+  lifted from -i/2 at a tolerance of 1e-6, inf or 2e-16, or from (10^6 + 1/2)i at 1e-9;
 - ``parses``: 20000 texts of 0 to 10 tokens drawn with seed 35 from ``TOKEN_PARTS``, the token parts of
   ``tests/test_words.py``, each read by ``parse_word`` and by ``parse_braid``, and the 150 braids of ``braids``, each
   read by ``parse_braid`` and then by ``cstar`` and by ``braid_invariant`` at both boundary conditions.
@@ -33,6 +38,7 @@ exits 1 where any outcome changed.  ``--quick`` runs a few cases of each corpus.
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import math
 import os
@@ -42,6 +48,7 @@ import struct
 import subprocess
 import sys
 from collections import Counter
+from itertools import chain
 from pathlib import Path
 
 FAR_UP_WORDS = ("a1", "a2^-2", "a1^3 a2^-1 a1^-2", "a2 a1^-1 a2^2 a1")
@@ -56,9 +63,32 @@ TOKEN_PARTS = (
 )
 
 
+RUNS_STARTS = ((complex(0.0, -0.5), 1e-6), (complex(0.0, -0.5), math.inf), (complex(0.0, -0.5), 2e-16),
+               (complex(0.0, 1e6 + 0.5), 1e-9))
+
+
+def leg(rng: random.Random) -> tuple[complex, ...]:
+    """A path from 0 back to 0, drawn as ``LEGS`` of ``tests/test_covering.py`` draws one: a turn about a puncture with
+    a vertex at each of 2 to 5 radii, a loop of 1 to 3 vertices inside |z| < 0.85, or 1 to 3 vertices near a puncture
+    or in [-3, 3]^2."""
+    pick = rng.randrange(3)
+    if pick == 0:
+        center, sign = rng.choice((-1.0, 1.0)), rng.choice((1, -1))
+        radii = [rng.uniform(0.3, 1.7) for _ in range(rng.randint(2, 5))]
+        k, phase = len(radii) + 1, 0.0 if center < 0 else math.pi
+        return (*(center + r * cmath.exp(1j * (phase + sign * 2 * math.pi * j / k)) for j, r in enumerate(radii, 1)),
+                0j)
+    if pick == 1:
+        return (*(complex(rng.uniform(-0.6, 0.6), rng.uniform(-0.6, 0.6)) for _ in range(rng.randint(1, 3))), 0j)
+    near = (lambda: rng.choice((-1.0, 1.0)) + 10 ** rng.uniform(-8, math.log10(0.3))
+            * cmath.exp(1j * rng.uniform(0, 2 * math.pi)))
+    anywhere = (lambda: complex(rng.uniform(-3, 3), rng.uniform(-3, 3)))
+    return (*(rng.choice((near, anywhere))() for _ in range(rng.randint(1, 3))), 0j)
+
+
 def corpora(quick: bool = False) -> dict[str, list[tuple]]:
     """The cases of each corpus, as plain data: ("word", text, samples, route, start, tol), ("braid", text),
-    ("polygon", vertices, tol), ("text", text) or ("cstar", text)."""
+    ("polygon", vertices, tol), ("runs", runs, start, tol), ("text", text) or ("cstar", text)."""
     sys.path.insert(0, str(Path(__file__).resolve().parent))
     from perfbench import inputs
 
@@ -80,11 +110,15 @@ def corpora(quick: bool = False) -> dict[str, list[tuple]]:
     far_up = [("word", text, samples, "lift", complex(0.0, sign * (2.0**k - 0.5)), tol)
               for text in FAR_UP_WORDS[:1 if quick else None] for samples in (16, 64) for sign in (1, -1)
               for k in ((0, 29, 53) if quick else range(62)) for tol in (1e-6, 1e-9, math.inf)]
+    rng = random.Random(36)
+    runs = [("runs", tuple((sum((leg(rng) for _ in range(rng.randint(1, 3))), ()), rng.randint(2, 5))
+                           for _ in range(rng.randint(1, 4))), *rng.choice(RUNS_STARTS))
+            for _ in range(40 if quick else 4000)]
     rng = random.Random(35)
     texts = [("text", "".join(rng.choice(part) for _ in range(rng.randint(0, 10)) for part in TOKEN_PARTS))
              for _ in range(200 if quick else 20000)]
     braids = braids[:5 if quick else 150]
-    return {"word-ladder": ladder, "braids": braids, "polygons": polygons, "far-up": far_up,
+    return {"word-ladder": ladder, "braids": braids, "polygons": polygons, "far-up": far_up, "runs": runs,
             "parses": texts + [("cstar", text) for _, text in braids]}
 
 
@@ -140,6 +174,15 @@ def outcomes(cases: dict[str, list[tuple]], points: bool = False) -> dict[str, l
                 return "read", {"word": read(curve)}
         elif case[0] == "braid":
             curve, start, tol = cross_ratio_curve(braid_to_strands(parse_braid(case[1]))), complex(0.0, -0.5), 1e-6
+        elif case[0] == "runs":
+            _, runs, start, tol = case
+            runs = (((0j,), 1), *runs)
+            curve = object.__new__(covering.PolyPath)  # as runs_path builds it: it carries its runs
+            curve.__dict__.update(points=tuple(chain.from_iterable(unit * n for unit, n in runs)),
+                                  plane=covering.Plane.PUNCTURED, _runs=runs)
+            checked = attempt(lambda: covering.PolyPath(curve.points, covering.Plane.PUNCTURED))
+            if isinstance(checked, tuple):
+                return "PolyPath", {"error": checked}
         else:
             curve = attempt(lambda: covering.PolyPath((0j, *case[1], 0j), covering.Plane.PUNCTURED))
             if isinstance(curve, tuple):

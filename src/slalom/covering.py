@@ -9,13 +9,14 @@ the sign of Re u or underflows to 0, on iR; a lift changes half-plane where that
 to i(atan(y)/pi + m), so a piece ends in component m - 1/2.
 
 A path is runs of copies of units: a word curve, checked by construction, is 0, then per term a^n |n| copies of a turn
-from 0 to 0 exactly, one per generator and sign, and builds its points only when read; any other path is one run, and
-PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.  The lift and the reader walk
-the crossings once per plan, a unit after one sample; the lift's plan holds atanh(u)/pi per point, and b"-0+" strings
-of the sign classes of Re atanh(u)/pi and Im u, where bytes.find finds half-plane changes and crossings, and a regex the
-pieces.  The lifted points are built once per chunk, a plan lifted on one branch m, which each later copy of the plan on
-that m reuses; the residual and the iZ test run once per segment, a unit's samples between crossings, and class of its
-branch, the zero-length check once per class of a plan's chunks; only points of samples near iR are checked against iZ.
+from 0 to 0 exactly, one per generator, sign and sampling, which the process keeps up to ``_TURN_CAP`` samples; any
+other path is one run, and PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.
+The lift and the reader walk the crossings once per plan, a unit after one sample; the lift's plan holds atanh(u)/pi per
+point, and b"-0+" strings of the sign classes of Re atanh(u)/pi and Im u, where bytes.find finds half-plane changes and
+crossings, and a regex those of a copy.  The lift's checks run once per chunk, a plan lifted on one branch m: the
+residual and the iZ test once per segment, a unit's samples between crossings, and class of its branch, the zero-length
+check once per class of a plan's chunks; only points of samples near iR are checked against iZ.  A word curve and a lift
+build their points only when read; ``slalom_decompose`` reads a lift by its runs.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import cmath
 import enum
 import math
 import re
-from functools import cached_property, reduce
+from bisect import bisect_right
+from functools import cache, cached_property, lru_cache, reduce
 from itertools import accumulate, chain, compress, islice, repeat
 from operator import add, attrgetter, eq, sub
 from typing import Iterable, Sequence
@@ -41,6 +43,8 @@ MAX_CURVE_POINTS = 10**6  # word_to_curve's budget, checked before any point is 
 _FLIPS = (b"-+", b"+-")
 _TOUCHING = (b"-0", b"00", b"+0", b"0-", b"0+", *_FLIPS)  # a zero class at either end, or strictly opposite ones
 _EXCURSION = re.compile(rb"-+|\++")  # a maximal run of one nonzero class
+_TURN_CAP = 1024  # the most samples per turn of a turn that the process keeps
+_READS = (None, Generator.A2, Generator.A1)  # what a crossing of ray 1 or -1 reads, by the ray, so bound once
 
 
 def _signs(xs: Iterable[float]) -> bytes:
@@ -75,7 +79,8 @@ def _off_lattice(z: complex) -> bool:
 
 
 class PolyPath(_Value):
-    """Discretized curve; a single point represents a constant path.  ``_runs`` holds its points as copies of units."""
+    """Discretized curve; a single point represents a constant path.  A word curve holds its points as ``_runs``,
+    copies of units, and a lift as ``_lift``, copies of plans on their branches; each builds them on first read."""
 
     __match_args__ = ("points", "plane")
 
@@ -97,20 +102,32 @@ class PolyPath(_Value):
         if any(map(eq, points, islice(points, 1, None))):
             raise ValueError("zero-length segment in path")
 
+    def __getstate__(self):  # a lift pickles its points in place of its plans, which hold its memos
+        state = dict(self.__dict__)
+        return state if state.pop("_lift", None) is None else {**state, "points": self.points}
+
     @cached_property
-    def points(self) -> tuple[complex, ...]:  # only a word curve comes here: any other path sets its points
-        return tuple(chain.from_iterable(unit * n for unit, n in self._runs))
+    def points(self) -> tuple[complex, ...]:  # only a word curve or a lift comes here: any other path sets its points
+        if "_lift" not in self.__dict__:
+            return tuple(chain.from_iterable(unit * n for unit, n in self._runs))
+        points = [self.start]  # a lift's (plan, m, n, _) per run of n copies of a plan from branch m, as _chunk builds
+        for plan, m, n, _ in self._lift:
+            for _ in repeat(None, n):
+                offsets = list(accumulate(plan[1], sub, initial=m))
+                points += map(add, plan[3], _steps(plan[2], offsets))
+                m = offsets[-1]
+        return tuple(points)
 
     @cached_property
     def _runs(self) -> tuple[tuple[tuple[complex, ...], int], ...]:
         """(unit, count) pairs, each unit repeated count times, that make up the points: one run but on a word curve."""
         return ((self.points, 1),)
 
-    @property
-    def start(self) -> complex:
+    @cached_property
+    def start(self) -> complex:  # a lift sets its start and end
         return self._runs[0][0][0]
 
-    @property
+    @cached_property
     def end(self) -> complex:
         return self._runs[-1][0][-1]
 
@@ -170,7 +187,8 @@ def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
 def _plan(us: Sequence[complex], checked: dict) -> tuple:
     """A copy's lift but for its branch: us, an axis point inserted where Re atanh(u)/pi flips; the crossings' sides;
     the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks, real classes and signs of Im as +-i/2; a
-    dict for chunks; per nonempty segment, its offset's index and key in ``checked``, which the unit's plans share.
+    dict of memos, by float, tuple and str key (``lift_path``, ``_chunk``, ``_changes``); per nonempty segment, its
+    offset's index and key in ``checked``, which the unit's plans share.
     An insertion that overflows, only past |Re u| = 2^970, is refused after the faults of the samples before it."""
     values = [cmath.atanh(u) / math.pi for u in us]  # PolyPath keeps the samples off -1 and 1, where atanh fails
     real = _signs(v.real for v in values)
@@ -197,25 +215,32 @@ def _plan(us: Sequence[complex], checked: dict) -> tuple:
             [complex(0.0, math.copysign(0.5, v.imag)) for v in values[1:]], segments, checked)
 
 
-def _chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> list[complex]:
-    """A copy of ``plan`` lifted on branch ``m`` after the point ``last``, checked at the first chunk of each class,
-    which the plan's dict holds: the zero-length check there, the residual and the near-iZ test on each of its segments
-    at the first of its class, which the plan's ``checked`` holds; each check's first fault in path order stays in
-    ``faults``.  A point on offset o is z = Re v + i fl(Im v + o), |Im v| <= 1/2, so d = Im z - o is exact (Sterbenz),
-    and the checks read z only through Re v and d: the residual at z - i fl(o +- 1/2), the integer nearest Im z on
-    Im v's side; the near-iZ test at |d -+ 1/2|; equal points, whose d differ by the sides.  So a segment's class is
-    its samples and, while |m| < 2^51, o's sign and binade, ulp(o): for |o| >= 3/2, Im v + o is in [|o| - 1/2,
-    |o| + 1/2], which no power of two splits, so in one binade, of floats the multiples of 2^(e-52) and o of a parity e
-    fixes, where d is one function of Im v.  +-1/2 are alone in theirs; past 2^51, o is, and fl(o +- 1/2) is an integer
-    too.  A chunk's class is whether ``last`` is its first point and its offsets' classes, which fix its segments'."""
+def _steps(lengths: Sequence[int], offsets: Sequence[float]) -> Iterable[complex]:
+    """i o per point of a copy whose segments, of ``lengths`` points, are on the offsets o of ``offsets``."""
+    return chain.from_iterable(map(repeat, map(complex, repeat(0.0), offsets), lengths))
+
+
+def _chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> float:
+    """Check a copy of ``plan`` lifted on branch ``m`` after the point ``last``, and return the branch after it, its
+    last offset.  The checks run, and the points are built, only at the first chunk of each class, which the plan's dict
+    holds: the zero-length check there, the residual and the near-iZ test on each of its segments at the first of its
+    class, which the plan's ``checked`` holds; each check's first fault in path order stays in ``faults``.  A point on
+    offset o is z = Re v + i fl(Im v + o), |Im v| <= 1/2, so d = Im z - o is exact (Sterbenz), and the checks read z
+    only through Re v and d: the residual at z - i fl(o +- 1/2), the integer nearest Im z on Im v's side; the near-iZ
+    test at |d -+ 1/2|; equal points, whose d differ by the sides.  So a segment's class is its samples and, while
+    |m| < 2^51, o's sign and binade, ulp(o): for |o| >= 3/2, Im v + o is in [|o| - 1/2, |o| + 1/2], which no power of
+    two splits, so in one binade, of floats the multiples of 2^(e-52) and o of a parity e fixes, where d is one function
+    of Im v.  +-1/2 are alone in theirs; past 2^51, o is, and fl(o +- 1/2) is an integer too.  A chunk's class, known
+    before any point is built, is whether ``last`` is its first point and its offsets' classes, fixing its segments'."""
     us, sides, lengths, values, near, _, built, halves, segments, checked = plan
     offsets = list(accumulate(sides, sub, initial=m))  # the m between crossings
-    steps = list(chain.from_iterable(map(repeat, map(complex, repeat(0.0), offsets), lengths)))
-    lift = list(map(add, values, steps))
     classes = tuple(map(math.copysign, map(math.ulp, offsets), offsets)) if abs(m) < 2**51 else tuple(offsets)
-    if built.setdefault((last == lift[0], classes), lift) is not lift:  # an earlier chunk of the class was checked
-        return lift
-    todo = [where[:2] for k, where in segments if checked.setdefault((where, classes[k]), lift) is lift]  # path order
+    first = values[0] + complex(0.0, offsets[segments[0][0]])  # on the first nonempty segment
+    if built.setdefault((last == first, classes), offsets) is not offsets:  # an earlier chunk of the class was checked
+        return offsets[-1]
+    steps = list(_steps(lengths, offsets))
+    lift = list(map(add, values, steps))
+    todo = [where[:2] for k, where in segments if checked.setdefault((where, classes[k]), offsets) is offsets]
     for z, o, half, u in chain.from_iterable(zip(lift[i:j], steps[i:j], halves[i:j], us[i:j]) for i, j in todo
                                              ) if tol < math.inf else ():  # the residual is cover_map's, see above
         if not (t := cmath.tanh(cmath.pi * (z - (o + half)))) or not abs(1 / t - u) <= tol:  # exact, see above
@@ -233,7 +258,7 @@ def _chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> li
         if marked and not _off_lattice(z):
             faults.setdefault(2, ValueError(f"path point {z} hits the excluded set of cover"))
             break
-    return lift
+    return offsets[-1]
 
 
 def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
@@ -251,11 +276,12 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     pi |1 - u^2| ulp(m): word curves lift within 1e-6 while |m| < 2^30; a refusal names ulp(m) where that passes tol.
 
     atanh, the sign classes and the crossing walk run once per plan, a unit of the path's runs after one sample; the
-    lifted points once per chunk, the plan on one branch m, which a later copy on that m takes, m moving by each copy's
-    net shift; the residual and the iZ test once per segment of a unit between crossings and class of its branch,
-    whatever the sample before the unit, the zero-length check once per class of a plan's chunks (``_chunk``).  Chunks
-    and segments are walked in path order, so as on a lift point by point every point is checked, and the earliest
-    check's first fault in path order is raised.  A word curve is lifted from its runs: its points are never built.
+    checks once per chunk, the plan on one branch m, at its first copy on m after a copy, m moving by each copy's net
+    shift: the residual and the iZ test once per segment of a unit between crossings and class of its branch, whatever
+    the sample before the unit, the zero-length check once per class of a plan's chunks (``_chunk``).  Chunks and
+    segments are walked in path order, so as on a lift point by point every point is checked, and the earliest check's
+    first fault in path order is raised.  The lift holds (plan, m, n, m after) per run of n copies of a plan from m, and
+    builds its points only when read, as ``_chunk`` would; a word curve's are never built.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0; got {tol!r}")
@@ -265,18 +291,32 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
     runs = _copies(path, _plan)  # all first: the crossing walk raises first
     m = round((start - cmath.atanh(path.start) / math.pi).imag - 0.5) + 0.5
-    parts, faults, last = [], {}, start
+    parts, faults, tail = [], {}, None  # tail: the last copy's last value, its last point tail + im
     for plan, n in runs:
-        sides, values, built = plan[1], plan[3], plan[6]
-        for _ in repeat(None, n if values else 0):  # a first unit of the start point alone lifts to nothing
-            if (chunk := built.get(m)) is None:
-                chunk = built[m] = _chunk(plan, m, tol, last, faults)
-            parts.append(chunk)
-            last, m = chunk[-1], reduce(sub, sides, m)  # the chunk's last offset
+        values, built, first = plan[3], plan[6], m
+        if not values:  # a first unit of the start point alone lifts to nothing
+            continue
+        for _ in repeat(None, n):
+            if (after := built.get(m)) is None:  # a later copy on m follows the plan's us[0] lifted on m, as this one
+                after = _chunk(plan, m, tol, start if tail is None else tail + complex(0.0, m), faults)
+                if tail is not None:  # unless this one follows the start, which need not be that lift
+                    built[m] = after
+            tail, m = values[-1], after
+        parts.append((plan, first, n, m))
     if faults:  # as on a lift point by point, the first fault of the earliest check
         raise faults[min(faults)]
-    return _new(PolyPath, points=tuple(chain((start,), chain.from_iterable(parts))), plane=Plane.COVER,
-                _real_signs=_signs((start.real,)) + b"".join(p[5] * n for p, n in runs))  # checked above
+    return _new(PolyPath, plane=Plane.COVER, start=start, end=start if tail is None else tail + complex(0.0, m),
+                _lift=tuple(parts), _real_signs=_signs((start.real,)) + b"".join(p[5] * n for p, n in runs))
+
+
+@lru_cache(maxsize=16)
+def _turn(name: str, sign: int, samples_per_turn: int) -> tuple[complex, ...]:
+    """The turn of generator ``name`` in direction ``sign``, to 0 exactly; the process keeps at most 16, each of at most
+    ``_TURN_CAP`` samples, where ``word_to_curve`` calls it, and past that a call's own memo of ``__wrapped__``."""
+    center, phase = (-1.0, 0.0) if name == "a1" else (1.0, math.pi)
+    arc = (center + cmath.exp(1j * (phase + sign * 2 * math.pi * j / samples_per_turn))
+           for j in range(1, samples_per_turn))
+    return (*arc, 0j)  # each turn ends at the base point, exactly
 
 
 def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
@@ -285,10 +325,10 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
     The standard loop of a_j^n is the unit circle about the puncture, based at 0 and sampled ``samples_per_turn`` times
     per turn: a1 surrounds -1 counterclockwise inside the closed left half-plane, a2 surrounds +1 counterclockwise
     inside the closed right half-plane, and a negative n traverses the reversed circle |n| times.  The identity gives a
-    constant path.  The curve carries its runs: 0, then per term |n| copies of its turn, built once per generator and
-    sign, whose last sample is the base point 0 exactly.  It is checked by construction, so it is built without
-    ``PolyPath``'s point checks; ``PolyPath(points, Plane.PUNCTURED)``, the tests' oracle, accepts it and finds the same
-    samples, because:
+    constant path.  The curve carries its runs: 0, then per term |n| copies of its turn, whose last sample is the base
+    point 0 exactly, one per generator, sign and sampling, kept by ``_turn``.  It is checked by construction, so it is
+    built without ``PolyPath``'s point checks; ``PolyPath(points, Plane.PUNCTURED)``, the tests' oracle, accepts it and
+    finds the same samples, because:
 
     - every sample is center + e^{it} with center = -1 or 1, so it is finite, about 1 from its own puncture and at
       least about 1 from the other;
@@ -300,16 +340,24 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
         raise ValueError(f"samples_per_turn must be an int >= 16; got {samples_per_turn!r}")
     if w.letter_length() * samples_per_turn > MAX_CURVE_POINTS:
         raise ValueError(f"word curve exceeds {MAX_CURVE_POINTS} points; use fewer letters or samples")
-    runs, turns = [((0j,), 1)], {}  # turns by (generator, sign)
-    for term in w.terms:
-        sign = 1 if term.exponent > 0 else -1
-        if (turn := turns.get((term.gen, sign))) is None:
-            center, phase = (-1.0, 0.0) if term.gen is Generator.A1 else (1.0, math.pi)
-            arc = (center + cmath.exp(1j * (phase + sign * 2 * math.pi * j / samples_per_turn))
-                   for j in range(1, samples_per_turn))
-            turn = turns[term.gen, sign] = (*arc, 0j)  # each turn ends at the base point, exactly
-        runs.append((turn, abs(term.exponent)))
-    return _new(PolyPath, plane=Plane.PUNCTURED, _runs=tuple(runs))  # checked by construction; points on first read
+    turn = _turn if samples_per_turn <= _TURN_CAP else cache(_turn.__wrapped__)  # past the cap, the call's own
+    runs = [(turn(t.gen._value_, 1 if t.exponent > 0 else -1, samples_per_turn), abs(t.exponent)) for t in w.terms]
+    return _new(PolyPath, plane=Plane.PUNCTURED, _runs=(((0j,), 1), *runs))  # checked by construction; points on read
+
+
+def _changes(plan: tuple) -> list[tuple[int, HalfPlane, Sequence[float]]]:
+    """(i, half-plane, the crossings' sides before point i - 1) where a copy of ``plan`` enters a half-plane: at its
+    first run of one nonzero real class and at each run of the other class after one; kept in the plan's dict.  So a
+    copy of a plan with one change, after the plan's first, changes nothing, and a piece's end is one point, on branch
+    m less those sides, as ``_chunk`` offsets it."""
+    if (found := plan[6].get("changes")) is None:
+        real, ends, found = plan[5], list(accumulate(plan[2])), []
+        for run in _EXCURSION.finditer(real):
+            half = HalfPlane.RIGHT if real[i := run.start()] == 43 else HalfPlane.LEFT  # b"+" is 43
+            if not found or found[-1][1] is not half:
+                found.append((i, half, plan[1][:bisect_right(ends, i - 1)]))
+        plan[6]["changes"] = found
+    return found
 
 
 def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
@@ -319,28 +367,37 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
     endpoint components.  A piece ends at the last point of the run on iR (real part 0)
     between excursions of opposite sign, in the component floor(Im) of that point; a touch
     of iR does not split an excursion.  ``lift_path`` puts a point on iR wherever a lift
-    changes half-plane, so a change with none between raises ``LiftError``.
+    changes half-plane, so a change with none between raises ``LiftError``.  A lift is read
+    by its runs (``_changes``); any other cover path is one copy of one plan on branch 0.
     """
     if lifted.plane is not Plane.COVER:
         raise ValueError("slalom_decompose expects a path on the cover")
-    pts = lifted.points
-    for z in (pts[0], pts[-1]):
+    for z in (lifted.start, lifted.end):
         if z.real:
             raise LiftError(f"path endpoint {z} is not on the imaginary axis")
-    signs = lifted.__dict__.get("_real_signs") or _signs(z.real for z in pts)  # a lift's, or its own
-    sides, ends = [], [math.floor(pts[0].imag)]  # the sign of each excursion; the components between them
-    for run in _EXCURSION.finditer(signs):  # signs[0] is b"0", so each run follows a 0 or the other sign
-        if (s := run[0][:1]) in sides[-1:]:
-            continue
-        i = run.start()
-        if sides:
-            if signs[i - 1:i] != b"0":
-                raise LiftError(f"lift changes half-plane between {pts[i - 1]} and {pts[i]}, off the imaginary axis")
-            ends.append(math.floor(pts[i - 1].imag))
-        sides.append(s)
-    ends.append(math.floor(pts[-1].imag))
-    return SlalomDecomposition(tuple(ElementaryPiece(HalfPlane.LEFT if s == b"-" else HalfPlane.RIGHT, a, b)
-                                     for s, a, b in zip(sides, ends, islice(ends, 1, None))))
+    if (parts := lifted.__dict__.get("_lift")) is None:
+        pts = lifted.points
+        signs = lifted.__dict__.get("_real_signs") or _signs(z.real for z in pts)  # a pickled lift's, or its own
+        if flips := _pairs(signs, _FLIPS):
+            i = flips[0]
+            raise LiftError(f"lift changes half-plane between {pts[i - 1]} and {pts[i]}, off the imaginary axis")
+        parts = [((None, (), (len(pts) - 1,), pts[1:], None, signs[1:], {}), 0.0, 1, 0.0)] if pts[1:] else ()
+    side, halves, ends, prev = None, [], [math.floor(lifted.start.imag)], lifted.start.imag  # prev: Im before a copy
+    for plan, m, n, after in parts:
+        sides, values, changes = plan[1], plan[3], _changes(plan)
+        for j in range(n if len(changes) > 1 else 1):
+            if j:  # the copy before ends on m
+                prev = values[-1].imag + (m := reduce(sub, sides, m))
+            for i, half, before in changes:
+                if half is not side:
+                    if side is not None:  # the piece ends at the point before the change, on iR
+                        ends.append(math.floor(values[i - 1].imag + reduce(sub, before, m) if i else prev))
+                    halves.append(side := half)
+        prev = values[-1].imag + after
+    ends.append(math.floor(lifted.end.imag))
+    return _new(SlalomDecomposition, pieces=tuple([
+        _new(ElementaryPiece, half_plane=h, start_component=a, end_component=b)
+        for h, a, b in zip(halves, ends, islice(ends, 1, None))]))
 
 
 def _ray(x: float, error: type[Exception] = ValueError) -> int:
@@ -385,5 +442,4 @@ def curve_to_word(path: PolyPath) -> FreeWord:
     if _off_fiber(path.start) or _off_fiber(path.end):
         raise ValueError("curve_to_word expects a loop based at 0")
     runs = _copies(path, lambda us, _: list(_crossings(us, _signs(u.imag for u in us), ValueError)))
-    return reduce_word([(Generator.A1 if ray < 0 else Generator.A2, int(side) * ray)
-                        for crossings, n in runs for _, side, ray in crossings * n])
+    return reduce_word([(_READS[ray], int(side) * ray) for crossings, n in runs for _, side, ray in crossings * n])

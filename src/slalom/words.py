@@ -129,8 +129,8 @@ def reduce(raw: Iterable[tuple[Generator, int]]) -> FreeWord:
     which ``FreeWord`` checks; a ``Generator`` member and an ``int`` within 64 bits pass ``Term``'s checks, and
     ``Term`` itself builds any other pair, so it raises what it would raise.  A term is the one unchecked build not
     through ``_new``, whose ``__dict__.update`` would give it a dict of its own: 248 bytes, not 96, and slower reads.
-    A term of |exponent| <= ``_SMALL`` is built by ``Term`` once and shared, as values are immutable: ``_TERMS`` keys
-    it by ``_value_`` and the int, not by the member, whose Python-level ``__hash__`` costs more than the build.
+    A term of |exponent| <= ``_SMALL`` is built once, cold or warm unchecked as the others, and shared, as values are
+    immutable: ``_TERMS`` keys it by ``_value_`` and the int, not by the member, whose ``__hash__`` costs more.
     """
     stack: list[list] = []
     for gen, exp in raw:
@@ -148,12 +148,12 @@ def reduce(raw: Iterable[tuple[Generator, int]]) -> FreeWord:
         # TestReduce::test_builds_what_the_constructors_build pins it against the checked build
         if type(g) is not Generator or type(e) is not int or not _INT64_MIN <= e <= _INT64_MAX:
             t = Term(g, e)
-        elif -_SMALL <= e <= _SMALL:
-            t = (table := _TERMS[g._value_]).get(e) or table.setdefault(e, Term(g, e))
-        else:
+        elif (t := (table := _TERMS[g._value_]).get(e)) is None:
             t = object.__new__(Term)
             object.__setattr__(t, "gen", g)
             object.__setattr__(t, "exponent", e)
+            if -_SMALL <= e <= _SMALL:
+                table[e] = t
         terms.append(t)
     return _new(FreeWord, terms=tuple(terms))
 

@@ -1,19 +1,20 @@
 import cmath
 import contextlib
 import dataclasses
+import functools
 import math
 import random
 import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, compress, count, groupby, repeat, tee
-from operator import attrgetter, ge, mul
+from operator import attrgetter, ge, mul, sub
 from typing import Iterable
 
 import pytest
 from hypothesis import strategies as st
 
-from slalom import braids, words
+from slalom import braids, covering, words
 from slalom.braids import BraidGenerator, BraidWord, braid_to_strands, cross_ratio_curve, full_twist, parse_braid
 from slalom.covering import (
     BASE_LIFT_POINT,
@@ -295,6 +296,52 @@ def reference_chunk(plan: tuple, m: float, tol: float, last: complex, faults: di
             faults.setdefault(2, ValueError(f"path point {z} hits the excluded set of cover"))
             break
     return lift
+
+
+def eager_lift(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
+    """Oracle for ``lift_path``, which checks a chunk once per class and builds its points on first read: the lift that
+    builds every point at once.  It walks the plans of the path's runs as ``lift_path`` does, builds and checks every
+    copy point by point by ``reference_chunk``, and joins the copies after ``start`` into a ``PolyPath`` built through
+    its checks."""
+    if not tol > 0:
+        raise ValueError(f"tol must be > 0; got {tol!r}")
+    if path.plane is not Plane.PUNCTURED:
+        raise ValueError("lift_path expects a path in the punctured plane")
+    if covering._off_fiber(cover_map(start) - path.start):
+        raise LiftError(f"start {start} is not in the fiber over {path.start}")
+    runs = covering._copies(path, covering._plan)
+    m = round((start - cmath.atanh(path.start) / math.pi).imag - 0.5) + 0.5
+    points, faults = [start], {}
+    for plan, n in runs:
+        for _ in range(n if plan[3] else 0):
+            points += reference_chunk(plan, m, tol, points[-1], faults)
+            m = functools.reduce(sub, plan[1], m)
+    if faults:
+        raise faults[min(faults)]
+    return PolyPath(tuple(points), Plane.COVER)
+
+
+def eager_pieces(path: PolyPath) -> tuple[ElementaryPiece, ...]:
+    """Oracle for ``slalom_decompose``, which reads a lift by its runs: the pieces read point by point.  A piece begins
+    at a point whose Re z has the sign other than the last nonzero one, the point before it on iR, and ends in the
+    component floor(Im) of that point."""
+    pts = path.points
+    for z in (pts[0], pts[-1]):
+        if z.real:
+            raise LiftError(f"path endpoint {z} is not on the imaginary axis")
+    signs = [(z.real > 0) - (z.real < 0) for z in pts]
+    halves, ends, side = [], [math.floor(pts[0].imag)], 0
+    for i, s in enumerate(signs):
+        if s and s != side:
+            if side:
+                if signs[i - 1]:
+                    a, b = pts[i - 1], pts[i]
+                    raise LiftError(f"lift changes half-plane between {a} and {b}, off the imaginary axis")
+                ends.append(math.floor(pts[i - 1].imag))
+            halves.append(HalfPlane.LEFT if s < 0 else HalfPlane.RIGHT)
+            side = s
+    ends.append(math.floor(pts[-1].imag))
+    return tuple(ElementaryPiece(h, a, b) for h, a, b in zip(halves, ends, ends[1:]))
 
 
 def checked_word_curve(curve: PolyPath) -> PolyPath:

@@ -20,6 +20,8 @@ from conftest import (
     FIGURE2_TEXT,
     axis_samples,
     checked_word_curve,
+    eager_lift,
+    eager_pieces,
     exact_crossing,
     lift_read_word,
     pure_braids,
@@ -51,7 +53,7 @@ from slalom.covering import (
     slalom_decompose,
     word_to_curve,
 )
-from slalom.words import FreeWord, Generator, Term, concat, parse_word
+from slalom.words import FreeWord, Generator, Term, _new, concat, parse_word
 
 
 def packed(points) -> bytes:
@@ -630,6 +632,34 @@ class TestWordToCurve:
         with pytest.raises(ValueError, match="must be an int"):
             word_to_curve(parse_word("a1"), samples)
 
+    def test_turns_are_kept_up_to_the_cap(self):
+        """The process keeps a turn of at most ``_TURN_CAP`` samples, bit for bit a fresh build, and at most 16 of them;
+        past the cap a call builds one turn per generator and sign and keeps none."""
+        w = parse_word("a1^2 a2 a1^-1 a2^-3 a1")
+        covering._turn.cache_clear()
+        past = word_to_curve(w, covering._TURN_CAP + 1)
+        assert covering._turn.cache_info().currsize == 0 and past._runs[1][0] is past._runs[5][0]
+        at = word_to_curve(w, covering._TURN_CAP)
+        assert covering._turn.cache_info().currsize == 4
+        for (unit, _), term in zip(at._runs[1:], w.terms):
+            key = term.gen.value, 1 if term.exponent > 0 else -1, covering._TURN_CAP
+            assert unit is covering._turn(*key) and packed(unit) == packed(covering._turn.__wrapped__(*key))
+        for samples in range(16, 40):
+            word_to_curve(w, samples)
+        assert covering._turn.cache_info().currsize == 16
+
+    @settings(max_examples=40, deadline=None)
+    @given(reduced_words(max_terms=6, max_exp=3), st.sampled_from((16, 17, 64, 128, 1025)))
+    def test_cold_and_warm_turns_give_the_same_curve(self, w, samples):
+        """A curve built on an empty turn cache and again on a full one has the same points, word, lift and pieces."""
+        outcomes = []
+        for cold in (True, False):
+            if cold:
+                covering._turn.cache_clear()
+            curve = word_to_curve(w, samples)
+            outcomes.append((packed(curve.points), curve_to_word(curve), lift_and_read(curve)))
+        assert outcomes[0] == outcomes[1]
+
 
 class TestWordCurveCheckedByConstruction:
     """``word_to_curve`` builds its curve without ``PolyPath``'s checks; ``checked_word_curve`` runs them on the same
@@ -744,7 +774,10 @@ LEGS = st.one_of(
         lambda vertices: (*vertices, 0j)),
     st.lists(loop_vertices(), min_size=1, max_size=3).map(lambda vertices: (*vertices, 0j)),
 )
+UNITS = st.lists(LEGS, min_size=1, max_size=3).map(lambda legs: sum(legs, ()))
 FIGURE_EIGHT = turn_leg(-1.0, 1, (1.0, 1.0, 1.0)) + turn_leg(1.0, 1, (1.0, 1.0, 1.0))  # sides -1 and 1, no net shift
+# a unit whose last sample and first, distinct, lift to one point: its copies after the first collapse at the junction
+COLLAPSING = (5e-324 + 0j, 0.5 + 0.5j, 0j)
 
 
 class TestWordCurveRuns:
@@ -752,13 +785,13 @@ class TestWordCurveRuns:
     oracle is the same points as one run, ``checked_word_curve``, which the lift and the reader take point by point."""
 
     @settings(max_examples=150, deadline=None)
-    @given(st.lists(st.tuples(st.lists(LEGS, min_size=1, max_size=3).map(lambda legs: sum(legs, ())),
-                              st.integers(1, 5)), min_size=1, max_size=4),
+    @given(st.lists(st.tuples(UNITS, st.integers(1, 5)), min_size=1, max_size=4),
            st.sampled_from([(BASE_LIFT_POINT, 1e-6), (BASE_LIFT_POINT, math.inf), (BASE_LIFT_POINT, 2e-16),
                             (complex(0.0, 1e6 + 0.5), 1e-9)]))
     @example([(FIGURE_EIGHT, 3)], (BASE_LIFT_POINT, 1e-6))
     @example([(turn_leg(-1.0, 1, (1.0, 1.0)) * 2, 2), (turn_leg(1.0, -1, (0.5, 1.5, 1.0)), 3)], (BASE_LIFT_POINT, 1e-6))
     @example([((0.5j, 0j), 4), (FIGURE_EIGHT, 2)], (BASE_LIFT_POINT, 1e-6))
+    @example([(COLLAPSING, 3)], (complex(3e-9, -0.5), math.inf))
     def test_units_crossing_the_rays_any_number_of_times(self, runs, start_tol):
         """Each word-curve turn crosses a ray once; units that cross the rays 0, 1 or more times, with net shifts
         other than their first crossing's, lift and read as the same points as one run."""
@@ -830,20 +863,25 @@ class TestWordCurveRuns:
     @given(reduced_words(max_terms=6, max_exp=4), st.sampled_from((16, 17, 64)))
     @example(FreeWord(), 16)
     def test_word_routes_leave_the_points_unbuilt(self, w, samples):
-        """A word curve holds its runs alone: the reader, the lift and ``slalom_decompose``'s refusal build no points;
-        read, they are the oracle's, and the curve and its pickled copy equal it in ==, hash and repr."""
+        """A word curve holds its runs alone and its lift its plans: the reader, the lift, ``slalom_decompose`` of the
+        lift and its refusal of the curve build no points; read, they are the oracles', and the curve, the lift and
+        their pickled copies equal them in ==, hash and repr."""
         curve = word_to_curve(w, samples)
         assert curve_to_word(curve) == w
-        lift_path(curve, BASE_LIFT_POINT)
+        lifted = lift_path(curve, BASE_LIFT_POINT)
+        assert slalom_decompose(lifted).pieces == word_pieces(w)
         with pytest.raises(ValueError, match="expects a path on the cover"):
             slalom_decompose(curve)
         copy = pickle.loads(pickle.dumps(curve))
-        assert "points" not in vars(curve) and "points" not in vars(copy)
+        assert "points" not in vars(curve) and "points" not in vars(copy) and "points" not in vars(lifted)
         oracle = checked_word_curve(word_to_curve(w, samples))
         assert (curve.start, curve.end) == (oracle.start, oracle.end)
-        for value in (curve, copy):
-            assert value == oracle and (hash(value), repr(value)) == (hash(oracle), repr(oracle))
-            assert len(value.points) == len(oracle.points) and "points" in vars(value)
+        oracle_lift = eager_lift(oracle, BASE_LIFT_POINT)
+        assert packed([lifted.start, lifted.end]) == packed([oracle_lift.start, oracle_lift.end])
+        for value, expected in ((curve, oracle), (copy, oracle), (lifted, oracle_lift),
+                                (pickle.loads(pickle.dumps(lifted)), oracle_lift)):
+            assert value == expected and (hash(value), repr(value)) == (hash(expected), repr(expected))
+            assert len(value.points) == len(expected.points) and "points" in vars(value)
 
     def test_copies_take_one_run(self):
         curve = word_to_curve(parse_word(FIGURE2_TEXT), 64)
@@ -854,6 +892,88 @@ class TestWordCurveRuns:
         for copy in (pickled, PolyPath(curve.points, curve.plane), PolyPath(curve.points, Plane.PUNCTURED)):
             assert copy == curve and hash(copy) == hash(curve)
             assert lift_and_read(copy) == lift_and_read(curve)
+
+
+def lazy_outcome(path: PolyPath, start: complex, tol: float) -> tuple:
+    """The lift's point bits, real signs, end and pieces, or its refusal of them, read before its points; or the
+    lift's error."""
+    try:
+        lifted = lift_path(path, start, tol)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    try:
+        pieces = slalom_decompose(lifted).pieces
+    except LiftError as exc:
+        pieces = type(exc), str(exc)
+    assert "points" not in vars(lifted)
+    return packed(lifted.points), lifted._real_signs, packed([lifted.end]), pieces
+
+
+def eager_outcome(path: PolyPath, start: complex, tol: float) -> tuple:
+    """``lazy_outcome`` by the oracles ``eager_lift`` and ``eager_pieces``, the real signs by the sign classifier."""
+    try:
+        lifted = eager_lift(path, start, tol)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    try:
+        pieces = eager_pieces(lifted)
+    except LiftError as exc:
+        pieces = type(exc), str(exc)
+    return packed(lifted.points), sign_string(z.real for z in lifted.points), packed(lifted.points[-1:]), pieces
+
+
+SHIFTING_EIGHT = turn_leg(-1.0, 1, (1.0, 1.0, 1.0)) + turn_leg(1.0, -1, (1.0, 1.0, 1.0))  # sides -1 and -1: m up 2
+
+
+class TestLazyLift:
+    """``lift_path`` builds a lift's points on first read, and ``slalom_decompose`` reads a lift by its runs, a plan's
+    changes of half-plane once; the oracles, ``eager_lift`` and ``eager_pieces``, build every point and read each."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.one_of(st.builds(word_to_curve, reduced_words(max_terms=8, max_exp=6), st.sampled_from((16, 17, 64))),
+                     st.lists(st.one_of(loop_vertices(), wide_vertices()), min_size=1, max_size=6),
+                     st.lists(st.tuples(UNITS, st.integers(2, 5)), min_size=1, max_size=4).map(runs_path)),
+           st.sampled_from([(BASE_LIFT_POINT, 1e-6), (BASE_LIFT_POINT, math.inf), (BASE_LIFT_POINT, 2e-16),
+                            (complex(0.0, 1e6 + 0.5), 1e-9), (complex(3e-9, -2.5), 1e-15)]))
+    @example(runs_path([(SHIFTING_EIGHT, 3)]), (BASE_LIFT_POINT, 1e-6))
+    @example(runs_path([(FIGURE_EIGHT, 2), (SHIFTING_EIGHT[::-1][1:] + (0j,), 3)]), (BASE_LIFT_POINT, 1e-6))
+    @example(runs_path([((0.5j, 0j), 4), (SHIFTING_EIGHT, 2)]), (complex(0.0, 1e6 + 0.5), 1e-9))
+    @example(word_to_curve(parse_word(FIGURE2_TEXT), 17), (complex(3e-9, -2.5), 1e-15))
+    @example(runs_path([(COLLAPSING, 3)]), (complex(3e-9, -0.5), math.inf))
+    def test_matches_the_eager_lift(self, path, start_tol):
+        """Word curves, polygon loops and runs of copies of units that cross the rays 0, 1 or more times: the same
+        point bits, real signs, end and pieces, or the same first fault, as the lift that builds every point."""
+        try:
+            PolyPath(path.points if isinstance(path, PolyPath) else (0j, *path, 0j), Plane.PUNCTURED)
+        except ValueError:
+            return
+        if not isinstance(path, PolyPath):
+            path = PolyPath((0j, *path, 0j), Plane.PUNCTURED)
+        assert lazy_outcome(path, *start_tol) == eager_outcome(path, *start_tol)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.one_of(st.builds(word_to_curve, reduced_words(max_terms=6, max_exp=4), st.sampled_from((16, 64))),
+                     st.lists(st.tuples(UNITS, st.integers(2, 4)), min_size=1, max_size=3).map(runs_path)))
+    def test_pickled_lift_carries_its_points_not_its_plans(self, path):
+        """A pickled lift holds its points, plane, start, end and real signs: it equals the lift in ==, hash and repr,
+        and reads as the same pieces."""
+        try:
+            lifted = lift_path(path, BASE_LIFT_POINT)
+            pieces = slalom_decompose(lifted)
+        except ValueError:
+            return
+        copy = pickle.loads(pickle.dumps(lifted))
+        assert sorted(vars(copy)) == ["_real_signs", "end", "plane", "points", "start"]
+        assert copy == lifted and (hash(copy), repr(copy)) == (hash(lifted), repr(lifted))
+        assert packed([copy.start, copy.end]) == packed([lifted.start, lifted.end])
+        assert copy._real_signs == lifted._real_signs and slalom_decompose(copy) == pieces
+
+    def test_one_class_plans_read_their_first_copy_alone(self):
+        """A copy of a plan that enters one half-plane alone, as every word-curve turn does, adds no piece after the
+        plan's first copy: the pieces of a^n come from one copy."""
+        lifted = lift_path(word_to_curve(parse_word("a1^40 a2^-40"), 16), BASE_LIFT_POINT)
+        assert [len(covering._changes(plan)) for plan, *_ in lifted._lift] == [1, 1, 1, 1]
+        assert slalom_decompose(lifted).pieces == word_pieces(parse_word("a1^40 a2^-40"))
 
 
 class TestCurveToWord:
@@ -1095,6 +1215,23 @@ class TestSlalomReading:
         with pytest.raises(ValueError, match="on the cover"):
             slalom_decompose(word_to_curve(parse_word("a1"), 64))
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.builds(complex, st.sampled_from((0.0, -0.0, 0.3, -0.3, 5e-324, -5e-324)), st.floats(-5, 5)),
+                    min_size=1, max_size=12))
+    def test_matches_the_point_by_point_reader(self, points):
+        """A cover path built point by point is read as one copy of one plan, as ``eager_pieces`` reads it."""
+        try:
+            path = PolyPath(tuple(points), Plane.COVER)
+        except ValueError:
+            return
+        outcomes = []
+        for read in (lambda: slalom_decompose(path).pieces, lambda: eager_pieces(path)):
+            try:
+                outcomes.append(read())
+            except LiftError as exc:
+                outcomes.append((type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1]
+
 
 def sign_string(parts) -> bytes:
     """The b"-0+" class of each of ``parts``, through the covering's own classifier."""
@@ -1255,10 +1392,19 @@ CLASS_UNITS = ((0.5 + 0.5j, 1.5 + 0.5j, 1.5 - 0.5j, 1.5 + 0.5j, 3.16529542771936
                (0.5 + 0.5j, 1.5 + 0.5j, 5.782369645851785 - 5.697399424944226j, 1.5 + 0.5j, 0j))
 
 
+def chunk_points(plan: tuple, m: float, after: float) -> list[complex]:
+    """The points of a copy of ``plan`` on branch ``m``, as a lift builds them on first read, its last on ``after``,
+    the branch ``_chunk`` returns."""
+    points = _new(PolyPath, plane=Plane.COVER, start=math.nan, _lift=[(plan, m, 1, after)]).points[1:]
+    assert packed(points[-1:]) == packed([plan[3][-1] + complex(0.0, after)])
+    return points
+
+
 class TestChunkMemo:
     """``_chunk`` runs the zero-length check once per class of chunks, and the residual and the near-iZ test once per
     class of segments of a unit, whatever the sample before it; ``reference_chunk``, the oracle, runs all at every
-    chunk."""
+    chunk.  ``_chunk`` builds no points it returns: a copy's are those a lift builds on first read, and the point
+    before the next copy is the oracle's last."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(st.builds(word_plan, reduced_words(max_terms=3, max_exp=3), st.sampled_from((16, 17, 64)),
@@ -1295,12 +1441,12 @@ class TestChunkMemo:
         last = BASE_LIFT_POINT
         for m, way in zip(ms, ways):
             last = (cmath.atanh(us[0]) / math.pi + complex(0.0, m), values[0] + complex(0.0, m), last)[way]
-            got = covering._chunk(memo, m, tol, last, memo_faults)
+            after = covering._chunk(memo, m, tol, last, memo_faults)
             expected = reference_chunk(oracle, m, tol, last, oracle_faults)
-            assert packed(got) == packed(expected)
+            assert packed(chunk_points(memo, m, after)) == packed(expected)
             assert [(k, type(e), str(e)) for k, e in memo_faults.items()] == [
                 (k, type(e), str(e)) for k, e in oracle_faults.items()]
-            last = got[-1]
+            last = expected[-1]
 
     def test_junctions_insert_cross_or_neither(self):
         """The predecessors of ``JUNCTIONS`` insert an axis point (the first two), cross the ray at the junction, and
@@ -1343,9 +1489,9 @@ class TestChunkMemo:
         for m, pick, way in zip(ms, picks, ways):
             plan = plans[pick % len(plans)]
             last = (cmath.atanh(plan[0][0]) / math.pi + complex(0.0, m), plan[3][0] + complex(0.0, m), last)[way]
-            got = covering._chunk(plan, m, tol, last, memo_faults)
+            after = covering._chunk(plan, m, tol, last, memo_faults)
             expected = reference_chunk(plan, m, tol, last, oracle_faults)
-            assert packed(got) == packed(expected)
+            assert packed(chunk_points(plan, m, after)) == packed(expected)
             assert [(k, type(e), str(e)) for k, e in memo_faults.items()] == [
                 (k, type(e), str(e)) for k, e in oracle_faults.items()]
-            last = got[-1]
+            last = expected[-1]

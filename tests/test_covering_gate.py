@@ -25,7 +25,7 @@ def test_this_tree_against_itself_changes_nothing():
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
     assert [(row[0], int(row[1]) > 0, row[2]) for row in rows] == [
         ("word-ladder", True, "0"), ("braids", True, "0"), ("polygons", True, "0"), ("far-up", True, "0"),
-        ("parses", True, "0")]
+        ("runs", True, "0"), ("parses", True, "0")]
 
 
 def test_report_counts_and_names_the_changed_cases(capsys):
@@ -93,3 +93,24 @@ def test_texts_are_drawn_from_the_token_parts_of_the_word_tests():
     assert gate.TOKEN_PARTS == (NAMES, MARKS, DIGITS, SPACES)
     texts = [case for case in gate.corpora(quick=True)["parses"] if case[0] == "text"]
     assert len(texts) == 200 and len({text for _, text in texts}) > 150
+
+
+def test_runs_are_copies_of_units_that_cross_the_rays_any_number_of_times():
+    """A ``runs`` case is runs of at least two copies of a unit from 0 back to 0, whose legs cross the rays 0, 1 or
+    more times; it lifts, or its error is its outcome, and a path that ``PolyPath`` refuses is refused there."""
+    from slalom import covering
+
+    gate = load_script()
+    runs = gate.corpora(quick=True)["runs"]
+    assert len(runs) == 40 and all(n >= 2 and unit[-1] == 0 for case in runs for unit, n in case[1])
+    crossings = set()
+    for unit in {unit for case in runs for unit, _ in case[1]}:
+        us = (0j, *unit)
+        try:
+            crossings.add(min(len(list(covering._crossings(us, covering._signs(u.imag for u in us), ValueError))), 2))
+        except ValueError:  # a unit that crosses the axis at a puncture
+            pass
+    assert crossings == {0, 1, 2}
+    got = gate.outcomes({"runs": runs + [("runs", (((0.5j, 0.5j, 0j), 2),), START, 1e-6)]})["runs"]
+    assert {kind for _, kind, _ in got} >= {"lifted", "PolyPath"} and got[-1][1] == "PolyPath"
+    assert [list(parts) for _, kind, parts in got if kind == "lifted"][0] == ["points", "_real_signs", "pieces", "word"]
