@@ -3,7 +3,8 @@
     python3 covering_gate.py PARENT_ROOT CHANGE_ROOT [--quick]
 
 Each root is a checkout of this repository.  Each tree's ``src/`` is imported in a subprocess of its own, which
-runs every case of six corpora through that tree's ``slalom``; the first five go through ``slalom.covering``:
+runs every case of eight corpora, in this order, through that tree's ``slalom``; all but ``parses`` go through
+``slalom.covering``:
 
 - ``word-ladder``: the ops of the benchmark's ``word-ladder`` workload, seeds 1-3, rounds 0-2 (126 ops): the read
   route gives the word that ``curve_to_word`` reads, the lift route the lift from ``BASE_LIFT_POINT``;
@@ -19,14 +20,21 @@ runs every case of six corpora through that tree's ``slalom``; the first five go
   a unit is 1 to 3 legs from 0 back to 0, each a turn about a puncture (crossing its ray once), a loop inside
   |z| < 0.85 (crossing none) or 1 to 3 vertices near a puncture or in [-3, 3]^2 (crossing any number of times),
   lifted from -i/2 at a tolerance of 1e-6, inf or 2e-16, or from (10^6 + 1/2)i at 1e-9;
+- ``starts``: the lift ops of ``word-ladder``, and 1000 paths drawn as ``runs`` draws them with seed 37, lifted from
+  each of ``OFF_STARTS``, starts in the fiber over 0 that are not the bit-exact lift of 0 from their branch, so that a
+  lift's first copy follows a point other than its plan's first sample lifted;
 - ``parses``: 20000 texts of 0 to 10 tokens drawn with seed 35 from ``TOKEN_PARTS``, the token parts of
   ``tests/test_words.py``, each read by ``parse_word`` and by ``parse_braid``, and the 150 braids of ``braids``, each
-  read by ``parse_braid`` and then by ``cstar`` and by ``braid_invariant`` at both boundary conditions.
+  read by ``parse_braid`` and then by ``cstar`` and by ``braid_invariant`` at both boundary conditions;
+- ``memo``: the lift ops of ``word-ladder`` and the lifts of ``far-up``, once each, lifted again at a tolerance of
+  1e-6, then inf, then 2e-16, then 1e-6 again, after the corpora above in the same process: so what one lift leaves
+  in the process for the next is read warm, against the other tree's outcomes.
 
 A ladder read op's outcome is the word ``curve_to_word`` reads, or its error's type and message.  A text's is the
 value each reader gives, or its error's type, message and column; a braid's in ``parses`` is its ``cstar`` word and
-both bounds.  Every other case's is the lift's point bits, its ``_real_signs`` and its pieces, or the type and message
-of the error raised on the way, by ``PolyPath``, ``lift_path`` or ``slalom_decompose``, and the word read.  The cases
+both bounds.  Every other case's is the lift's point bits, its ``_real_signs`` and its pieces or the type and message
+of ``slalom_decompose``'s refusal of them, or the type and message of the error raised on the way, by ``PolyPath`` or
+``lift_path``, and the word read.  The cases
 are drawn in this process, with the ``perfbench/`` beside this file, and handed to both trees, so only ``slalom`` can
 differ.  The gate prints, per corpus, the cases, the changed outcomes and the change's outcomes by kind, and the first
 changed cases; where a case changed but kept its kind, it names the parts that differ: the lift's point bits (how many
@@ -65,6 +73,8 @@ TOKEN_PARTS = (
 
 RUNS_STARTS = ((complex(0.0, -0.5), 1e-6), (complex(0.0, -0.5), math.inf), (complex(0.0, -0.5), 2e-16),
                (complex(0.0, 1e6 + 0.5), 1e-9))
+OFF_STARTS = ((complex(3e-9, -0.5), math.inf), (complex(3e-9, -0.5), 1e-6), (complex(0.0, -0.5 + 2e-9), 1e-6),
+              (complex(-2e-9, 1e6 + 0.5), 1e-9))
 
 
 def leg(rng: random.Random) -> tuple[complex, ...]:
@@ -110,16 +120,25 @@ def corpora(quick: bool = False) -> dict[str, list[tuple]]:
     far_up = [("word", text, samples, "lift", complex(0.0, sign * (2.0**k - 0.5)), tol)
               for text in FAR_UP_WORDS[:1 if quick else None] for samples in (16, 64) for sign in (1, -1)
               for k in ((0, 29, 53) if quick else range(62)) for tol in (1e-6, 1e-9, math.inf)]
+
+    def runs_of(rng: random.Random) -> tuple:
+        return tuple((sum((leg(rng) for _ in range(rng.randint(1, 3))), ()), rng.randint(2, 5))
+                     for _ in range(rng.randint(1, 4)))
+
     rng = random.Random(36)
-    runs = [("runs", tuple((sum((leg(rng) for _ in range(rng.randint(1, 3))), ()), rng.randint(2, 5))
-                           for _ in range(rng.randint(1, 4))), *rng.choice(RUNS_STARTS))
-            for _ in range(40 if quick else 4000)]
+    runs = [("runs", runs_of(rng), *rng.choice(RUNS_STARTS)) for _ in range(40 if quick else 4000)]
+    rng = random.Random(37)
+    lifts = [case for case in ladder if case[3] == "lift"]
+    starts = [(*case[:4], *start) for case in lifts for start in OFF_STARTS]
+    starts += [("runs", runs_of(rng), *start) for _ in range(10 if quick else 1000) for start in OFF_STARTS]
+    once = list({case[:5]: case for case in lifts + far_up}.values())
+    memo = [(*case[:5], tol) for tol in (1e-6, math.inf, 2e-16, 1e-6) for case in once]
     rng = random.Random(35)
     texts = [("text", "".join(rng.choice(part) for _ in range(rng.randint(0, 10)) for part in TOKEN_PARTS))
              for _ in range(200 if quick else 20000)]
     braids = braids[:5 if quick else 150]
     return {"word-ladder": ladder, "braids": braids, "polygons": polygons, "far-up": far_up, "runs": runs,
-            "parses": texts + [("cstar", text) for _, text in braids]}
+            "starts": starts, "parses": texts + [("cstar", text) for _, text in braids], "memo": memo}
 
 
 def outcomes(cases: dict[str, list[tuple]], points: bool = False) -> dict[str, list]:
@@ -139,9 +158,10 @@ def outcomes(cases: dict[str, list[tuple]], points: bool = False) -> dict[str, l
 
     def lift(curve, start, tol):
         lifted = covering.lift_path(curve, start, tol)
-        pieces = [(p.half_plane.value, p.start_component, p.end_component)
-                  for p in covering.slalom_decompose(lifted).pieces]
-        return b"".join(struct.pack("<dd", z.real, z.imag) for z in lifted.points), lifted._real_signs, pieces
+        points = b"".join(struct.pack("<dd", z.real, z.imag) for z in lifted.points)  # also where pieces are refused
+        pieces = attempt(lambda: [(p.half_plane.value, p.start_component, p.end_component)
+                                  for p in covering.slalom_decompose(lifted).pieces])
+        return points, lifted._real_signs, pieces
 
     def terms(w):
         return [(t.gen.value, t.exponent) for t in w.terms]
@@ -247,9 +267,10 @@ def report(cases: dict, parent: dict, change: dict, moves: dict | None = None) -
         if same:
             parts = Counter(part for i in same for part in differing(parent[name][i][2], change[name][i][2]))
             found = [moves[name, i] for i in same if moves.get((name, i))]
-            points = f" ({sum(n for n, _ in found)} points moved, largest |dz| {max(d for _, d in found):.3g})"
+            points = f" ({sum(n for n, _ in found)} points moved, largest |dz| {max(d for _, d in found):.3g})" \
+                if found else ""  # none where only errors, or lifts of other lengths, differ
             kept.append(f"{name}: {len(same)} kept their kind and differ in " + ", ".join(
-                f"{part} {n}" + (points if part == "points" and found else "") for part, n in parts.items()))
+                f"{part} {n}" + (points if part == "points" else "") for part, n in parts.items()))
         shown += [(name, i) for i in changed[:3]]
     for line in kept:
         print(line)

@@ -72,6 +72,7 @@ class BraidWord(_Value):
 
 
 _LETTERS = {g.value: (BraidLetter(g, 1), BraidLetter(g, -1)) for g in BraidGenerator}  # by name, then sign < 0
+_SIGMA1 = BraidGenerator.SIGMA1  # bound once, as braid_to_strands reads it per letter
 
 
 def parse_braid(text: str) -> BraidWord:
@@ -150,7 +151,7 @@ def braid_to_strands(b: BraidWord, samples_per_crossing: int = 32) -> tuple[tupl
     slot = [0, 1, 2]  # strand -> slot
     paths: list[list[complex]] = [[complex(_SLOTS[s])] for s in slot]
     for letter in b.letters:
-        i = 0 if letter.gen is BraidGenerator.SIGMA1 else 1
+        i = 0 if letter.gen is _SIGMA1 else 1
         moving = [s for s in range(3) if slot[s] in (i, i + 1)]
         static = next(s for s in range(3) if s not in moving)
         center = complex((_SLOTS[i] + _SLOTS[i + 1]) / 2)

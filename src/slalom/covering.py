@@ -11,12 +11,14 @@ to i(atan(y)/pi + m), so a piece ends in component m - 1/2.
 A path is runs of copies of units: a word curve, checked by construction, is 0, then per term a^n |n| copies of a turn
 from 0 to 0 exactly, one per generator, sign and sampling, which the process keeps up to ``_TURN_CAP`` samples; any
 other path is one run, and PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.
-The lift and the reader walk the crossings once per plan, a unit after one sample; the lift's plan holds atanh(u)/pi per
-point, and b"-0+" strings of the sign classes of Re atanh(u)/pi and Im u, where bytes.find finds half-plane changes and
-crossings, and a regex those of a copy.  The lift's checks run once per chunk, a plan lifted on one branch m: the
-residual and the iZ test once per segment, a unit's samples between crossings, and class of its branch, the zero-length
-check once per class of a plan's chunks; only points of samples near iR are checked against iZ.  A word curve and a lift
-build their points only when read; ``slalom_decompose`` reads a lift by its runs.
+The lift and the reader walk the crossings once per plan, a unit after one sample, once per process for a kept turn;
+the lift's plan holds atanh(u)/pi per point, and b"-0+" strings of the sign classes of Re atanh(u)/pi and Im u, where
+bytes.find finds half-plane changes and crossings, and a regex those of a copy.  The lift's checks run once per chunk,
+a plan lifted on one branch m: the residual and the iZ test once per segment, a unit's samples between crossings, and
+class of its branch, the zero-length check once per class of a plan's chunks; only points of samples near iR are
+checked against iZ.  A kept turn's lift plan keeps the classes that its lifts at one tol checked where they raised no
+fault, up to ``_MEMO_CAP``.  A word curve and a lift build their points only when read; ``slalom_decompose`` reads a
+lift by its runs.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ _FLIPS = (b"-+", b"+-")
 _TOUCHING = (b"-0", b"00", b"+0", b"0-", b"0+", *_FLIPS)  # a zero class at either end, or strictly opposite ones
 _EXCURSION = re.compile(rb"-+|\++")  # a maximal run of one nonzero class
 _TURN_CAP = 1024  # the most samples per turn of a turn that the process keeps
+_MEMO_CAP = 512  # the most check classes that the lift plan of a kept turn keeps as passed, for one tol
 _READS = (None, Generator.A2, Generator.A1)  # what a crossing of ray 1 or -1 reads, by the ray, so bound once
 
 
@@ -171,24 +174,31 @@ def _pairs(signs: bytes, pairs: tuple[bytes, ...]) -> list[int]:
 
 
 def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
-    """(plan(us, memo), count) per stretch of copies of a unit after one sample, us that sample (none at the start) and
-    the unit, memo a dict that the unit's plans share; ``plan`` runs once per unit and sample, by id, in path order."""
+    """(plan(us, shared), count) per stretch of copies of a unit after one sample, us that sample (none at the start,
+    where a unit of one sample is skipped) and the unit; ``plan`` runs once per unit and sample's bits, in path order.
+    A turn that ``_turn`` keeps, after its last sample's bits, keeps its plans in its dict, so they live and die with
+    it, ``shared`` a dict for ``lift_path``'s memo; any other plan is the call's own, ``shared`` None."""
     plans, out, pred = {}, [], None
     for unit, count in path._runs:
         for n in (1, count - 1):  # the first copy follows the sample before the run, the others the unit's last
-            if n > 0:
+            if n > 0 and (pred is not None or len(unit) > 1):
                 if (got := plans.get(key := (id(unit), id(pred)))) is None:
-                    got = plans[key] = plan(unit if pred is None else (pred, *unit), plans.setdefault(id(unit), {}))
+                    if (got := plans.get(bits := (id(unit), repr(pred)))) is None:  # repr: -0.0 apart from 0.0
+                        if type(unit) is not _Turn or bits[1] != repr(unit[-1]):
+                            got = plan(unit if pred is None else (pred, *unit), None)
+                        elif (got := vars(unit).get(plan)) is None:
+                            got = vars(unit)[plan] = plan((unit[-1], *unit), {})  # no caller's sample kept
+                    plans[key] = plans[bits] = got
                 out.append((got, n))
-                pred = unit[-1]
+            pred = unit[-1]
     return out
 
 
-def _plan(us: Sequence[complex], checked: dict) -> tuple:
-    """A copy's lift but for its branch: us, an axis point inserted where Re atanh(u)/pi flips; the crossings' sides;
-    the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks, real classes and signs of Im as +-i/2; a
-    dict of memos, by float, tuple and str key (``lift_path``, ``_chunk``, ``_changes``); per nonempty segment, its
-    offset's index and key in ``checked``, which the unit's plans share.
+def _plan(us: Sequence[complex], shared: dict | None) -> tuple:
+    """A copy's lift but for its branch, its geometry: us, an axis point inserted where Re atanh(u)/pi flips; the
+    crossings' sides; the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks, real classes and signs
+    of Im as +-i/2; per nonempty segment, its offset's index and key (``_chunk``); ``_changes``; and then ``shared``,
+    where a kept turn's plan keeps the check classes that lifts passed (``lift_path``).
     An insertion that overflows, only past |Re u| = 2^970, is refused after the faults of the samples before it."""
     values = [cmath.atanh(u) / math.pi for u in us]  # PolyPath keeps the samples off -1 and 1, where atanh fails
     real = _signs(v.real for v in values)
@@ -210,9 +220,10 @@ def _plan(us: Sequence[complex], checked: dict) -> tuple:
     # a segment's samples: its place from the unit's end, which slices us and us[1:]'s lists alike, and us[1]'s bits
     segments = [(k, (i - n, j - n or None, i == 1 and us[1].imag.hex()))
                 for k, (i, j) in enumerate(zip(cuts, cuts[1:])) if i < j]
-    return (us, [side for _, side, _ in crossings], list(map(sub, cuts[1:], cuts[:-1])), values[1:],
-            bytes([abs(v.real) <= _PUNCTURE_TOL for v in values[1:]]), real[1:], {},
-            [complex(0.0, math.copysign(0.5, v.imag)) for v in values[1:]], segments, checked)
+    sides, lengths = [side for _, side, _ in crossings], list(map(sub, cuts[1:], cuts[:-1]))
+    return (us, sides, lengths, values[1:], bytes([abs(v.real) <= _PUNCTURE_TOL for v in values[1:]]), real[1:],
+            [complex(0.0, math.copysign(0.5, v.imag)) for v in values[1:]], segments,
+            _changes(real[1:], sides, lengths), shared)
 
 
 def _steps(lengths: Sequence[int], offsets: Sequence[float]) -> Iterable[complex]:
@@ -220,27 +231,31 @@ def _steps(lengths: Sequence[int], offsets: Sequence[float]) -> Iterable[complex
     return chain.from_iterable(map(repeat, map(complex, repeat(0.0), offsets), lengths))
 
 
-def _chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> float:
+def _chunk(plan: tuple, memo: tuple, m: float, tol: float, last: complex, faults: dict) -> float:
     """Check a copy of ``plan`` lifted on branch ``m`` after the point ``last``, and return the branch after it, its
-    last offset.  The checks run, and the points are built, only at the first chunk of each class, which the plan's dict
-    holds: the zero-length check there, the residual and the near-iZ test on each of its segments at the first of its
-    class, which the plan's ``checked`` holds; each check's first fault in path order stays in ``faults``.  A point on
+    last offset.  The checks run, and the points are built, only at the first chunk of each class that ``memo``'s
+    ``chunks`` or ``passed`` lacks: the zero-length check there, the residual and the near-iZ test on each of its
+    segments at the first of its class that its ``checked`` or ``passed`` lacks; each check's first fault in path order
+    stays in ``faults``.  A point on
     offset o is z = Re v + i fl(Im v + o), |Im v| <= 1/2, so d = Im z - o is exact (Sterbenz), and the checks read z
     only through Re v and d: the residual at z - i fl(o +- 1/2), the integer nearest Im z on Im v's side; the near-iZ
     test at |d -+ 1/2|; equal points, whose d differ by the sides.  So a segment's class is its samples and, while
     |m| < 2^51, o's sign and binade, ulp(o): for |o| >= 3/2, Im v + o is in [|o| - 1/2, |o| + 1/2], which no power of
     two splits, so in one binade, of floats the multiples of 2^(e-52) and o of a parity e fixes, where d is one function
     of Im v.  +-1/2 are alone in theirs; past 2^51, o is, and fl(o +- 1/2) is an integer too.  A chunk's class, known
-    before any point is built, is whether ``last`` is its first point and its offsets' classes, fixing its segments'."""
-    us, sides, lengths, values, near, _, built, halves, segments, checked = plan
+    before any point is built, is whether ``last`` is its first point and its offsets' classes, fixing its segments'.
+    So its checks give what they gave in its lift before, or in a lift at this tol that raised no fault (``passed``)."""
+    us, sides, lengths, values, near, _, halves, segments, _, _ = plan
+    chunks, checked, passed = memo
     offsets = list(accumulate(sides, sub, initial=m))  # the m between crossings
     classes = tuple(map(math.copysign, map(math.ulp, offsets), offsets)) if abs(m) < 2**51 else tuple(offsets)
     first = values[0] + complex(0.0, offsets[segments[0][0]])  # on the first nonempty segment
-    if built.setdefault((last == first, classes), offsets) is not offsets:  # an earlier chunk of the class was checked
+    if (key := (last == first, classes)) in passed or chunks.setdefault(key, offsets) is not offsets:  # checked
         return offsets[-1]
     steps = list(_steps(lengths, offsets))
     lift = list(map(add, values, steps))
-    todo = [where[:2] for k, where in segments if checked.setdefault((where, classes[k]), offsets) is offsets]
+    todo = [where[:2] for k, where in segments
+            if (key := (where, classes[k])) not in passed and checked.setdefault(key, offsets) is offsets]
     for z, o, half, u in chain.from_iterable(zip(lift[i:j], steps[i:j], halves[i:j], us[i:j]) for i, j in todo
                                              ) if tol < math.inf else ():  # the residual is cover_map's, see above
         if not (t := cmath.tanh(cmath.pi * (z - (o + half)))) or not abs(1 / t - u) <= tol:  # exact, see above
@@ -277,11 +292,13 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
 
     atanh, the sign classes and the crossing walk run once per plan, a unit of the path's runs after one sample; the
     checks once per chunk, the plan on one branch m, at its first copy on m after a copy, m moving by each copy's net
-    shift: the residual and the iZ test once per segment of a unit between crossings and class of its branch, whatever
-    the sample before the unit, the zero-length check once per class of a plan's chunks (``_chunk``).  Chunks and
+    shift: the residual and the iZ test once per segment of a plan between crossings and class of its branch, the
+    zero-length check once per class of a plan's chunks (``_chunk``).  Chunks and
     segments are walked in path order, so as on a lift point by point every point is checked, and the earliest check's
     first fault in path order is raised.  The lift holds (plan, m, n, m after) per run of n copies of a plan from m, and
-    builds its points only when read, as ``_chunk`` would; a word curve's are never built.
+    builds its points only when read, as ``_chunk`` would; a word curve's are never built.  A turn that the process
+    keeps is planned once (``_copies``); a lift that raises no fault leaves in its plan the classes it checked on
+    branches |m| < 2^51, binades, for its tol alone and at most ``_MEMO_CAP``, which later lifts at that tol skip.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0; got {tol!r}")
@@ -291,32 +308,47 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
     runs = _copies(path, _plan)  # all first: the crossing walk raises first
     m = round((start - cmath.atanh(path.start) / math.pi).imag - 0.5) + 0.5
-    parts, faults, tail = [], {}, None  # tail: the last copy's last value, its last point tail + im
+    parts, faults, tail, memos = [], {}, None, {}  # tail: the last copy's last value, its last point tail + im
     for plan, n in runs:
-        values, built, first = plan[3], plan[6], m
-        if not values:  # a first unit of the start point alone lifts to nothing
-            continue
+        if (got := memos.get(id(plan))) is None:  # per plan: its branches, and _chunk's memo
+            got = memos[id(plan)] = {}, ({}, {}, () if plan[-1] is None else plan[-1].get(tol, ()))
+        (built, memo), values, first = got, plan[3], m
         for _ in repeat(None, n):
             if (after := built.get(m)) is None:  # a later copy on m follows the plan's us[0] lifted on m, as this one
-                after = _chunk(plan, m, tol, start if tail is None else tail + complex(0.0, m), faults)
+                after = _chunk(plan, memo, m, tol, start if tail is None else tail + complex(0.0, m), faults)
                 if tail is not None:  # unless this one follows the start, which need not be that lift
                     built[m] = after
             tail, m = values[-1], after
         parts.append((plan, first, n, m))
     if faults:  # as on a lift point by point, the first fault of the earliest check
         raise faults[min(faults)]
+    for plan, _ in runs:  # a kept plan keeps the classes checked on binades, for this tol alone
+        if (shared := plan[-1]) is not None and (got := memos.pop(id(plan), None)):
+            passed = shared.get(tol) or set()
+            shared.clear()
+            shared[tol] = passed
+            passed.update([key for found in got[1][:2] for key, offsets in found.items()  # offsets[0]: the m
+                           if abs(offsets[0]) < 2**51][:_MEMO_CAP - len(passed)])
     return _new(PolyPath, plane=Plane.COVER, start=start, end=start if tail is None else tail + complex(0.0, m),
                 _lift=tuple(parts), _real_signs=_signs((start.real,)) + b"".join(p[5] * n for p, n in runs))
 
 
+class _Turn(tuple):
+    """A turn that ``_turn`` keeps, with its plans in its dict (``_copies``); it pickles as a tuple, without them."""
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
+
+
 @lru_cache(maxsize=16)
-def _turn(name: str, sign: int, samples_per_turn: int) -> tuple[complex, ...]:
+def _turn(name: str, sign: int, samples_per_turn: int) -> _Turn:
     """The turn of generator ``name`` in direction ``sign``, to 0 exactly; the process keeps at most 16, each of at most
-    ``_TURN_CAP`` samples, where ``word_to_curve`` calls it, and past that a call's own memo of ``__wrapped__``."""
+    ``_TURN_CAP`` samples, with their plans, where ``word_to_curve`` calls it, and past that a call's own memo of
+    ``__wrapped__``, as tuples."""
     center, phase = (-1.0, 0.0) if name == "a1" else (1.0, math.pi)
     arc = (center + cmath.exp(1j * (phase + sign * 2 * math.pi * j / samples_per_turn))
            for j in range(1, samples_per_turn))
-    return (*arc, 0j)  # each turn ends at the base point, exactly
+    return _Turn((*arc, 0j))  # each turn ends at the base point, exactly
 
 
 def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
@@ -340,23 +372,21 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
         raise ValueError(f"samples_per_turn must be an int >= 16; got {samples_per_turn!r}")
     if w.letter_length() * samples_per_turn > MAX_CURVE_POINTS:
         raise ValueError(f"word curve exceeds {MAX_CURVE_POINTS} points; use fewer letters or samples")
-    turn = _turn if samples_per_turn <= _TURN_CAP else cache(_turn.__wrapped__)  # past the cap, the call's own
+    turn = _turn if samples_per_turn <= _TURN_CAP else cache(lambda *key: tuple(_turn.__wrapped__(*key)))
     runs = [(turn(t.gen._value_, 1 if t.exponent > 0 else -1, samples_per_turn), abs(t.exponent)) for t in w.terms]
     return _new(PolyPath, plane=Plane.PUNCTURED, _runs=(((0j,), 1), *runs))  # checked by construction; points on read
 
 
-def _changes(plan: tuple) -> list[tuple[int, HalfPlane, Sequence[float]]]:
-    """(i, half-plane, the crossings' sides before point i - 1) where a copy of ``plan`` enters a half-plane: at its
-    first run of one nonzero real class and at each run of the other class after one; kept in the plan's dict.  So a
-    copy of a plan with one change, after the plan's first, changes nothing, and a piece's end is one point, on branch
-    m less those sides, as ``_chunk`` offsets it."""
-    if (found := plan[6].get("changes")) is None:
-        real, ends, found = plan[5], list(accumulate(plan[2])), []
-        for run in _EXCURSION.finditer(real):
-            half = HalfPlane.RIGHT if real[i := run.start()] == 43 else HalfPlane.LEFT  # b"+" is 43
-            if not found or found[-1][1] is not half:
-                found.append((i, half, plan[1][:bisect_right(ends, i - 1)]))
-        plan[6]["changes"] = found
+def _changes(real: bytes, sides: Sequence[float], lengths: Sequence[int]) -> list[tuple[int, HalfPlane, Sequence]]:
+    """(i, half-plane, the crossings' sides before point i - 1) where a copy of a plan, of real classes ``real`` and
+    ``sides`` between segments of ``lengths`` points, enters a half-plane: at its first run of one nonzero real class
+    and at each run of the other class after one.  So a copy of a plan with one change, after the plan's first, changes
+    nothing, and a piece's end is one point, on branch m less those sides, as ``_chunk`` offsets it."""
+    ends, found = list(accumulate(lengths)), []
+    for run in _EXCURSION.finditer(real):
+        half = HalfPlane.RIGHT if real[i := run.start()] == 43 else HalfPlane.LEFT  # b"+" is 43
+        if not found or found[-1][1] is not half:
+            found.append((i, half, sides[:bisect_right(ends, i - 1)]))
     return found
 
 
@@ -368,7 +398,7 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
     between excursions of opposite sign, in the component floor(Im) of that point; a touch
     of iR does not split an excursion.  ``lift_path`` puts a point on iR wherever a lift
     changes half-plane, so a change with none between raises ``LiftError``.  A lift is read
-    by its runs (``_changes``); any other cover path is one copy of one plan on branch 0.
+    by its runs (a plan's ``_changes``); any other cover path is one copy of one plan on branch 0.
     """
     if lifted.plane is not Plane.COVER:
         raise ValueError("slalom_decompose expects a path on the cover")
@@ -381,10 +411,11 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
         if flips := _pairs(signs, _FLIPS):
             i = flips[0]
             raise LiftError(f"lift changes half-plane between {pts[i - 1]} and {pts[i]}, off the imaginary axis")
-        parts = [((None, (), (len(pts) - 1,), pts[1:], None, signs[1:], {}), 0.0, 1, 0.0)] if pts[1:] else ()
+        parts = [((None, (), None, pts[1:], None, None, None, None, _changes(signs[1:], (), ())), 0.0, 1, 0.0)
+                 ] if pts[1:] else ()
     side, halves, ends, prev = None, [], [math.floor(lifted.start.imag)], lifted.start.imag  # prev: Im before a copy
     for plan, m, n, after in parts:
-        sides, values, changes = plan[1], plan[3], _changes(plan)
+        sides, values, changes = plan[1], plan[3], plan[8]
         for j in range(n if len(changes) > 1 else 1):
             if j:  # the copy before ends on m
                 prev = values[-1].imag + (m := reduce(sub, sides, m))
@@ -435,11 +466,18 @@ def curve_to_word(path: PolyPath) -> FreeWord:
     the real axis is on the side of its zero's sign; touching a ray from the
     other side reads a crossing and its inverse, which reduction removes.
     The crossings are walked once per plan, a unit of the path's runs after
-    one sample, and read again for each copy of the unit that follows it.
+    one sample, or once per process for a kept turn (``_copies``); a run of
+    n copies of a unit that reads one letter a^k reads a^(k n), else its
+    letters n times.
     """
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("curve_to_word expects a path in the punctured plane")
     if _off_fiber(path.start) or _off_fiber(path.end):
         raise ValueError("curve_to_word expects a loop based at 0")
-    runs = _copies(path, lambda us, _: list(_crossings(us, _signs(u.imag for u in us), ValueError)))
-    return reduce_word([(_READS[ray], int(side) * ray) for crossings, n in runs for _, side, ray in crossings * n])
+    return reduce_word(chain.from_iterable([(reads[0][0], reads[0][1] * n)] if len(reads) == 1 else reads * n
+                                           for reads, n in _copies(path, _reads)))
+
+
+def _reads(us: Sequence[complex], _) -> list[tuple[Generator, int]]:
+    """The letter that each ray crossing of ``us`` reads, a plan of ``curve_to_word``."""
+    return [(_READS[ray], int(side) * ray) for _, side, ray in _crossings(us, _signs(u.imag for u in us), ValueError)]

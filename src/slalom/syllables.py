@@ -27,6 +27,9 @@ class SyllableKind(enum.Enum):
     SINGLETON = "singleton"
 
 
+_BIG_POWER, _ALTERNATING_RUN, _SINGLETON = SyllableKind  # bound once: a read of a member through the class costs more
+
+
 class BoundaryCondition(enum.Enum):
     TOTALLY_REAL = "tr"
     PERPENDICULAR_BISECTOR = "pb"
@@ -38,14 +41,14 @@ class Syllable(_Value):
     def __init__(self, terms: tuple[Term, ...], kind: SyllableKind):
         _set(self, terms, kind)
         _check_tuple(terms, "syllable terms", Term)
-        if kind is SyllableKind.BIG_POWER:
+        if kind is _BIG_POWER:
             if len(terms) != 1 or abs(terms[0].exponent) < 2:
                 raise ValueError("big power must be one term with |exponent| >= 2")
-        elif kind is SyllableKind.ALTERNATING_RUN:
+        elif kind is _ALTERNATING_RUN:
             exps = {t.exponent for t in terms}
             if len(terms) < 2 or exps not in ({1}, {-1}):
                 raise ValueError("alternating run needs >= 2 terms of equal exponent +-1")
-        elif kind is SyllableKind.SINGLETON:
+        elif kind is _SINGLETON:
             if len(terms) != 1 or abs(terms[0].exponent) != 1:
                 raise ValueError("singleton must be one term with exponent +-1")
         else:
@@ -88,11 +91,11 @@ def _spans(terms: tuple[Term, ...]):
     while i < n:
         e, j = terms[i].exponent, i + 1
         if abs(e) >= 2:
-            yield i, j, SyllableKind.BIG_POWER, abs(e)
+            yield i, j, _BIG_POWER, abs(e)
         else:
             while j < n and terms[j].exponent == e:
                 j += 1
-            yield i, j, SyllableKind.ALTERNATING_RUN if j - i >= 2 else SyllableKind.SINGLETON, j - i
+            yield i, j, _ALTERNATING_RUN if j - i >= 2 else _SINGLETON, j - i
         i = j
 
 

@@ -837,11 +837,30 @@ class TestWordCurveRuns:
     @given(reduced_words(max_terms=10, max_exp=12), st.sampled_from((16, 17, 64)))
     @example(parse_word("a1^3 a2^-2 a1^-1 a2^4 a1 a2^-5 a1^-2 a2"), 64)
     def test_one_plan_per_generator_and_sign(self, w, samples):
-        """A term a^n is n copies of one turn from 0 to 0, so the lift plans once per (generator, sign), and once for
-        the start."""
+        """A term a^n is n copies of one turn from 0 to 0, so a cold lift plans once per (generator, sign), and not
+        for the start, a sample alone."""
+        covering._turn.cache_clear()
         with mock.patch.object(covering, "_plan", wraps=covering._plan) as plan:
             lift_path(word_to_curve(w, samples), BASE_LIFT_POINT)
-        assert plan.call_count <= 1 + len({(t.gen, t.exponent > 0) for t in w.terms})
+        covering._turn.cache_clear()  # the turns keep the plans under the mock's key
+        assert plan.call_count == len({(t.gen, t.exponent > 0) for t in w.terms})
+
+    @settings(max_examples=20, deadline=None)
+    @given(reduced_words(max_terms=10, max_exp=12), st.sampled_from((16, 17, 64)))
+    def test_no_plan_when_warm(self, w, samples):
+        """A lift or a reading of a word curve whose turns the process keeps, planned by an earlier one, plans
+        nothing."""
+        covering._turn.cache_clear()
+        with mock.patch.object(covering, "_plan", wraps=covering._plan) as plan, \
+                mock.patch.object(covering, "_reads", wraps=covering._reads) as reads:
+            lift_path(word_to_curve(w, samples), BASE_LIFT_POINT)
+            assert curve_to_word(word_to_curve(w, samples)) == w
+            plan.reset_mock()
+            reads.reset_mock()
+            lift_path(word_to_curve(w, samples), BASE_LIFT_POINT)
+            assert curve_to_word(word_to_curve(w, samples)) == w
+        covering._turn.cache_clear()
+        assert (plan.call_count, reads.call_count) == (0, 0)
 
     @pytest.mark.parametrize("text, samples, end", [("a1^62500", 16, 62499.5j), ("a2^-7812", 128, 7811.5j)])
     def test_lifts_at_the_point_budget(self, text, samples, end):
@@ -972,8 +991,172 @@ class TestLazyLift:
         """A copy of a plan that enters one half-plane alone, as every word-curve turn does, adds no piece after the
         plan's first copy: the pieces of a^n come from one copy."""
         lifted = lift_path(word_to_curve(parse_word("a1^40 a2^-40"), 16), BASE_LIFT_POINT)
-        assert [len(covering._changes(plan)) for plan, *_ in lifted._lift] == [1, 1, 1, 1]
+        assert [len(plan[8]) for plan, *_ in lifted._lift] == [1, 1, 1, 1]
         assert slalom_decompose(lifted).pieces == word_pieces(parse_word("a1^40 a2^-40"))
+
+
+def kept_path(recipe) -> PolyPath:
+    """The path of ``recipe``, built now: a word curve of (word, samples), or ``runs_path`` of (unit, count) runs, a
+    unit given as the key of a turn that ``_turn`` keeps or as its points."""
+    if isinstance(recipe[0], FreeWord):
+        return word_to_curve(*recipe)
+    return runs_path([(covering._turn(*unit) if isinstance(unit[0], str) else unit, n) for unit, n in recipe])
+
+
+def kept_memos(w: FreeWord, samples: int) -> list[dict | None]:
+    """The memo of each term's lift plan that the process keeps with the term's turn, or None where it keeps none."""
+    turns = [covering._turn(t.gen.value, 1 if t.exponent > 0 else -1, samples) for t in w.terms]
+    return [plan[-1] if (plan := vars(turn).get(covering._plan)) else None for turn in turns]
+
+
+# units that end at -0.0 - 0.0i and off 0, across iR from a turn's first sample: a kept turn after them is planned
+# by the call, from other bits
+SIGNED_ZERO, OFF_ZERO = (0.5 + 0.5j, complex(-0.0, -0.0)), (0.5 + 0.5j, 0.3 + 0.2j)
+RECIPES = st.one_of(
+    st.tuples(reduced_words(max_terms=6, max_exp=6), st.sampled_from((16, 17, 64))),
+    st.lists(st.tuples(st.one_of(st.tuples(st.sampled_from(("a1", "a2")), st.sampled_from((1, -1)),
+                                           st.sampled_from((16, 17))), UNITS, st.sampled_from((SIGNED_ZERO, OFF_ZERO))),
+                       st.integers(1, 4)), min_size=1, max_size=4),
+)
+KEPT_STARTS = st.sampled_from([(BASE_LIFT_POINT, 1e-6), (BASE_LIFT_POINT, math.inf), (BASE_LIFT_POINT, 2e-16),
+                               (BASE_LIFT_POINT, 1e-15), (complex(0.0, 1e6 + 0.5), 1e-9),
+                               (complex(0.0, -(2.0**21 - 0.5)), 1e-9), (complex(3e-9, -0.5), math.inf)])
+
+
+class TestKeptPlans:
+    """The plans of a turn that ``_turn`` keeps are built once per process and live as long as it does; its lift plan
+    keeps the check classes of the lifts at one tol that raised no fault, at most ``_MEMO_CAP``.  The oracle is the
+    same lift on an empty turn cache."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(RECIPES, KEPT_STARTS), min_size=1, max_size=5))
+    @example([(((("a1", 1, 64), 1),), (BASE_LIFT_POINT, 1e-15)),
+              (((("a1", 1, 64), 1), (("a2", -1, 64), 1)), (BASE_LIFT_POINT, 1e-15))])
+    @example([(((SIGNED_ZERO, 1), (("a1", 1, 16), 2)), (BASE_LIFT_POINT, 1e-6)),
+              (((OFF_ZERO, 2), (("a1", 1, 16), 2), (("a1", 1, 16), 1)), (BASE_LIFT_POINT, 1e-6)),
+              (((("a1", 1, 16), 3),), (BASE_LIFT_POINT, 1e-6))])
+    def test_warm_lifts_match_cold_ones(self, lifts):
+        """Lifts and readings one after another in one process, twice over, each give what they give on an empty
+        turn cache: the same point bits, real signs, end and pieces, or the same first fault, and the same word; and
+        those are what the oracles give, the eager lift and the reading of the same points as one run."""
+        def outcome(recipe, start, tol):
+            path = kept_path(recipe)
+            try:
+                word = curve_to_word(path)
+            except ValueError as exc:
+                word = type(exc), str(exc)
+            return lazy_outcome(path, start, tol), word
+
+        oracles = []
+        for recipe, (start, tol) in lifts:
+            try:
+                oracle = PolyPath(kept_path(recipe).points, Plane.PUNCTURED)
+            except ValueError:
+                return
+            try:
+                word = curve_to_word(oracle)
+            except ValueError as exc:
+                word = type(exc), str(exc)
+            oracles.append((eager_outcome(oracle, start, tol), word))
+        cold = []
+        for recipe, (start, tol) in lifts:
+            covering._turn.cache_clear()
+            cold.append(outcome(recipe, start, tol))
+        assert cold == oracles
+        covering._turn.cache_clear()
+        warm = [outcome(recipe, start, tol) for _ in range(2) for recipe, (start, tol) in lifts]
+        assert warm == cold * 2
+
+    def test_a_lift_that_faults_keeps_nothing(self):
+        """At 1e-15, a1 lifts and a1 a2^-1 faults at its second term, after its first passed: the fault keeps none
+        of the classes its lift checked, cold or after a1's lift kept some, and raises again as it did."""
+        w, ok = parse_word("a1 a2^-1"), parse_word("a1")
+        covering._turn.cache_clear()
+        with pytest.raises(LiftError) as first:
+            lift_path(word_to_curve(w, 64), BASE_LIFT_POINT, 1e-15)
+        assert kept_memos(w, 64) == [{}, {}]
+        lift_path(word_to_curve(ok, 64), BASE_LIFT_POINT, 1e-15)
+        before = [{tol: set(keys) for tol, keys in memo.items()} for memo in kept_memos(w, 64)]
+        assert before[0][1e-15] and before[1] == {}
+        for _ in range(2):
+            with pytest.raises(LiftError) as again:
+                lift_path(word_to_curve(w, 64), BASE_LIFT_POINT, 1e-15)
+            assert str(again.value) == str(first.value)
+            assert kept_memos(w, 64) == before
+
+    def test_a_pass_at_inf_excuses_no_finer_tol(self):
+        """A lift at tol inf checks no residual, so the classes it keeps are kept for inf alone: a lift at 2e-16
+        after it faults as it does cold, and leaves them as they were."""
+        w = parse_word("a1")
+        covering._turn.cache_clear()
+        with pytest.raises(LiftError) as cold:
+            lift_path(word_to_curve(w, 16), BASE_LIFT_POINT, 2e-16)
+        lift_path(word_to_curve(w, 16), BASE_LIFT_POINT, math.inf)
+        (memo,) = kept_memos(w, 16)
+        kept = set(memo[math.inf])
+        assert kept and list(memo) == [math.inf]
+        with pytest.raises(LiftError) as warm:
+            lift_path(word_to_curve(w, 16), BASE_LIFT_POINT, 2e-16)
+        assert str(warm.value) == str(cold.value) and memo == {math.inf: kept}
+        lift_path(word_to_curve(w, 16), BASE_LIFT_POINT, 1e-6)  # a lift at another tol replaces them
+        assert list(memo) == [1e-6] and memo[1e-6]
+
+    def test_the_memo_cap_holds_far_up(self, monkeypatch):
+        """Lifts from +-(2^k - 1/2)i, k < 62, at tol inf keep at most ``_MEMO_CAP`` classes a plan, which a smaller
+        cap shows binding; branches past 2^51, whose classes are their offsets, keep none."""
+        w = parse_word("a1^3 a2^-1 a1^-2")
+        covering._turn.cache_clear()
+        lift_path(word_to_curve(w, 16), complex(0.0, -(2.0**52 - 0.5)), math.inf)
+        assert kept_memos(w, 16) == [{math.inf: set()}] * 3
+        for cap in (covering._MEMO_CAP, 40):
+            monkeypatch.setattr(covering, "_MEMO_CAP", cap)
+            covering._turn.cache_clear()
+            for k in range(62):
+                for sign in (1, -1):
+                    try:
+                        lift_path(word_to_curve(w, 16), complex(0.0, sign * (2.0**k - 0.5)), math.inf)
+                    except ValueError:
+                        assert k >= 52
+            sizes = [len(memo[math.inf]) for memo in kept_memos(w, 16)]
+            assert max(sizes) <= cap
+        assert sizes == [40] * 3  # the smaller cap binds on every plan
+
+    def test_other_paths_keep_nothing(self):
+        """Turns past the cap, runs of other units, a kept turn after a sample of other bits than its last, a
+        one-run path and a pickled curve are planned by the call: the process keeps no plan of theirs."""
+        w = parse_word("a1^2 a2^-1")
+        covering._turn.cache_clear()
+        past = word_to_curve(w, covering._TURN_CAP + 1)
+        turn = covering._turn("a1", 1, 16)
+        paths = [past, runs_path([(FIGURE_EIGHT, 2)]), runs_path([(SIGNED_ZERO, 1), (turn, 1)]),
+                 PolyPath(word_to_curve(w, 16).points, Plane.PUNCTURED), pickle.loads(pickle.dumps(past))]
+        for path in paths:
+            lifted = lift_path(path, BASE_LIFT_POINT)
+            curve_to_word(path)
+            assert [plan[-1] for plan, *_ in lifted._lift] == [None] * len(lifted._lift)
+        assert all(type(unit) is tuple for unit, _ in past._runs + paths[-1]._runs)
+        keys = [("a1", 1, 16), ("a2", -1, 16)]  # the turn after -0.0 - 0.0i, and those of the one-run path's points
+        assert covering._turn.cache_info().currsize == 2 and all(vars(covering._turn(*key)) == {} for key in keys)
+
+    def test_kept_plans_live_with_their_turns(self):
+        """A word curve's turns keep their lift and reading plans, of their own samples alone; the cache's clearing
+        drops them with the turns, and a pickled curve holds its turns' samples, not their plans."""
+        w = parse_word("a1^2 a2^-1 a1")
+        covering._turn.cache_clear()
+        curve = word_to_curve(w, 16)
+        lifted = lift_path(curve, BASE_LIFT_POINT)
+        assert curve_to_word(curve) == w
+        turns = [unit for unit, _ in curve._runs[1:]]
+        assert all(sorted(vars(turn), key=str) == sorted([covering._plan, covering._reads], key=str)
+                   for turn in turns)
+        for turn in turns:
+            assert vars(turn)[covering._plan][0][0] is turn[-1]  # the turn's own sample, no caller's
+        assert {id(plan) for plan, *_ in lifted._lift} == {id(vars(turn)[covering._plan]) for turn in turns}
+        assert pickle.loads(pickle.dumps(curve))._runs == curve._runs
+        assert all(type(unit) is tuple for unit, _ in pickle.loads(pickle.dumps(curve))._runs)
+        covering._turn.cache_clear()
+        fresh = word_to_curve(w, 16)
+        assert all(unit is not turn and vars(unit) == {} for (unit, _), turn in zip(fresh._runs[1:], turns))
 
 
 class TestCurveToWord:
@@ -1367,7 +1550,7 @@ def branches():
 
 def word_plan(w: FreeWord, samples: int, i: int) -> tuple:
     runs = covering._copies(word_to_curve(w, samples), covering._plan)
-    return runs[i % len(runs)][0]
+    return runs[i % len(runs)][0] if runs else covering._plan((0j,), None)
 
 
 def residuals(plan: tuple, m: float) -> list[float]:
@@ -1424,26 +1607,26 @@ class TestChunkMemo:
         if isinstance(unit[0], complex):  # a polygon unit after the sample 0, not a plan
             try:
                 PolyPath(unit, Plane.PUNCTURED)
-                unit = covering._plan(unit, {})
+                unit = covering._plan(unit, None)
             except ValueError:
                 return
-        us, sides, lengths, values, near, real, _, _, segments, _ = unit
+        us, sides, lengths, values, near, real, _, segments, changes, _ = unit
         if not values:
             return
         if bits:
             values = [complex(v.real, round(v.imag * 2**bits) / 2**bits) for v in values]
         halves = [complex(0.0, math.copysign(0.5, v.imag)) for v in values]
-        memo, oracle = ((us, sides, lengths, values, near, real, {}, halves, segments, {}) for _ in range(2))
+        plan, memo = (us, sides, lengths, values, near, real, halves, segments, changes, None), ({}, {}, ())
         if isinstance(tol, tuple):
-            found = residuals(oracle, ms[0])
+            found = residuals(plan, ms[0])
             tol = found[tol[0] % len(found)] * tol[1] or 2e-16
         memo_faults, oracle_faults = {}, {}
         last = BASE_LIFT_POINT
         for m, way in zip(ms, ways):
             last = (cmath.atanh(us[0]) / math.pi + complex(0.0, m), values[0] + complex(0.0, m), last)[way]
-            after = covering._chunk(memo, m, tol, last, memo_faults)
-            expected = reference_chunk(oracle, m, tol, last, oracle_faults)
-            assert packed(chunk_points(memo, m, after)) == packed(expected)
+            after = covering._chunk(plan, memo, m, tol, last, memo_faults)
+            expected = reference_chunk(plan, m, tol, last, oracle_faults)
+            assert packed(chunk_points(plan, m, after)) == packed(expected)
             assert [(k, type(e), str(e)) for k, e in memo_faults.items()] == [
                 (k, type(e), str(e)) for k, e in oracle_faults.items()]
             last = expected[-1]
@@ -1451,7 +1634,7 @@ class TestChunkMemo:
     def test_junctions_insert_cross_or_neither(self):
         """The predecessors of ``JUNCTIONS`` insert an axis point (the first two), cross the ray at the junction, and
         do neither."""
-        plans = [covering._plan((pred, *JUNCTION_UNIT), {}) for pred in JUNCTIONS]
+        plans = [covering._plan((pred, *JUNCTION_UNIT), None) for pred in JUNCTIONS]
         assert [len(plan[0]) - len(JUNCTION_UNIT) for plan in plans] == [2, 2, 1, 1]
         assert [plan[0][1] for plan in plans[:2]] == [0.5j, (5e8 + 0.25) * 1j]
         assert [plan[2][0] for plan in plans] == [3, 3, 0, 2]  # the samples before the first crossing
@@ -1477,11 +1660,12 @@ class TestChunkMemo:
         for pred in preds:
             try:
                 PolyPath((pred, *unit), Plane.PUNCTURED)
-                plans.append(covering._plan((pred, *unit), checked))
+                plans.append(covering._plan((pred, *unit), None))
             except ValueError:
                 continue
         if not plans:
             return
+        memos = [({}, checked, ()) for _ in plans]  # each plan's chunk classes, and the segment classes they share
         if isinstance(tol, tuple):
             found = residuals(plans[picks[0] % len(plans)], ms[0])
             tol = found[tol[0] % len(found)] * tol[1] or 2e-16
@@ -1489,7 +1673,7 @@ class TestChunkMemo:
         for m, pick, way in zip(ms, picks, ways):
             plan = plans[pick % len(plans)]
             last = (cmath.atanh(plan[0][0]) / math.pi + complex(0.0, m), plan[3][0] + complex(0.0, m), last)[way]
-            after = covering._chunk(plan, m, tol, last, memo_faults)
+            after = covering._chunk(plan, memos[pick % len(plans)], m, tol, last, memo_faults)
             expected = reference_chunk(plan, m, tol, last, oracle_faults)
             assert packed(chunk_points(plan, m, after)) == packed(expected)
             assert [(k, type(e), str(e)) for k, e in memo_faults.items()] == [

@@ -25,7 +25,7 @@ def test_this_tree_against_itself_changes_nothing():
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
     assert [(row[0], int(row[1]) > 0, row[2]) for row in rows] == [
         ("word-ladder", True, "0"), ("braids", True, "0"), ("polygons", True, "0"), ("far-up", True, "0"),
-        ("runs", True, "0"), ("parses", True, "0")]
+        ("runs", True, "0"), ("starts", True, "0"), ("parses", True, "0"), ("memo", True, "0")]
 
 
 def test_report_counts_and_names_the_changed_cases(capsys):
@@ -114,3 +114,36 @@ def test_runs_are_copies_of_units_that_cross_the_rays_any_number_of_times():
     got = gate.outcomes({"runs": runs + [("runs", (((0.5j, 0.5j, 0j), 2),), START, 1e-6)]})["runs"]
     assert {kind for _, kind, _ in got} >= {"lifted", "PolyPath"} and got[-1][1] == "PolyPath"
     assert [list(parts) for _, kind, parts in got if kind == "lifted"][0] == ["points", "_real_signs", "pieces", "word"]
+
+
+def test_report_names_errors_that_differ_where_no_points_moved(capsys):
+    gate = load_script()
+    cases = {"memo": [("word", "a1", 16, "lift", START, 1e-6)]}
+    parent = {"memo": [("a", "LiftError", {"error": "e", "word": "w"})]}
+    change = {"memo": [("b", "LiftError", {"error": "e2", "word": "w"})]}
+    assert gate.report(cases, parent, change) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[2] == "memo: 1 kept their kind and differ in error 1"
+
+
+def test_starts_are_off_the_exact_lift_and_memo_lifts_again_by_tol():
+    """A ``starts`` case lifts from a start in the fiber over 0 other than 0 lifted on its branch, and its points are
+    an outcome where its pieces are refused; ``memo`` lifts each ladder lift and far-up lift once per tolerance, in
+    the order 1e-6, inf, 2e-16, 1e-6."""
+    import cmath
+    import math
+
+    from slalom import covering
+
+    gate = load_script()
+    cases = gate.corpora(quick=True)
+    for start, _ in gate.OFF_STARTS:
+        m = round(start.imag - 0.5) + 0.5
+        assert not covering._off_fiber(covering.cover_map(start)) and start != cmath.atanh(0j) / math.pi + 1j * m
+    starts = cases["starts"]
+    assert {case[-2:] for case in starts} == set(gate.OFF_STARTS) and {case[0] for case in starts} == {"word", "runs"}
+    lifts = [case for case in cases["word-ladder"] if case[3] == "lift"]
+    once = list({case[:5]: case for case in lifts + cases["far-up"]}.values())
+    assert cases["memo"] == [(*case[:5], tol) for tol in (1e-6, math.inf, 2e-16, 1e-6) for case in once]
+    got = gate.outcomes({"starts": [("word", "a1", 16, "lift", complex(3e-9, -0.5), math.inf)]})["starts"][0]
+    assert got[1] == "lifted" and list(got[2]) == ["points", "_real_signs", "pieces", "word"]
