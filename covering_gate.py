@@ -32,11 +32,11 @@ runs every case of eight corpora, in this order, through that tree's ``slalom``;
 
 A ladder read op's outcome is the word ``curve_to_word`` reads, or its error's type and message.  A text's is the
 value each reader gives, or its error's type, message and column; a braid's in ``parses`` is its ``cstar`` word and
-both bounds.  Every other case's is the lift's point bits, its ``_real_signs`` and its pieces or the type and message
-of ``slalom_decompose``'s refusal of them, or the type and message of the error raised on the way, by ``PolyPath`` or
-``lift_path``, and the word read.  The cases
-are drawn in this process, with the ``perfbench/`` beside this file, and handed to both trees, so only ``slalom`` can
-differ.  The gate prints, per corpus, the cases, the changed outcomes and the change's outcomes by kind, and the first
+both bounds.  Every other case's is the lift's point bits, its ``_real_signs`` (the b"-0+" sign class of the real part
+of each of its points) and its pieces or the type and message of ``slalom_decompose``'s refusal of them, or the type
+and message of the error raised on the way, by ``PolyPath`` or ``lift_path``, and the word read.  The cases are drawn
+in this process, with the ``perfbench/`` beside this file, and handed to both trees, so only ``slalom`` can differ.
+The gate prints, per corpus, the cases, the changed outcomes and the change's outcomes by kind, and the first
 changed cases; where a case changed but kept its kind, it names the parts that differ: the lift's point bits (how many
 points moved and the largest |dz|, read from both trees again for those cases alone), ``_real_signs``, pieces, the
 error, the word read, or a text's ``word`` or ``braid`` reading, or a braid's ``cstar``, ``tr`` or ``pb``.  It
@@ -161,7 +161,7 @@ def outcomes(cases: dict[str, list[tuple]], points: bool = False) -> dict[str, l
         points = b"".join(struct.pack("<dd", z.real, z.imag) for z in lifted.points)  # also where pieces are refused
         pieces = attempt(lambda: [(p.half_plane.value, p.start_component, p.end_component)
                                   for p in covering.slalom_decompose(lifted).pieces])
-        return points, lifted._real_signs, pieces
+        return points, bytes(b"-0+"[(z.real > 0) - (z.real < 0) + 1] for z in lifted.points), pieces
 
     def terms(w):
         return [(t.gen.value, t.exponent) for t in w.terms]

@@ -12,13 +12,13 @@ A path is runs of copies of units: a word curve, checked by construction, is 0, 
 from 0 to 0 exactly, one per generator, sign and sampling, which the process keeps up to ``_TURN_CAP`` samples; any
 other path is one run, and PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.
 The lift and the reader walk the crossings once per plan, a unit after one sample, once per process for a kept turn;
-the lift's plan holds atanh(u)/pi per point, and b"-0+" strings of the sign classes of Re atanh(u)/pi and Im u, where
-bytes.find finds half-plane changes and crossings, and a regex those of a copy.  The lift's checks run once per chunk,
-a plan lifted on one branch m: the residual and the iZ test once per segment, a unit's samples between crossings, and
-class of its branch, the zero-length check once per class of a plan's chunks; only points of samples near iR are
-checked against iZ.  A kept turn's lift plan keeps the classes that its lifts at one tol checked where they raised no
-fault, up to ``_MEMO_CAP``.  A word curve and a lift build their points only when read; ``slalom_decompose`` reads a
-lift by its runs.
+the lift's plan holds atanh(u)/pi per point and a copy's changes of half-plane, which bytes.find and a regex find in
+b"-0+" strings of the sign classes of Re atanh(u)/pi, as bytes.find finds crossings in those of Im u.  The lift's
+checks run once per chunk, a plan lifted on one branch m: the residual and the iZ test once per segment, a unit's
+samples between crossings, and class of its branch, the zero-length check once per class of a plan's chunks; only
+points of samples near iR are checked against iZ.  A lift keeps one memo per plan, the classes whose checks passed
+before its first fault; a kept turn's lift plan keeps it for later lifts at one tol, up to ``_MEMO_CAP``.  A word
+curve and a lift build their points only when read; ``slalom_decompose`` reads a lift by its runs.
 """
 
 from __future__ import annotations
@@ -176,29 +176,30 @@ def _pairs(signs: bytes, pairs: tuple[bytes, ...]) -> list[int]:
 def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
     """(plan(us, shared), count) per stretch of copies of a unit after one sample, us that sample (none at the start,
     where a unit of one sample is skipped) and the unit; ``plan`` runs once per unit and sample's bits, in path order.
-    A turn that ``_turn`` keeps, after its last sample's bits, keeps its plans in its dict, so they live and die with
-    it, ``shared`` a dict for ``lift_path``'s memo; any other plan is the call's own, ``shared`` None."""
+    A run after a sample with the bits of its unit's last, as every run of a word curve is, is one stretch; any other
+    run is its first copy and then the rest.  A turn that ``_turn`` keeps, after its last sample, keeps its plan in its
+    dict, so it lives and dies with it, ``shared`` a dict for ``lift_path``'s memo; any other plan is the call's own,
+    ``shared`` None."""
     plans, out, pred = {}, [], None
     for unit, count in path._runs:
-        for n in (1, count - 1):  # the first copy follows the sample before the run, the others the unit's last
-            if n > 0 and (pred is not None or len(unit) > 1):
-                if (got := plans.get(key := (id(unit), id(pred)))) is None:
-                    if (got := plans.get(bits := (id(unit), repr(pred)))) is None:  # repr: -0.0 apart from 0.0
-                        if type(unit) is not _Turn or bits[1] != repr(unit[-1]):
-                            got = plan(unit if pred is None else (pred, *unit), None)
-                        elif (got := vars(unit).get(plan)) is None:
-                            got = vars(unit)[plan] = plan((unit[-1], *unit), {})  # no caller's sample kept
-                    plans[key] = plans[bits] = got
+        one = pred is unit[-1] or repr(pred) == repr(unit[-1])  # repr: -0.0 apart from 0.0
+        for before, n in [(unit[-1], count)] if one else [(pred, 1), (unit[-1], count - 1)]:
+            if n and (before is not None or len(unit) > 1):
+                if type(unit) is _Turn and before is unit[-1]:
+                    if (got := vars(unit).get(plan)) is None:
+                        got = vars(unit)[plan] = plan((before, *unit), {})  # no caller's sample kept
+                elif (got := plans.get(key := (id(unit), repr(before)))) is None:
+                    got = plans[key] = plan(unit if before is None else (before, *unit), None)
                 out.append((got, n))
-            pred = unit[-1]
+        pred = unit[-1]
     return out
 
 
 def _plan(us: Sequence[complex], shared: dict | None) -> tuple:
     """A copy's lift but for its branch, its geometry: us, an axis point inserted where Re atanh(u)/pi flips; the
-    crossings' sides; the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks, real classes and signs
-    of Im as +-i/2; per nonempty segment, its offset's index and key (``_chunk``); ``_changes``; and then ``shared``,
-    where a kept turn's plan keeps the check classes that lifts passed (``lift_path``).
+    crossings' sides; the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks and signs of Im as
+    +-i/2; per nonempty segment, its offset's index and key (``_chunk``); ``_changes``; and then ``shared``, where a
+    kept turn's plan keeps the check classes that lifts passed (``lift_path``).
     An insertion that overflows, only past |Re u| = 2^970, is refused after the faults of the samples before it."""
     values = [cmath.atanh(u) / math.pi for u in us]  # PolyPath keeps the samples off -1 and 1, where atanh fails
     real = _signs(v.real for v in values)
@@ -221,7 +222,7 @@ def _plan(us: Sequence[complex], shared: dict | None) -> tuple:
     segments = [(k, (i - n, j - n or None, i == 1 and us[1].imag.hex()))
                 for k, (i, j) in enumerate(zip(cuts, cuts[1:])) if i < j]
     sides, lengths = [side for _, side, _ in crossings], list(map(sub, cuts[1:], cuts[:-1]))
-    return (us, sides, lengths, values[1:], bytes([abs(v.real) <= _PUNCTURE_TOL for v in values[1:]]), real[1:],
+    return (us, sides, lengths, values[1:], bytes([abs(v.real) <= _PUNCTURE_TOL for v in values[1:]]),
             [complex(0.0, math.copysign(0.5, v.imag)) for v in values[1:]], segments,
             _changes(real[1:], sides, lengths), shared)
 
@@ -231,48 +232,49 @@ def _steps(lengths: Sequence[int], offsets: Sequence[float]) -> Iterable[complex
     return chain.from_iterable(map(repeat, map(complex, repeat(0.0), offsets), lengths))
 
 
-def _chunk(plan: tuple, memo: tuple, m: float, tol: float, last: complex, faults: dict) -> float:
+def _chunk(plan: tuple, passed: set, m: float, tol: float, last: complex, faults: dict) -> float:
     """Check a copy of ``plan`` lifted on branch ``m`` after the point ``last``, and return the branch after it, its
-    last offset.  The checks run, and the points are built, only at the first chunk of each class that ``memo``'s
-    ``chunks`` or ``passed`` lacks: the zero-length check there, the residual and the near-iZ test on each of its
-    segments at the first of its class that its ``checked`` or ``passed`` lacks; each check's first fault in path order
-    stays in ``faults``.  A point on
-    offset o is z = Re v + i fl(Im v + o), |Im v| <= 1/2, so d = Im z - o is exact (Sterbenz), and the checks read z
-    only through Re v and d: the residual at z - i fl(o +- 1/2), the integer nearest Im z on Im v's side; the near-iZ
-    test at |d -+ 1/2|; equal points, whose d differ by the sides.  So a segment's class is its samples and, while
-    |m| < 2^51, o's sign and binade, ulp(o): for |o| >= 3/2, Im v + o is in [|o| - 1/2, |o| + 1/2], which no power of
-    two splits, so in one binade, of floats the multiples of 2^(e-52) and o of a parity e fixes, where d is one function
-    of Im v.  +-1/2 are alone in theirs; past 2^51, o is, and fl(o +- 1/2) is an integer too.  A chunk's class, known
-    before any point is built, is whether ``last`` is its first point and its offsets' classes, fixing its segments'.
-    So its checks give what they gave in its lift before, or in a lift at this tol that raised no fault (``passed``)."""
-    us, sides, lengths, values, near, _, halves, segments, _, _ = plan
-    chunks, checked, passed = memo
+    last offset.  The checks run, and the points are built, only at a chunk whose class ``passed`` lacks: the
+    zero-length check there, the residual and the near-iZ test on each of its segments whose class ``passed`` lacks;
+    each check runs until it has a fault in ``faults``, its first in path order, the one a lift raises.  While
+    ``faults`` is empty, the chunk's classes go into ``passed``, on branches |m| < 2^51 and up to ``_MEMO_CAP``.  A
+    point on offset o is z = Re v + i fl(Im v + o), |Im v| <= 1/2, so d = Im z - o is exact (Sterbenz), and the checks
+    read z only through Re v and d: the residual at z - i fl(o +- 1/2), the integer nearest Im z on Im v's side; the
+    near-iZ test at |d -+ 1/2|; equal points, whose d differ by the sides.  So a segment's class is its samples and,
+    while |m| < 2^51, o's sign and binade, ulp(o): for |o| >= 3/2, Im v + o is in [|o| - 1/2, |o| + 1/2], which no
+    power of two splits, so in one binade, of floats the multiples of 2^(e-52) and o of a parity e fixes, where d is
+    one function of Im v.  +-1/2 are alone in theirs; past 2^51, o is, and fl(o +- 1/2) is an integer too.  A chunk's
+    class, known before any point is built, is whether ``last`` is its first point and its offsets' classes, fixing
+    its segments'.  So its checks pass where they passed before at this tol, in this lift or another (``passed``)."""
+    us, sides, lengths, values, near, halves, segments, _, _ = plan
     offsets = list(accumulate(sides, sub, initial=m))  # the m between crossings
     classes = tuple(map(math.copysign, map(math.ulp, offsets), offsets)) if abs(m) < 2**51 else tuple(offsets)
     first = values[0] + complex(0.0, offsets[segments[0][0]])  # on the first nonempty segment
-    if (key := (last == first, classes)) in passed or chunks.setdefault(key, offsets) is not offsets:  # checked
+    if (key := (last == first, classes)) in passed:
         return offsets[-1]
     steps = list(_steps(lengths, offsets))
     lift = list(map(add, values, steps))
-    todo = [where[:2] for k, where in segments
-            if (key := (where, classes[k])) not in passed and checked.setdefault(key, offsets) is offsets]
+    keys = [(where, classes[k]) for k, where in segments]
+    todo = [segment[0][:2] for segment in keys if segment not in passed]
     for z, o, half, u in chain.from_iterable(zip(lift[i:j], steps[i:j], halves[i:j], us[i:j]) for i, j in todo
-                                             ) if tol < math.inf else ():  # the residual is cover_map's, see above
+                                             ) if tol < math.inf and 0 not in faults else ():  # cover_map's residual
         if not (t := cmath.tanh(cmath.pi * (z - (o + half)))) or not abs(1 / t - u) <= tol:  # exact, see above
             why = f"misses its image point {u} by more than {tol}" if t else f"of image point {u} is on iZ"
             grid = math.pi * abs(1 - u * u) * math.ulp(o.imag) > tol  # rounding Im z moves its image as far
             grid = f": Im z on branch {o.imag} is good only to {math.ulp(o.imag)}" if t and grid else ""
-            faults.setdefault(0, LiftError(f"lifted point {z} {why}{grid}"))
+            faults[0] = LiftError(f"lifted point {z} {why}{grid}")
             break
-    for i, (a, b) in enumerate(zip(chain((last,), lift), lift)):  # the sample of ``last`` is us[0]
+    for i, (a, b) in enumerate(zip(chain((last,), lift), lift)) if 1 not in faults else ():  # ``last``'s sample: us[0]
         if a == b:
-            faults.setdefault(1, LiftError(f"samples {us[i]} and {us[i + 1]} lift to the same point {b}"))
+            faults[1] = LiftError(f"samples {us[i]} and {us[i + 1]} lift to the same point {b}")
             break
     # adding the offset keeps Re atanh(u)/pi, so only the points of samples marked near iR can be near iZ
-    for z, marked in chain.from_iterable(zip(lift[i:j], near[i:j]) for i, j in todo):
+    for z, marked in chain.from_iterable(zip(lift[i:j], near[i:j]) for i, j in todo) if 2 not in faults else ():
         if marked and not _off_lattice(z):
-            faults.setdefault(2, ValueError(f"path point {z} hits the excluded set of cover"))
+            faults[2] = ValueError(f"path point {z} hits the excluded set of cover")
             break
+    if not faults and abs(m) < 2**51:  # past 2^51 a class is its offsets, which would grow without bound
+        passed.update([key, *keys][:_MEMO_CAP - len(passed)])
     return offsets[-1]
 
 
@@ -293,12 +295,12 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     atanh, the sign classes and the crossing walk run once per plan, a unit of the path's runs after one sample; the
     checks once per chunk, the plan on one branch m, at its first copy on m after a copy, m moving by each copy's net
     shift: the residual and the iZ test once per segment of a plan between crossings and class of its branch, the
-    zero-length check once per class of a plan's chunks (``_chunk``).  Chunks and
-    segments are walked in path order, so as on a lift point by point every point is checked, and the earliest check's
-    first fault in path order is raised.  The lift holds (plan, m, n, m after) per run of n copies of a plan from m, and
-    builds its points only when read, as ``_chunk`` would; a word curve's are never built.  A turn that the process
-    keeps is planned once (``_copies``); a lift that raises no fault leaves in its plan the classes it checked on
-    branches |m| < 2^51, binades, for its tol alone and at most ``_MEMO_CAP``, which later lifts at that tol skip.
+    zero-length check once per class of a plan's chunks (``_chunk``).  Chunks and segments are walked in path order,
+    so as on a lift point by point every point is checked, and the earliest check's first fault in path order is
+    raised.  The lift holds (plan, m, n, m after) per run of n copies of a plan from m, and builds its points only when
+    read, as ``_chunk`` would; a word curve's are never built.  Each plan has one memo, the classes whose checks passed
+    at this tol before the lift's first fault: a turn that the process keeps is planned once (``_copies``), and its
+    plan keeps that memo for later lifts at this tol, until a lift at another tol replaces it.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0; got {tol!r}")
@@ -310,27 +312,22 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     m = round((start - cmath.atanh(path.start) / math.pi).imag - 0.5) + 0.5
     parts, faults, tail, memos = [], {}, None, {}  # tail: the last copy's last value, its last point tail + im
     for plan, n in runs:
-        if (got := memos.get(id(plan))) is None:  # per plan: its branches, and _chunk's memo
-            got = memos[id(plan)] = {}, ({}, {}, () if plan[-1] is None else plan[-1].get(tol, ()))
-        (built, memo), values, first = got, plan[3], m
+        if (got := memos.get(id(plan))) is None:  # per plan: its branches, and the classes that passed at this tol
+            if (shared := plan[-1]) is not None and tol not in shared:
+                shared.clear()  # a kept plan keeps the classes of one tol: a pass at inf checks no residual
+            got = memos[id(plan)] = {}, set() if shared is None else shared.setdefault(tol, set())
+        (built, passed), values, first = got, plan[3], m
         for _ in repeat(None, n):
             if (after := built.get(m)) is None:  # a later copy on m follows the plan's us[0] lifted on m, as this one
-                after = _chunk(plan, memo, m, tol, start if tail is None else tail + complex(0.0, m), faults)
+                after = _chunk(plan, passed, m, tol, start if tail is None else tail + complex(0.0, m), faults)
                 if tail is not None:  # unless this one follows the start, which need not be that lift
                     built[m] = after
             tail, m = values[-1], after
         parts.append((plan, first, n, m))
     if faults:  # as on a lift point by point, the first fault of the earliest check
         raise faults[min(faults)]
-    for plan, _ in runs:  # a kept plan keeps the classes checked on binades, for this tol alone
-        if (shared := plan[-1]) is not None and (got := memos.pop(id(plan), None)):
-            passed = shared.get(tol) or set()
-            shared.clear()
-            shared[tol] = passed
-            passed.update([key for found in got[1][:2] for key, offsets in found.items()  # offsets[0]: the m
-                           if abs(offsets[0]) < 2**51][:_MEMO_CAP - len(passed)])
     return _new(PolyPath, plane=Plane.COVER, start=start, end=start if tail is None else tail + complex(0.0, m),
-                _lift=tuple(parts), _real_signs=_signs((start.real,)) + b"".join(p[5] * n for p, n in runs))
+                _lift=tuple(parts))
 
 
 class _Turn(tuple):
@@ -407,15 +404,15 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
             raise LiftError(f"path endpoint {z} is not on the imaginary axis")
     if (parts := lifted.__dict__.get("_lift")) is None:
         pts = lifted.points
-        signs = lifted.__dict__.get("_real_signs") or _signs(z.real for z in pts)  # a pickled lift's, or its own
+        signs = _signs(z.real for z in pts)
         if flips := _pairs(signs, _FLIPS):
             i = flips[0]
             raise LiftError(f"lift changes half-plane between {pts[i - 1]} and {pts[i]}, off the imaginary axis")
-        parts = [((None, (), None, pts[1:], None, None, None, None, _changes(signs[1:], (), ())), 0.0, 1, 0.0)
+        parts = [((None, (), None, pts[1:], None, None, None, _changes(signs[1:], (), ())), 0.0, 1, 0.0)
                  ] if pts[1:] else ()
     side, halves, ends, prev = None, [], [math.floor(lifted.start.imag)], lifted.start.imag  # prev: Im before a copy
     for plan, m, n, after in parts:
-        sides, values, changes = plan[1], plan[3], plan[8]
+        sides, values, changes = plan[1], plan[3], plan[7]
         for j in range(n if len(changes) > 1 else 1):
             if j:  # the copy before ends on m
                 prev = values[-1].imag + (m := reduce(sub, sides, m))

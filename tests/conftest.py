@@ -265,12 +265,17 @@ def reference_lift_points(path: PolyPath, start: complex, tol: float = 1e-6) -> 
     return PolyPath(tuple(lift), Plane.COVER).points
 
 
+def sign_string(parts) -> bytes:
+    """The b"-0+" class of each of ``parts``, through the covering's own classifier."""
+    return covering._signs(parts)
+
+
 def reference_chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> list[complex]:
     """Oracle for ``covering._chunk``, which runs its checks once per class of chunks: the same copy of ``plan``
     lifted on branch ``m`` after the point ``last``, with every check run on it, point by point.  The residual is
     taken as ``_chunk`` takes it, at z - i fl(o +- 1/2), o the offset and +-1/2 the plan's half for the sample; each
     check's first fault in path order stays in ``faults``."""
-    us, sides, lengths, values, near, _, halves = plan[:7]
+    us, sides, lengths, values, near, halves = plan[:6]
     offsets = list(accumulate(sides, lambda o, side: o - side, initial=m))
     steps = [complex(0.0, o) for o, n in zip(offsets, lengths) for _ in range(n)]
     lift = [v + step for v, step in zip(values, steps)]

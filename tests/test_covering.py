@@ -33,6 +33,7 @@ from conftest import (
     reference_read_word,
     reference_touching,
     sample_positions,
+    sign_string,
     word_pieces,
 )
 from slalom.braids import braid_to_strands, cross_ratio_curve
@@ -693,7 +694,6 @@ class TestWordCurveCheckedByConstruction:
         assert curve_to_word(curve) == curve_to_word(oracle) == w
         lifted, checked = (lift_path(c, BASE_LIFT_POINT) for c in (curve, oracle))
         assert bits(lifted.points) == bits(checked.points)
-        assert lifted._real_signs == checked._real_signs
         assert slalom_decompose(lifted) == slalom_decompose(checked)
 
     @settings(max_examples=40, deadline=None)
@@ -746,7 +746,7 @@ def lift_and_read(curve: PolyPath, start: complex = BASE_LIFT_POINT, tol: float 
         pieces = slalom_decompose(lifted)
     except ValueError as exc:
         return type(exc), str(exc), curve_to_word(curve)
-    return packed(lifted.points), lifted._real_signs, pieces, curve_to_word(curve)
+    return packed(lifted.points), sign_string(z.real for z in lifted.points), pieces, curve_to_word(curve)
 
 
 def turn_leg(center: float, sign: int, radii) -> tuple[complex, ...]:
@@ -925,11 +925,11 @@ def lazy_outcome(path: PolyPath, start: complex, tol: float) -> tuple:
     except LiftError as exc:
         pieces = type(exc), str(exc)
     assert "points" not in vars(lifted)
-    return packed(lifted.points), lifted._real_signs, packed([lifted.end]), pieces
+    return packed(lifted.points), sign_string(z.real for z in lifted.points), packed([lifted.end]), pieces
 
 
 def eager_outcome(path: PolyPath, start: complex, tol: float) -> tuple:
-    """``lazy_outcome`` by the oracles ``eager_lift`` and ``eager_pieces``, the real signs by the sign classifier."""
+    """``lazy_outcome`` by the oracles ``eager_lift`` and ``eager_pieces``."""
     try:
         lifted = eager_lift(path, start, tol)
     except ValueError as exc:
@@ -974,24 +974,24 @@ class TestLazyLift:
     @given(st.one_of(st.builds(word_to_curve, reduced_words(max_terms=6, max_exp=4), st.sampled_from((16, 64))),
                      st.lists(st.tuples(UNITS, st.integers(2, 4)), min_size=1, max_size=3).map(runs_path)))
     def test_pickled_lift_carries_its_points_not_its_plans(self, path):
-        """A pickled lift holds its points, plane, start, end and real signs: it equals the lift in ==, hash and repr,
-        and reads as the same pieces."""
+        """A pickled lift holds its points, plane, start and end: it equals the lift in ==, hash and repr, and reads
+        as the same pieces."""
         try:
             lifted = lift_path(path, BASE_LIFT_POINT)
             pieces = slalom_decompose(lifted)
         except ValueError:
             return
         copy = pickle.loads(pickle.dumps(lifted))
-        assert sorted(vars(copy)) == ["_real_signs", "end", "plane", "points", "start"]
+        assert sorted(vars(copy)) == ["end", "plane", "points", "start"]
         assert copy == lifted and (hash(copy), repr(copy)) == (hash(lifted), repr(lifted))
         assert packed([copy.start, copy.end]) == packed([lifted.start, lifted.end])
-        assert copy._real_signs == lifted._real_signs and slalom_decompose(copy) == pieces
+        assert slalom_decompose(copy) == pieces
 
     def test_one_class_plans_read_their_first_copy_alone(self):
         """A copy of a plan that enters one half-plane alone, as every word-curve turn does, adds no piece after the
         plan's first copy: the pieces of a^n come from one copy."""
         lifted = lift_path(word_to_curve(parse_word("a1^40 a2^-40"), 16), BASE_LIFT_POINT)
-        assert [len(plan[8]) for plan, *_ in lifted._lift] == [1, 1, 1, 1]
+        assert [(len(plan[7]), n) for plan, _, n, _ in lifted._lift] == [(1, 40), (1, 40)]
         assert slalom_decompose(lifted).pieces == word_pieces(parse_word("a1^40 a2^-40"))
 
 
@@ -1067,26 +1067,28 @@ class TestKeptPlans:
         warm = [outcome(recipe, start, tol) for _ in range(2) for recipe, (start, tol) in lifts]
         assert warm == cold * 2
 
-    def test_a_lift_that_faults_keeps_nothing(self):
-        """At 1e-15, a1 lifts and a1 a2^-1 faults at its second term, after its first passed: the fault keeps none
-        of the classes its lift checked, cold or after a1's lift kept some, and raises again as it did."""
+    def test_a_lift_that_faults_keeps_what_passed_before_it(self):
+        """At 1e-15, a1 lifts and a1 a2^-1 faults at the first chunk of its second term, after its first passed: the
+        fault keeps the classes that a1's lift keeps and none of the second term's, and raises the same error cold and
+        warm."""
         w, ok = parse_word("a1 a2^-1"), parse_word("a1")
+        covering._turn.cache_clear()
+        lift_path(word_to_curve(ok, 64), BASE_LIFT_POINT, 1e-15)
+        passed = [{tol: set(keys) for tol, keys in memo.items()} for memo in kept_memos(ok, 64)]
+        assert passed[0][1e-15]
         covering._turn.cache_clear()
         with pytest.raises(LiftError) as first:
             lift_path(word_to_curve(w, 64), BASE_LIFT_POINT, 1e-15)
-        assert kept_memos(w, 64) == [{}, {}]
-        lift_path(word_to_curve(ok, 64), BASE_LIFT_POINT, 1e-15)
-        before = [{tol: set(keys) for tol, keys in memo.items()} for memo in kept_memos(w, 64)]
-        assert before[0][1e-15] and before[1] == {}
+        assert kept_memos(w, 64) == [*passed, {1e-15: set()}]
         for _ in range(2):
             with pytest.raises(LiftError) as again:
                 lift_path(word_to_curve(w, 64), BASE_LIFT_POINT, 1e-15)
             assert str(again.value) == str(first.value)
-            assert kept_memos(w, 64) == before
+            assert kept_memos(w, 64) == [*passed, {1e-15: set()}]
 
     def test_a_pass_at_inf_excuses_no_finer_tol(self):
         """A lift at tol inf checks no residual, so the classes it keeps are kept for inf alone: a lift at 2e-16
-        after it faults as it does cold, and leaves them as they were."""
+        after it faults as it does cold, and replaces them with the none that passed before its fault."""
         w = parse_word("a1")
         covering._turn.cache_clear()
         with pytest.raises(LiftError) as cold:
@@ -1097,7 +1099,7 @@ class TestKeptPlans:
         assert kept and list(memo) == [math.inf]
         with pytest.raises(LiftError) as warm:
             lift_path(word_to_curve(w, 16), BASE_LIFT_POINT, 2e-16)
-        assert str(warm.value) == str(cold.value) and memo == {math.inf: kept}
+        assert str(warm.value) == str(cold.value) and memo == {2e-16: set()}  # its first chunk faults
         lift_path(word_to_curve(w, 16), BASE_LIFT_POINT, 1e-6)  # a lift at another tol replaces them
         assert list(memo) == [1e-6] and memo[1e-6]
 
@@ -1416,11 +1418,6 @@ class TestSlalomReading:
         assert outcomes[0] == outcomes[1]
 
 
-def sign_string(parts) -> bytes:
-    """The b"-0+" class of each of ``parts``, through the covering's own classifier."""
-    return covering._signs(parts)
-
-
 # zeros of both signs, the smallest subnormal, and values whose products with each other underflow to 0
 EDGE_FLOATS = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-170, 1e-200, -1e-200, 1e-300, -1e-300))
 
@@ -1444,22 +1441,22 @@ class TestSignStrings:
                    for i in set(oracle) - set(got))
 
     @staticmethod
-    def assert_attached_signs_read_alike(curve):
+    def assert_lift_reads_as_its_points(curve):
+        """A lift, read by its plans, and its points built again, read by their sign string, give the same pieces."""
         lifted = lift_path(curve, BASE_LIFT_POINT)
-        plain = PolyPath(lifted.points, Plane.COVER)  # built again: it carries no sign string
-        assert "_real_signs" not in plain.__dict__ and plain == lifted and hash(plain) == hash(lifted)
-        assert lifted.__dict__["_real_signs"] == sign_string(z.real for z in lifted.points)
+        plain = PolyPath(lifted.points, Plane.COVER)  # built again: it carries no plans
+        assert "_lift" not in plain.__dict__ and plain == lifted and hash(plain) == hash(lifted)
         assert slalom_decompose(lifted) == slalom_decompose(plain)
 
     @settings(max_examples=40, deadline=None)
     @given(reduced_words(), st.sampled_from((16, 64, 128)))
-    def test_word_curve_attached_signs(self, w, samples):
-        self.assert_attached_signs_read_alike(word_to_curve(w, samples))
+    def test_word_curve_lift_reads_as_its_points(self, w, samples):
+        self.assert_lift_reads_as_its_points(word_to_curve(w, samples))
 
     @settings(max_examples=20, deadline=None)
     @given(pure_braids())
-    def test_braid_curve_attached_signs(self, b):
-        self.assert_attached_signs_read_alike(cross_ratio_curve(braid_to_strands(b)))
+    def test_braid_curve_lift_reads_as_its_points(self, b):
+        self.assert_lift_reads_as_its_points(cross_ratio_curve(braid_to_strands(b)))
 
 
 def lift_outcome(path: PolyPath, start: complex, tol: float):
@@ -1584,8 +1581,8 @@ def chunk_points(plan: tuple, m: float, after: float) -> list[complex]:
 
 
 class TestChunkMemo:
-    """``_chunk`` runs the zero-length check once per class of chunks, and the residual and the near-iZ test once per
-    class of segments of a unit, whatever the sample before it; ``reference_chunk``, the oracle, runs all at every
+    """``_chunk`` runs the zero-length check once per class of a plan's chunks, and the residual and the near-iZ test
+    once per class of its segments, until a check has a fault; ``reference_chunk``, the oracle, runs all at every
     chunk.  ``_chunk`` builds no points it returns: a copy's are those a lift builds on first read, and the point
     before the next copy is the oracle's last."""
 
@@ -1610,13 +1607,13 @@ class TestChunkMemo:
                 unit = covering._plan(unit, None)
             except ValueError:
                 return
-        us, sides, lengths, values, near, real, _, segments, changes, _ = unit
+        us, sides, lengths, values, near, _, segments, changes, _ = unit
         if not values:
             return
         if bits:
             values = [complex(v.real, round(v.imag * 2**bits) / 2**bits) for v in values]
         halves = [complex(0.0, math.copysign(0.5, v.imag)) for v in values]
-        plan, memo = (us, sides, lengths, values, near, real, halves, segments, changes, None), ({}, {}, ())
+        plan, memo = (us, sides, lengths, values, near, halves, segments, changes, None), set()
         if isinstance(tol, tuple):
             found = residuals(plan, ms[0])
             tol = found[tol[0] % len(found)] * tol[1] or 2e-16
@@ -1652,11 +1649,11 @@ class TestChunkMemo:
     @example(CLASS_UNITS[0], [0.5 + 0.25j], [3.5, 4.5], [0, 0], [0, 2], 8e-15)
     @example(CLASS_UNITS[1], [0.5 + 0.25j], [2.5, 3.5], [0, 0], [0, 2], 4e-14)
     def test_segment_memo_matches_per_chunk_checks(self, unit, preds, ms, picks, ways, tol):
-        """Chunks of several plans of one unit, after different predecessor samples and sharing one memo of checked
-        segments, give the oracle's point bits and, after each chunk, its faults, by check, type and message, in the
-        order the first fault of each check was found.  The point before each chunk is its predecessor sample lifted on
-        m, its first point, or the last chunk's end; tol is drawn on either side of a residual of the first chunk."""
-        checked, plans = {}, []
+        """Chunks of several plans of one unit, after different predecessor samples, each plan with its own memo, give
+        the oracle's point bits and, after each chunk, its faults, by check, type and message, in the order the first
+        fault of each check was found.  The point before each chunk is its predecessor sample lifted on m, its first
+        point, or the last chunk's end; tol is drawn on either side of a residual of the first chunk."""
+        plans = []
         for pred in preds:
             try:
                 PolyPath((pred, *unit), Plane.PUNCTURED)
@@ -1665,7 +1662,7 @@ class TestChunkMemo:
                 continue
         if not plans:
             return
-        memos = [({}, checked, ()) for _ in plans]  # each plan's chunk classes, and the segment classes they share
+        memos = [set() for _ in plans]
         if isinstance(tol, tuple):
             found = residuals(plans[picks[0] % len(plans)], ms[0])
             tol = found[tol[0] % len(found)] * tol[1] or 2e-16
