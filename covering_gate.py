@@ -3,7 +3,7 @@
     python3 covering_gate.py PARENT_ROOT CHANGE_ROOT [--quick]
 
 Each root is a checkout of this repository.  Each tree's ``src/`` is imported in a subprocess of its own, which
-runs every case of eight corpora, in this order, through that tree's ``slalom``; all but ``parses`` go through
+runs every case of nine corpora, in this order, through that tree's ``slalom``; all but ``parses`` go through
 ``slalom.covering``:
 
 - ``word-ladder``: the ops of the benchmark's ``word-ladder`` workload, seeds 1-3, rounds 0-2 (126 ops): the read
@@ -20,6 +20,9 @@ runs every case of eight corpora, in this order, through that tree's ``slalom``;
   a unit is 1 to 3 legs from 0 back to 0, each a turn about a puncture (crossing its ray once), a loop inside
   |z| < 0.85 (crossing none) or 1 to 3 vertices near a puncture or in [-3, 3]^2 (crossing any number of times),
   lifted from -i/2 at a tolerance of 1e-6, inf or 2e-16, or from (10^6 + 1/2)i at 1e-9;
+- ``splits``: 1000 paths drawn as ``runs`` draws them with seed 38, each unit but the last then ending off 0 or at
+  -0.0 - 0.0i, by turns (``SPLIT_ENDS``), so that in a path of two runs or more the first copy of each run follows a
+  sample of other bits than its unit's last, and the lift and the reader plan it apart from the rest of its run;
 - ``starts``: the lift ops of ``word-ladder``, and 1000 paths drawn as ``runs`` draws them with seed 37, lifted from
   each of ``OFF_STARTS``, starts in the fiber over 0 that are not the bit-exact lift of 0 from their branch, so that a
   lift's first copy follows a point other than its plan's first sample lifted;
@@ -75,6 +78,7 @@ RUNS_STARTS = ((complex(0.0, -0.5), 1e-6), (complex(0.0, -0.5), math.inf), (comp
                (complex(0.0, 1e6 + 0.5), 1e-9))
 OFF_STARTS = ((complex(3e-9, -0.5), math.inf), (complex(3e-9, -0.5), 1e-6), (complex(0.0, -0.5 + 2e-9), 1e-6),
               (complex(-2e-9, 1e6 + 0.5), 1e-9))
+SPLIT_ENDS = ((0.5 + 0.5j, 0.3 + 0.2j), (0.5 + 0.5j, complex(-0.0, -0.0)))  # as OFF_ZERO and SIGNED_ZERO of the tests
 
 
 def leg(rng: random.Random) -> tuple[complex, ...]:
@@ -125,8 +129,14 @@ def corpora(quick: bool = False) -> dict[str, list[tuple]]:
         return tuple((sum((leg(rng) for _ in range(rng.randint(1, 3))), ()), rng.randint(2, 5))
                      for _ in range(rng.randint(1, 4)))
 
+    def split(runs: tuple) -> tuple:
+        k = rng.randrange(2)
+        return (*((unit + SPLIT_ENDS[(k + i) % 2], n) for i, (unit, n) in enumerate(runs[:-1])), runs[-1])
+
     rng = random.Random(36)
     runs = [("runs", runs_of(rng), *rng.choice(RUNS_STARTS)) for _ in range(40 if quick else 4000)]
+    rng = random.Random(38)
+    splits = [("runs", split(runs_of(rng)), *rng.choice(RUNS_STARTS)) for _ in range(10 if quick else 1000)]
     rng = random.Random(37)
     lifts = [case for case in ladder if case[3] == "lift"]
     starts = [(*case[:4], *start) for case in lifts for start in OFF_STARTS]
@@ -138,7 +148,7 @@ def corpora(quick: bool = False) -> dict[str, list[tuple]]:
              for _ in range(200 if quick else 20000)]
     braids = braids[:5 if quick else 150]
     return {"word-ladder": ladder, "braids": braids, "polygons": polygons, "far-up": far_up, "runs": runs,
-            "starts": starts, "parses": texts + [("cstar", text) for _, text in braids], "memo": memo}
+            "splits": splits, "starts": starts, "parses": texts + [("cstar", text) for _, text in braids], "memo": memo}
 
 
 def outcomes(cases: dict[str, list[tuple]], points: bool = False) -> dict[str, list]:

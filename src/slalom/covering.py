@@ -14,11 +14,11 @@ other path is one run, and PolyPath(points, Plane.PUNCTURED), the tests' oracle,
 The lift and the reader walk the crossings once per plan, a unit after one sample, once per process for a kept turn;
 the lift's plan holds atanh(u)/pi per point and a copy's changes of half-plane, which bytes.find and a regex find in
 b"-0+" strings of the sign classes of Re atanh(u)/pi, as bytes.find finds crossings in those of Im u.  The lift's
-checks run once per chunk, a plan lifted on one branch m: the residual and the iZ test once per segment, a unit's
-samples between crossings, and class of its branch, the zero-length check once per class of a plan's chunks; only
-points of samples near iR are checked against iZ.  A lift keeps one memo per plan, the classes whose checks passed
-before its first fault; a kept turn's lift plan keeps it for later lifts at one tol, up to ``_MEMO_CAP``.  A word
-curve and a lift build their points only when read; ``slalom_decompose`` reads a lift by its runs.
+checks run once per chunk, a plan lifted on one branch m, and class of chunks, the sign and binade of each offset and
+whether the point before is the first; only points of samples near iR are checked against iZ, and the residual's first
+fault is raised at once.  A lift keeps one memo per plan, the chunk classes whose checks passed before its first fault;
+a kept turn's lift plan keeps it for later lifts at one tol, at most 204 classes.  A word curve and a lift build their
+points only when read; ``slalom_decompose`` reads a lift by its runs.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ _FLIPS = (b"-+", b"+-")
 _TOUCHING = (b"-0", b"00", b"+0", b"0-", b"0+", *_FLIPS)  # a zero class at either end, or strictly opposite ones
 _EXCURSION = re.compile(rb"-+|\++")  # a maximal run of one nonzero class
 _TURN_CAP = 1024  # the most samples per turn of a turn that the process keeps
-_MEMO_CAP = 512  # the most check classes that the lift plan of a kept turn keeps as passed, for one tol
 _READS = (None, Generator.A2, Generator.A1)  # what a crossing of ray 1 or -1 reads, by the ray, so bound once
 
 
@@ -198,8 +197,8 @@ def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
 def _plan(us: Sequence[complex], shared: dict | None) -> tuple:
     """A copy's lift but for its branch, its geometry: us, an axis point inserted where Re atanh(u)/pi flips; the
     crossings' sides; the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks and signs of Im as
-    +-i/2; per nonempty segment, its offset's index and key (``_chunk``); ``_changes``; and then ``shared``, where a
-    kept turn's plan keeps the check classes that lifts passed (``lift_path``).
+    +-i/2; ``_changes``; and then ``shared``, where a kept turn's plan keeps the chunk classes that lifts passed
+    (``lift_path``).
     An insertion that overflows, only past |Re u| = 2^970, is refused after the faults of the samples before it."""
     values = [cmath.atanh(u) / math.pi for u in us]  # PolyPath keeps the samples off -1 and 1, where atanh fails
     real = _signs(v.real for v in values)
@@ -217,14 +216,10 @@ def _plan(us: Sequence[complex], shared: dict | None) -> tuple:
             values += cmath.atanh(u) / math.pi, *vals[i:j]
             real += b"0" + reals[i:j]  # Re atanh(iy) is 0
     crossings = list(_crossings(us, _signs(u.imag for u in us), LiftError))
-    cuts, n = [1, *(i for i, _, _ in crossings), len(us)], len(us)
-    # a segment's samples: its place from the unit's end, which slices us and us[1:]'s lists alike, and us[1]'s bits
-    segments = [(k, (i - n, j - n or None, i == 1 and us[1].imag.hex()))
-                for k, (i, j) in enumerate(zip(cuts, cuts[1:])) if i < j]
+    cuts = [1, *(i for i, _, _ in crossings), len(us)]
     sides, lengths = [side for _, side, _ in crossings], list(map(sub, cuts[1:], cuts[:-1]))
     return (us, sides, lengths, values[1:], bytes([abs(v.real) <= _PUNCTURE_TOL for v in values[1:]]),
-            [complex(0.0, math.copysign(0.5, v.imag)) for v in values[1:]], segments,
-            _changes(real[1:], sides, lengths), shared)
+            [complex(0.0, math.copysign(0.5, v.imag)) for v in values[1:]], _changes(real[1:], sides, lengths), shared)
 
 
 def _steps(lengths: Sequence[int], offsets: Sequence[float]) -> Iterable[complex]:
@@ -235,46 +230,44 @@ def _steps(lengths: Sequence[int], offsets: Sequence[float]) -> Iterable[complex
 def _chunk(plan: tuple, passed: set, m: float, tol: float, last: complex, faults: dict) -> float:
     """Check a copy of ``plan`` lifted on branch ``m`` after the point ``last``, and return the branch after it, its
     last offset.  The checks run, and the points are built, only at a chunk whose class ``passed`` lacks: the
-    zero-length check there, the residual and the near-iZ test on each of its segments whose class ``passed`` lacks;
-    each check runs until it has a fault in ``faults``, its first in path order, the one a lift raises.  While
-    ``faults`` is empty, the chunk's classes go into ``passed``, on branches |m| < 2^51 and up to ``_MEMO_CAP``.  A
-    point on offset o is z = Re v + i fl(Im v + o), |Im v| <= 1/2, so d = Im z - o is exact (Sterbenz), and the checks
-    read z only through Re v and d: the residual at z - i fl(o +- 1/2), the integer nearest Im z on Im v's side; the
-    near-iZ test at |d -+ 1/2|; equal points, whose d differ by the sides.  So a segment's class is its samples and,
-    while |m| < 2^51, o's sign and binade, ulp(o): for |o| >= 3/2, Im v + o is in [|o| - 1/2, |o| + 1/2], which no
-    power of two splits, so in one binade, of floats the multiples of 2^(e-52) and o of a parity e fixes, where d is
-    one function of Im v.  +-1/2 are alone in theirs; past 2^51, o is, and fl(o +- 1/2) is an integer too.  A chunk's
-    class, known before any point is built, is whether ``last`` is its first point and its offsets' classes, fixing
-    its segments'.  So its checks pass where they passed before at this tol, in this lift or another (``passed``)."""
-    us, sides, lengths, values, near, halves, segments, _, _ = plan
-    offsets = list(accumulate(sides, sub, initial=m))  # the m between crossings
-    classes = tuple(map(math.copysign, map(math.ulp, offsets), offsets)) if abs(m) < 2**51 else tuple(offsets)
-    first = values[0] + complex(0.0, offsets[segments[0][0]])  # on the first nonempty segment
-    if (key := (last == first, classes)) in passed:
+    residual, whose first fault is raised at once, since no later check can change the error a lift raises, then the
+    zero-length check and the near-iZ test, each until it has a fault in ``faults``, its first in path order.  While
+    ``faults`` is empty, the chunk's class goes into ``passed``.  A point on offset o is z = Re v + i fl(Im v + o),
+    |Im v| <= 1/2, so d = Im z - o is exact (Sterbenz), and the checks read z only through Re v and d: the residual at
+    z - i fl(o +- 1/2), the integer nearest Im z on Im v's side; the near-iZ test at |d -+ 1/2|; equal points, whose d
+    differ by the sides.  So while |m| < 2^51 a point's checks are decided by its sample and o's sign and binade,
+    ulp(o): for |o| >= 3/2, Im v + o is in [|o| - 1/2, |o| + 1/2], which no power of two splits, so in one binade, of
+    floats the multiples of 2^(e-52) and o of a parity e fixes, where d is one function of Im v; +-1/2 are alone in
+    theirs.  A chunk's class, known before any point is built, is whether ``last`` is its first point and its offsets'
+    classes, so its checks pass where they passed before at this tol, in this lift or another (``passed``).  Past
+    2^51 o is its own class, so a chunk has none, and none is looked up or kept.  A kept turn crosses a ray once, by
+    side s, so its chunks' offset classes are (class(m), class(m - s)), 204 pairs below 2^51, and a chunk whose
+    ``last`` is its first point never passes: a kept plan keeps at most 204 classes."""
+    us, sides, lengths, values, near, halves, _, _ = plan
+    offsets = list(accumulate(sides, sub, initial=m))  # the m between crossings: none before us[1] where it crosses
+    key = abs(m) < 2**51 and (last == values[0] + complex(0.0, offsets[not lengths[0]]),  # none past 2^51
+                              tuple(map(math.copysign, map(math.ulp, offsets), offsets)))
+    if key and key in passed:
         return offsets[-1]
     steps = list(_steps(lengths, offsets))
     lift = list(map(add, values, steps))
-    keys = [(where, classes[k]) for k, where in segments]
-    todo = [segment[0][:2] for segment in keys if segment not in passed]
-    for z, o, half, u in chain.from_iterable(zip(lift[i:j], steps[i:j], halves[i:j], us[i:j]) for i, j in todo
-                                             ) if tol < math.inf and 0 not in faults else ():  # cover_map's residual
-        if not (t := cmath.tanh(cmath.pi * (z - (o + half)))) or not abs(1 / t - u) <= tol:  # exact, see above
+    for z, o, half, u in zip(lift, steps, halves, islice(us, 1, None)) if tol < math.inf else ():
+        if not (t := cmath.tanh(cmath.pi * (z - (o + half)))) or not abs(1 / t - u) <= tol:  # cover_map's, exactly
             why = f"misses its image point {u} by more than {tol}" if t else f"of image point {u} is on iZ"
             grid = math.pi * abs(1 - u * u) * math.ulp(o.imag) > tol  # rounding Im z moves its image as far
             grid = f": Im z on branch {o.imag} is good only to {math.ulp(o.imag)}" if t and grid else ""
-            faults[0] = LiftError(f"lifted point {z} {why}{grid}")
-            break
+            raise LiftError(f"lifted point {z} {why}{grid}")
     for i, (a, b) in enumerate(zip(chain((last,), lift), lift)) if 1 not in faults else ():  # ``last``'s sample: us[0]
         if a == b:
             faults[1] = LiftError(f"samples {us[i]} and {us[i + 1]} lift to the same point {b}")
             break
     # adding the offset keeps Re atanh(u)/pi, so only the points of samples marked near iR can be near iZ
-    for z, marked in chain.from_iterable(zip(lift[i:j], near[i:j]) for i, j in todo) if 2 not in faults else ():
+    for z, marked in zip(lift, near) if 2 not in faults else ():
         if marked and not _off_lattice(z):
             faults[2] = ValueError(f"path point {z} hits the excluded set of cover")
             break
-    if not faults and abs(m) < 2**51:  # past 2^51 a class is its offsets, which would grow without bound
-        passed.update([key, *keys][:_MEMO_CAP - len(passed)])
+    if key and not faults:
+        passed.add(key)
     return offsets[-1]
 
 
@@ -294,13 +287,13 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
 
     atanh, the sign classes and the crossing walk run once per plan, a unit of the path's runs after one sample; the
     checks once per chunk, the plan on one branch m, at its first copy on m after a copy, m moving by each copy's net
-    shift: the residual and the iZ test once per segment of a plan between crossings and class of its branch, the
-    zero-length check once per class of a plan's chunks (``_chunk``).  Chunks and segments are walked in path order,
-    so as on a lift point by point every point is checked, and the earliest check's first fault in path order is
-    raised.  The lift holds (plan, m, n, m after) per run of n copies of a plan from m, and builds its points only when
-    read, as ``_chunk`` would; a word curve's are never built.  Each plan has one memo, the classes whose checks passed
-    at this tol before the lift's first fault: a turn that the process keeps is planned once (``_copies``), and its
-    plan keeps that memo for later lifts at this tol, until a lift at another tol replaces it.
+    shift, and once per class of a plan's chunks (``_chunk``).  Chunks are walked in path order, so as on a lift point
+    by point every point is checked, and the earliest check's first fault in path order is raised: the residual's at
+    once, as it is found, and the others' after the walk.  The lift holds (plan, m, n, m after) per run of n copies of
+    a plan from m, and builds its points only when read, as ``_chunk`` would; a word curve's are never built.  Each
+    plan has one memo, the chunk classes whose checks passed at this tol before the lift's first fault: a turn that the
+    process keeps is planned once (``_copies``), and its plan keeps that memo, at most 204 classes, for later lifts at
+    this tol, until a lift at another tol replaces it.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0; got {tol!r}")
@@ -408,11 +401,11 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
         if flips := _pairs(signs, _FLIPS):
             i = flips[0]
             raise LiftError(f"lift changes half-plane between {pts[i - 1]} and {pts[i]}, off the imaginary axis")
-        parts = [((None, (), None, pts[1:], None, None, None, _changes(signs[1:], (), ())), 0.0, 1, 0.0)
+        parts = [((None, (), None, pts[1:], None, None, _changes(signs[1:], (), ())), 0.0, 1, 0.0)
                  ] if pts[1:] else ()
     side, halves, ends, prev = None, [], [math.floor(lifted.start.imag)], lifted.start.imag  # prev: Im before a copy
     for plan, m, n, after in parts:
-        sides, values, changes = plan[1], plan[3], plan[7]
+        sides, values, changes = plan[1], plan[3], plan[6]
         for j in range(n if len(changes) > 1 else 1):
             if j:  # the copy before ends on m
                 prev = values[-1].imag + (m := reduce(sub, sides, m))

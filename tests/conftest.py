@@ -305,20 +305,24 @@ def reference_chunk(plan: tuple, m: float, tol: float, last: complex, faults: di
 
 def eager_lift(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     """Oracle for ``lift_path``, which checks a chunk once per class and builds its points on first read: the lift that
-    builds every point at once.  It walks the plans of the path's runs as ``lift_path`` does, builds and checks every
-    copy point by point by ``reference_chunk``, and joins the copies after ``start`` into a ``PolyPath`` built through
-    its checks."""
+    builds every point at once.  It walks the path's runs copy by copy, plans each copy after the sample before it (the
+    first copy of a path alone), builds and checks every copy point by point by ``reference_chunk``, and joins the
+    copies after ``start`` into a ``PolyPath`` built through its checks."""
     if not tol > 0:
         raise ValueError(f"tol must be > 0; got {tol!r}")
     if path.plane is not Plane.PUNCTURED:
         raise ValueError("lift_path expects a path in the punctured plane")
     if covering._off_fiber(cover_map(start) - path.start):
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
-    runs = covering._copies(path, covering._plan)
+    plans, before = [], None  # all first, as the lift plans: the crossing walk raises first
+    for unit, n in path._runs:
+        for _ in range(n):
+            plans.append(covering._plan(unit if before is None else (before, *unit), None))
+            before = unit[-1]
     m = round((start - cmath.atanh(path.start) / math.pi).imag - 0.5) + 0.5
     points, faults = [start], {}
-    for plan, n in runs:
-        for _ in range(n if plan[3] else 0):
+    for plan in plans:
+        if plan[3]:
             points += reference_chunk(plan, m, tol, points[-1], faults)
             m = functools.reduce(sub, plan[1], m)
     if faults:

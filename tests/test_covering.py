@@ -778,6 +778,9 @@ UNITS = st.lists(LEGS, min_size=1, max_size=3).map(lambda legs: sum(legs, ()))
 FIGURE_EIGHT = turn_leg(-1.0, 1, (1.0, 1.0, 1.0)) + turn_leg(1.0, 1, (1.0, 1.0, 1.0))  # sides -1 and 1, no net shift
 # a unit whose last sample and first, distinct, lift to one point: its copies after the first collapse at the junction
 COLLAPSING = (5e-324 + 0j, 0.5 + 0.5j, 0j)
+# units that end at -0.0 - 0.0i and off 0, across iR from a turn's first sample: a kept turn after them is planned
+# by the call, from other bits
+SIGNED_ZERO, OFF_ZERO = (0.5 + 0.5j, complex(-0.0, -0.0)), (0.5 + 0.5j, 0.3 + 0.2j)
 
 
 class TestWordCurveRuns:
@@ -959,9 +962,12 @@ class TestLazyLift:
     @example(runs_path([((0.5j, 0j), 4), (SHIFTING_EIGHT, 2)]), (complex(0.0, 1e6 + 0.5), 1e-9))
     @example(word_to_curve(parse_word(FIGURE2_TEXT), 17), (complex(3e-9, -2.5), 1e-15))
     @example(runs_path([(COLLAPSING, 3)]), (complex(3e-9, -0.5), math.inf))
+    @example(runs_path([(OFF_ZERO, 2), (FIGURE_EIGHT, 2), (SIGNED_ZERO, 2), (SHIFTING_EIGHT, 2)]),
+             (BASE_LIFT_POINT, 1e-6))
     def test_matches_the_eager_lift(self, path, start_tol):
-        """Word curves, polygon loops and runs of copies of units that cross the rays 0, 1 or more times: the same
-        point bits, real signs, end and pieces, or the same first fault, as the lift that builds every point."""
+        """Word curves, polygon loops and runs of copies of units that cross the rays 0, 1 or more times, after samples
+        of their units' last bits or others: the same point bits, real signs, end and pieces, or the same first fault,
+        as the lift that builds every point."""
         try:
             PolyPath(path.points if isinstance(path, PolyPath) else (0j, *path, 0j), Plane.PUNCTURED)
         except ValueError:
@@ -991,8 +997,18 @@ class TestLazyLift:
         """A copy of a plan that enters one half-plane alone, as every word-curve turn does, adds no piece after the
         plan's first copy: the pieces of a^n come from one copy."""
         lifted = lift_path(word_to_curve(parse_word("a1^40 a2^-40"), 16), BASE_LIFT_POINT)
-        assert [(len(plan[7]), n) for plan, _, n, _ in lifted._lift] == [(1, 40), (1, 40)]
+        assert [(len(plan[6]), n) for plan, _, n, _ in lifted._lift] == [(1, 40), (1, 40)]
         assert slalom_decompose(lifted).pieces == word_pieces(parse_word("a1^40 a2^-40"))
+
+    def test_a_refused_lift_stops_at_its_first_residual_fault(self):
+        """A cold a1^50 at 64 samples is refused at tol 1e-15 in its second copy: the lift checks no chunk after that
+        one, and raises the eager lift's error."""
+        with pytest.raises(LiftError) as oracle:
+            eager_lift(word_to_curve(parse_word("a1^50"), 64), BASE_LIFT_POINT, 1e-15)
+        covering._turn.cache_clear()
+        with mock.patch.object(covering, "_chunk", wraps=covering._chunk) as chunk, pytest.raises(LiftError) as got:
+            lift_path(word_to_curve(parse_word("a1^50"), 64), BASE_LIFT_POINT, 1e-15)
+        assert chunk.call_count == 2 and str(got.value) == str(oracle.value)
 
 
 def kept_path(recipe) -> PolyPath:
@@ -1009,9 +1025,6 @@ def kept_memos(w: FreeWord, samples: int) -> list[dict | None]:
     return [plan[-1] if (plan := vars(turn).get(covering._plan)) else None for turn in turns]
 
 
-# units that end at -0.0 - 0.0i and off 0, across iR from a turn's first sample: a kept turn after them is planned
-# by the call, from other bits
-SIGNED_ZERO, OFF_ZERO = (0.5 + 0.5j, complex(-0.0, -0.0)), (0.5 + 0.5j, 0.3 + 0.2j)
 RECIPES = st.one_of(
     st.tuples(reduced_words(max_terms=6, max_exp=6), st.sampled_from((16, 17, 64))),
     st.lists(st.tuples(st.one_of(st.tuples(st.sampled_from(("a1", "a2")), st.sampled_from((1, -1)),
@@ -1025,7 +1038,7 @@ KEPT_STARTS = st.sampled_from([(BASE_LIFT_POINT, 1e-6), (BASE_LIFT_POINT, math.i
 
 class TestKeptPlans:
     """The plans of a turn that ``_turn`` keeps are built once per process and live as long as it does; its lift plan
-    keeps the check classes of the lifts at one tol that raised no fault, at most ``_MEMO_CAP``.  The oracle is the
+    keeps the chunk classes that lifts at one tol passed before their first fault, at most 204.  The oracle is the
     same lift on an empty turn cache."""
 
     @settings(max_examples=60, deadline=None)
@@ -1103,25 +1116,33 @@ class TestKeptPlans:
         lift_path(word_to_curve(w, 16), BASE_LIFT_POINT, 1e-6)  # a lift at another tol replaces them
         assert list(memo) == [1e-6] and memo[1e-6]
 
-    def test_the_memo_cap_holds_far_up(self, monkeypatch):
-        """Lifts from +-(2^k - 1/2)i, k < 62, at tol inf keep at most ``_MEMO_CAP`` classes a plan, which a smaller
-        cap shows binding; branches past 2^51, whose classes are their offsets, keep none."""
+    def test_the_memo_bound_holds_far_up(self):
+        """A kept turn crosses a ray once, by side s, so a chunk's class on branch m below 2^51 is (class(m),
+        class(m - s)), class(o) = ulp(o) with o's sign, and whether the point before is its first, which never passes.
+        For m in 1/2 + Z, |m| < 2^51, a pair is decided by the binades of m and m - s, so the half-integers within 2 of
+        each power of two give every one: 204 for either s.  Lifts from +-(2^k - 1/2)i, k < 62, at tol inf keep no
+        other class in a plan; branches past 2^51 keep none."""
+        def kind(o):
+            return math.copysign(math.ulp(o), o)
+
+        near = {x for k in range(52) for j in range(-2, 2) if 0 < (x := 2.0**k + j + 0.5) < 2**51}
+        pairs = {s: {(kind(m), kind(m - s)) for x in near for m in (x, -x)} for s in (1, -1)}
+        assert [len(found) for found in pairs.values()] == [204, 204]
         w = parse_word("a1^3 a2^-1 a1^-2")
         covering._turn.cache_clear()
         lift_path(word_to_curve(w, 16), complex(0.0, -(2.0**52 - 0.5)), math.inf)
         assert kept_memos(w, 16) == [{math.inf: set()}] * 3
-        for cap in (covering._MEMO_CAP, 40):
-            monkeypatch.setattr(covering, "_MEMO_CAP", cap)
-            covering._turn.cache_clear()
-            for k in range(62):
-                for sign in (1, -1):
-                    try:
-                        lift_path(word_to_curve(w, 16), complex(0.0, sign * (2.0**k - 0.5)), math.inf)
-                    except ValueError:
-                        assert k >= 52
-            sizes = [len(memo[math.inf]) for memo in kept_memos(w, 16)]
-            assert max(sizes) <= cap
-        assert sizes == [40] * 3  # the smaller cap binds on every plan
+        covering._turn.cache_clear()
+        for k in range(62):
+            for sign in (1, -1):
+                try:
+                    lift_path(word_to_curve(w, 16), complex(0.0, sign * (2.0**k - 0.5)), math.inf)
+                except ValueError:
+                    assert k >= 52
+        for t in w.terms:
+            plan = vars(covering._turn(t.gen.value, 1 if t.exponent > 0 else -1, 16))[covering._plan]
+            (side,) = plan[1]
+            assert plan[-1][math.inf] and plan[-1][math.inf] <= {(False, pair) for pair in pairs[side]}
 
     def test_other_paths_keep_nothing(self):
         """Turns past the cap, runs of other units, a kept turn after a sample of other bits than its last, a
@@ -1580,11 +1601,16 @@ def chunk_points(plan: tuple, m: float, after: float) -> list[complex]:
     return points
 
 
+def raised(faults: dict) -> tuple | None:
+    """What a lift raises after the chunks that left ``faults``, by type and message: the earliest check's first."""
+    return (type(e := faults[min(faults)]), str(e)) if faults else None
+
+
 class TestChunkMemo:
-    """``_chunk`` runs the zero-length check once per class of a plan's chunks, and the residual and the near-iZ test
-    once per class of its segments, until a check has a fault; ``reference_chunk``, the oracle, runs all at every
-    chunk.  ``_chunk`` builds no points it returns: a copy's are those a lift builds on first read, and the point
-    before the next copy is the oracle's last."""
+    """``_chunk`` runs its checks once per class of a plan's chunks, raises the residual's first fault at once and
+    runs each other check until it has a fault; ``reference_chunk``, the oracle, runs all at every chunk.  ``_chunk``
+    builds no points it returns: a copy's are those a lift builds on first read, and the point before the next copy
+    is the oracle's last."""
 
     @settings(max_examples=400, deadline=None)
     @given(st.one_of(st.builds(word_plan, reduced_words(max_terms=3, max_exp=3), st.sampled_from((16, 17, 64)),
@@ -1596,9 +1622,11 @@ class TestChunkMemo:
            st.lists(st.integers(0, 2), min_size=8, max_size=8))
     @example((0j, 0.5j, 2 + 0j, -0.5j, 0j), [0.5, -0.5, 1.5, 4.5, 2.0**52 + 1, 2.0**53, 4.5], 2, 1e-6,
              [0, 1, 2, 0, 1, 2, 0, 0])
+    # +-1/2 are classes of their own sign: the residual is 6.1e-17 on -1/2 and 2.0e-16 on 1/2
+    @example((0j, -0.37 + 0.34j, 0j), [-0.5, 0.5], 0, 1e-16, [0] * 8)
     def test_memo_matches_per_chunk_checks(self, unit, ms, bits, tol, ways):
-        """The same point bits, and after each chunk the same faults, by check, type and message, in the order the
-        first fault of each check was found.  The plans come from word curves and polygon units; Im atanh(u)/pi
+        """The same point bits, and after each chunk the same error that a lift would raise, by type and message, until
+        the oracle's first residual fault.  The plans come from word curves and polygon units; Im atanh(u)/pi
         rounded to a few bits makes ties; tol is drawn on either side of a residual of the first chunk; the point
         before each chunk is its predecessor sample lifted on m, its first point, or the last chunk's end."""
         if isinstance(unit[0], complex):  # a polygon unit after the sample 0, not a plan
@@ -1607,13 +1635,13 @@ class TestChunkMemo:
                 unit = covering._plan(unit, None)
             except ValueError:
                 return
-        us, sides, lengths, values, near, _, segments, changes, _ = unit
+        us, sides, lengths, values, near, _, changes, _ = unit
         if not values:
             return
         if bits:
             values = [complex(v.real, round(v.imag * 2**bits) / 2**bits) for v in values]
         halves = [complex(0.0, math.copysign(0.5, v.imag)) for v in values]
-        plan, memo = (us, sides, lengths, values, near, halves, segments, changes, None), set()
+        plan, memo = (us, sides, lengths, values, near, halves, changes, None), set()
         if isinstance(tol, tuple):
             found = residuals(plan, ms[0])
             tol = found[tol[0] % len(found)] * tol[1] or 2e-16
@@ -1621,11 +1649,14 @@ class TestChunkMemo:
         last = BASE_LIFT_POINT
         for m, way in zip(ms, ways):
             last = (cmath.atanh(us[0]) / math.pi + complex(0.0, m), values[0] + complex(0.0, m), last)[way]
-            after = covering._chunk(plan, memo, m, tol, last, memo_faults)
             expected = reference_chunk(plan, m, tol, last, oracle_faults)
+            try:
+                after = covering._chunk(plan, memo, m, tol, last, memo_faults)
+            except LiftError as exc:  # the residual's first fault, raised at once
+                assert 0 in oracle_faults and (type(exc), str(exc)) == raised(oracle_faults)
+                return
+            assert raised(memo_faults) == raised(oracle_faults)
             assert packed(chunk_points(plan, m, after)) == packed(expected)
-            assert [(k, type(e), str(e)) for k, e in memo_faults.items()] == [
-                (k, type(e), str(e)) for k, e in oracle_faults.items()]
             last = expected[-1]
 
     def test_junctions_insert_cross_or_neither(self):
@@ -1648,10 +1679,10 @@ class TestChunkMemo:
     @example(JUNCTION_UNIT, list(JUNCTIONS), [2.5, -1.5, 2.5, 3.5, 2.5], [3, 2, 0, 1, 1], [2, 0, 1, 0, 2], math.inf)
     @example(CLASS_UNITS[0], [0.5 + 0.25j], [3.5, 4.5], [0, 0], [0, 2], 8e-15)
     @example(CLASS_UNITS[1], [0.5 + 0.25j], [2.5, 3.5], [0, 0], [0, 2], 4e-14)
-    def test_segment_memo_matches_per_chunk_checks(self, unit, preds, ms, picks, ways, tol):
+    def test_plans_of_one_unit_match_per_chunk_checks(self, unit, preds, ms, picks, ways, tol):
         """Chunks of several plans of one unit, after different predecessor samples, each plan with its own memo, give
-        the oracle's point bits and, after each chunk, its faults, by check, type and message, in the order the first
-        fault of each check was found.  The point before each chunk is its predecessor sample lifted on m, its first
+        the oracle's point bits and, after each chunk, the error that a lift would raise, by type and message, until
+        the oracle's first residual fault.  The point before each chunk is its predecessor sample lifted on m, its first
         point, or the last chunk's end; tol is drawn on either side of a residual of the first chunk."""
         plans = []
         for pred in preds:
@@ -1670,9 +1701,12 @@ class TestChunkMemo:
         for m, pick, way in zip(ms, picks, ways):
             plan = plans[pick % len(plans)]
             last = (cmath.atanh(plan[0][0]) / math.pi + complex(0.0, m), plan[3][0] + complex(0.0, m), last)[way]
-            after = covering._chunk(plan, memos[pick % len(plans)], m, tol, last, memo_faults)
             expected = reference_chunk(plan, m, tol, last, oracle_faults)
+            try:
+                after = covering._chunk(plan, memos[pick % len(plans)], m, tol, last, memo_faults)
+            except LiftError as exc:  # the residual's first fault, raised at once
+                assert 0 in oracle_faults and (type(exc), str(exc)) == raised(oracle_faults)
+                return
+            assert raised(memo_faults) == raised(oracle_faults)
             assert packed(chunk_points(plan, m, after)) == packed(expected)
-            assert [(k, type(e), str(e)) for k, e in memo_faults.items()] == [
-                (k, type(e), str(e)) for k, e in oracle_faults.items()]
             last = expected[-1]
