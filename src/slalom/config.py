@@ -47,8 +47,11 @@ def load_config(path: str | None = None) -> Config:
                 if "=" not in line:
                     raise ValueError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, val = line.partition("=")
-                key = key.strip()
+                key, val = key.strip(), val.strip()
                 if key not in casts:
                     raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-                values[key] = casts[key](val.strip())
+                try:
+                    values[key] = casts[key](val)
+                except ValueError:
+                    raise ValueError(f"{path}:{lineno}: {key} must be {casts[key].__name__}; got {val!r}") from None
     return Config(**values)

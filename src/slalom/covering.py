@@ -11,14 +11,15 @@ to i(atan(y)/pi + m), so a piece ends in component m - 1/2.
 A path is runs of copies of units: a word curve, checked by construction, is 0, then per term a^n |n| copies of a turn
 from 0 to 0 exactly, one per generator, sign and sampling, which the process keeps up to ``_TURN_CAP`` samples; any
 other path is one run, and PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.
-The lift and the reader walk the crossings once per plan, a unit after one sample, once per process for a kept turn;
+A run after the first follows a sample of its unit's last bits, so the lift and the reader walk the crossings once per
+plan, the first run's unit or a later unit after its last sample, once per process for a kept turn;
 the lift's plan holds atanh(u)/pi per point and a copy's changes of half-plane, which bytes.find and a regex find in
 b"-0+" strings of the sign classes of Re atanh(u)/pi, as bytes.find finds crossings in those of Im u.  The lift's
 checks run once per chunk, a plan lifted on one branch m, and class of chunks, the sign and binade of each offset and
 whether the point before is the first; only points of samples near iR are checked against iZ, and the residual's first
-fault is raised at once.  A lift keeps one memo per plan, the chunk classes whose checks passed before its first fault;
-a kept turn's lift plan keeps it for later lifts at one tol, at most 204 classes.  A word curve and a lift build their
-points only when read; ``slalom_decompose`` reads a lift by its runs.
+fault is raised at once.  Each lift plan owns one memo, the chunk classes whose checks passed before a lift's first
+fault, at one tol; a kept turn's plan keeps it for later lifts, at most 204 classes, and any other plan dies with the
+call.  A word curve and a lift build their points only when read; ``slalom_decompose`` reads a lift by its runs.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ def _off_lattice(z: complex) -> bool:
 
 class PolyPath(_Value):
     """Discretized curve; a single point represents a constant path.  A word curve holds its points as ``_runs``,
-    copies of units, and a lift as ``_lift``, copies of plans on their branches; each builds them on first read."""
+    copies of units after their last samples, and a lift as ``_lift``, copies of plans; each builds them when read."""
 
     __match_args__ = ("points", "plane")
 
@@ -122,7 +123,8 @@ class PolyPath(_Value):
 
     @cached_property
     def _runs(self) -> tuple[tuple[tuple[complex, ...], int], ...]:
-        """(unit, count) pairs, each unit repeated count times, that make up the points: one run but on a word curve."""
+        """(unit, count) pairs, each unit repeated count times, that make up the points: one run but on a word curve.
+        The first run is one copy, and each later run follows a sample of its unit's last bits, as ``_copies`` needs."""
         return ((self.points, 1),)
 
     @cached_property
@@ -173,32 +175,25 @@ def _pairs(signs: bytes, pairs: tuple[bytes, ...]) -> list[int]:
 
 
 def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
-    """(plan(us, shared), count) per stretch of copies of a unit after one sample, us that sample (none at the start,
-    where a unit of one sample is skipped) and the unit; ``plan`` runs once per unit and sample's bits, in path order.
-    A run after a sample with the bits of its unit's last, as every run of a word curve is, is one stretch; any other
-    run is its first copy and then the rest.  A turn that ``_turn`` keeps, after its last sample, keeps its plan in its
-    dict, so it lives and dies with it, ``shared`` a dict for ``lift_path``'s memo; any other plan is the call's own,
-    ``shared`` None."""
-    plans, out, pred = {}, [], None
-    for unit, count in path._runs:
-        one = pred is unit[-1] or repr(pred) == repr(unit[-1])  # repr: -0.0 apart from 0.0
-        for before, n in [(unit[-1], count)] if one else [(pred, 1), (unit[-1], count - 1)]:
-            if n and (before is not None or len(unit) > 1):
-                if type(unit) is _Turn and before is unit[-1]:
-                    if (got := vars(unit).get(plan)) is None:
-                        got = vars(unit)[plan] = plan((before, *unit), {})  # no caller's sample kept
-                elif (got := plans.get(key := (id(unit), repr(before)))) is None:
-                    got = plans[key] = plan(unit if before is None else (before, *unit), None)
-                out.append((got, n))
-        pred = unit[-1]
+    """(plan(us), count) per stretch of copies of a unit: the first run's one copy alone, us its unit (skipped where it
+    is one sample), then each later run, us its unit after its last sample, which by ``PolyPath._runs``' invariant
+    has the bits of the sample the run follows; ``plan`` runs once per unit, in path order.  A turn that ``_turn``
+    keeps keeps its plan in its dict, so it lives and dies with it; any other unit's plan is the call's own."""
+    (first, _), *runs = path._runs
+    plans = {}
+    out = [(plan(first), 1)] if len(first) > 1 else []
+    for unit, count in runs:
+        memo, key = (vars(unit), plan) if type(unit) is _Turn else (plans, id(unit))  # no caller's sample kept
+        if (got := memo.get(key)) is None:
+            got = memo[key] = plan((unit[-1], *unit))
+        out.append((got, count))
     return out
 
 
-def _plan(us: Sequence[complex], shared: dict | None) -> tuple:
+def _plan(us: Sequence[complex]) -> tuple:
     """A copy's lift but for its branch, its geometry: us, an axis point inserted where Re atanh(u)/pi flips; the
     crossings' sides; the lengths of us[1:] between them; us[1:]'s atanh(u)/pi, near-iR marks and signs of Im as
-    +-i/2; ``_changes``; and then ``shared``, where a kept turn's plan keeps the chunk classes that lifts passed
-    (``lift_path``).
+    +-i/2; ``_changes``; and then its own memo, the chunk classes that lifts at one tol passed (``lift_path``).
     An insertion that overflows, only past |Re u| = 2^970, is refused after the faults of the samples before it."""
     values = [cmath.atanh(u) / math.pi for u in us]  # PolyPath keeps the samples off -1 and 1, where atanh fails
     real = _signs(v.real for v in values)
@@ -219,7 +214,7 @@ def _plan(us: Sequence[complex], shared: dict | None) -> tuple:
     cuts = [1, *(i for i, _, _ in crossings), len(us)]
     sides, lengths = [side for _, side, _ in crossings], list(map(sub, cuts[1:], cuts[:-1]))
     return (us, sides, lengths, values[1:], bytes([abs(v.real) <= _PUNCTURE_TOL for v in values[1:]]),
-            [complex(0.0, math.copysign(0.5, v.imag)) for v in values[1:]], _changes(real[1:], sides, lengths), shared)
+            [complex(0.0, math.copysign(0.5, v.imag)) for v in values[1:]], _changes(real[1:], sides, lengths), {})
 
 
 def _steps(lengths: Sequence[int], offsets: Sequence[float]) -> Iterable[complex]:
@@ -285,15 +280,15 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     refuses it.  The residual is ``cover_map``'s; far up, Im z holds branch m only to ulp(m), which moves the image by
     pi |1 - u^2| ulp(m): word curves lift within 1e-6 while |m| < 2^30; a refusal names ulp(m) where that passes tol.
 
-    atanh, the sign classes and the crossing walk run once per plan, a unit of the path's runs after one sample; the
+    atanh, the sign classes and the crossing walk run once per plan, a unit of the path's runs (``_copies``); the
     checks once per chunk, the plan on one branch m, at its first copy on m after a copy, m moving by each copy's net
     shift, and once per class of a plan's chunks (``_chunk``).  Chunks are walked in path order, so as on a lift point
     by point every point is checked, and the earliest check's first fault in path order is raised: the residual's at
     once, as it is found, and the others' after the walk.  The lift holds (plan, m, n, m after) per run of n copies of
     a plan from m, and builds its points only when read, as ``_chunk`` would; a word curve's are never built.  Each
-    plan has one memo, the chunk classes whose checks passed at this tol before the lift's first fault: a turn that the
-    process keeps is planned once (``_copies``), and its plan keeps that memo, at most 204 classes, for later lifts at
-    this tol, until a lift at another tol replaces it.
+    plan owns one memo, the chunk classes whose checks passed at this tol before the lift's first fault: a turn that
+    the process keeps is planned once (``_copies``), and its plan keeps that memo, at most 204 classes, for later lifts
+    at this tol, until a lift at another tol replaces it; any other plan, and its memo, dies with the call.
     """
     if not tol > 0:
         raise ValueError(f"tol must be > 0; got {tol!r}")
@@ -306,9 +301,9 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     parts, faults, tail, memos = [], {}, None, {}  # tail: the last copy's last value, its last point tail + im
     for plan, n in runs:
         if (got := memos.get(id(plan))) is None:  # per plan: its branches, and the classes that passed at this tol
-            if (shared := plan[-1]) is not None and tol not in shared:
-                shared.clear()  # a kept plan keeps the classes of one tol: a pass at inf checks no residual
-            got = memos[id(plan)] = {}, set() if shared is None else shared.setdefault(tol, set())
+            if tol not in (kept := plan[-1]):
+                kept.clear()  # a plan keeps the classes of one tol: a pass at inf checks no residual
+            got = memos[id(plan)] = {}, kept.setdefault(tol, set())
         (built, passed), values, first = got, plan[3], m
         for _ in repeat(None, n):
             if (after := built.get(m)) is None:  # a later copy on m follows the plan's us[0] lifted on m, as this one
@@ -455,8 +450,8 @@ def curve_to_word(path: PolyPath) -> FreeWord:
     right ray upward a2, the reverse crossings their inverses.  A sample on
     the real axis is on the side of its zero's sign; touching a ray from the
     other side reads a crossing and its inverse, which reduction removes.
-    The crossings are walked once per plan, a unit of the path's runs after
-    one sample, or once per process for a kept turn (``_copies``); a run of
+    The crossings are walked once per plan, a unit of the path's runs, or
+    once per process for a kept turn (``_copies``); a run of
     n copies of a unit that reads one letter a^k reads a^(k n), else its
     letters n times.
     """
@@ -468,6 +463,6 @@ def curve_to_word(path: PolyPath) -> FreeWord:
                                            for reads, n in _copies(path, _reads)))
 
 
-def _reads(us: Sequence[complex], _) -> list[tuple[Generator, int]]:
+def _reads(us: Sequence[complex]) -> list[tuple[Generator, int]]:
     """The letter that each ray crossing of ``us`` reads, a plan of ``curve_to_word``."""
     return [(_READS[ray], int(side) * ray) for _, side, ray in _crossings(us, _signs(u.imag for u in us), ValueError)]

@@ -317,7 +317,7 @@ def eager_lift(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     plans, before = [], None  # all first, as the lift plans: the crossing walk raises first
     for unit, n in path._runs:
         for _ in range(n):
-            plans.append(covering._plan(unit if before is None else (before, *unit), None))
+            plans.append(covering._plan(unit if before is None else (before, *unit)))
             before = unit[-1]
     m = round((start - cmath.atanh(path.start) / math.pi).imag - 0.5) + 0.5
     points, faults = [start], {}

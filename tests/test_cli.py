@@ -121,6 +121,18 @@ class TestConfig:
         with pytest.raises(ValueError):
             load_config(str(p))
 
+    @pytest.mark.parametrize("line, error", [
+        ("samples_per_turn = 1e3", "samples_per_turn must be int; got '1e3'"),
+        ("c_minus = abc", "c_minus must be float; got 'abc'"),
+    ])
+    def test_a_value_its_cast_refuses_names_file_line_and_key(self, capsys, tmp_path, monkeypatch, line, error):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg").write_text(f"# comment\n{line}\n")
+        with pytest.raises(ValueError) as refused:
+            load_config("cfg")
+        assert str(refused.value) == f"cfg:2: {error}"
+        assert run_cli(capsys, "--config", "cfg", "syllables", "a1") == (1, "", f"slalom: error: cfg:2: {error}\n")
+
     def test_invalid_values(self):
         with pytest.raises(ValueError):
             Config(samples_per_turn=4)

@@ -25,8 +25,7 @@ def test_this_tree_against_itself_changes_nothing():
     rows = [line.split() for line in done.stdout.splitlines()[1:]]
     assert [(row[0], int(row[1]) > 0, row[2]) for row in rows] == [
         ("word-ladder", True, "0"), ("braids", True, "0"), ("polygons", True, "0"), ("far-up", True, "0"),
-        ("runs", True, "0"), ("splits", True, "0"), ("starts", True, "0"), ("parses", True, "0"),
-        ("memo", True, "0")]
+        ("runs", True, "0"), ("starts", True, "0"), ("parses", True, "0"), ("memo", True, "0")]
 
 
 def test_report_counts_and_names_the_changed_cases(capsys):
@@ -115,17 +114,6 @@ def test_runs_are_copies_of_units_that_cross_the_rays_any_number_of_times():
     got = gate.outcomes({"runs": runs + [("runs", (((0.5j, 0.5j, 0j), 2),), START, 1e-6)]})["runs"]
     assert {kind for _, kind, _ in got} >= {"lifted", "PolyPath"} and got[-1][1] == "PolyPath"
     assert [list(parts) for _, kind, parts in got if kind == "lifted"][0] == ["points", "_real_signs", "pieces", "word"]
-
-
-def test_splits_end_each_run_in_other_bits_than_the_next():
-    """A ``splits`` case is runs as ``runs`` draws them, each unit but the last then ending off 0 or at -0.0 - 0.0i by
-    turns: in a path of two runs or more, each run's first copy follows a sample of other bits than its unit's last."""
-    gate = load_script()
-    splits = gate.corpora(quick=True)["splits"]
-    assert len(splits) == 10 and any(len(runs) > 1 for _, runs, _, _ in splits)
-    for _, runs, _, _ in splits:
-        ends = [repr(0j), *(repr(unit[-1]) for unit, _ in runs)]
-        assert ends[-1] == repr(0j) and (len(runs) == 1 or all(map(str.__ne__, ends, ends[1:])))
 
 
 def test_report_names_errors_that_differ_where_no_points_moved(capsys):

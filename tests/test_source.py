@@ -44,19 +44,34 @@ def unread_private_names(sources: dict[str, str]) -> list[str]:
     return sorted(unread)
 
 
-def unchecked_builds(source: str) -> list[str]:
-    """The names of the module-level functions and classes of ``source`` that call ``object.__new__``,
-    ``object.__setattr__`` or the ``update`` of a ``__dict__``: the builds that skip a constructor's checks.
+def callers(source: str, found) -> list[str]:
+    """The names of the module-level functions and classes of ``source`` with a call for which ``found`` holds.
     A call outside them is named ``<module>``."""
     names = set()
     for top in ast.parse(source).body:
         for node in ast.walk(top):
-            if isinstance(node, ast.Call) and isinstance(func := node.func, ast.Attribute):
-                owner = func.value
-                if (isinstance(owner, ast.Name) and owner.id == "object" and func.attr in ("__new__", "__setattr__")
-                        or isinstance(owner, ast.Attribute) and owner.attr == "__dict__" and func.attr == "update"):
-                    names.add(getattr(top, "name", "<module>"))
+            if isinstance(node, ast.Call) and found(node):
+                names.add(getattr(top, "name", "<module>"))
     return sorted(names)
+
+
+def skips_checks(call: ast.Call) -> bool:
+    """Whether ``call`` is of ``object.__new__``, ``object.__setattr__`` or the ``update`` of a ``__dict__``."""
+    if not isinstance(func := call.func, ast.Attribute):
+        return False
+    owner = func.value
+    return (isinstance(owner, ast.Name) and owner.id == "object" and func.attr in ("__new__", "__setattr__")
+            or isinstance(owner, ast.Attribute) and owner.attr == "__dict__" and func.attr == "update")
+
+
+def unchecked_builds(source: str) -> list[str]:
+    """The ``callers`` of ``skips_checks``: the builds that skip a constructor's checks."""
+    return callers(source, skips_checks)
+
+
+def runs_builds(source: str) -> list[str]:
+    """The ``callers`` that pass the keyword ``_runs``: the builds of a path's runs."""
+    return callers(source, lambda call: any(keyword.arg == "_runs" for keyword in call.keywords))
 
 
 def long_lines(source: str, limit: int = 120) -> list[int]:
@@ -97,6 +112,22 @@ def test_unchecked_builds_only_in_words():
     goes through ``_new``, and every constructor sets its fields through ``words._set``."""
     found = {path.stem: unchecked_builds(path.read_text()) for path in MODULES}
     assert {module: names for module, names in found.items() if names} == {"words": ["_new", "_set", "reduce"]}
+
+
+def test_finds_a_build_of_runs():
+    source = (
+        "def curve(unit):\n    return _new(P, plane=1, _runs=((unit, 1),))\n"
+        "class C:\n    def f(self):\n        return g(runs=1, _lift=2), h(_runs)\n"
+        "_new(P, _runs=())\n"
+    )
+    assert runs_builds(source) == ["<module>", "curve"]
+
+
+def test_runs_are_built_only_by_word_to_curve():
+    """Only ``covering.word_to_curve`` builds a path's runs, so a new build of them must keep the invariant of
+    ``PolyPath._runs`` that ``covering._copies`` relies on."""
+    found = {path.stem: runs_builds(path.read_text()) for path in MODULES}
+    assert {module: names for module, names in found.items() if names} == {"covering": ["word_to_curve"]}
 
 
 def test_finds_a_long_line():
