@@ -1,14 +1,13 @@
 import cmath
 import contextlib
 import dataclasses
-import functools
 import math
 import random
 import re
 from decimal import Decimal
 from fractions import Fraction
 from itertools import accumulate, compress, count, groupby, repeat, tee
-from operator import attrgetter, ge, mul, sub
+from operator import attrgetter, ge, mul
 from typing import Iterable
 
 import pytest
@@ -83,10 +82,10 @@ def lift_read_word(path: PolyPath) -> FreeWord:
     return reduce(raw)
 
 
-def reference_ray(x: float, error: type[Exception] = ValueError) -> int:
+def reference_ray(x: float | Fraction, error: type[Exception] = ValueError) -> int:
     """-1 on (-inf, -1), 1 on (1, inf), 0 on (-1, 1); ``error`` within 1e-9 of -1 or 1."""
     if abs(abs(x) - 1) < 1e-9:
-        raise error(f"path meets the real axis at {x}, within tolerance of a puncture")
+        raise error(f"path meets the real axis at {float(x)}, within tolerance of a puncture")
     return (x > 1) - (x < -1)
 
 
@@ -228,13 +227,17 @@ def reference_lift(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPat
 
 
 def reference_lift_points(path: PolyPath, start: complex, tol: float = 1e-6) -> tuple[complex, ...]:
-    """Oracle for ``lift_path``'s checks, point by point: the lifted points, or the error ``lift_path`` must raise.
+    """Oracle for ``lift_path``'s point bits and faults, point by point: the lifted points, or the error ``lift_path``
+    must raise.  It walks the samples with its own code and reads nothing of ``covering``'s plans or memos.
 
     Each of ``axis_samples`` u lifts on its own to atanh(u)/pi + im.  m starts at ``start``'s branch and, pair by
     pair of samples, moves by one where their segment crosses a ray: up going down, down going up (a sample on
-    the real axis is on the side of its zero's sign).  The fiber test, the crossings and each point's residual, taken
-    as ``cover_map`` takes it and not at all where ``tol`` is inf, come first; then two consecutive equal points raise
-    ``LiftError``, and then ``PolyPath(points, Plane.COVER)`` refuses whatever it refuses.
+    the real axis is on the side of its zero's sign).  The fiber test, the crossings and each point's residual, not
+    taken where ``tol`` is inf, come first; then two consecutive equal points raise ``LiftError``, and then
+    ``PolyPath(points, Plane.COVER)`` refuses whatever it refuses.  The residual of z on branch m is that of coth at
+    z - in, n = m +- 1/2 the integer nearest Im z on the side of Im atanh(u)/pi, as ``lift_path`` takes it.  That
+    is ``cover_map``'s z - i round(Im z) but where Im z is a half-integer, m itself, and round takes the even
+    neighbour: there the two differ in their last bits where Im u is not 0.
     """
     if abs(cover_map(start) - path.start) > 1e-8:
         raise LiftError(f"start {start} is not in the fiber over {path.start}")
@@ -245,14 +248,19 @@ def reference_lift_points(path: PolyPath, start: complex, tol: float = 1e-6) -> 
         if a.imag == 0 == b.imag and reference_ray(a.real, LiftError) != reference_ray(b.real, LiftError):
             raise LiftError(f"path runs along the real axis through a puncture near {b.real}")
         if (side := math.copysign(1.0, b.imag)) != math.copysign(1.0, a.imag):
-            x = b.real if b.imag == 0 else a.real + a.imag / (a.imag - b.imag) * (b.real - a.real)
-            if reference_ray(x, LiftError):
+            x = b.real if b.imag == 0 else float_crossing(a, b)
+            # the float formula errs < 2^-50 (|Re a| + |Re b|) while Im a - Im b is finite: within that of the edge of
+            # a puncture's tolerance, the crossing is placed exactly, so that it falls on the side the exact one does
+            err = (abs(a.real) + abs(b.real)) * 2**-50 if math.isfinite(a.imag - b.imag) else math.inf
+            if reference_ray(exact_crossing(a, b) if b.imag and not abs(abs(abs(x) - 1) - 1e-9) > err else x,
+                             LiftError):
                 m -= side
         offsets.append(m)
     lift = [start] + [cmath.atanh(u) / math.pi + complex(0.0, k) for u, k in zip(us[1:], offsets[1:])]
     for z, u, k in zip(lift[1:], us[1:], offsets[1:]) if tol < math.inf else ():
+        n = k + math.copysign(0.5, (cmath.atanh(u) / math.pi).imag)
         try:
-            residual = abs(1 / cmath.tanh(math.pi * complex(z.real, z.imag - round(z.imag))) - u)
+            residual = abs(1 / cmath.tanh(math.pi * complex(z.real, z.imag - n)) - u)
         except ZeroDivisionError:
             raise LiftError(f"lifted point {z} of image point {u} is on iZ") from None
         if not residual <= tol:
@@ -268,66 +276,6 @@ def reference_lift_points(path: PolyPath, start: complex, tol: float = 1e-6) -> 
 def sign_string(parts) -> bytes:
     """The b"-0+" class of each of ``parts``, through the covering's own classifier."""
     return covering._signs(parts)
-
-
-def reference_chunk(plan: tuple, m: float, tol: float, last: complex, faults: dict) -> list[complex]:
-    """Oracle for ``covering._chunk``, which runs its checks once per class of chunks: the same copy of ``plan``
-    lifted on branch ``m`` after the point ``last``, with every check run on it, point by point.  The residual is
-    taken as ``_chunk`` takes it, at z - i fl(o +- 1/2), o the offset and +-1/2 the plan's half for the sample; each
-    check's first fault in path order stays in ``faults``."""
-    us, sides, lengths, values, near, halves = plan[:6]
-    offsets = list(accumulate(sides, lambda o, side: o - side, initial=m))
-    steps = [complex(0.0, o) for o, n in zip(offsets, lengths) for _ in range(n)]
-    lift = [v + step for v, step in zip(values, steps)]
-    for z, step, half, u in zip(lift, steps, halves, us[1:]) if tol < math.inf else ():
-        try:
-            t = cmath.tanh(cmath.pi * (z - (step + half)))
-            residual = abs(1 / t - u)
-        except ZeroDivisionError:
-            faults.setdefault(0, LiftError(f"lifted point {z} of image point {u} is on iZ"))
-            break
-        if not residual <= tol:
-            o = step.imag  # the rounding of Im z to ulp(o) can move its image by pi |1 - u^2| ulp(o)
-            grid = f": Im z on branch {o} is good only to {math.ulp(o)}"
-            grid = grid if math.pi * abs(1 - u * u) * math.ulp(o) > tol else ""
-            faults.setdefault(0, LiftError(f"lifted point {z} misses its image point {u} by more than {tol}{grid}"))
-            break
-    for i, (a, b) in enumerate(zip([last, *lift], lift)):
-        if a == b:
-            faults.setdefault(1, LiftError(f"samples {us[i]} and {us[i + 1]} lift to the same point {b}"))
-            break
-    for z, marked in zip(lift, near):
-        if marked and abs(z.real) <= 1e-9 and abs(z.imag - round(z.imag)) <= 1e-9:
-            faults.setdefault(2, ValueError(f"path point {z} hits the excluded set of cover"))
-            break
-    return lift
-
-
-def eager_lift(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
-    """Oracle for ``lift_path``, which checks a chunk once per class and builds its points on first read: the lift that
-    builds every point at once.  It walks the path's runs copy by copy, plans each copy after the sample before it (the
-    first copy of a path alone), builds and checks every copy point by point by ``reference_chunk``, and joins the
-    copies after ``start`` into a ``PolyPath`` built through its checks."""
-    if not tol > 0:
-        raise ValueError(f"tol must be > 0; got {tol!r}")
-    if path.plane is not Plane.PUNCTURED:
-        raise ValueError("lift_path expects a path in the punctured plane")
-    if covering._off_fiber(cover_map(start) - path.start):
-        raise LiftError(f"start {start} is not in the fiber over {path.start}")
-    plans, before = [], None  # all first, as the lift plans: the crossing walk raises first
-    for unit, n in path._runs:
-        for _ in range(n):
-            plans.append(covering._plan(unit if before is None else (before, *unit)))
-            before = unit[-1]
-    m = round((start - cmath.atanh(path.start) / math.pi).imag - 0.5) + 0.5
-    points, faults = [start], {}
-    for plan in plans:
-        if plan[3]:
-            points += reference_chunk(plan, m, tol, points[-1], faults)
-            m = functools.reduce(sub, plan[1], m)
-    if faults:
-        raise faults[min(faults)]
-    return PolyPath(tuple(points), Plane.COVER)
 
 
 def eager_pieces(path: PolyPath) -> tuple[ElementaryPiece, ...]:

@@ -4,8 +4,6 @@ import math
 import random
 import time
 
-import pytest
-
 from conftest import FIGURE2_TEXT, lift_read_word, random_pure_braid, random_word_max_terms
 from slalom.braids import BraidWord, braid_to_strands, cross_ratio_curve, cstar, full_twist, parse_braid
 from slalom.cli import _random_reduced_word

@@ -260,7 +260,8 @@ class TestNumericCommands:
         (2.0, 5.0, 1, (2.0, 2.0)),  # one sample: --from
     ])
     def test_verify_bounds_hits_its_ends_exactly(self, capsys, frm, to, samples, ends):
-        code, out, _ = run_cli(capsys, "verify-bounds", "--from", repr(frm), "--to", repr(to), "--samples", str(samples))
+        code, out, _ = run_cli(capsys, "verify-bounds", "--from", repr(frm), "--to", repr(to),
+                               "--samples", str(samples))
         assert code == 0
         m_range = json.loads(out)["result"]["m_range"]
         assert (len(m_range), m_range[0], m_range[-1]) == (samples, *ends)
@@ -295,7 +296,8 @@ class TestLiftCommand:
         assert code == 0
         got = json.loads(out)["result"]["lift_endpoint"]
         assert set(got) == {"re", "im"}
-        assert (got["re"], got["im"]) == (pytest.approx(endpoint["re"], abs=1e-6), pytest.approx(endpoint["im"], abs=1e-6))
+        assert (got["re"], got["im"]) == (pytest.approx(endpoint["re"], abs=1e-6),
+                                          pytest.approx(endpoint["im"], abs=1e-6))
         assert svg.read_text().startswith("<svg")
 
     def test_braid_with_svg(self, capsys, tmp_path):
@@ -375,7 +377,8 @@ class TestInterfaceContract:
         assert not {"dataclasses", "inspect"} & modules_after_main(tmp_path, argv)
 
     def test_import_slalom_loads_no_submodule(self):
-        proc = run_fresh_interpreter("import sys, slalom\nprint(sorted(m for m in sys.modules if m.startswith('slalom')))")
+        proc = run_fresh_interpreter(
+            "import sys, slalom\nprint(sorted(m for m in sys.modules if m.startswith('slalom')))")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "['slalom']"
 
@@ -400,7 +403,8 @@ class TestInterfaceContract:
         with pytest.raises(AttributeError):
             slalom.no_such_name
 
-    @pytest.mark.parametrize("line", README_COMMANDS, ids=[f"{i}-{line.split()[1]}" for i, line in enumerate(README_COMMANDS)])
+    @pytest.mark.parametrize("line", README_COMMANDS,
+                             ids=[f"{i}-{line.split()[1]}" for i, line in enumerate(README_COMMANDS)])
     def test_readme_example(self, capsys, tmp_path, monkeypatch, line):
         monkeypatch.chdir(tmp_path)
         code, out, _ = run_cli(capsys, *shlex.split(line, comments=True)[1:])

@@ -80,7 +80,8 @@ def test_parse_outcomes_hold_values_errors_and_columns():
     gate = load_script()
     cases = {"parses": [("text", "a1^2 a2"), ("text", "s1 s3"), ("text", "s2 s1^9999 s2^2"), ("cstar", "s1^2")]}
     got = [(kind, list(parts)) for _, kind, parts in gate.outcomes(cases)["parses"]]
-    assert got == [("read+BraidSyntaxError", ["word", "braid"]), ("WordSyntaxError+BraidSyntaxError", ["word", "braid"]),
+    assert got == [("read+BraidSyntaxError", ["word", "braid"]),
+                   ("WordSyntaxError+BraidSyntaxError", ["word", "braid"]),
                    ("WordSyntaxError+ValueError", ["word", "braid"]), ("cstar", ["cstar", "tr", "pb"])]
     parent, change = gate.outcomes(cases), gate.outcomes({"parses": [("text", "a1^2 a2"), ("text", "s3 s1")]})
     assert [a[0] == b[0] for a, b in zip(parent["parses"], change["parses"])] == [True, False]  # the column differs

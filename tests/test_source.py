@@ -4,7 +4,13 @@ from pathlib import Path
 
 import pytest
 
-MODULES = sorted((Path(__file__).resolve().parents[1] / "src" / "slalom").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+MODULES = sorted((ROOT / "src" / "slalom").glob("*.py"))
+# the package, its tests and the two scripts at the root: the files the import and line-length checks cover
+SOURCES = [*MODULES, *sorted((ROOT / "tests").glob("*.py")), ROOT / "covering_gate.py", ROOT / "bench_record.py"]
+# the oracles of the lift and the reader in tests/conftest.py, which must share no code with covering's route
+ORACLES = ("reference_lift", "reference_lift_points", "axis_samples", "reference_read_word", "eager_pieces",
+           "word_pieces")
 
 
 def unused_imports(source: str) -> list[str]:
@@ -74,6 +80,37 @@ def runs_builds(source: str) -> list[str]:
     return callers(source, lambda call: any(keyword.arg == "_runs" for keyword in call.keywords))
 
 
+def private_reads(source: str, names, module: str = "slalom.covering") -> list[str]:
+    """``function: name`` for each private name (``_x``, not dunder) of ``module`` that a module-level function of
+    ``source`` named in ``names``, or one of the module's functions that it calls, reads: as an attribute of a name
+    bound to ``module`` or as a name imported from it."""
+    tree = ast.parse(source)
+    package, _, leaf = module.rpartition(".")
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    aliases, imported = set(), set()  # the names bound to the module, and the names imported from it
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            aliases.update(alias.asname for alias in node.names if alias.name == module and alias.asname)
+        elif isinstance(node, ast.ImportFrom) and node.module == package:
+            aliases.update(alias.asname or alias.name for alias in node.names if alias.name == leaf)
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
+            imported.update(alias.asname or alias.name for alias in node.names)
+    found, todo, seen = set(), list(names), set()
+    while todo:
+        if (name := todo.pop()) in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(functions[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in aliases:
+                found.add((name, node.attr))
+            elif isinstance(node, ast.Name) and node.id in imported:
+                found.add((name, node.id))
+            elif isinstance(node, ast.Name) and node.id in functions:
+                todo.append(node.id)
+    return sorted(f"{name}: {leaf}.{read}" for name, read in found
+                  if read.startswith("_") and not (read[:2] == read[-2:] == "__"))
+
+
 def long_lines(source: str, limit: int = 120) -> list[int]:
     """The 1-based numbers of the lines of ``source`` longer than ``limit`` characters."""
     return [n for n, line in enumerate(source.splitlines(), 1) if len(line) > limit]
@@ -84,7 +121,7 @@ def test_finds_an_unused_import():
     assert unused_imports(source) == ["Iterable", "os"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_module_uses_its_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -130,12 +167,31 @@ def test_runs_are_built_only_by_word_to_curve():
     assert {module: names for module, names in found.items() if names} == {"covering": ["word_to_curve"]}
 
 
+def test_finds_a_private_read_of_an_oracle():
+    source = (
+        "import slalom.covering as cov\nfrom slalom import covering\nfrom slalom.covering import _plan, lift_path\n"
+        "def helper(x):\n    return cov._chunk(x)\n"
+        "def oracle(x, read=helper):\n    return read(x) + _plan(x) + lift_path(x) + covering.__name__\n"
+        "def caller(x):\n    return oracle(x) + covering._signs(x)\n"
+        "def other(x):\n    return covering._reads(x)\n"
+    )
+    assert private_reads(source, ["oracle"]) == ["helper: covering._chunk", "oracle: covering._plan"]
+    assert private_reads(source, ["caller"]) == [
+        "caller: covering._signs", "helper: covering._chunk", "oracle: covering._plan"]
+
+
+def test_lift_and_reader_oracles_read_nothing_private_of_covering():
+    """The oracles of the lift and the reader, and the helpers they call, read no private name of
+    ``slalom.covering``: so none of them shares code with the route that it checks."""
+    assert private_reads((ROOT / "tests" / "conftest.py").read_text(), ORACLES) == []
+
+
 def test_finds_a_long_line():
     source = "x = 1\n" + "y = " + "1" * 116 + "\n" + "z = " + "2" * 117 + "\n"
     assert long_lines(source) == [3]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_no_line_over_120_characters(path):
     assert long_lines(path.read_text()) == []
 

@@ -166,7 +166,8 @@ class TestLambda:
     @example([-(2**63 - 1)], Generator.A1)
     @example([1], Generator.A1)
     def test_equals_the_sum_over_the_syllable_table(self, exponents, first):
-        """The degrees Lambda reads are those of ``decompose``'s syllables: equal with ``==``, not within a tolerance."""
+        """The degrees Lambda reads are those of ``decompose``'s syllables: equal with ``==``, not within a
+        tolerance."""
         other = Generator.A2 if first is Generator.A1 else Generator.A1
         w = FreeWord(tuple(Term(first if i % 2 == 0 else other, e) for i, e in enumerate(exponents)))
         assert lambda_invariant(w) == math.fsum(math.log(1 + s.degree) for s in decompose(w).syllables)
