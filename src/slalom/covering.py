@@ -13,10 +13,10 @@ from 0 to 0 exactly, one per generator, sign and sampling, which the process kee
 other path is one run, and PolyPath(points, Plane.PUNCTURED), the tests' oracle, checks a word curve point by point.
 A run after the first follows a sample of its unit's last bits, so the lift and the reader walk the crossings once per
 plan, the first run's unit or a later unit after its last sample, once per process for a kept turn;
-the lift's plan holds atanh(u)/pi per point and a copy's changes of half-plane, which bytes.find and a regex find in
-b"-0+" strings of the sign classes of Re atanh(u)/pi, as bytes.find finds crossings in those of Im u.  The lift's
-checks run once per chunk, a plan lifted on one branch m, and class of chunks, the sign and binade of each offset and
-whether the point before is the first; only points of samples near iR are checked against iZ, and the residual's first
+the lift's plan holds atanh(u)/pi per point and a copy's changes of half-plane, which one pass over the sign classes
+-1, 0, 1 of Re atanh(u)/pi finds, as one pass over the samples finds the crossings.  The lift's checks run once per
+chunk, a plan lifted on one branch m, and class of chunks, the sign and binade of each offset and whether the point
+before is the first; only points of samples near iR are checked against iZ, and the residual's first
 fault is raised at once.  Each lift plan owns one memo, the chunk classes whose checks passed before a lift's first
 fault, at one tol; a kept turn's plan keeps it for later lifts, at most 204 classes, and any other plan dies with the
 call.  A word curve and a lift build their points only when read; ``slalom_decompose`` reads a lift by its runs.
@@ -27,11 +27,10 @@ from __future__ import annotations
 import cmath
 import enum
 import math
-import re
 from bisect import bisect_right
 from functools import cache, cached_property, lru_cache, reduce
-from itertools import accumulate, chain, compress, islice, repeat
-from operator import add, attrgetter, eq, sub
+from itertools import accumulate, chain, islice, repeat
+from operator import add, eq, sub
 from typing import Iterable, Sequence
 
 from slalom.words import FreeWord, Generator, _check_tuple, _new, _set, _Value, reduce as reduce_word
@@ -43,16 +42,17 @@ _PUNCTURE_TOL = 1e-9
 _FIBER_TOL = 1e-8
 MAX_CURVE_POINTS = 10**6  # word_to_curve's budget, checked before any point is built
 
-_FLIPS = (b"-+", b"+-")
-_TOUCHING = (b"-0", b"00", b"+0", b"0-", b"0+", *_FLIPS)  # a zero class at either end, or strictly opposite ones
-_EXCURSION = re.compile(rb"-+|\++")  # a maximal run of one nonzero class
 _TURN_CAP = 1024  # the most samples per turn of a turn that the process keeps
-_READS = (None, Generator.A2, Generator.A1)  # what a crossing of ray 1 or -1 reads, by the ray, so bound once
 
 
-def _signs(xs: Iterable[float]) -> bytes:
-    """The b"-0+" class of each float: - below 0, + above it, else 0 (a zero of either sign, or NaN)."""
-    return bytes([45 if x < 0 else 43 if x > 0 else 48 for x in xs])  # the bytes of "-", "+" and "0"
+def _signs(xs: Iterable[float]) -> list[int]:
+    """The class of each float: -1 below 0, 1 above it, else 0 (a zero of either sign, or NaN)."""
+    return [(x > 0) - (x < 0) for x in xs]
+
+
+def _flips(signs: Sequence[int]) -> list[int]:
+    """Each i where the classes signs[i - 1] and signs[i] are strictly opposite."""
+    return [i for i in range(1, len(signs)) if signs[i - 1] * signs[i] < 0]
 
 
 class LiftError(ValueError):
@@ -94,14 +94,11 @@ class PolyPath(_Value):
         _check_tuple(points, "path points")  # not its elements: a float point is accepted
         if not points:
             raise ValueError("path needs at least one point")
-        # only points within the tolerance of the real axis (of iR on the cover) can be excluded: C-level passes clear
-        # the others, a scan names the first bad point; isfinite first: round(inf) raises
-        check, part = (_off_punctures, "imag") if plane is Plane.PUNCTURED else (_off_lattice, "real")
-        near = compress(points, map(_PUNCTURE_TOL.__ge__, map(abs, map(attrgetter(part), points))))
-        if not (all(map(cmath.isfinite, points)) and all(map(check, near))):
-            z = next(z for z in points if not (cmath.isfinite(z) and check(z)))
-            why = f"hits the excluded set of {plane.value}" if cmath.isfinite(z) else "is not finite"
-            raise ValueError(f"path point {z} {why}")
+        check = _off_punctures if plane is Plane.PUNCTURED else _off_lattice
+        for z in points:  # isfinite first: round(inf) raises
+            if not (cmath.isfinite(z) and check(z)):
+                why = f"hits the excluded set of {plane.value}" if cmath.isfinite(z) else "is not finite"
+                raise ValueError(f"path point {z} {why}")
         if any(map(eq, points, islice(points, 1, None))):
             raise ValueError("zero-length segment in path")
 
@@ -164,16 +161,6 @@ def cover_map(z: complex) -> complex:
     return 1 / cmath.tanh(cmath.pi * complex(z.real, z.imag - round(z.imag)))
 
 
-def _pairs(signs: bytes, pairs: tuple[bytes, ...]) -> list[int]:
-    """Each i where the b"-0+" classes signs[i - 1:i + 1] are one of ``pairs``, in order."""
-    found = []
-    for pair in pairs:
-        i = -1
-        while (i := signs.find(pair, i + 1)) >= 0:
-            found.append(i + 1)
-    return sorted(found)
-
-
 def _copies(path: PolyPath, plan) -> list[tuple[object, int]]:
     """(plan(us), count) per stretch of copies of a unit: the first run's one copy alone, us its unit (skipped where it
     is one sample), then each later run, us its unit after its last sample, which by ``PolyPath._runs``' invariant
@@ -198,19 +185,19 @@ def _plan(us: Sequence[complex]) -> tuple:
     values = [cmath.atanh(u) / math.pi for u in us]  # PolyPath keeps the samples off -1 and 1, where atanh fails
     real = _signs(v.real for v in values)
     # where the lift's real part Re atanh(u)/pi flips; where it underflows to 0 the lifted point is on iR already
-    if flips := _pairs(real, _FLIPS):
+    if flips := _flips(real):
         pts, vals, reals = us, values, real
         us, values, real = list(pts[:flips[0]]), vals[:flips[0]], reals[:flips[0]]
         for i, j in zip(flips, [*flips[1:], len(pts)]):
             a, b = pts[i - 1], pts[i]
             u = complex(0.0, a.imag + a.real / (a.real - b.real) * (b.imag - a.imag))
             if not cmath.isfinite(u):
-                list(_crossings(us, _signs(u.imag for u in us), LiftError))
+                list(_crossings(us, LiftError))
                 raise LiftError(f"the segment from {a} to {b} meets the imaginary axis at a point that overflows")
             us += u, *pts[i:j]
             values += cmath.atanh(u) / math.pi, *vals[i:j]
-            real += b"0" + reals[i:j]  # Re atanh(iy) is 0
-    crossings = list(_crossings(us, _signs(u.imag for u in us), LiftError))
+            real += 0, *reals[i:j]  # Re atanh(iy) is 0
+    crossings = list(_crossings(us, LiftError))
     cuts = [1, *(i for i, _, _ in crossings), len(us)]
     sides, lengths = [side for _, side, _ in crossings], list(map(sub, cuts[1:], cuts[:-1]))
     return (us, sides, lengths, values[1:], bytes([abs(v.real) <= _PUNCTURE_TOL for v in values[1:]]),
@@ -229,15 +216,16 @@ def _chunk(plan: tuple, passed: set, m: float, tol: float, last: complex, faults
     zero-length check and the near-iZ test, each until it has a fault in ``faults``, its first in path order.  While
     ``faults`` is empty, the chunk's class goes into ``passed``.  A point on offset o is z = Re v + i fl(Im v + o),
     |Im v| <= 1/2, so d = Im z - o is exact (Sterbenz), and the checks read z only through Re v and d: the residual at
-    z - i fl(o +- 1/2), the integer nearest Im z on Im v's side; the near-iZ test at |d -+ 1/2|; equal points, whose d
-    differ by the sides.  So while |m| < 2^51 a point's checks are decided by its sample and o's sign and binade,
-    ulp(o): for |o| >= 3/2, Im v + o is in [|o| - 1/2, |o| + 1/2], which no power of two splits, so in one binade, of
-    floats the multiples of 2^(e-52) and o of a parity e fixes, where d is one function of Im v; +-1/2 are alone in
-    theirs.  A chunk's class, known before any point is built, is whether ``last`` is its first point and its offsets'
-    classes, so its checks pass where they passed before at this tol, in this lift or another (``passed``).  Past
-    2^51 o is its own class, so a chunk has none, and none is looked up or kept.  A kept turn crosses a ray once, by
-    side s, so its chunks' offset classes are (class(m), class(m - s)), 204 pairs below 2^51, and a chunk whose
-    ``last`` is its first point never passes: a kept plan keeps at most 204 classes."""
+    z - i fl(o +- 1/2), the integer nearest Im z on Im v's side, not at ``cover_map``'s round(Im z), which at a
+    half-integer Im z reads o's parity; the near-iZ test at |d -+ 1/2|; equal points, whose d differ by the sides.  So
+    while |m| < 2^51 a point's checks are decided by its sample and o's sign and binade, ulp(o): for |o| >= 3/2,
+    Im v + o is in [|o| - 1/2, |o| + 1/2], which no power of two splits, so in one binade, of floats the multiples of
+    2^(e-52) and o of a parity e fixes, where d is one function of Im v; +-1/2 are alone in theirs.  A chunk's class,
+    known before any point is built, is whether ``last`` is its first point and its offsets' classes, so its checks pass
+    where they passed before at this tol, in this lift or another (``passed``).  Past 2^51 o is its own class, so a
+    chunk has none, and none is looked up or kept.  A kept turn crosses a ray once, by side s, so its chunks' offset
+    classes are (class(m), class(m - s)), 204 pairs below 2^51, and a chunk whose ``last`` is its first point never
+    passes: a kept plan keeps at most 204 classes."""
     us, sides, lengths, values, near, halves, _, _ = plan
     offsets = list(accumulate(sides, sub, initial=m))  # the m between crossings: none before us[1] where it crosses
     key = abs(m) < 2**51 and (last == values[0] + complex(0.0, offsets[not lengths[0]]),  # none past 2^51
@@ -247,7 +235,7 @@ def _chunk(plan: tuple, passed: set, m: float, tol: float, last: complex, faults
     steps = list(_steps(lengths, offsets))
     lift = list(map(add, values, steps))
     for z, o, half, u in zip(lift, steps, halves, islice(us, 1, None)) if tol < math.inf else ():
-        if not (t := cmath.tanh(cmath.pi * (z - (o + half)))) or not abs(1 / t - u) <= tol:  # cover_map's, exactly
+        if not (t := cmath.tanh(cmath.pi * (z - (o + half)))) or not abs(1 / t - u) <= tol:  # on Im v's side
             why = f"misses its image point {u} by more than {tol}" if t else f"of image point {u} is on iZ"
             grid = math.pi * abs(1 - u * u) * math.ulp(o.imag) > tol  # rounding Im z moves its image as far
             grid = f": Im z on branch {o.imag} is good only to {math.ulp(o.imag)}" if t and grid else ""
@@ -277,8 +265,11 @@ def lift_path(path: PolyPath, start: complex, tol: float = 1e-6) -> PolyPath:
     puncture or runs along it past one, where two samples lift to one point, or where |f(z) - u| > tol or a point lifts
     onto iZ; raises a plain ``ValueError`` where a lifted point is within tolerance of iZ, as ``PolyPath`` would.
     ``tol`` > 0, else ``ValueError``; ``math.inf`` turns off the residual check alone, as the tests use it; the config
-    refuses it.  The residual is ``cover_map``'s; far up, Im z holds branch m only to ulp(m), which moves the image by
-    pi |1 - u^2| ulp(m): word curves lift within 1e-6 while |m| < 2^30; a refusal names ulp(m) where that passes tol.
+    refuses it.  The residual is taken at z - i(m +- 1/2), the integer nearest Im z on the side of Im atanh(u)/pi, not
+    at ``cover_map``'s z - i round(Im z): the two differ only where Im z is a half-integer, where round-half-even reads
+    the parity of the branch, which a chunk's class does not hold (``_chunk`` reads z only through Re v and d).  Far
+    up, Im z holds branch m only to ulp(m), which moves the image by pi |1 - u^2| ulp(m): word curves lift within 1e-6
+    while |m| < 2^30; a refusal names ulp(m) where that passes tol.
 
     atanh, the sign classes and the crossing walk run once per plan, a unit of the path's runs (``_copies``); the
     checks once per chunk, the plan on one branch m, at its first copy on m after a copy, m moving by each copy's net
@@ -362,16 +353,16 @@ def word_to_curve(w: FreeWord, samples_per_turn: int = 128) -> PolyPath:
     return _new(PolyPath, plane=Plane.PUNCTURED, _runs=(((0j,), 1), *runs))  # checked by construction; points on read
 
 
-def _changes(real: bytes, sides: Sequence[float], lengths: Sequence[int]) -> list[tuple[int, HalfPlane, Sequence]]:
+def _changes(real: list[int], sides: Sequence[float], lengths: Sequence[int]) -> list[tuple[int, HalfPlane, Sequence]]:
     """(i, half-plane, the crossings' sides before point i - 1) where a copy of a plan, of real classes ``real`` and
     ``sides`` between segments of ``lengths`` points, enters a half-plane: at its first run of one nonzero real class
     and at each run of the other class after one.  So a copy of a plan with one change, after the plan's first, changes
     nothing, and a piece's end is one point, on branch m less those sides, as ``_chunk`` offsets it."""
-    ends, found = list(accumulate(lengths)), []
-    for run in _EXCURSION.finditer(real):
-        half = HalfPlane.RIGHT if real[i := run.start()] == 43 else HalfPlane.LEFT  # b"+" is 43
-        if not found or found[-1][1] is not half:
-            found.append((i, half, sides[:bisect_right(ends, i - 1)]))
+    ends, found, last = list(accumulate(lengths)), [], 0  # last: the last nonzero class
+    for i, c in enumerate(real):
+        if c and c != last:
+            last = c
+            found.append((i, HalfPlane.RIGHT if c > 0 else HalfPlane.LEFT, sides[:bisect_right(ends, i - 1)]))
     return found
 
 
@@ -393,7 +384,7 @@ def slalom_decompose(lifted: PolyPath) -> SlalomDecomposition:
     if (parts := lifted.__dict__.get("_lift")) is None:
         pts = lifted.points
         signs = _signs(z.real for z in pts)
-        if flips := _pairs(signs, _FLIPS):
+        if flips := _flips(signs):
             i = flips[0]
             raise LiftError(f"lift changes half-plane between {pts[i - 1]} and {pts[i]}, off the imaginary axis")
         parts = [((None, (), None, pts[1:], None, None, _changes(signs[1:], (), ())), 0.0, 1, 0.0)
@@ -423,12 +414,10 @@ def _ray(x: float, error: type[Exception] = ValueError) -> int:
     return (x > 1) - (x < -1)
 
 
-def _crossings(us: Sequence[complex], imag_signs: bytes, error: type[Exception]):
+def _crossings(us: Sequence[complex], error: type[Exception]):
     """(i, side, ray) per ray crossing from sample i - 1 to i: the sign of Im on the side entered (an axis sample's
     zero's), and ``_ray`` of the crossing; raises ``error`` near a puncture or on an axis run through one."""
-    # a pair can cross or touch the real axis only where the b"-0+" classes of Im have a zero or opposite signs
-    for i in _pairs(imag_signs, _TOUCHING):
-        a, b = us[i - 1], us[i]
+    for i, (a, b) in enumerate(zip(us, islice(us, 1, None)), 1):
         if a.imag == 0 == b.imag and _ray(a.real, error) != _ray(b.real, error):
             raise error(f"path runs along the real axis through a puncture near {b.real}")
         if (side := math.copysign(1.0, b.imag)) != math.copysign(1.0, a.imag):
@@ -465,4 +454,5 @@ def curve_to_word(path: PolyPath) -> FreeWord:
 
 def _reads(us: Sequence[complex]) -> list[tuple[Generator, int]]:
     """The letter that each ray crossing of ``us`` reads, a plan of ``curve_to_word``."""
-    return [(_READS[ray], int(side) * ray) for _, side, ray in _crossings(us, _signs(u.imag for u in us), ValueError)]
+    return [(Generator.A1 if ray < 0 else Generator.A2, int(side) * ray)
+            for _, side, ray in _crossings(us, ValueError)]

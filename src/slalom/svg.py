@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from slalom.covering import ElementaryPiece, PolyPath
+from slalom.covering import ElementaryPiece, HalfPlane, PolyPath
 
 _PAD = 1.0  # margin around the drawing, in math units
 
@@ -39,7 +39,7 @@ def render_lift_scene(lifted: PolyPath, pieces: Sequence[ElementaryPiece], curve
     labels = []
     for idx, piece in enumerate(pieces):
         mid = (piece.start_component + piece.end_component + 1) / 2
-        x = -0.6 if piece.half_plane.value == "left" else 0.3
+        x = -0.6 if piece.half_plane is HalfPlane.LEFT else 0.3
         tag = f"{idx}: {piece.start_component}->{piece.end_component}"
         if piece.trivial:
             tag += " (trivial)"

@@ -6,14 +6,13 @@ import random
 import re
 from decimal import Decimal
 from fractions import Fraction
-from itertools import accumulate, compress, count, groupby, repeat, tee
-from operator import attrgetter, ge, mul
-from typing import Iterable
+from itertools import accumulate, groupby
+from operator import attrgetter
 
 import pytest
 from hypothesis import strategies as st
 
-from slalom import braids, covering, words
+from slalom import braids, words
 from slalom.braids import BraidGenerator, BraidWord, braid_to_strands, cross_ratio_curve, full_twist, parse_braid
 from slalom.covering import (
     BASE_LIFT_POINT,
@@ -129,17 +128,6 @@ def reference_read_word(path: PolyPath, crossing=float_crossing) -> FreeWord:
                 raw.append((Generator.A1 if ray < 0 else Generator.A2, ray if z.imag > 0 else -ray))
         prev, axis_x = z, None
     return reduce(raw)
-
-
-def reference_touching(parts: Iterable[float]) -> list[int]:
-    """Oracle for the candidate pairs of the ray walk and the piece reader: each i with parts[i - 1] * parts[i] <= 0.
-
-    This is the product pass over the floats that the covering ran before its sign strings: every
-    zero, every change of strict sign, and also every pair of one sign whose product underflows.
-    """
-    parts, later = tee(parts)
-    next(later, None)
-    return list(compress(count(1), map(ge, repeat(0.0), map(mul, parts, later))))
 
 
 def word_pieces(w: FreeWord) -> tuple[ElementaryPiece, ...]:
@@ -271,11 +259,6 @@ def reference_lift_points(path: PolyPath, start: complex, tol: float = 1e-6) -> 
         if lift[i - 1] == lift[i]:
             raise LiftError(f"samples {us[i - 1]} and {us[i]} lift to the same point {lift[i]}")
     return PolyPath(tuple(lift), Plane.COVER).points
-
-
-def sign_string(parts) -> bytes:
-    """The b"-0+" class of each of ``parts``, through the covering's own classifier."""
-    return covering._signs(parts)
 
 
 def eager_pieces(path: PolyPath) -> tuple[ElementaryPiece, ...]:

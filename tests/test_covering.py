@@ -30,9 +30,7 @@ from conftest import (
     reference_lift_points,
     reference_path_error,
     reference_read_word,
-    reference_touching,
     sample_positions,
-    sign_string,
     word_pieces,
 )
 from slalom.braids import braid_to_strands, cross_ratio_curve
@@ -105,6 +103,10 @@ def log_uniform(lo: int = -1074, hi: int = 1024):
     """Floats of either sign, log-uniform from 2^lo to 2^hi: 5e-324 to the largest finite float by default."""
     return st.builds(lambda sign, m, e: sign * math.ldexp(m, e), st.sampled_from((1.0, -1.0)),
                      st.floats(0.5, 1, exclude_max=True), st.integers(lo, hi))
+
+
+# zeros of both signs, the smallest subnormal, and values whose products with each other underflow to 0
+EDGE_FLOATS = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-170, 1e-200, -1e-200, 1e-300, -1e-300))
 
 
 def wide_vertices():
@@ -336,10 +338,22 @@ class TestLiftPath:
     ])
     def test_far_up_the_cover_names_the_branch_grid(self, m, point, grid):
         """Far up the cover Im z holds the branch only to ulp(m), which moves each image by far more than tol: the
-        refusal names that, as the residual, taken as cover_map takes it, is no longer what fails."""
+        refusal names that, as the residual, taken at the integer nearest Im z, is no longer what fails."""
         message = f"lifted point {point} misses its image point (-0.004815273327803071+0.0980171403295606j) by more"
         with pytest.raises(LiftError, match=f"^{re.escape(f'{message} than 1e-06: Im z {grid}')}$"):
             lift_path(word_to_curve(parse_word("a1 a2"), 64), complex(0.0, m))
+
+    def test_residual_is_taken_on_the_side_of_im_atanh(self):
+        """The residual is taken at z - i(m +- 1/2), the integer nearest Im z on the side of Im atanh(u)/pi, not at
+        cover_map's z - i round(Im z): 0.5 + 1e-15i lifts from 4.5i to Im z = 4.5 exactly, a tie that round() breaks
+        to the even 4, where the residual is 1.05e-15, against 9.6e-16 on the side of Im atanh(u)/pi, toward 5."""
+        path = PolyPath((0j, 0.5 + 1e-15j, 0j), Plane.PUNCTURED)
+        point = complex(0.1748495762830299, 4.5)
+        assert lift_path(path, 4.5j, 1e-15).points[1] == point and abs(cover_map(point) - path.points[1]) > 1e-15
+        message = f"lifted point {point} misses its image point (0.5+1e-15j) by more than 9.6e-16"
+        grid = f": Im z on branch 4.5 is good only to {math.ulp(4.5)}"
+        with pytest.raises(LiftError, match=f"^{re.escape(message + grid)}$"):
+            lift_path(path, 4.5j, 9.6e-16)
 
     @pytest.mark.parametrize("k", [52, 53, 60])
     def test_integer_branch_lifts_onto_the_images(self, k):
@@ -1390,12 +1404,14 @@ class TestRayReader:
         assert curve_to_word(path) == expected
 
     @settings(max_examples=500, deadline=None)
-    @given(st.lists(wide_vertices(), min_size=1, max_size=6))
+    @given(st.lists(st.one_of(wide_vertices(), st.builds(complex, log_uniform(), EDGE_FLOATS)), min_size=1, max_size=6))
     @example([2j, 1e308 + 1e-300j, -1e308 - 1j, -2j])    # b.real - a.real overflowed: read a1, not a2^-1
     @example([1e308 + 1.7e308j, -1e308 - 3e307j])        # a.imag - b.imag overflowed: read the identity, not a1
     @example([1j, 1e308 + 0j, -1e308 - 1j, -1j])        # 0 times an overflowed difference: no crossing, not a2^-1
     @example([2.0**52 - 0.5j, complex(0.5, 2.0**-54)])  # t rounds to 1, x to 0.5: at 1 - 1.1e-16, not an error
     @example([1.5 + 5e-324j, -0.5 - 5e-324j, 1j])        # Im's halves round to 0: a halved formula divides 0 by 0
+    @example([-2 + 1e-200j, -3 + 1e-200j, -3 - 1e-300j, -2 - 5e-324j])  # products of one sign underflow: a1 alone
+    @example([2 + 1e-170j, 3 + 1e-170j, complex(3, -0.0), 2 - 1e-200j, -2 - 1e-200j])  # an axis sample's zero's sign
     def test_matches_exact_oracle(self, vertices):
         """Over the whole float range, the reader reads the word, or the error type, of the cutting sequence with
         each crossing located exactly."""
@@ -1510,31 +1526,10 @@ class TestSlalomReading:
         assert outcomes[0] == outcomes[1]
 
 
-# zeros of both signs, the smallest subnormal, and values whose products with each other underflow to 0
-EDGE_FLOATS = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 1e-170, -1e-170, 1e-200, -1e-200, 1e-300, -1e-300))
-
-
-class TestSignStrings:
-    @settings(max_examples=500, deadline=None)
-    @given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False), EDGE_FLOATS), max_size=24))
-    @example([1e-200, 1e-200, -1e-200, -1e-200, 5e-324, 5e-324])  # products that underflow to 0.0 and -0.0
-    @example([0.0, -0.0, 0.0, 5e-324, -5e-324, 1.0, -1.0, -1.0])
-    def test_candidates_match_product_pass(self, xs):
-        """The candidates are exactly the pairs with a zero or strictly opposite signs.  Over finite floats, as path
-        points are, the product pass finds those, and besides them only pairs of one sign whose product underflows."""
-        signs = sign_string(xs)
-        got = covering._pairs(signs, covering._TOUCHING)
-        assert got == [i for i in range(1, len(xs)) if xs[i - 1] == 0 or xs[i] == 0 or (xs[i - 1] < 0) != (xs[i] < 0)]
-        assert covering._pairs(signs, covering._FLIPS) == [
-            i for i in range(1, len(xs)) if min(xs[i - 1:i + 1]) < 0 < max(xs[i - 1:i + 1])]
-        oracle = reference_touching(xs)
-        assert set(got) <= set(oracle)
-        assert all(xs[i - 1] != 0 != xs[i] and (xs[i - 1] > 0) == (xs[i] > 0) and xs[i - 1] * xs[i] == 0
-                   for i in set(oracle) - set(got))
-
+class TestLiftReadsAsItsPoints:
     @staticmethod
     def assert_lift_reads_as_its_points(curve):
-        """A lift, read by its plans, and its points built again, read by their sign string, give the same pieces."""
+        """A lift, read by its plans, and its points built again, read point by point, give the same pieces."""
         lifted = lift_path(curve, BASE_LIFT_POINT)
         plain = PolyPath(lifted.points, Plane.COVER)  # built again: it carries no plans
         assert "_lift" not in plain.__dict__ and plain == lifted and hash(plain) == hash(lifted)
@@ -1575,8 +1570,12 @@ class TestCoverRoute:
                               st.builds(complex, st.sampled_from((0.0, -0.0)), st.floats(-1e300, 1e300)),
                               # subnormal real parts: Re atanh(u)/pi underflows to 0 at +-5e-324, not at +-1e-320
                               st.builds(complex, st.sampled_from((5e-324, -5e-324, 1e-320, -1e-320)),
-                                        st.floats(-3, 3))),
+                                        st.floats(-3, 3)),
+                              st.builds(complex, st.one_of(st.floats(-3, 3), EDGE_FLOATS), EDGE_FLOATS)),
                     min_size=1, max_size=6), st.sampled_from((1e-6, math.inf)))
+    # products of one sign that underflow, of Im across the right ray and of Re across iR, where no sign flips
+    @example([0.5 + 1e-200j, 2 + 1e-200j, 3 - 1e-300j, -0.5 - 5e-324j, -2 - 5e-324j, -3 + 1e-170j], 1e-6)
+    @example([1e-200 + 0.5j, 1e-200 - 0.5j, -1e-300 - 0.5j, complex(-0.0, 0.5), 1e-170 + 0.25j], math.inf)
     def test_polygon_loops(self, vertices, tol):
         try:
             path = PolyPath((0j, *vertices, 0j), Plane.PUNCTURED)

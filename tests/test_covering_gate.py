@@ -97,19 +97,20 @@ def test_texts_are_drawn_from_the_token_parts_of_the_word_tests():
 
 
 def test_runs_are_copies_of_units_that_cross_the_rays_any_number_of_times():
-    """A ``runs`` case is runs of at least two copies of a unit from 0 back to 0, whose legs cross the rays 0, 1 or
-    more times; it lifts, or its error is its outcome, and a path that ``PolyPath`` refuses is refused there."""
-    from slalom import covering
+    """A ``runs`` case is runs of at least two copies of a unit from 0 back to 0, whose legs cross the rays: the
+    cutting-sequence oracle reads words of 0, 1 or more letters off the units.  A case lifts, or its error is its
+    outcome, and a path that ``PolyPath`` refuses is refused there."""
+    from conftest import reference_read_word
+    from slalom.covering import Plane, PolyPath
 
     gate = load_script()
     runs = gate.corpora(quick=True)["runs"]
     assert len(runs) == 40 and all(n >= 2 and unit[-1] == 0 for case in runs for unit, n in case[1])
     crossings = set()
     for unit in {unit for case in runs for unit, _ in case[1]}:
-        us = (0j, *unit)
         try:
-            crossings.add(min(len(list(covering._crossings(us, covering._signs(u.imag for u in us), ValueError))), 2))
-        except ValueError:  # a unit that crosses the axis at a puncture
+            crossings.add(min(reference_read_word(PolyPath((0j, *unit), Plane.PUNCTURED)).letter_length(), 2))
+        except ValueError:  # a unit near a puncture, or that crosses the axis at one
             pass
     assert crossings == {0, 1, 2}
     got = gate.outcomes({"runs": runs + [("runs", (((0.5j, 0.5j, 0j), 2),), START, 1e-6)]})["runs"]
